@@ -42,8 +42,17 @@ class InputDataError(ValueError):
 # complexes
 
 
+_UNCHECKED = object()
+
+
 class ChainComplex:
-    """ring, degree window [lo, hi], ranks, and differentials d_i: C_i -> C_{i-1}."""
+    """ring, degree window [lo, hi], ranks, and differentials d_i: C_i -> C_{i-1}.
+
+    Instances are immutable after construction: every operation (shift,
+    cone, truncate, minimize, mutation controls, ...) builds a new complex
+    and never edits ranks or matrices in place.  The d*d = 0 verdict is
+    therefore computed at most once per instance and memoized.
+    """
 
     def __init__(self, rng: QuotientRing, ranks: dict, diffs: dict, check: bool = True):
         self.ring = rng
@@ -62,6 +71,7 @@ class ChainComplex:
                     f"differential at degree {i} has shape {mat_shape(mat)}, want {want}")
             if want[0] and want[1]:
                 self.diffs[i] = mat
+        self._d2_failure = _UNCHECKED
         if check:
             err = self._square_zero_failure()
             if err is not None:
@@ -82,6 +92,12 @@ class ChainComplex:
         return not self.ranks
 
     def _square_zero_failure(self) -> Optional[int]:
+        """First degree entered by a nonzero d*d (mod relations), or None."""
+        if self._d2_failure is _UNCHECKED:
+            self._d2_failure = self._scan_square_zero()
+        return self._d2_failure
+
+    def _scan_square_zero(self) -> Optional[int]:
         gb = _relations_gb(self.ring)
         for i in self.degrees():
             if self.rank(i) and self.rank(i - 1) and self.rank(i - 2):
@@ -322,8 +338,10 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
              for i in range(cx.lo, cx.hi + 1) if cx.rank(i) and cx.rank(i - 1)}
     incl = {d: identity_matrix(rng, cx.rank(d)) for d in transport_degrees}
 
-    def find_pivot():
+    def find_pivot(lowest):
         for k in sorted(diffs):
+            if k < lowest:
+                continue
             mat = diffs[k]
             for r, row in enumerate(mat):
                 for c, e in enumerate(row):
@@ -331,8 +349,11 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
                         return k, r, c, e.constant_value()
         return None
 
+    # A pivot at degree k only shrinks the differentials below k, which had
+    # no unit entry, so each scan resumes at the previous pivot's degree.
+    k = cx.lo
     while True:
-        piv = find_pivot()
+        piv = find_pivot(k)
         if piv is None:
             break
         k, r, c, a = piv
@@ -346,13 +367,17 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
         for s in range(rows):
             if s == r:
                 continue
+            row = mat[s]
+            if pcol[s].is_zero():
+                new_k.append(row[:c] + row[c + 1:])
+                continue
             row_out = []
             corr = pcol[s].scale(inv)
             for t in range(cols):
                 if t == c:
                     continue
-                e = mat[s][t]
-                if not corr.is_zero() and not prow[t].is_zero():
+                e = row[t]
+                if not prow[t].is_zero():
                     e = e - corr * prow[t]
                 row_out.append(e)
             new_k.append(row_out)

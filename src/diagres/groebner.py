@@ -16,6 +16,13 @@ for a given order), made monic, and sorted by descending leading term, so
 identical inputs produce byte-identical bases.  Pair selection is the normal
 strategy (smallest lcm total degree first) with FIFO tie-break.
 
+Auto-reduction builds one divisor index over the minimal basis.  Each
+element's tail (its terms below the leading term) is reduced against the
+whole index, and the leading term is put back.  A tail term is smaller than
+the element's own leading term, so it is never divisible by it, and
+reduction only introduces smaller terms: the element's own index entry is
+never used and no leading term changes.
+
 The classical coprimality (product) criterion is only valid for module pairs
 when both vectors are concentrated in their common leading component; see
 test_groebner for the standard rank-2 counterexample.  The criterion is
@@ -260,15 +267,15 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
             keep.append(i)
     minimal = [basis[i] for i in keep]
 
-    # reduced: tail-reduce each against the others
+    # reduced: tail-reduce each against one shared index (module docstring)
+    index = _make_buckets(minimal, engine)
     reduced = []
-    for i, d in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        if others:
-            r = engine.nf(d, others, _make_buckets(others, engine))
-        else:
-            r = d
-        reduced.append(engine.monic(r))
+    for i, d in zip(keep, minimal):
+        lt = lts[i]
+        tail = {t: c for t, c in d.items() if t != lt}
+        r = {lt: d[lt]}
+        r.update(engine.nf(tail, minimal, index))
+        reduced.append(r)
 
     reduced.sort(key=lambda d: engine.tkey(engine.lead(d)), reverse=True)
     return reduced

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import ChainComplex, ChainMap, DiagonalSpec, InputDataError
-from .matrices import mat_from_strings, mat_to_strings
+from .matrices import mat_to_strings
 from .polyring import MonomialOrder, ParseError, QuotientRing, ring
 from .scalars import field_from_spec, field_spec_str
 from .witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
@@ -72,34 +72,93 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
-def parse_ring(d: dict, path: str = "ring") -> QuotientRing:
-    variables = _need(d, "variables", path)
-    fld = field_from_spec(d.get("field", "q"))
-    order = None
-    if "order" in d:
-        od = d["order"]
-        order = MonomialOrder(od.get("kind", "grevlex"),
-                              od.get("priority"))
+def _typed(v, kind, what: str, path: str):
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise JobFileError(f"expected {what} at {path}, got {v!r}")
+    return v
+
+
+def _obj(v, path: str) -> dict:
+    return _typed(v, dict, "an object", path)
+
+
+def _list(v, path: str) -> list:
+    return _typed(v, list, "a list", path)
+
+
+def _str(v, path: str) -> str:
+    return _typed(v, str, "a string", path)
+
+
+def _int(v, path: str) -> int:
+    """An integer, or a string spelling one (JSON object keys are strings)."""
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    return _typed(v, int, "an integer", path)
+
+
+def _strs(v, path: str) -> list:
+    return [_str(s, f"{path}[{i}]") for i, s in enumerate(_list(v, path))]
+
+
+def _poly(rng: QuotientRing, v, path: str):
     try:
-        return ring(variables, field=fld, order=order,
-                    relations=d.get("relations", ()))
+        return rng.parse(_str(v, path))
+    except ParseError as exc:
+        raise JobFileError(f"bad polynomial at {path}: {exc}") from exc
+
+
+def _polys(rng: QuotientRing, v, path: str) -> list:
+    return [_poly(rng, s, f"{path}[{i}]") for i, s in enumerate(_list(v, path))]
+
+
+def _matrix(rng: QuotientRing, v, path: str) -> list:
+    rows = [_polys(rng, row, f"{path}[{i}]") for i, row in enumerate(_list(v, path))]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise JobFileError(f"ragged matrix at {path}")
+    return rows
+
+
+def _by_degree(v, path: str) -> list:
+    """(degree, value, path of the value) for an object keyed by degree."""
+    return [(_int(k, f"{path}.{k}"), x, f"{path}.{k}") for k, x in _obj(v, path).items()]
+
+
+def parse_ring(d: dict, path: str = "ring") -> QuotientRing:
+    _obj(d, path)
+    variables = _strs(_need(d, "variables", path), f"{path}.variables")
+    spec = _str(d.get("field", "q"), f"{path}.field")
+    try:
+        fld = field_from_spec(spec)
+    except ValueError as exc:
+        raise JobFileError(f"bad field at {path}.field: {exc}") from exc
+    relations = _strs(d.get("relations", []), f"{path}.relations")
+    kind, prio = "grevlex", None
+    if "order" in d:
+        od = _obj(d["order"], f"{path}.order")
+        kind = _str(od.get("kind", "grevlex"), f"{path}.order.kind")
+        if od.get("priority") is not None:
+            ppath = f"{path}.order.priority"
+            prio = [_int(i, f"{ppath}[{k}]") for k, i in enumerate(_list(od["priority"], ppath))]
+    try:
+        order = MonomialOrder(kind, prio) if "order" in d else None
+        return ring(variables, field=fld, order=order, relations=relations)
     except (ParseError, ValueError) as exc:
         raise JobFileError(f"bad ring at {path}: {exc}") from exc
 
 
 def parse_complex(d: dict, rng: QuotientRing, path: str) -> ChainComplex:
-    ranks_raw = _need(d, "ranks", path)
-    try:
-        ranks = {int(k): int(v) for k, v in ranks_raw.items()}
-    except (TypeError, ValueError) as exc:
-        raise JobFileError(f"bad ranks at {path}: {exc}") from exc
-    diffs = {}
-    for k, rows in d.get("differentials", {}).items():
-        try:
-            diffs[int(k)] = mat_from_strings(rows, rng)
-        except ParseError as exc:
-            raise JobFileError(
-                f"bad polynomial at {path}.differentials[{k}]: {exc}") from exc
+    _obj(d, path)
+    ranks = {}
+    for k, v, kpath in _by_degree(_need(d, "ranks", path), f"{path}.ranks"):
+        ranks[k] = _int(v, kpath)
+        if ranks[k] < 0:
+            raise JobFileError(f"negative rank at {kpath}")
+    diffs = {k: _matrix(rng, rows, kpath) for k, rows, kpath
+             in _by_degree(d.get("differentials", {}), f"{path}.differentials")}
     try:
         return ChainComplex(rng, ranks, diffs, check=True)
     except InputDataError as exc:
@@ -107,69 +166,88 @@ def parse_complex(d: dict, rng: QuotientRing, path: str) -> ChainComplex:
 
 
 def parse_diagonal(d: dict, rng: QuotientRing, path: str = "diagonal") -> DiagonalSpec:
-    try:
-        ideal = [rng.parse(s) for s in _need(d, "ideal", path)]
-        aug = [rng.parse(s) for s in _need(d, "augmentation", path)]
-    except ParseError as exc:
-        raise JobFileError(f"bad polynomial at {path}: {exc}") from exc
-    window = tuple(d["window"]) if "window" in d else None
-    return DiagonalSpec(ideal=ideal, degree=int(_need(d, "degree", path)),
-                        augmentation=aug, window=window)
+    _obj(d, path)
+    ideal = _polys(rng, _need(d, "ideal", path), f"{path}.ideal")
+    aug = _polys(rng, _need(d, "augmentation", path), f"{path}.augmentation")
+    degree = _int(_need(d, "degree", path), f"{path}.degree")
+    window = None
+    if "window" in d:
+        raw = _list(d["window"], f"{path}.window")
+        if len(raw) != 2:
+            raise JobFileError(f"expected [lo, hi] at {path}.window, got {raw!r}")
+        window = tuple(_int(w, f"{path}.window[{i}]") for i, w in enumerate(raw))
+    return DiagonalSpec(ideal=ideal, degree=degree, augmentation=aug, window=window)
 
 
 def parse_witness(d: dict, rng: QuotientRing, complexes: dict, path: str = "witness"):
+    _obj(d, path)
     gens = []
-    for i, g in enumerate(d.get("generators", [])):
+    for i, g in enumerate(_list(d.get("generators", []), f"{path}.generators")):
+        gpath = f"{path}.generators[{i}]"
+        _obj(g, gpath)
         cert = None
         if "certificate" in g:
-            c = g["certificate"]
-            cert = ConeCertificate(_need(c, "source", f"{path}.generators[{i}]"),
-                                   _need(c, "target", f"{path}.generators[{i}]"),
-                                   int(c.get("shift", -1)))
-        gens.append(GeneratorDecl(_need(g, "label", f"{path}.generators[{i}]"),
-                                  g.get("kind", "plain"), cert))
+            cpath = f"{gpath}.certificate"
+            c = _obj(g["certificate"], cpath)
+            cert = ConeCertificate(_str(_need(c, "source", cpath), f"{cpath}.source"),
+                                   _str(_need(c, "target", cpath), f"{cpath}.target"),
+                                   _int(c.get("shift", -1), f"{cpath}.shift"))
+        gens.append(GeneratorDecl(_str(_need(g, "label", gpath), f"{gpath}.label"),
+                                  _str(g.get("kind", "plain"), f"{gpath}.kind"), cert))
     steps = []
-    for i, s in enumerate(d.get("steps", [])):
+    for i, s in enumerate(_list(d.get("steps", []), f"{path}.steps")):
         spath = f"{path}.steps[{i}]"
+        _obj(s, spath)
         target = None
         if s.get("target") is not None:
-            target = complexes.get(s["target"])
+            target = complexes.get(_str(s["target"], f"{spath}.target"))
             if target is None:
                 raise JobFileError(f"unknown complex {s['target']!r} at {spath}")
         step_map = None
         if s.get("map") is not None:
-            m = s["map"]
-            src = complexes.get(_need(m, "source", spath))
-            tgt = complexes.get(_need(m, "target", spath))
+            mpath = f"{spath}.map"
+            m = _obj(s["map"], mpath)
+            src = complexes.get(_str(_need(m, "source", mpath), f"{mpath}.source"))
+            tgt = complexes.get(_str(_need(m, "target", mpath), f"{mpath}.target"))
             if src is None or tgt is None:
                 raise JobFileError(f"unknown complex in map at {spath}")
-            mats = {int(k): mat_from_strings(v, rng)
-                    for k, v in m.get("matrices", {}).items()}
-            step_map = ChainMap(src, tgt, mats, check=True)
+            mats = {k: _matrix(rng, v, kpath) for k, v, kpath
+                    in _by_degree(m.get("matrices", {}), f"{mpath}.matrices")}
+            try:
+                step_map = ChainMap(src, tgt, mats, check=True)
+            except InputDataError as exc:
+                raise JobFileError(f"invalid chain map at {mpath}: {exc}") from exc
         summands = []
-        for q in s.get("summands", []):
+        for k, q in enumerate(_list(s.get("summands", []), f"{spath}.summands")):
+            qpath = f"{spath}.summands[{k}]"
+            _obj(q, qpath)
             model = None
             if q.get("model"):
-                model = complexes.get(q["model"])
+                model = complexes.get(_str(q["model"], f"{qpath}.model"))
                 if model is None:
                     raise JobFileError(f"unknown model complex {q['model']!r} at {spath}")
-            summands.append(DeclaredSummand(_need(q, "label", spath),
-                                            int(q.get("shift", 0)),
-                                            int(q.get("multiplicity", 1)),
+            summands.append(DeclaredSummand(_str(_need(q, "label", qpath), f"{qpath}.label"),
+                                            _int(q.get("shift", 0), f"{qpath}.shift"),
+                                            _int(q.get("multiplicity", 1),
+                                                 f"{qpath}.multiplicity"),
                                             model))
         steps.append(WitnessStep(step_map, target, summands))
-    final = d.get("final", {})
+    final = _obj(d.get("final", {}), f"{path}.final")
     witness = GenerationWitness(
         generators=gens,
         steps=steps,
-        claimed_time=int(_need(d, "claimed_time", path)),
+        claimed_time=_int(_need(d, "claimed_time", path), f"{path}.claimed_time"),
         final_complex=None,
         final_diagonal=None,
-        auxiliary_products=tuple(d.get("auxiliary_products", ())),
+        auxiliary_products=tuple(_strs(d.get("auxiliary_products", []),
+                                       f"{path}.auxiliary_products")),
         label_level=bool(d.get("label_level", False)),
-        conclusion=d.get("conclusion", ""),
+        conclusion=_str(d.get("conclusion", ""), f"{path}.conclusion"),
     )
-    return witness, final.get("complex")
+    final_name = final.get("complex")
+    if final_name is not None:
+        _str(final_name, f"{path}.final.complex")
+    return witness, final_name
 
 
 def parse_job(doc: dict) -> Job:
@@ -179,9 +257,10 @@ def parse_job(doc: dict) -> Job:
         raise JobFileError(f"unsupported schema {doc.get('schema')!r}, expected {SCHEMA}")
     rng = parse_ring(_need(doc, "ring", "$"))
     complexes = {}
-    for i, cd in enumerate(doc.get("complexes", [])):
-        name = cd.get("name", f"complex{i}")
-        complexes[name] = parse_complex(cd, rng, f"complexes[{i}]")
+    for i, cd in enumerate(_list(doc.get("complexes", []), "complexes")):
+        path = f"complexes[{i}]"
+        name = _str(_obj(cd, path).get("name", f"complex{i}"), f"{path}.name")
+        complexes[name] = parse_complex(cd, rng, path)
     expectation = doc.get("expectation", "qiso_to_diagonal")
     if expectation not in ("qiso_to_diagonal", "exact_everywhere"):
         raise JobFileError(f"unknown expectation {expectation!r}")
@@ -190,6 +269,8 @@ def parse_job(doc: dict) -> Job:
     if "diagonal" in doc:
         diagonal = parse_diagonal(doc["diagonal"], rng)
         diag_name = doc["diagonal"].get("complex")
+        if diag_name is not None:
+            _str(diag_name, "diagonal.complex")
     elif expectation == "qiso_to_diagonal" and complexes and "witness" not in doc \
             and "module" not in doc:
         raise JobFileError("qiso_to_diagonal expectation needs a diagonal block")
@@ -198,19 +279,19 @@ def parse_job(doc: dict) -> Job:
         witness, wfinal = parse_witness(doc["witness"], rng, complexes)
     gb_module = None
     if "module" in doc:
-        md = doc["module"]
-        rank = int(_need(md, "rank", "module"))
+        md = _obj(doc["module"], "module")
+        rank = _int(_need(md, "rank", "module"), "module.rank")
+        if rank < 1:
+            raise JobFileError(f"module.rank must be at least 1, got {rank}")
         gens = []
-        for k, row in enumerate(md.get("generators", [])):
-            if len(row) != rank:
-                raise JobFileError(f"module.generators[{k}] has length {len(row)}, "
-                                   f"want {rank}")
-            try:
-                gens.append(tuple(rng.parse(s) for s in row))
-            except ParseError as exc:
-                raise JobFileError(f"bad polynomial at module.generators[{k}]: {exc}")
+        for k, row in enumerate(_list(md.get("generators", []), "module.generators")):
+            gpath = f"module.generators[{k}]"
+            vec = _polys(rng, row, gpath)
+            if len(vec) != rank:
+                raise JobFileError(f"{gpath} has length {len(vec)}, want {rank}")
+            gens.append(tuple(vec))
         gb_module = {"rank": rank, "generators": gens}
-    return Job(name=doc.get("name", "job"), ring=rng, complexes=complexes,
+    return Job(name=_str(doc.get("name", "job"), "name"), ring=rng, complexes=complexes,
                expectation=expectation, diagonal=diagonal,
                diagonal_complex=diag_name, witness=witness,
                witness_final=wfinal, gb_module=gb_module)

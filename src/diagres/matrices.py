@@ -112,10 +112,6 @@ def mat_to_strings(mat: Matrix) -> list:
     return [[str(e) for e in row] for row in mat]
 
 
-def mat_from_strings(rows: Sequence[Sequence[str]], rng: QuotientRing) -> Matrix:
-    return [[rng.parse(s) for s in row] for row in rows]
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return mat_shape(a) == mat_shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))

@@ -104,11 +104,42 @@ class RationalField(Field):
         return hash("QQ")
 
 
+#: Miller-Rabin with these bases decides primality for every P below
+#: MAX_PRIME (Sorenson and Webster, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test; exact for every n < MAX_PRIME."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
     kind = "prime_field"
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= MAX_PRIME:
+            raise ValueError(f"prime fields are supported only for P < {MAX_PRIME}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 

@@ -297,3 +297,40 @@ def test_job_export_round_trip():
 def test_unknown_schema_rejected():
     with pytest.raises(JobFileError):
         parse_job({"schema": 99, "ring": {"variables": ["x"]}})
+
+
+def _hand_job():
+    return {
+        "schema": 1,
+        "ring": {"variables": ["x1", "x2"]},
+        "complexes": [{"name": "total", "ranks": {"0": 1, "1": 1},
+                       "differentials": {"1": [["x1-x2"]]}}],
+        "diagonal": {"ideal": ["x1-x2"], "degree": 0, "augmentation": ["1"]},
+    }
+
+
+@pytest.mark.parametrize("section, key, value, where", [
+    ("complexes", "ranks", [1], "complexes[0].ranks"),
+    ("diagonal", "degree", "zero", "diagonal.degree"),
+    ("ring", "field", "fp:abc", "ring.field"),
+])
+def test_malformed_job_field_is_input_error(tmp_path, capsys, section, key, value, where):
+    doc = _hand_job()
+    block = doc[section][0] if section == "complexes" else doc[section]
+    block[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and where in err
+
+
+def test_oversized_prime_field_is_input_error(tmp_path, capsys):
+    big = "fp:" + str(10**400 + 1)
+    code, _, err = run_cli(capsys, "verify", "--example", "affine-line", "--field", big)
+    assert code == 2 and "input error" in err
+    doc = _hand_job()
+    doc["ring"]["field"] = big
+    path = tmp_path / "bigfield.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and "ring.field" in err

@@ -238,3 +238,152 @@ def test_verify_input_errors():
         verify_diagonal_qiso(cx, DiagonalSpec([R2.parse("x1-x2")], 5, [R2.one()]))
     with pytest.raises(InputDataError):
         verify_diagonal_qiso(cx, DiagonalSpec([R2.parse("x1-x2")], 0, [R2.zero()]))
+
+
+# ---------------------------------------------------------------------------
+# minimize: the resumed pivot scan matches a scan restarted from the lowest
+# degree after every pivot
+
+
+def _minimize_restarting(cx, transport_degrees=()):
+    """Reference Gaussian cancellation: rescan every degree after each pivot."""
+    from diagres.matrices import mat_shape
+    rng = cx.ring
+    fld = rng.field
+    ranks = dict(cx.ranks)
+    diffs = {i: [row[:] for row in cx.diff(i)]
+             for i in range(cx.lo, cx.hi + 1) if cx.rank(i) and cx.rank(i - 1)}
+    incl = {d: identity_matrix(rng, cx.rank(d)) for d in transport_degrees}
+
+    def find_pivot():
+        for k in sorted(diffs):
+            for r, row in enumerate(diffs[k]):
+                for c, e in enumerate(row):
+                    if not e.is_zero() and e.is_constant():
+                        return k, r, c, e.constant_value()
+        return None
+
+    while (piv := find_pivot()) is not None:
+        k, r, c, a = piv
+        inv = fld.inv(a)
+        mat = diffs[k]
+        rows, cols = mat_shape(mat)
+        prow = mat[r]
+        new_k = []
+        for s in range(rows):
+            corr = mat[s][c].scale(inv)
+            if s != r:
+                new_k.append([mat[s][t] - corr * prow[t] if not corr.is_zero() else mat[s][t]
+                              for t in range(cols) if t != c])
+        if k in incl:
+            old = incl[k]
+            incl[k] = [[old[s][t] - old[s][c] * prow[t].scale(inv)
+                        for t in range(cols) if t != c] for s in range(len(old))]
+        if k - 1 in incl:
+            old = incl[k - 1]
+            incl[k - 1] = [[row[t] for t in range(len(row)) if t != r] for row in old]
+        if k + 1 in diffs:
+            diffs[k + 1] = [row for t, row in enumerate(diffs[k + 1]) if t != c]
+        if k - 1 in diffs:
+            diffs[k - 1] = [[e for s, e in enumerate(row) if s != r]
+                            for row in diffs[k - 1]]
+        diffs[k] = new_k
+        ranks[k] -= 1
+        ranks[k - 1] -= 1
+        diffs = {i: m for i, m in diffs.items() if m and m[0]}
+        ranks = {i: n for i, n in ranks.items() if n}
+    return ChainComplex(rng, ranks, diffs, check=False), incl
+
+
+def _conjugate(cx, rand, steps):
+    """Random graded change of basis by elementary (unitriangular) operations.
+
+    Adding c times basis vector a to basis vector b of C_i rewrites
+    d_{i+1} by a row operation and d_i by the inverse column operation,
+    so d*d = 0 is kept and homology is unchanged.
+    """
+    rng = cx.ring
+    diffs = {i: [row[:] for row in cx.diff(i)] for i in range(cx.lo, cx.hi + 2)}
+    gens = [rng.one(), rng.const(-2), rng.parse("x1"), rng.parse("x2 - 1")]
+    degrees = [i for i in cx.degrees() if cx.rank(i) >= 2]
+    for _ in range(steps if degrees else 0):
+        i = rand.choice(degrees)
+        a, b = rand.sample(range(cx.rank(i)), 2)
+        c = rand.choice(gens)
+        up = diffs[i + 1]
+        if up and up[0]:
+            up[a] = [x + c * y for x, y in zip(up[a], up[b])]
+        down = diffs[i]
+        for row in down:
+            row[b] = row[b] - c * row[a]
+    return ChainComplex(rng, dict(cx.ranks),
+                        {i: m for i, m in diffs.items() if m and m[0]})
+
+
+def _assert_same_minimization(cx, degrees):
+    from diagres.matrices import mat_eq
+    got, got_incl = minimize(cx, transport_degrees=degrees)
+    want, want_incl = _minimize_restarting(cx, transport_degrees=degrees)
+    assert got.ranks == want.ranks
+    assert got == want
+    assert set(got_incl) == set(want_incl)
+    for d in degrees:
+        assert mat_eq(got_incl[d], want_incl[d])
+
+
+def test_minimize_matches_restarting_scan_on_catalog():
+    from diagres.catalog import build_affine_line, build_nodal_conic
+    from diagres.catalog.entries import _chart_complex_cached
+    from diagres.scalars import QQ
+    cxs = [build_affine_line().complex, build_nodal_conic().complex,
+           _chart_complex_cached(QQ, "adjacent")[1]]
+    for cx in cxs:
+        _assert_same_minimization(cx, (0,))
+
+
+def test_minimize_matches_restarting_scan_randomized():
+    rand = random.Random(31)
+    k = koszul(R2, ["x1", "x2"])
+    ident = ChainMap(k, k, {i: identity_matrix(R2, k.rank(i)) for i in k.degrees()})
+    mult = lift_module_map(k, k, [[R2.parse("x1 + 1")]])
+    bases = [direct_sum(k, cone(ident), shift(k, 1)), cone(mult),
+             direct_sum(cone(ident), cone(lift_module_map(k, k, [[R2.parse("x2")]])))]
+    for base in bases:
+        for _ in range(3):
+            cx = _conjugate(base, rand, steps=12)
+            _assert_same_minimization(cx, tuple(cx.degrees()))
+
+
+# ---------------------------------------------------------------------------
+# one d*d check per complex
+
+
+def test_square_zero_scan_runs_once_per_complex(monkeypatch):
+    calls = []
+    scan = ChainComplex._scan_square_zero
+    monkeypatch.setattr(ChainComplex, "_scan_square_zero",
+                        lambda self: calls.append(self) or scan(self))
+    cx = ChainComplex(R2, {0: 1, 1: 1}, {1: [[R2.parse("x1-x2")]]}, check=False)
+    assert check_differential(cx) and check_differential(cx)
+    spec = DiagonalSpec(ideal=[R2.parse("x1-x2")], degree=0, augmentation=[R2.one()])
+    assert verify_diagonal_qiso(cx, spec).passed
+    assert calls == [cx]
+
+
+def test_mutated_copy_of_checked_complex_fails_its_own_check(tmp_path, capsys):
+    from diagres.catalog import apply_mutation, build_affine_line, documented_mutations
+    from diagres.cli import main
+    from diagres.jobio import emit_job, job_document
+    entry = build_affine_line()
+    assert check_differential(entry.complex)
+    mutation = next(m for m in documented_mutations("affine-line")
+                    if m.kind == "differential")
+    mcx, mspec = apply_mutation(entry.complex, entry.diagonal, mutation)
+    assert not check_differential(mcx)
+    assert check_differential(entry.complex)
+    with pytest.raises(InputDataError):
+        verify_diagonal_qiso(mcx, mspec)
+    path = tmp_path / "mutated.json"
+    path.write_text(emit_job(job_document("mutated", entry.ring, mcx, mspec)))
+    assert main(["verify", "--job", str(path)]) == 2
+    assert "d*d" in capsys.readouterr().err

@@ -219,3 +219,52 @@ def test_determinism():
     b1 = [[str(p) for p in v] for v in buchberger(sub1).vectors]
     b2 = [[str(p) for p in v] for v in buchberger(sub2).vectors]
     assert b1 == b2
+
+
+def random_poly(rng, rand):
+    """Nonzero polynomial of one or two terms of degree 1..2, no constant."""
+    p = rng.zero()
+    while p.is_zero():
+        for _ in range(rand.randint(1, 2)):
+            exps = [0] * rng.nvars
+            for _ in range(rand.randint(1, 2)):
+                exps[rand.randrange(rng.nvars)] += 1
+            p = p + rng.const(rand.randint(-3, 3)).shift(tuple(exps))
+    return p
+
+
+def random_module(rng, rand, rank, max_gens=4):
+    gens = []
+    for _ in range(rand.randint(2, max_gens)):
+        gens.append(tuple(random_poly(rng, rand) if rand.random() < 0.6 else rng.zero()
+                          for _ in range(rank)))
+    return Submodule(rng, rank, gens)
+
+
+def assert_reduced(gb: GroebnerBasis):
+    """Monic, and no tail term divisible by a leading term of its component."""
+    from diagres._backend import tup_sub
+    eng = gb._engine
+    lts = [eng.lead(d) for d in gb._dicts]
+    for d, lt in zip(gb._dicts, lts):
+        assert d[lt] == eng.field.one
+        for t in d:
+            for other in lts:
+                if t == lt and other == lt:
+                    continue
+                assert not (t[0] == other[0]
+                            and tup_sub(t[1:], other[1:]) is not None), (t, other)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_basis_is_reduced_randomized(spec):
+    from diagres.scalars import field_from_spec
+    fld = field_from_spec(spec)
+    rand = random.Random(29)
+    rings = [ring(["x", "y", "z"], field=fld),
+             ring(["x1", "y1", "x2", "y2"], field=fld, relations=["x1*y1", "x2*y2"])]
+    for rng in rings:
+        for _ in range(6):
+            assert_reduced(buchberger(random_module(rng, rand, rank=1)))
+        for _ in range(4):
+            assert_reduced(buchberger(random_module(rng, rand, rank=2)))

@@ -38,6 +38,29 @@ def test_not_prime_rejected():
         PrimeField(1)
 
 
+def test_large_prime_accepted_quickly():
+    import time
+    p = 2**64 - 59  # the largest prime below 2^64
+    t0 = time.perf_counter()
+    f = PrimeField(p)
+    assert time.perf_counter() - t0 < 0.1
+    assert f.mul(p - 1, p - 2) == 2
+
+
+def test_pseudoprimes_rejected():
+    with pytest.raises(ValueError):
+        PrimeField(561)  # Carmichael number 3*11*17
+    with pytest.raises(ValueError):
+        PrimeField(3825123056546413051)  # strong pseudoprime to bases 2..23
+
+
+def test_prime_beyond_decided_range_rejected():
+    with pytest.raises(ValueError):
+        PrimeField(10**400 + 1)
+    with pytest.raises(ValueError):
+        field_from_spec("fp:" + str(10**400 + 1))
+
+
 def test_field_spec_round_trip():
     assert field_from_spec("q") == QQ
     assert field_from_spec("fp:32003") == FBIG
