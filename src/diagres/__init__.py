@@ -9,7 +9,6 @@ The commonly used surface is re-exported here; the submodules hold the
 rest (catalog entries live under diagres.catalog).
 """
 
-from ._backend import BACKEND as kernel_backend
 from .complexes import (ChainComplex, ChainMap, DiagonalSpec, check_differential,
                         cone, direct_sum, homology_is_zero_at, shift,
                         verify_diagonal_qiso)
@@ -20,7 +19,7 @@ from .scalars import QQ, PrimeField, field_from_spec
 
 __version__ = "0.1.0"
 __all__ = [
-    "kernel_backend", "__version__",
+    "__version__",
     "QQ", "PrimeField", "field_from_spec",
     "ring", "Polynomial", "QuotientRing", "MonomialOrder", "parse_poly",
     "Submodule", "buchberger", "normal_form", "member", "submodule_equal",

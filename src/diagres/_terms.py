@@ -1,18 +1,15 @@
-"""Pure-Python term kernels.
+"""Sparse term arithmetic.
 
 Sparse polynomials and free-module vectors are dicts mapping integer tuples
 to nonzero coefficients.  For a polynomial the key is the exponent vector;
 for a module vector the key is (component,) + exponents and multiplication
 shifts use a tuple with 0 in the component slot.  Everything here is the
 inner loop of Gröbner reduction, so the functions avoid any abstraction.
-
-diagres._kernel is the compiled twin of this module; diagres._backend picks
-whichever is importable.
+Coefficients are Python ints or Fractions, so arithmetic over F_p is exact
+for every prime the fields accept.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 def tup_add(a: tuple, b: tuple) -> tuple:

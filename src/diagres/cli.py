@@ -40,23 +40,6 @@ def _field(args):
         raise JobFileError(str(exc))
 
 
-def _load_job(args):
-    """Load a job file, letting an explicit --field override its ring field."""
-    if args.field is None:
-        return load_job(args.job)
-    import json as _json
-
-    with open(args.job, "r", encoding="utf-8") as fh:
-        try:
-            doc = _json.load(fh)
-        except _json.JSONDecodeError as exc:
-            raise JobFileError(f"not valid JSON: {exc}") from exc
-    if isinstance(doc, dict) and isinstance(doc.get("ring"), dict):
-        doc["ring"]["field"] = args.field
-    from .jobio import parse_job
-    return parse_job(doc)
-
-
 def _emit(report: VerificationReport, args) -> int:
     if args.report == "json":
         print(report.to_json())
@@ -132,7 +115,7 @@ def _verify_example(args) -> int:
 
 
 def _verify_job(args) -> int:
-    job = _load_job(args)
+    job = load_job(args.job, args.field)
     t0 = time.time()
     fname = field_spec_str(job.ring.field)
     if not job.complexes:
@@ -158,7 +141,7 @@ def _verify_job(args) -> int:
 
 
 def _run_gb(args) -> int:
-    job = _load_job(args)
+    job = load_job(args.job, args.field)
     if job.gb_module is None:
         raise JobFileError("gb subcommand needs a module block in the job file")
     sub = Submodule(job.ring, job.gb_module["rank"], job.gb_module["generators"])
@@ -200,7 +183,7 @@ def _run_witness(args) -> int:
         else:
             raise JobFileError(f"unknown example {args.example!r}")
     else:
-        job = _load_job(args)
+        job = load_job(args.job, args.field)
         if job.witness is None:
             raise JobFileError("job has no witness block")
         w = job.witness

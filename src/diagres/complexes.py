@@ -100,16 +100,14 @@ class ChainComplex:
     def _scan_square_zero(self) -> Optional[int]:
         gb = _relations_gb(self.ring)
         for i in self.degrees():
-            if self.rank(i) and self.rank(i - 1) and self.rank(i - 2):
-                prod = mat_mul(self.diff(i - 1), self.diff(i), self.ring)
+            # A missing block is zero, and so is any product through it.
+            if i in self.diffs and i - 1 in self.diffs:
+                prod = mat_mul(self.diffs[i - 1], self.diffs[i], self.ring)
                 for row in prod:
                     for e in row:
                         if not vec_is_zero(normal_form((e,), gb)):
                             return i - 1
         return None
-
-    def total_rank(self) -> int:
-        return sum(self.ranks.values())
 
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
@@ -185,10 +183,6 @@ class ChainMap:
                     if not vec_is_zero(normal_form((a - b,), gb)):
                         return False
         return True
-
-
-def zero_map(src: ChainComplex, tgt: ChainComplex) -> ChainMap:
-    return ChainMap(src, tgt, {}, check=False)
 
 
 def map_sub(f: ChainMap, g: ChainMap) -> ChainMap:

@@ -35,7 +35,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ._backend import axpy_p, axpy_q, tup_lcm, tup_sub
+from ._terms import axpy_p, axpy_q, tup_lcm, tup_sub
 from .polyring import Polynomial, QuotientRing, RingMismatchError
 from .scalars import PrimeField
 

@@ -297,12 +297,15 @@ def parse_job(doc: dict) -> Job:
                witness_final=wfinal, gb_module=gb_module)
 
 
-def load_job(path: str) -> Job:
+def load_job(path: str, field: Optional[str] = None) -> Job:
+    """Read and parse a job file; a field spec, if given, replaces ring.field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise JobFileError(f"not valid JSON: {exc}") from exc
+    if field is not None and isinstance(doc, dict) and isinstance(doc.get("ring"), dict):
+        doc["ring"]["field"] = field
     return parse_job(doc)
 
 

@@ -32,14 +32,6 @@ def mat_neg(mat: Matrix) -> Matrix:
     return [[-e for e in row] for row in mat]
 
 
-def mat_scale(mat: Matrix, c) -> Matrix:
-    return [[e.scale(c) for e in row] for row in mat]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a: Matrix, b: Matrix, rng: QuotientRing) -> Matrix:
     rows, inner = mat_shape(a)
     inner2, cols = mat_shape(b)
@@ -57,19 +49,6 @@ def mat_mul(a: Matrix, b: Matrix, rng: QuotientRing) -> Matrix:
                 if not brow[j].is_zero():
                     out[i][j] = out[i][j] + e * brow[j]
     return out
-
-
-def mat_apply(mat: Matrix, vec: Sequence[Polynomial], rng: QuotientRing) -> tuple:
-    """Matrix times column vector."""
-    rows, cols = mat_shape(mat)
-    if cols != len(vec):
-        raise ValueError("vector length differs from column count")
-    out = [rng.zero() for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            if not mat[i][j].is_zero() and not vec[j].is_zero():
-                out[i] = out[i] + mat[i][j] * vec[j]
-    return tuple(out)
 
 
 def mat_cols(mat: Matrix, cols: int) -> list:

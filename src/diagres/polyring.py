@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._backend import mul_p, mul_q, tup_add
+from ._terms import mul_p, mul_q, tup_add
 from .scalars import QQ, Field, FieldMismatchError, PrimeField
 
 
@@ -225,12 +225,6 @@ class Polynomial:
             return None
         exps = max(self.terms, key=self.ring.key)
         return exps, self.terms[exps]
-
-    def total_degree(self) -> int:
-        """Max total degree of the terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     # --- arithmetic ---
 

@@ -221,7 +221,3 @@ def compose_mats(f: dict, g: dict, src: ChainComplex, tgt: ChainComplex,
             continue
         out[i] = mat_mul(fm, gm, rng)
     return out
-
-
-def chain_map_from_mats(src: ChainComplex, tgt: ChainComplex, mats: dict) -> ChainMap:
-    return ChainMap(src, tgt, mats, check=False)

@@ -59,9 +59,6 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
-    def coeff_str(self, a) -> str:
-        return str(a)
-
 
 class RationalField(Field):
     kind = "rationals"

@@ -16,7 +16,7 @@ import random
 import time
 from fractions import Fraction
 
-from diagres._backend import tup_lcm, tup_sub
+from diagres._terms import tup_lcm, tup_sub
 from diagres.bimodcalc import GradedLinearMap, GradedVectorSpace, decompose
 from diagres.catalog import (build_affine_line, build_cycle, build_nodal_conic,
                              build_nodal_conic_product, documented_mutations,

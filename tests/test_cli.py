@@ -95,6 +95,18 @@ def test_field_flag_overrides_job_field(tmp_path, capsys):
     assert code == 0 and "[q]" in out
 
 
+def test_field_above_word_size_gives_q_verdicts(capsys):
+    def verdicts(field):
+        code, out, _ = run_cli(capsys, "verify", "--example", "affine-line",
+                               "--field", field, "--report", "json")
+        assert code == 0
+        subs = json.loads(out)["subreports"]
+        return [(s["verdict"], [(c["condition"], c["degree"], c["passed"])
+                                for c in s["conditions"]]) for s in subs]
+
+    assert verdicts("fp:18446744073709551557") == verdicts("q")
+
+
 def test_verify_job_file_pass(tmp_path, capsys):
     doc = {
         "schema": 1,

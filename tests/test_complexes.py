@@ -387,3 +387,19 @@ def test_mutated_copy_of_checked_complex_fails_its_own_check(tmp_path, capsys):
     path.write_text(emit_job(job_document("mutated", entry.ring, mcx, mspec)))
     assert main(["verify", "--job", str(path)]) == 2
     assert "d*d" in capsys.readouterr().err
+
+
+def test_square_zero_scan_skips_degrees_without_differentials(monkeypatch):
+    from diagres.jobio import parse_complex
+    calls = []
+    monkeypatch.setattr("diagres.complexes.mat_mul",
+                        lambda a, b, rng: calls.append(1) or mat_mul(a, b, rng))
+    n = 60
+    assert check_differential(ChainComplex(R2, {0: n, 1: n, 2: n}, {}))
+    parse_complex({"ranks": {"0": n, "1": n, "2": n}}, R2, "complexes[0]")
+    one_side = ChainComplex(R2, {0: 1, 1: 1, 2: 1}, {1: [[R2.parse("x1")]]})
+    assert check_differential(one_side)
+    assert calls == []
+    koszul_diffs = koszul(R2, ["x1", "x2"]).diffs
+    assert check_differential(ChainComplex(R2, {0: 1, 1: 2, 2: 1}, koszul_diffs))
+    assert len(calls) == 1

@@ -141,7 +141,7 @@ def random_ideal(rng, rand, max_gens=4, max_deg=3, nterms=3):
 
 def spoly_reduces_to_zero(gb: GroebnerBasis) -> bool:
     eng = gb._engine
-    from diagres._backend import tup_lcm, tup_sub
+    from diagres._terms import tup_lcm, tup_sub
     dicts = gb._dicts
     for i in range(len(dicts)):
         for j in range(i + 1, len(dicts)):
@@ -243,7 +243,7 @@ def random_module(rng, rand, rank, max_gens=4):
 
 def assert_reduced(gb: GroebnerBasis):
     """Monic, and no tail term divisible by a leading term of its component."""
-    from diagres._backend import tup_sub
+    from diagres._terms import tup_sub
     eng = gb._engine
     lts = [eng.lead(d) for d in gb._dicts]
     for d, lt in zip(gb._dicts, lts):

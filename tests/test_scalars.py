@@ -1,10 +1,12 @@
 """Field arithmetic: exactness, canonical forms, axioms."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diagres._terms import axpy_p, mul_p
 from diagres.scalars import CHECK_PRIME, QQ, PrimeField, field_from_spec, field_spec_str
 
 F5 = PrimeField(5)
@@ -98,3 +100,40 @@ def test_prime_field_axioms(a, b, c):
     assert 0 <= f.mul(a, b) < CHECK_PRIME
     if b % CHECK_PRIME:
         assert f.mul(f.div(a, b), b) == a % CHECK_PRIME
+
+
+# Primes above 2^61, where a fixed-width product of two residues overflows.
+BIG_PRIMES = [8589934609, 2**64 - 59]
+
+
+def test_axpy_p_exact_above_word_size():
+    p = 8589934609
+    d = {(0,): p - 2}
+    axpy_p(d, p - 1, (0,), {(0,): p - 1}, p)
+    assert d == {(0,): 8589934608}
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_term_arithmetic_matches_integers_mod_p(p):
+    rnd = random.Random(p)
+
+    def rand_poly():
+        return {(rnd.randrange(3), rnd.randrange(3)): rnd.randrange(1, p)
+                for _ in range(rnd.randrange(1, 6))}
+
+    for _ in range(50):
+        a, b, dst = rand_poly(), rand_poly(), rand_poly()
+        c, m = rnd.randrange(1, p), (rnd.randrange(2), rnd.randrange(2))
+        want = dict(dst)
+        for k, v in b.items():
+            kk = (k[0] + m[0], k[1] + m[1])
+            want[kk] = (want.get(kk, 0) + c * v) % p
+        axpy_p(dst, c, m, b, p)
+        assert dst == {k: v for k, v in want.items() if v}
+        prod = {}
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                k = (ka[0] + kb[0], ka[1] + kb[1])
+                prod[k] = (prod.get(k, 0) + va * vb) % p
+        assert mul_p(a, b, p) == {k: v for k, v in prod.items() if v}
+    assert mul_p({(0,): p - 1}, {(0,): p - 1}, p) == {(0,): 1}
