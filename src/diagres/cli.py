@@ -9,8 +9,9 @@ Subcommands::
     diagres witness --example ... | --job PATH
 
 Exit codes: 0 verification passed, 1 verification failed, 2 input or parse
-error.  JSON reports are deterministic byte for byte except for the timing
-field.
+error, or an internal error (one "internal error:" line on stderr, never a
+traceback, so that exit 1 always means a failed verification).  JSON
+reports are deterministic byte for byte except for the timing field.
 """
 
 from __future__ import annotations
@@ -246,6 +247,10 @@ def main(argv=None) -> int:
             return _run_witness(args)
     except (JobFileError, InputDataError, ParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:  # noqa: BLE001  (exit 1 is reserved for a failed verification)
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return EXIT_INPUT
     parser.error("no command")
 

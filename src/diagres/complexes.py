@@ -105,7 +105,8 @@ class ChainComplex:
                 prod = mat_mul(self.diffs[i - 1], self.diffs[i], self.ring)
                 for row in prod:
                     for e in row:
-                        if not vec_is_zero(normal_form((e,), gb)):
+                        # Most products vanish before reduction; skip those.
+                        if not e.is_zero() and not vec_is_zero(normal_form((e,), gb)):
                             return i - 1
         return None
 
@@ -180,7 +181,8 @@ class ChainMap:
                    if self.src.rank(i - 1) else zero_matrix(self.ring, rows, cols))
             for ra, rb in zip(lhs, rhs):
                 for a, b in zip(ra, rb):
-                    if not vec_is_zero(normal_form((a - b,), gb)):
+                    e = a - b
+                    if not e.is_zero() and not vec_is_zero(normal_form((e,), gb)):
                         return False
         return True
 
@@ -328,19 +330,26 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
     rng = cx.ring
     fld = rng.field
     ranks = dict(cx.ranks)
-    diffs = {i: [row[:] for row in cx.diff(i)]
-             for i in range(cx.lo, cx.hi + 1) if cx.rank(i) and cx.rank(i - 1)}
+    # Rows are replaced, never edited in place, so the stored blocks are
+    # shared; a missing block is zero and holds no unit.
+    diffs = dict(cx.diffs)
     incl = {d: identity_matrix(rng, cx.rank(d)) for d in transport_degrees}
 
+    def is_unit(e):
+        return not e.is_zero() and e.is_constant()
+
+    # units[k][r]: ascending columns of the scalar-unit entries in row r of
+    # d_k, kept in step with diffs so that no pivot search rescans a matrix.
+    units = {k: [[t for t, e in enumerate(row) if is_unit(e)] for row in mat]
+             for k, mat in diffs.items()}
+
     def find_pivot(lowest):
-        for k in sorted(diffs):
+        for k in sorted(units):
             if k < lowest:
                 continue
-            mat = diffs[k]
-            for r, row in enumerate(mat):
-                for c, e in enumerate(row):
-                    if not e.is_zero() and e.is_constant():
-                        return k, r, c, e.constant_value()
+            for r, cols in enumerate(units[k]):
+                if cols:
+                    return k, r, cols[0], diffs[k][r][cols[0]].constant_value()
         return None
 
     # A pivot at degree k only shrinks the differentials below k, which had
@@ -356,25 +365,29 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
         rows, cols = mat_shape(mat)
         pcol = [mat[s][c] for s in range(rows)]
         prow = mat[r]
-        # Schur complement on d_k
-        new_k = []
+        pnz = [t for t in range(cols) if t != c and not prow[t].is_zero()]
+        pnz_set = set(pnz)
+        # Schur complement on d_k.  Only the columns in pnz change, so only
+        # they can gain or lose a unit; the other unit columns just shift.
+        new_k, new_units = [], []
         for s in range(rows):
             if s == r:
                 continue
             row = mat[s]
             if pcol[s].is_zero():
                 new_k.append(row[:c] + row[c + 1:])
+                u = units[k][s]
+                new_units.append([t - (t > c) for t in u] if u else u)
                 continue
-            row_out = []
+            row_out = row[:]
             corr = pcol[s].scale(inv)
-            for t in range(cols):
-                if t == c:
-                    continue
-                e = row[t]
-                if not prow[t].is_zero():
-                    e = e - corr * prow[t]
-                row_out.append(e)
+            for t in pnz:
+                row_out[t] = row[t] - corr * prow[t]
+            u = sorted([t for t in units[k][s] if t != c and t not in pnz_set]
+                       + [t for t in pnz if is_unit(row_out[t])])
+            del row_out[c]
             new_k.append(row_out)
+            new_units.append([t - (t > c) for t in u])
         # transported inclusion at degree k: kept column t gains a correction
         if k in incl:
             old = incl[k]
@@ -391,20 +404,23 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
             up = [row for t, row in enumerate(diffs[k + 1]) if t != c]
             if up and up[0]:
                 diffs[k + 1] = up
+                del units[k + 1][c]
             else:
-                del diffs[k + 1]
+                del diffs[k + 1], units[k + 1]
         if k - 1 in diffs:
-            dn = [[row[s] for s in range(len(row)) if s != r] for row in diffs[k - 1]]
+            dn = [row[:r] + row[r + 1:] for row in diffs[k - 1]]
             if dn and dn[0]:
                 diffs[k - 1] = dn
+                units[k - 1] = [[t - (t > r) for t in u if t != r] for u in units[k - 1]]
             else:
-                del diffs[k - 1]
+                del diffs[k - 1], units[k - 1]
         ranks[k] -= 1
         ranks[k - 1] -= 1
         if new_k and new_k[0]:
             diffs[k] = new_k
+            units[k] = new_units
         else:
-            del diffs[k]
+            del diffs[k], units[k]
         for d in (k, k - 1):
             if ranks.get(d) == 0:
                 del ranks[d]
@@ -435,18 +451,16 @@ def _homology_zero_raw(cx: ChainComplex, i: int) -> bool:
 
 
 def _kernel_generators(cx: ChainComplex, i: int) -> list:
-    if cx.rank(i - 1) == 0:
-        rng = cx.ring
-        one, zero = rng.one(), rng.zero()
-        return [tuple(one if a == b else zero for a in range(cx.rank(i)))
-                for b in range(cx.rank(i))]
-    return syzygies(cx.diff(i), cx.ring, rank=cx.rank(i)).generators
+    # A missing d_i is zero (or maps to rank 0): the kernel is all of C_i.
+    if i not in cx.diffs:
+        return [tuple(row) for row in identity_matrix(cx.ring, cx.rank(i))]
+    return syzygies(cx.diffs[i], cx.ring, rank=cx.rank(i)).generators
 
 
 def _image_submodule(cx: ChainComplex, i: int) -> Submodule:
     gens = []
-    if cx.rank(i + 1):
-        gens = mat_cols(cx.diff(i + 1), cx.rank(i + 1))
+    if i + 1 in cx.diffs:
+        gens = mat_cols(cx.diffs[i + 1], cx.rank(i + 1))
     return Submodule(cx.ring, cx.rank(i), gens)
 
 

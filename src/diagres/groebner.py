@@ -362,33 +362,27 @@ def syzygies(matrix: list, rng: QuotientRing, rank: Optional[int] = None) -> Sub
         for j in range(c):
             gens.append(tuple(one if i == j else zero for i in range(c)))
         return Submodule(rng, c, gens)
-    engine, dicts = _elimination_gb(rng, matrix, m, c)
-    kernel = []
-    for d in dicts:
-        if all(t[0] >= m for t in d):
-            shifted = {(t[0] - m,) + t[1:]: v for t, v in d.items()}
-            kernel.append(dict_to_vec(shifted, rng, c))
-    return Submodule(rng, c, kernel)
+    return ImageSolver(matrix, rng).kernel()
 
 
 class ImageSolver:
     """Expresses vectors as combinations of the columns of a fixed matrix.
 
     solve(v) returns coefficients q with  M*q = v  modulo J*R^m, or None if
-    v is not in the column span plus J-augmentation.  The elimination basis
-    is computed once and reused; this is the workhorse behind chain-map
-    lifting and nullhomotopies.
+    v is not in the column span plus J-augmentation; kernel() returns the
+    syzygies of the columns.  Both read the one elimination basis computed
+    here; this is the workhorse behind resolutions, chain-map lifting and
+    nullhomotopies.
     """
 
-    def __init__(self, matrix: list, rng: QuotientRing, m: Optional[int] = None):
+    def __init__(self, matrix: list, rng: QuotientRing):
         self.ring = rng
-        self.m = len(matrix) if matrix else (m or 0)
-        self.c = len(matrix[0]) if matrix else 0
+        self.matrix = matrix
+        self.m = len(matrix)
         if self.m == 0:
             raise ValueError("target rank must be positive")
-        self.engine, self.dicts = (
-            _elimination_gb(rng, matrix, self.m, self.c) if self.c
-            else _elimination_gb(rng, [[] for _ in range(self.m)], self.m, 0))
+        self.c = len(matrix[0])
+        self.engine, self.dicts = _elimination_gb(rng, matrix, self.m, self.c)
         self.buckets = _make_buckets(self.dicts, self.engine)
 
     def solve(self, vec: FreeVector):
@@ -401,3 +395,13 @@ class ImageSolver:
         fld = self.ring.field
         shifted = {(t[0] - self.m,) + t[1:]: fld.neg(v) for t, v in r.items()}
         return dict_to_vec(shifted, self.ring, self.c) if self.c else ()
+
+    def kernel(self) -> Submodule:
+        """Generators of {q : M*q = 0 modulo J*R^m}: the basis vectors that
+        live entirely in the tag block."""
+        m, gens = self.m, []
+        for d in self.dicts:
+            if all(t[0] >= m for t in d):
+                shifted = {(t[0] - m,) + t[1:]: v for t, v in d.items()}
+                gens.append(dict_to_vec(shifted, self.ring, self.c))
+        return Submodule(self.ring, self.c, gens)

@@ -10,8 +10,12 @@ so every consumer states the window in which it uses them.
 lift_module_map and nullhomotopy implement the comparison theorem
 mechanically by solving d*X = Y with the Gröbner engine (solutions are
 taken modulo the relation ideal, which is exactly chain-map equality over
-R/J).  map_to_shifted_cone packages the standard fact that a map into
-cone(f)[-1] is a map into the source plus a nullhomotopy of the composite.
+R/J).  Each differential gets one elimination basis per build:
+resolve_cyclic reads its syzygies from it, and a later lift or nullhomotopy
+into that resolution (or a truncation of it, which holds the same matrix
+objects) solves against it (see _solver).  map_to_shifted_cone packages the
+standard fact that a map into cone(f)[-1] is a map into the source plus a
+nullhomotopy of the composite.
 
 totalize_chain converts a short complex of modules-with-free-models into a
 single twisted total complex: internal differentials are signed by object
@@ -25,9 +29,25 @@ from __future__ import annotations
 from typing import Sequence
 
 from .complexes import ChainComplex, ChainMap, InputDataError, cone, shift
-from .groebner import ImageSolver, syzygies
+from .groebner import ImageSolver
 from .matrices import block_matrix, mat_cols, mat_mul, mat_neg
 from .polyring import Polynomial, QuotientRing
+
+
+def _solver(matrix: list, rng: QuotientRing) -> ImageSolver:
+    """The ImageSolver of a differential, computed once per matrix object.
+
+    The memo lives on the ring and is keyed by the matrix's identity.  That
+    is sound because complexes are immutable (see ChainComplex), and the
+    solver holds a reference to its matrix, so the identity cannot be
+    reused while the entry lives.  Only the build layer calls this;
+    verify-time matrices are never retained.
+    """
+    memo = rng.__dict__.setdefault("_solvers", {})
+    solver = memo.get(id(matrix))
+    if solver is None:
+        solver = memo[id(matrix)] = ImageSolver(matrix, rng)
+    return solver
 
 
 def resolve_cyclic(rng: QuotientRing, gens: Sequence[Polynomial], length: int) -> ChainComplex:
@@ -48,7 +68,7 @@ def resolve_cyclic(rng: QuotientRing, gens: Sequence[Polynomial], length: int) -
             break
         ranks[deg] = cols
         diffs[deg] = current
-        syz = syzygies(current, rng, rank=cols)
+        syz = _solver(current, rng).kernel()
         if not syz.generators:
             break
         deg += 1
@@ -83,7 +103,7 @@ def lift_module_map(src: ChainComplex, tgt: ChainComplex, phi0, check: bool = Fa
             break
         if tgt.rank(i) == 0:
             raise InputDataError(f"cannot lift at degree {i}: target has rank 0")
-        solver = ImageSolver(tgt.diff(i), rng)
+        solver = _solver(tgt.diff(i), rng)
         need = mat_mul(prev, src.diff(i), rng)
         cols = []
         for col in mat_cols(need, src.rank(i)):
@@ -115,7 +135,7 @@ def nullhomotopy(f: ChainMap) -> dict:
                                      "with no room above")
             prev = None
             continue
-        solver = ImageSolver(tgt.diff(i + 1), rng)
+        solver = _solver(tgt.diff(i + 1), rng)
         cols = []
         for col in mat_cols(residual, src.rank(i)):
             q = solver.solve(col)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, job files, report determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -198,6 +199,28 @@ def test_verify_job_exact_everywhere(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_exact_everywhere_job_with_zero_blocks_is_fast(tmp_path, capsys):
+    """Missing differentials are zero blocks: homology builds no dense zero
+    matrix, so large declared ranks answer quickly with the same verdicts."""
+    n = 1600
+    doc = {
+        "schema": 1,
+        "name": "zero-blocks",
+        "ring": {"variables": ["x1", "x2"]},
+        "complexes": [{"name": "total", "ranks": {"0": n, "1": n, "2": n}}],
+        "expectation": "exact_everywhere",
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--job", str(path), "--report", "json")
+    elapsed = time.perf_counter() - t0
+    assert code == 1
+    verdicts = [(c["degree"], c["passed"]) for c in json.loads(out)["conditions"]]
+    assert verdicts == [(-1, True), (0, False), (1, False), (2, False), (3, True)]
+    assert elapsed < 2.0
+
+
 def test_gb_subcommand(tmp_path, capsys):
     path = tmp_path / "gb.json"
     path.write_text(json.dumps({
@@ -346,3 +369,16 @@ def test_oversized_prime_field_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "verify", "--job", str(path))
     assert code == 2 and "ring.field" in err
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    import diagres.catalog
+
+    def broken_builder(field):
+        raise RuntimeError("builder broke\nsecond line")
+
+    monkeypatch.setattr(diagres.catalog, "build_affine_line", broken_builder)
+    code, out, err = run_cli(capsys, "verify", "--example", "affine-line")
+    assert code == 2
+    assert err == "internal error: RuntimeError: builder broke second line\n"
+    assert out == ""

@@ -122,3 +122,50 @@ def test_totalize_chain_with_homotopy():
     total = totalize_chain({-1: k0, 0: proj.src, 1: mult.src},
                            {0: proj.mats, 1: mult.mats})
     assert check_differential(total)
+
+
+def test_nodal_conic_build_computes_each_elimination_basis_once(monkeypatch):
+    """resolve, lift and nullhomotopy share one solver per differential."""
+    from diagres import groebner
+    from diagres.catalog import build_nodal_conic
+
+    real = groebner._elimination_gb
+    seen = []
+
+    def counted(rng, matrix, m, c):
+        seen.append(tuple(tuple(row) for row in matrix))
+        return real(rng, matrix, m, c)
+
+    monkeypatch.setattr(groebner, "_elimination_gb", counted)
+    build_nodal_conic()
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_memoized_solver_matches_fresh_solver(spec):
+    """Every catalog differential gets its own shared solver, and that solver
+    answers solve() and kernel() exactly as a freshly built one does."""
+    from diagres.catalog.builders import (conic_ring, section_into_ideal_sheaf,
+                                          skyscraper_projection)
+    from diagres.groebner import ImageSolver
+    from diagres.resolutions import _solver
+    from diagres.scalars import field_from_spec
+
+    rng = conic_ring(field_from_spec(spec))
+    x1, y1, x2, y2 = rng.gens()
+    kx = resolve_cyclic(rng, [y1, y2], 5)
+    k0 = resolve_cyclic(rng, [x1, y1, x2, y2], 5)
+    proj = skyscraper_projection(kx, k0)
+    section_into_ideal_sheaf(kx, proj, x1)
+    diffs = [d for cx in (kx, k0) for d in cx.diffs.values()]
+    assert len(rng._solvers) == len(diffs)
+    for d in diffs:
+        shared, fresh = _solver(d, rng), ImageSolver(d, rng)
+        assert shared.matrix is d
+        assert shared.kernel().generators == fresh.kernel().generators
+        cols = [tuple(row[j] for row in d) for j in range(len(d[0]))]
+        probes = cols + [tuple(x1 * e for e in col) for col in cols]
+        probes.append(tuple(rng.one() for _ in d))
+        for vec in probes:
+            assert shared.solve(vec) == fresh.solve(vec)
