@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..complexes import (ChainComplex, ChainMap, cone, cone_inclusion,
+from ..complexes import (ChainComplex, ChainMap, compose, cone, cone_inclusion,
                          shift, shift_map)
+from ..matrices import mat_neg
 from ..polyring import Polynomial, QuotientRing, ring
 from ..resolutions import (lift_module_map, map_to_shifted_cone, nullhomotopy,
                            truncate)
 from ..scalars import QQ, Field
-from ..complexes import compose
 
 TARGET_LEN = 5
 SOURCE_LEN = 4
@@ -76,8 +76,8 @@ def inclusion_of_truncation(kfull: ChainComplex, length: int = SOURCE_LEN) -> Ch
 
 
 def negate_map(f: ChainMap) -> ChainMap:
-    return ChainMap(f.src, f.tgt, {i: [[-e for e in row] for row in m]
-                                   for i, m in f.mats.items()}, check=False)
+    return ChainMap(f.src, f.tgt, {i: mat_neg(m) for i, m in f.mats.items()},
+                    check=False)
 
 
 def parse_row(rng: QuotientRing, row: Sequence[str]):

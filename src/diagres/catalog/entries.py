@@ -10,6 +10,12 @@ Truncation: over the singular rings all resolutions are infinite and
 periodic; target models carry TARGET_LEN degrees and source models one
 less, which confines truncation junk to degrees >= 4.  Every verdict over
 these rings is claimed only inside the recorded window [-1, 3].
+
+Sharing: the nodal conic, its product resolution and the cycle's diagonal
+chart are all built from the same conic pieces (resolutions, skyscraper
+projections, ideal sheaves, sections, connecting maps).  These are built
+once per field and shared, like the chart complexes; complexes are
+immutable, and the cache holds one entry per field and kind.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from ..complexes import (ChainComplex, DiagonalSpec, InputDataError,
+from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError,
                          block_map, check_differential, cone, cone_inclusion,
                          direct_sum, exact_everywhere, map_sub, shift,
                          verify_diagonal_qiso, zero_complex)
@@ -145,38 +151,73 @@ def build_affine_line(field: Field = QQ) -> CatalogEntry:
 # nodal conic
 
 
-def _conic_models(rng: QuotientRing):
+# (field spec, kind) -> conic pieces or a chart's (ring, complex, spec).
+# Bounded by the fields in use; entries of different fields never share.
+_CACHE: dict = {}
+
+
+def _cached(field: Field, kind: str, build):
+    key = (field_spec_str(field), kind)
+    if key not in _CACHE:
+        _CACHE[key] = build(field)
+    return _CACHE[key]
+
+
+@dataclass(frozen=True)
+class ConicPieces:
+    """The nodal conic's building blocks over one field."""
+
+    ring: QuotientRing
+    kx: ChainComplex           # structure sheaf of the x-plane, R/(y1, y2)
+    ky: ChainComplex           # structure sheaf of the y-plane, R/(x1, x2)
+    k0: ChainComplex           # the skyscraper at the node
+    px: ChainMap               # skyscraper projections kx -> k0, ky -> k0
+    py: ChainMap
+    ix: ChainComplex           # ideal sheaves of the node on each plane
+    iy: ChainComplex
+    sx1: ChainMap              # sections x1, x2 into ix and y1, y2 into iy
+    sx2: ChainMap
+    sy1: ChainMap
+    sy2: ChainMap
+    k0m: ChainComplex          # truncated skyscraper shifted by -1
+    dx: ChainMap               # connecting maps k0m -> ix, k0m -> iy
+    dy: ChainMap
+
+
+def _build_conic_pieces(field: Field) -> ConicPieces:
+    rng = conic_ring(field)
     x1, y1, x2, y2 = (rng.var(v) for v in rng.names)
     kx = resolve_cyclic(rng, [y1, y2], TARGET_LEN)
     ky = resolve_cyclic(rng, [x1, x2], TARGET_LEN)
     k0 = resolve_cyclic(rng, [x1, y1, x2, y2], TARGET_LEN)
-    return kx, ky, k0
+    px = skyscraper_projection(kx, k0)
+    py = skyscraper_projection(ky, k0)
+    k0m = shift(truncate(k0, SOURCE_LEN), -1)
+    return ConicPieces(
+        rng, kx, ky, k0, px, py, ideal_sheaf_model(px), ideal_sheaf_model(py),
+        section_into_ideal_sheaf(kx, px, x1), section_into_ideal_sheaf(kx, px, x2),
+        section_into_ideal_sheaf(ky, py, y1), section_into_ideal_sheaf(ky, py, y2),
+        k0m, skyscraper_connecting_map(px, k0m), skyscraper_connecting_map(py, k0m))
+
+
+def _conic_pieces(field: Field) -> ConicPieces:
+    """The conic pieces over field, built once per field and shared."""
+    return _cached(field, "conic", _build_conic_pieces)
 
 
 def build_nodal_conic(field: Field = QQ) -> CatalogEntry:
     """Length-1 generation of the conic diagonal by weakly product objects."""
-    rng = conic_ring(field)
-    x1, y1, x2, y2 = (rng.var(v) for v in rng.names)
-    kx, ky, k0 = _conic_models(rng)
-    px = skyscraper_projection(kx, k0)
-    py = skyscraper_projection(ky, k0)
-    ix, iy = ideal_sheaf_model(px), ideal_sheaf_model(py)
-    sx1 = section_into_ideal_sheaf(kx, px, x1)
-    sx2 = section_into_ideal_sheaf(kx, px, x2)
-    sy1 = section_into_ideal_sheaf(ky, py, y1)
-    sy2 = section_into_ideal_sheaf(ky, py, y2)
-    k0m = shift(truncate(k0, SOURCE_LEN), -1)
-    dx = skyscraper_connecting_map(px, k0m)
-    dy = skyscraper_connecting_map(py, k0m)
-    psi = block_map([sx1.src, k0m, sy1.src], [ix, iy], {
-        (0, 0): map_sub(sx1, sx2), (0, 1): dx,
-        (1, 1): dy, (1, 2): map_sub(sy1, sy2),
+    p = _conic_pieces(field)
+    rng, ix, iy, sx1, sy1 = p.ring, p.ix, p.iy, p.sx1, p.sy1
+    psi = block_map([sx1.src, p.k0m, sy1.src], [ix, iy], {
+        (0, 0): map_sub(sx1, p.sx2), (0, 1): p.dx,
+        (1, 1): p.dy, (1, 2): map_sub(sy1, p.sy2),
     }, check=False)
     total = cone(psi)
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2"), rng.parse("y1-y2")], degree=0,
         augmentation=parse_row(rng, CONIC_AUG), window=SINGULAR_WINDOW)
-    kxs, k0s, kys = sx1.src, truncate(k0, SOURCE_LEN), sy1.src
+    kxs, k0s, kys = sx1.src, truncate(p.k0, SOURCE_LEN), sy1.src
     witness = GenerationWitness(
         generators=[
             GeneratorDecl("O_xplane", "product"),
@@ -211,14 +252,12 @@ def build_nodal_conic(field: Field = QQ) -> CatalogEntry:
 
 def build_nodal_conic_product(field: Field = QQ) -> CatalogEntry:
     """The longer resolution by honest product objects (no witness)."""
-    rng = conic_ring(field)
+    p = _conic_pieces(field)
+    rng, k0, px, py = p.ring, p.k0, p.px, p.py
     x1, y1, x2, y2 = (rng.var(v) for v in rng.names)
-    kx_t, ky_t, k0 = _conic_models(rng)
-    kx = truncate(kx_t, SOURCE_LEN + 1)
-    ky = truncate(ky_t, SOURCE_LEN + 1)
+    # The skyscraper projections already lift 1 from the kx, ky truncations.
+    kx, ky = px.src, py.src
     kxs, kys = truncate(kx, SOURCE_LEN), truncate(ky, SOURCE_LEN)
-    px = lift_module_map(kx, k0, [[rng.one()]])
-    py = lift_module_map(ky, k0, [[rng.one()]])
     collapse = block_map([kx, ky], [k0], {(0, 0): px, (0, 1): py}, check=False)
     gx = lift_module_map(kxs, kx, [[x1 - x2]])
     gy = lift_module_map(kys, ky, [[y1 - y2]])
@@ -251,29 +290,18 @@ def _build_diagonal_chart_complex(field: Field):
     or by 1 when their vanishing point is off-chart), and one skyscraper
     column.
     """
-    rng = conic_ring(field)
-    x1, y1, x2, y2 = (rng.var(v) for v in rng.names)
-    kx, ky, k0 = _conic_models(rng)
-    px = skyscraper_projection(kx, k0)
-    py = skyscraper_projection(ky, k0)
-    ix, iy = ideal_sheaf_model(px), ideal_sheaf_model(py)
-    sx1 = section_into_ideal_sheaf(kx, px, x1)
-    sx2 = section_into_ideal_sheaf(kx, px, x2)
-    sy1 = section_into_ideal_sheaf(ky, py, y1)
-    sy2 = section_into_ideal_sheaf(ky, py, y2)
+    p = _conic_pieces(field)
+    rng, kx, ky = p.ring, p.kx, p.ky
     inc_x_a, inc_x_b = inclusion_of_truncation(kx), inclusion_of_truncation(kx)
     inc_y_a, inc_y_b = inclusion_of_truncation(ky), inclusion_of_truncation(ky)
-    k0m = shift(truncate(k0, SOURCE_LEN), -1)
-    dx = skyscraper_connecting_map(px, k0m)
-    dy = skyscraper_connecting_map(py, k0m)
     psi = block_map(
-        [inc_x_a.src, inc_x_b.src, inc_y_a.src, inc_y_b.src, k0m],
-        [ix, kx, ky, iy],
+        [inc_x_a.src, inc_x_b.src, inc_y_a.src, inc_y_b.src, p.k0m],
+        [p.ix, kx, ky, p.iy],
         {
-            (0, 0): sx1, (0, 1): negate_map(sx2), (0, 4): dx,
+            (0, 0): p.sx1, (0, 1): negate_map(p.sx2), (0, 4): p.dx,
             (1, 0): negate_map(inc_x_a), (1, 1): inc_x_b,
             (2, 2): inc_y_a, (2, 3): negate_map(inc_y_b),
-            (3, 2): negate_map(sy1), (3, 3): sy2, (3, 4): dy,
+            (3, 2): negate_map(p.sy1), (3, 3): p.sy2, (3, 4): p.dy,
         }, check=False)
     total = cone(psi)
     dspec = DiagonalSpec(
@@ -377,20 +405,14 @@ def build_cycle(n: int, field: Field = QQ) -> CycleCatalog:
     return CycleCatalog(n, jobs, witness, notes)
 
 
-_CHART_CACHE: dict = {}
-
-
 def _chart_complex_cached(field: Field, kind: str):
     """Chart complexes are n-independent; build and d²-check them once per field."""
-    key = (field_spec_str(field), kind)
-    if key not in _CHART_CACHE:
-        builder = (_build_diagonal_chart_complex if kind == "diagonal"
-                   else _build_adjacent_chart_complex)
-        rng, total, spec = builder(field)
-        if not check_differential(total):
-            raise InputDataError(f"{kind} chart complex: d*d != 0 at load time")
-        _CHART_CACHE[key] = (rng, total, spec)
-    return _CHART_CACHE[key]
+    builder = (_build_diagonal_chart_complex if kind == "diagonal"
+               else _build_adjacent_chart_complex)
+    rng, total, spec = _cached(field, kind, builder)
+    if not check_differential(total):  # memoized on the complex
+        raise InputDataError(f"{kind} chart complex: d*d != 0 at load time")
+    return rng, total, spec
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,8 @@ class ChainComplex:
     Instances are immutable after construction: every operation (shift,
     cone, truncate, minimize, mutation controls, ...) builds a new complex
     and never edits ranks or matrices in place.  The d*d = 0 verdict is
-    therefore computed at most once per instance and memoized.
+    therefore computed at most once per instance and memoized, and so is
+    each diagonal verdict (see verify_diagonal_qiso).
     """
 
     def __init__(self, rng: QuotientRing, ranks: dict, diffs: dict, check: bool = True):
@@ -72,6 +73,7 @@ class ChainComplex:
             if want[0] and want[1]:
                 self.diffs[i] = mat
         self._d2_failure = _UNCHECKED
+        self._qiso = {}  # (id(spec), pre_minimize) -> (spec, QisoResult)
         if check:
             err = self._square_zero_failure()
             if err is not None:
@@ -477,6 +479,10 @@ class DiagonalSpec:
     range (inclusive) in which exactness is claimed -- mandatory whenever the
     complex truncates an infinite resolution, defaulting to one past the
     complex's own span otherwise.
+
+    Instances are immutable after construction, like ChainComplex: the
+    lists are never edited in place (mutation controls build a new spec),
+    so a verdict memoized against a spec object stays valid.
     """
 
     ideal: list
@@ -518,7 +524,23 @@ def verify_diagonal_qiso(cx: ChainComplex, dspec: DiagonalSpec,
       surjective       1 lies in (aug . ker-generators) + I
       injective        kernel elements sent into I are boundaries mod J
     Precondition violations raise InputDataError.
+
+    The result is memoized on the complex per (spec object, pre_minimize);
+    the memo holds the spec, so its identity cannot be reused while the
+    complex lives, and both are immutable.  A witness whose final complex
+    and spec are a catalog entry's own thus reuses the entry's result.
+    Precondition violations are not memoized.
     """
+    key = (id(dspec), pre_minimize)
+    hit = cx._qiso.get(key)
+    if hit is None:
+        hit = cx._qiso[key] = (dspec, _qiso_verdict(cx, dspec, pre_minimize))
+    return hit[1]
+
+
+def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
+                  pre_minimize: bool) -> QisoResult:
+    """The body of verify_diagonal_qiso, run once per memo key."""
     rng = cx.ring
     i0 = dspec.degree
     if cx.is_zero():

@@ -29,7 +29,8 @@ def mat_shape(mat: Matrix) -> tuple:
 
 
 def mat_neg(mat: Matrix) -> Matrix:
-    return [[-e for e in row] for row in mat]
+    """Entrywise negation; zero entries are shared, not rebuilt."""
+    return [[e if e.is_zero() else -e for e in row] for row in mat]
 
 
 def mat_mul(a: Matrix, b: Matrix, rng: QuotientRing) -> Matrix:

@@ -211,10 +211,14 @@ def test_verdict_invariant_under_scalar_conjugation():
         assert verify_diagonal_qiso(conj, spec).passed
 
 
-def test_catalog_builds_are_reproducible():
-    """Two independent builds agree matrix for matrix."""
+def test_catalog_builds_are_reproducible(monkeypatch):
+    """Two independent builds, each from empty caches, agree matrix for matrix."""
+    from diagres.catalog import entries
+    monkeypatch.setattr(entries, "_CACHE", {})
     a = build_nodal_conic()
+    monkeypatch.setattr(entries, "_CACHE", {})
     b = build_nodal_conic()
+    assert a.ring is not b.ring
     assert a.complex == b.complex
     assert [str(p) for p in a.diagonal.augmentation] == \
         [str(p) for p in b.diagonal.augmentation]
@@ -266,3 +270,37 @@ def test_documented_mutations_flip():
         assert len(muts) == 5, name
         for m in muts:
             assert mutation_flips(cx, dspec, m), (name, m.name)
+
+
+def test_conic_pieces_cache_is_keyed_by_field(monkeypatch, capsys):
+    """Building over q first leaves the fp:32003 reports exactly as a fresh
+    fp:32003-only process gives them, and no two fields share a ring."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    from diagres.catalog import entries
+    from diagres.cli import main
+    from diagres.report import VerificationReport
+    from diagres.scalars import field_from_spec
+
+    monkeypatch.setattr(entries, "_CACHE", {})
+    examples = (["nodal-conic"], ["cycle", "--n", "3"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for spec in ("q", "fp:32003"):
+        for ex in examples:
+            argv = ["verify", "--example", *ex, "--field", spec, "--report", "json"]
+            assert main(argv) == 0
+            mixed = capsys.readouterr().out
+            if spec == "q":
+                continue
+            fresh = subprocess.run(
+                [sys.executable, "-m", "diagres.cli", *argv], capture_output=True,
+                text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+            assert (VerificationReport.from_json(mixed).to_json(with_timing=False)
+                    == VerificationReport.from_json(fresh).to_json(with_timing=False))
+    fp = field_from_spec("fp:32003")
+    q_conic, fp_conic = build_nodal_conic(), build_nodal_conic(fp)
+    assert q_conic.ring is not fp_conic.ring
+    assert fp_conic.ring.field == fp and q_conic.ring.field != fp
+    assert all(job.ring.field == fp for job in build_cycle(3, fp).chart_jobs)

@@ -403,3 +403,20 @@ def test_square_zero_scan_skips_degrees_without_differentials(monkeypatch):
     koszul_diffs = koszul(R2, ["x1", "x2"]).diffs
     assert check_differential(ChainComplex(R2, {0: 1, 1: 2, 2: 1}, koszul_diffs))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_mat_neg_negates_every_entry_and_keeps_zeros(spec):
+    from diagres.catalog.builders import negate_map
+    from diagres.matrices import mat_neg
+    from diagres.scalars import field_from_spec
+    rng = ring(["x", "y"], field=field_from_spec(spec), relations=("x*y",))
+    texts = ["0", "1", "-1", "x", "2*x - 3*y^2", "0", "x^2*y", "7", "-y + 1"]
+    mat = [[rng.parse(t) for t in texts[i:i + 3]] for i in range(0, 9, 3)]
+    neg = mat_neg(mat)
+    assert [[-e for e in row] for row in mat] == neg
+    assert all(e2 is e for row, row2 in zip(mat, neg)
+               for e, e2 in zip(row, row2) if e.is_zero())
+    cx = ChainComplex(rng, {0: 3, 1: 3}, {}, check=False)
+    f = ChainMap(cx, cx, {0: mat}, check=False)
+    assert negate_map(f).mats == {0: neg}

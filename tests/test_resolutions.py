@@ -125,9 +125,11 @@ def test_totalize_chain_with_homotopy():
 
 
 def test_nodal_conic_build_computes_each_elimination_basis_once(monkeypatch):
-    """resolve, lift and nullhomotopy share one solver per differential."""
+    """resolve, lift and nullhomotopy share one solver per differential, and
+    the three conic builders share one set of conic pieces per field."""
     from diagres import groebner
-    from diagres.catalog import build_nodal_conic
+    from diagres.catalog import build_cycle, build_nodal_conic, build_nodal_conic_product
+    from diagres.catalog import entries
 
     real = groebner._elimination_gb
     seen = []
@@ -136,9 +138,12 @@ def test_nodal_conic_build_computes_each_elimination_basis_once(monkeypatch):
         seen.append(tuple(tuple(row) for row in matrix))
         return real(rng, matrix, m, c)
 
+    monkeypatch.setattr(entries, "_CACHE", {})
     monkeypatch.setattr(groebner, "_elimination_gb", counted)
     build_nodal_conic()
     assert seen
+    build_nodal_conic_product()
+    build_cycle(3)  # its diagonal chart is built from the conic pieces
     assert len(seen) == len(set(seen))
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from diagres.catalog import build_affine_line, build_nodal_conic
-from diagres.complexes import DiagonalSpec, InputDataError
+from diagres.complexes import DiagonalSpec, InputDataError, verify_diagonal_qiso
 from diagres.witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
                              GeneratorDecl, WitnessStep, verify_witness)
 
@@ -72,6 +72,38 @@ def test_failing_final_complex_never_passes():
                             final_diagonal=bad_diag)
     rep = verify_witness(bad)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("build", [build_affine_line, build_nodal_conic])
+def test_witness_reuses_the_entry_verdict(build, monkeypatch):
+    """The witness's final complex and spec are the entry's own, so its
+    diagonal verdict is the one verify_entry computed; any other spec or
+    pre_minimize is still verified afresh."""
+    from diagres import complexes
+    from diagres.catalog import verify_entry
+    entry = build()
+    runs = []
+    body = complexes._qiso_verdict
+    monkeypatch.setattr(complexes, "_qiso_verdict",
+                        lambda *a: runs.append(a[1:]) or body(*a))
+    assert verify_entry(entry).passed
+    assert len(runs) == 1
+    rep = verify_witness(entry.witness)
+    assert rep.passed, rep.problems
+    assert len(runs) == 1
+    assert rep.final_result is verify_diagonal_qiso(entry.complex, entry.diagonal)
+    w = entry.witness
+    bad_diag = DiagonalSpec(ideal=[entry.ring.parse("x1+x2")] + w.final_diagonal.ideal[1:],
+                            degree=0, augmentation=w.final_diagonal.augmentation,
+                            window=w.final_diagonal.window)
+    bad = GenerationWitness(generators=w.generators, steps=w.steps,
+                            claimed_time=1, final_complex=w.final_complex,
+                            final_diagonal=bad_diag)
+    assert not verify_witness(bad).passed
+    assert runs[-1] == (bad_diag, True)
+    assert verify_diagonal_qiso(entry.complex, entry.diagonal, pre_minimize=False).passed
+    assert runs[-1] == (entry.diagonal, False)
+    assert len(runs) == 3
 
 
 def test_cone_certificate_endpoints_must_be_products():
