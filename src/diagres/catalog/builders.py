@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..complexes import (ChainComplex, ChainMap, compose, cone, cone_inclusion,
-                         shift, shift_map)
-from ..matrices import mat_neg
+from ..complexes import ChainComplex, ChainMap, compose, cone, shift
+from ..matrices import block_matrix, identity_matrix, mat_neg
 from ..polyring import Polynomial, QuotientRing, ring
 from ..resolutions import (lift_module_map, map_to_shifted_cone, nullhomotopy,
                            truncate)
@@ -60,10 +59,16 @@ def section_into_ideal_sheaf(kstruct: ChainComplex, proj: ChainMap,
 
 
 def skyscraper_connecting_map(proj: ChainMap, source: ChainComplex) -> ChainMap:
-    """Shifted skyscraper -> ideal sheaf (the triangle's connecting map)."""
-    full = shift_map(cone_inclusion(proj), -1)
-    mats = {i: m for i, m in full.mats.items() if source.rank(i)}
-    return ChainMap(source, full.tgt, mats, check=False)
+    """Shifted skyscraper -> ideal sheaf (the triangle's connecting map).
+
+    The identity onto the skyscraper block of cone(proj)[-1], in the degrees
+    of source (the shifted skyscraper, possibly truncated).
+    """
+    rng = proj.ring
+    mats = {i: block_matrix(rng, [proj.src.rank(i), source.rank(i)], [source.rank(i)],
+                            {(1, 0): identity_matrix(rng, source.rank(i))})
+            for i in source.degrees() if source.rank(i)}
+    return ChainMap(source, ideal_sheaf_model(proj), mats, check=False)
 
 
 def inclusion_of_truncation(kfull: ChainComplex, length: int = SOURCE_LEN) -> ChainMap:

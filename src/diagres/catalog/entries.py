@@ -20,12 +20,14 @@ immutable, and the cache holds one entry per field and kind.
 
 from __future__ import annotations
 
+import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError,
-                         block_map, check_differential, cone, cone_inclusion,
+                         block_map, check_differential, cone,
                          direct_sum, exact_everywhere, map_sub, shift,
                          verify_diagonal_qiso, zero_complex)
 from ..groebner import Submodule, member
@@ -127,12 +129,11 @@ def build_affine_line(field: Field = QQ) -> CatalogEntry:
         steps=[
             WitnessStep(None, ideal_sheaf,
                         [DeclaredSummand("ideal_origin", 0, 1, ideal_sheaf)]),
-            WitnessStep(cone_inclusion(psi), total,
+            WitnessStep(psi, total,
                         [DeclaredSummand("O_plane", 1, 1, plane),
                          DeclaredSummand("O_origin", 0, 1, origin)]),
         ],
         claimed_time=1,
-        final_complex=total,
         final_diagonal=dspec,
         conclusion="Rouquier dimension of the affine line category <= 1",
     )
@@ -229,16 +230,15 @@ def build_nodal_conic(field: Field = QQ) -> CatalogEntry:
                           ConeCertificate("O_yplane", "O_origin", -1)),
         ],
         steps=[
-            WitnessStep(None, direct_sum(ix, iy),
+            WitnessStep(None, psi.tgt,
                         [DeclaredSummand("ideal_origin_x", 0, 1, ix),
                          DeclaredSummand("ideal_origin_y", 0, 1, iy)]),
-            WitnessStep(cone_inclusion(psi), total,
+            WitnessStep(psi, total,
                         [DeclaredSummand("O_xplane", 1, 1, kxs),
                          DeclaredSummand("O_origin", 0, 1, k0s),
                          DeclaredSummand("O_yplane", 1, 1, kys)]),
         ],
         claimed_time=1,
-        final_complex=total,
         final_diagonal=dspec,
         conclusion="Rouquier dimension of the nodal conic category <= 1",
     )
@@ -288,7 +288,7 @@ def _build_diagonal_chart_complex(field: Field):
     twisted-line-bundle columns entering through chart trivializations
     (sections restrict to multiplication by the matching affine coordinate,
     or by 1 when their vanishing point is off-chart), and one skyscraper
-    column.
+    column.  Returns (ring, cone(psi), spec, psi, models in block order).
     """
     p = _conic_pieces(field)
     rng, kx, ky = p.ring, p.kx, p.ky
@@ -307,7 +307,10 @@ def _build_diagonal_chart_complex(field: Field):
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2"), rng.parse("y1-y2")], degree=0,
         augmentation=parse_row(rng, DIAG_CHART_AUG), window=SINGULAR_WINDOW)
-    return rng, total, dspec
+    models = {"ideal_x": p.ix, "plane_x": kx, "plane_y": ky, "ideal_y": p.iy,
+              "trunc_x": inc_x_a.src, "trunc_y": inc_y_a.src,
+              "point": truncate(p.k0, SOURCE_LEN)}
+    return rng, total, dspec, psi, models
 
 
 def _build_adjacent_chart_complex(field: Field):
@@ -315,7 +318,7 @@ def _build_adjacent_chart_complex(field: Field):
 
     In chart coordinates the four sections restrict to (1, u; y, 1) with the
     displayed signs, and the diagonal becomes the graph of inversion
-    (x, v, yu-1).
+    (x, v, yu-1).  Returns (ring, cone(psi), spec, psi, models).
     """
     rng = adjacent_chart_ring(field)
     x, y, u, v = (rng.var(n) for n in rng.names)
@@ -329,10 +332,11 @@ def _build_adjacent_chart_complex(field: Field):
     dspec = DiagonalSpec(
         ideal=[rng.parse("x"), rng.parse("v"), rng.parse("y*u-1")], degree=0,
         augmentation=parse_row(rng, ADJACENT_AUG), window=SINGULAR_WINDOW)
-    return rng, total, dspec
+    return rng, total, dspec, psi, {"plane": plane, "trunc": plane_s}
 
 
 def _cycle_witness(n: int) -> GenerationWitness:
+    """The declared generators and steps; build_cycle restricts them to charts."""
     generators = []
     steps0 = []
     steps1 = []
@@ -355,9 +359,78 @@ def _cycle_witness(n: int) -> GenerationWitness:
         steps=[WitnessStep(None, None, steps0), WitnessStep(None, None, steps1)],
         claimed_time=1,
         auxiliary_products=tuple(f"O_square_{j}" for j in range(1, n + 1)),
-        label_level=True,
-        conclusion="",  # set per n by build_cycle
+        conclusion=f"Rdim(D^bCoh(I_{n})) <= 1",
     )
+
+
+_CYCLE_OBJECT = re.compile(r"O_(square|node)_(\d+)(\(-1,-1\))?")
+
+
+def _restrictions(g: GeneratorDecl, n: int) -> list:
+    """(chart, model key) for each chart of the n-cycle that generator g meets.
+
+    Square m joins node m-1 and node m, and chart (i, j) covers parts of
+    squares i and i+1 in each factor, so square m meets (i, j) iff m is in
+    {i, i+1} and in {j, j+1}: a diagonal or an adjacent chart, never a
+    distant one.  On (j, j) square j is the x-plane and square j+1 the
+    y-plane.  Node k lies only on chart (k, k).  O_square_m -> O_node_k
+    restricts to the node's ideal sheaf on that plane where node k lies on
+    the chart, and to the plane elsewhere; O_square_m(-1,-1) restricts to
+    the truncated plane and O_node_k to the truncated skyscraper.
+    """
+    def index(label: str, what: str) -> int:
+        m = _CYCLE_OBJECT.fullmatch(label)
+        if m is None or m[1] + (m[3] or "") != what or not 1 <= int(m[2]) <= n:
+            raise InputDataError(f"{label!r} is not an O_{what} object of the {n}-cycle")
+        return int(m[2])
+
+    def on_square(m: int, form: str, node: int = 0) -> list:
+        before = (m - 2) % n + 1
+        return [((i, j), ("ideal" if i == j == node else form)
+                 + ("" if i != j else "_x" if i == m else "_y"))
+                for i in (before, m) for j in (before, m)]
+
+    if g.kind == "weakly_product":
+        return on_square(index(g.certificate.source_label, "square"), "plane",
+                         index(g.certificate.target_label, "node"))
+    if g.label.startswith("O_node_"):
+        k = index(g.label, "node")
+        return [((k, k), "point")]
+    return on_square(index(g.label, "square(-1,-1)"), "trunc")
+
+
+def _chart_witnesses(w: GenerationWitness, n: int, field: Field) -> tuple:
+    """Restrict w's declared steps to the diagonal and adjacent charts.
+
+    Restricted summands are compared as multisets: each distinct (chart
+    kind, restricted pattern) gives one local witness, its summands sorted
+    into the kind's block order and checked against that kind's attaching
+    map, models and spec.  The label work visits 3n charts; the algebra runs
+    once per kind.  Distant charts receive nothing and are left to the chart
+    suite.
+    """
+    decls = {g.label: g for g in w.generators}
+    patterns = {c: [Counter() for _ in w.steps] for i in range(1, n + 1)
+                for c in ((i, i), (i, i % n + 1), (i % n + 1, i))}
+    for idx, step in enumerate(w.steps):
+        for s in step.summands:
+            for chart, key in _restrictions(decls[s.label], n) if s.label in decls else ():
+                patterns[chart][idx][key, s.shift] += s.multiplicity
+    local: dict = {}
+    for (i, j), counts in sorted(patterns.items()):
+        kind = classify_chart(i, j, n)
+        pattern = (kind, tuple(frozenset(c.items()) for c in counts))
+        if pattern in local:
+            continue
+        _, total, spec, psi, models = _chart_complex_cached(field, kind)
+        order = list(models)
+        steps = [WitnessStep(step_map, target, [
+            DeclaredSummand(k, sh, mult, models[k])
+            for (k, sh), mult in sorted(c.items(), key=lambda e: (order.index(e[0][0]), e[0]))])
+            for c, (step_map, target) in zip(counts, ((None, psi.tgt), (psi, total)))]
+        local[pattern] = GenerationWitness([], steps, w.claimed_time, spec,
+                                           conclusion=f"chart ({i},{j}) ({kind})")
+    return tuple(local.values())
 
 
 def build_cycle(n: int, field: Field = QQ) -> CycleCatalog:
@@ -365,36 +438,30 @@ def build_cycle(n: int, field: Field = QQ) -> CycleCatalog:
 
     Chart complexes are identical across charts of the same kind under the
     chart-coordinate convention, so the three representatives are built once
-    and shared; the runner may reuse verdicts across identical jobs.
+    and shared; the runner may reuse verdicts across identical jobs.  The
+    witness carries one local witness per distinct restricted chart pattern.
     """
     if n < 3:
         raise InputDataError("cycle catalog supports n >= 3 "
                              "(smaller cycles have self-glued charts)")
-    diag_ring, diag_total, diag_spec = _chart_complex_cached(field, "diagonal")
-    adj_ring, adj_total, adj_spec = _chart_complex_cached(field, "adjacent")
     dist_ring = adjacent_chart_ring(field)
-    dist_total = zero_complex(dist_ring)
+    per_kind = {
+        "diagonal": (*_chart_complex_cached(field, "diagonal")[:3], "qiso_to_diagonal",
+                     "restricted blocks around one node; shared complex"),
+        "adjacent": (*_chart_complex_cached(field, "adjacent")[:3], "qiso_to_diagonal",
+                     "torus chart; diagonal is the graph of inversion"),
+        "distant": (dist_ring, zero_complex(dist_ring), None, "exact_everywhere",
+                    "chart disjoint from the diagonal; zero complex"),
+    }
     jobs = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             kind = classify_chart(i, j, n)
-            if kind == "diagonal":
-                jobs.append(ChartJob(
-                    (i, j), kind, diag_ring, diag_total, "qiso_to_diagonal",
-                    diag_spec, SINGULAR_WINDOW,
-                    ["restricted blocks around one node; shared complex"]))
-            elif kind == "adjacent":
-                jobs.append(ChartJob(
-                    (i, j), kind, adj_ring, adj_total, "qiso_to_diagonal",
-                    adj_spec, SINGULAR_WINDOW,
-                    ["torus chart; diagonal is the graph of inversion"]))
-            else:
-                jobs.append(ChartJob(
-                    (i, j), kind, dist_ring, dist_total, "exact_everywhere",
-                    None, SINGULAR_WINDOW,
-                    ["chart disjoint from the diagonal; zero complex"]))
+            rng, total, spec, expectation, note = per_kind[kind]
+            jobs.append(ChartJob((i, j), kind, rng, total, expectation, spec,
+                                 SINGULAR_WINDOW, [note]))
     witness = _cycle_witness(n)
-    witness.conclusion = f"Rdim(D^bCoh(I_{n})) <= 1"
+    witness.charts = _chart_witnesses(witness, n, field)
     notes = [
         f"chart classification counts: {n} diagonal, {2 * n} adjacent, "
         f"{n * n - 3 * n} distant",
@@ -409,10 +476,10 @@ def _chart_complex_cached(field: Field, kind: str):
     """Chart complexes are n-independent; build and d²-check them once per field."""
     builder = (_build_diagonal_chart_complex if kind == "diagonal"
                else _build_adjacent_chart_complex)
-    rng, total, spec = _cached(field, kind, builder)
-    if not check_differential(total):  # memoized on the complex
+    built = _cached(field, kind, builder)
+    if not check_differential(built[1]):  # memoized on the complex
         raise InputDataError(f"{kind} chart complex: d*d != 0 at load time")
-    return rng, total, spec
+    return built
 
 
 # ---------------------------------------------------------------------------

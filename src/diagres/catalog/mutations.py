@@ -1,4 +1,4 @@
-"""Documented single-entry mutation controls.
+"""Documented single-entry mutation controls, and witness mutation controls.
 
 Each catalog entry carries five frozen mutations, each changing exactly one
 sign or coefficient somewhere in the entry's data (a differential entry, an
@@ -10,13 +10,21 @@ breaking d*d = 0 modulo the relations (the only sign-insensitive entries
 are multiples of the relations themselves, which are invisible over the
 quotient), so differential mutations surface as failed preconditions; the
 augmentation and ideal mutations reach the homology stage and fail there.
+
+Each witness mutation control is a generation witness that a verifier
+trusting labels, unlinked steps or a search up to basis changes would
+accept; every one must fail with the named problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..complexes import ChainComplex, DiagonalSpec, InputDataError, verify_diagonal_qiso
+from ..scalars import Field
+from ..witness import ConeCertificate, GeneratorDecl
+from .entries import (_chart_witnesses, _cycle_witness, build_affine_line,
+                      build_nodal_conic, build_nodal_conic_product)
 
 
 @dataclass(frozen=True)
@@ -128,3 +136,54 @@ def mutation_flips(cx: ChainComplex, dspec: DiagonalSpec, mutation: Mutation) ->
         return not verify_diagonal_qiso(mcx, mspec).passed
     except InputDataError:
         return True
+
+
+# ---------------------------------------------------------------------------
+# witness mutation controls
+
+
+def _conic_step_0_only(field: Field):
+    """The nodal conic cut to step 0 with claimed time 0 (Rdim <= 0 is
+    false: a reduced curve has Rdim >= 1)."""
+    w = build_nodal_conic(field).witness
+    return replace(w, steps=w.steps[:1], claimed_time=0), None
+
+
+def _cycle_misplaced_certificate(field: Field):
+    """The 4-cycle with G_1 certified by O_square_3 -> O_node_1, a node the
+    third square does not meet."""
+    w = _cycle_witness(4)
+    w.generators = [
+        GeneratorDecl("G_1", "weakly_product", ConeCertificate("O_square_3", "O_node_1"))
+        if g.label == "G_1" else g for g in w.generators]
+    w.charts = _chart_witnesses(w, 4, field)
+    return w, True
+
+
+def _conic_product_final(field: Field):
+    """The conic's last target and spec swapped for the product resolution's,
+    which pass the diagonal check on their own."""
+    w = build_nodal_conic(field).witness
+    product = build_nodal_conic_product(field)
+    last = replace(w.steps[-1], target=product.complex)
+    return replace(w, steps=w.steps[:-1] + [last], final_diagonal=product.diagonal), None
+
+
+def _affine_reversed_summands(field: Field):
+    """The affine line's step-1 summands declared in reverse block order."""
+    w = build_affine_line(field).witness
+    last = replace(w.steps[-1], summands=list(reversed(w.steps[-1].summands)))
+    return replace(w, steps=w.steps[:-1] + [last]), None
+
+
+# name -> (text one of the witness problems must contain,
+#          field -> (witness, chart_suite_passed))
+WITNESS_MUTATIONS = {
+    "conic-step-0-only": ("final complex fails diagonal check", _conic_step_0_only),
+    "cycle-misplaced-certificate": ("does not match the declared sum",
+                                    _cycle_misplaced_certificate),
+    "conic-product-final": ("target is not the cone of the attaching map",
+                            _conic_product_final),
+    "affine-reversed-summands": ("does not match the declared sum",
+                                 _affine_reversed_summands),
+}

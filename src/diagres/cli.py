@@ -166,37 +166,22 @@ def _run_gb(args) -> int:
 def _run_witness(args) -> int:
     from . import catalog
 
-    fld = _field(args)
-    fname = field_spec_str(fld)
-    if args.example:
-        if args.example == "affine-line":
-            witness = catalog.build_affine_line(fld).witness
-            rep = _witness_report(witness, "affine-line:witness", fname)
-        elif args.example == "nodal-conic":
-            witness = catalog.build_nodal_conic(fld).witness
-            rep = _witness_report(witness, "nodal-conic:witness", fname)
-        elif args.example == "cycle":
-            cat = catalog.build_cycle(args.n, fld)
-            subs = catalog.verify_chart_jobs(cat.chart_jobs)
-            ok = all(s.verdict == "pass" for s in subs)
-            rep = _witness_report(cat.witness, f"cycle(n={args.n}):witness",
-                                  fname, chart_suite_passed=ok)
-        else:
-            raise JobFileError(f"unknown example {args.example!r}")
-    else:
+    if args.job:
         job = load_job(args.job, args.field)
         if job.witness is None:
             raise JobFileError("job has no witness block")
-        w = job.witness
-        if job.witness_final:
-            if job.witness_final not in job.complexes:
-                raise JobFileError(
-                    f"witness.final references unknown complex {job.witness_final!r}")
-            w.final_complex = job.complexes[job.witness_final]
-            w.final_diagonal = job.diagonal
-        rep = _witness_report(w, f"{job.name}:witness",
-                              field_spec_str(job.ring.field))
-    return _emit(rep, args)
+        return _emit(_witness_report(job.witness, f"{job.name}:witness",
+                                     field_spec_str(job.ring.field)), args)
+    fld = _field(args)
+    fname = field_spec_str(fld)
+    if args.example == "cycle":
+        cat = catalog.build_cycle(args.n, fld)
+        ok = all(s.verdict == "pass" for s in catalog.verify_chart_jobs(cat.chart_jobs))
+        return _emit(_witness_report(cat.witness, f"cycle(n={args.n}):witness",
+                                     fname, chart_suite_passed=ok), args)
+    build = {"affine-line": catalog.build_affine_line,
+             "nodal-conic": catalog.build_nodal_conic}[args.example]
+    return _emit(_witness_report(build(fld).witness, f"{args.example}:witness", fname), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -238,19 +238,6 @@ def cone(f: ChainMap) -> ChainComplex:
     return ChainComplex(rng, ranks, diffs, check=False)
 
 
-def cone_inclusion(f: ChainMap) -> ChainMap:
-    """Canonical chain map target -> cone(f)."""
-    cx = cone(f)
-    src, tgt, rng = f.src, f.tgt, f.ring
-    mats = {}
-    for i in tgt.degrees():
-        if tgt.rank(i) == 0:
-            continue
-        mats[i] = block_matrix(rng, [src.rank(i - 1), tgt.rank(i)], [tgt.rank(i)],
-                               {(1, 0): identity_matrix(rng, tgt.rank(i))})
-    return ChainMap(tgt, cx, mats, check=False)
-
-
 def shift(cx: ChainComplex, s: int) -> ChainComplex:
     """C[s]_i = C_{i-s}; differentials pick up (-1)^s."""
     rng = cx.ring

@@ -25,8 +25,24 @@ Schema (version 1)::
         "window": [-1, 3]                     # optional
       },
       "expectation": "qiso_to_diagonal" | "exact_everywhere",
-      "witness": { ... }                      # optional, see parse_witness
+      "witness": {                            # optional
+        "claimed_time": 1,
+        "generators": [{"label": "O", "kind": "product" | "weakly_product",
+                        "certificate": {"source": "O", "target": "P"}}],
+        "steps": [{"target": "R0",            # R_0, the sum of the summands
+                   "summands": [{"label": "I", "shift": 0, "multiplicity": 1,
+                                 "model": "I"}]},
+                  {"target": "R1",            # R_1 = cone(map)
+                   "map": {"source": "S1", "target": "R0",  # S_1[-1] -> R_0
+                           "matrices": {"0": [["x1"]]}},
+                   "summands": [...]}],
+        "auxiliary_products": [], "conclusion": "..."
+      }
     }
+
+The witness's final complex is its last step's target, checked against the
+diagonal block.  Any other key in the witness block is rejected with its
+path.
 
 All polynomial entries are strings in the polynomial grammar.  Parsing
 reports the offending JSON path on failure; polynomial parse errors carry
@@ -62,7 +78,6 @@ class Job:
     diagonal: Optional[DiagonalSpec]
     diagonal_complex: Optional[str]
     witness: Optional[GenerationWitness] = None
-    witness_final: Optional[str] = None
     gb_module: Optional[dict] = None   # {"rank": int, "generators": [...]}
 
 
@@ -179,7 +194,16 @@ def parse_diagonal(d: dict, rng: QuotientRing, path: str = "diagonal") -> Diagon
     return DiagonalSpec(ideal=ideal, degree=degree, augmentation=aug, window=window)
 
 
-def parse_witness(d: dict, rng: QuotientRing, complexes: dict, path: str = "witness"):
+def _named(complexes: dict, v, path: str) -> ChainComplex:
+    name = _str(v, path)
+    if name not in complexes:
+        raise JobFileError(f"unknown complex {name!r} at {path}")
+    return complexes[name]
+
+
+def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
+                  diagonal: Optional[DiagonalSpec] = None,
+                  path: str = "witness") -> GenerationWitness:
     _obj(d, path)
     gens = []
     for i, g in enumerate(_list(d.get("generators", []), f"{path}.generators")):
@@ -192,62 +216,55 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict, path: str = "witn
             cert = ConeCertificate(_str(_need(c, "source", cpath), f"{cpath}.source"),
                                    _str(_need(c, "target", cpath), f"{cpath}.target"),
                                    _int(c.get("shift", -1), f"{cpath}.shift"))
+        kind = _str(_need(g, "kind", gpath), f"{gpath}.kind")
+        if kind not in ("product", "weakly_product"):
+            raise JobFileError(f"unknown generator kind {kind!r} at {gpath}.kind")
         gens.append(GeneratorDecl(_str(_need(g, "label", gpath), f"{gpath}.label"),
-                                  _str(g.get("kind", "plain"), f"{gpath}.kind"), cert))
+                                  kind, cert))
     steps = []
     for i, s in enumerate(_list(d.get("steps", []), f"{path}.steps")):
         spath = f"{path}.steps[{i}]"
         _obj(s, spath)
-        target = None
-        if s.get("target") is not None:
-            target = complexes.get(_str(s["target"], f"{spath}.target"))
-            if target is None:
-                raise JobFileError(f"unknown complex {s['target']!r} at {spath}")
-        step_map = None
-        if s.get("map") is not None:
-            mpath = f"{spath}.map"
-            m = _obj(s["map"], mpath)
-            src = complexes.get(_str(_need(m, "source", mpath), f"{mpath}.source"))
-            tgt = complexes.get(_str(_need(m, "target", mpath), f"{mpath}.target"))
-            if src is None or tgt is None:
-                raise JobFileError(f"unknown complex in map at {spath}")
-            mats = {k: _matrix(rng, v, kpath) for k, v, kpath
-                    in _by_degree(m.get("matrices", {}), f"{mpath}.matrices")}
-            try:
-                step_map = ChainMap(src, tgt, mats, check=True)
-            except InputDataError as exc:
-                raise JobFileError(f"invalid chain map at {mpath}: {exc}") from exc
         summands = []
         for k, q in enumerate(_list(s.get("summands", []), f"{spath}.summands")):
             qpath = f"{spath}.summands[{k}]"
             _obj(q, qpath)
-            model = None
-            if q.get("model"):
-                model = complexes.get(_str(q["model"], f"{qpath}.model"))
-                if model is None:
-                    raise JobFileError(f"unknown model complex {q['model']!r} at {spath}")
+            model = _named(complexes, q["model"], f"{qpath}.model") if q.get("model") else None
             summands.append(DeclaredSummand(_str(_need(q, "label", qpath), f"{qpath}.label"),
                                             _int(q.get("shift", 0), f"{qpath}.shift"),
                                             _int(q.get("multiplicity", 1),
                                                  f"{qpath}.multiplicity"),
                                             model))
+        target = _named(complexes, _need(s, "target", spath), f"{spath}.target")
+        step_map = None
+        if s.get("map") is not None:
+            mpath = f"{spath}.map"
+            m = _obj(s["map"], mpath)
+            src = _named(complexes, _need(m, "source", mpath), f"{mpath}.source")
+            tgt = _named(complexes, _need(m, "target", mpath), f"{mpath}.target")
+            mats = {k: _matrix(rng, v, kpath) for k, v, kpath
+                    in _by_degree(m.get("matrices", {}), f"{mpath}.matrices")}
+            # Not checked to commute here: the witness check compares
+            # cone(map) with the d*d-checked target, which implies it, so
+            # a wrong entry fails the witness instead of the parse.
+            try:
+                step_map = ChainMap(src, tgt, mats, check=False)
+            except InputDataError as exc:
+                raise JobFileError(f"invalid chain map at {mpath}: {exc}") from exc
         steps.append(WitnessStep(step_map, target, summands))
-    final = _obj(d.get("final", {}), f"{path}.final")
-    witness = GenerationWitness(
+    for key in d:
+        if key not in ("claimed_time", "generators", "steps", "auxiliary_products",
+                       "conclusion"):
+            raise JobFileError(f"unknown key at {path}.{key}")
+    return GenerationWitness(
         generators=gens,
         steps=steps,
         claimed_time=_int(_need(d, "claimed_time", path), f"{path}.claimed_time"),
-        final_complex=None,
-        final_diagonal=None,
+        final_diagonal=diagonal,
         auxiliary_products=tuple(_strs(d.get("auxiliary_products", []),
                                        f"{path}.auxiliary_products")),
-        label_level=bool(d.get("label_level", False)),
         conclusion=_str(d.get("conclusion", ""), f"{path}.conclusion"),
     )
-    final_name = final.get("complex")
-    if final_name is not None:
-        _str(final_name, f"{path}.final.complex")
-    return witness, final_name
 
 
 def parse_job(doc: dict) -> Job:
@@ -274,9 +291,9 @@ def parse_job(doc: dict) -> Job:
     elif expectation == "qiso_to_diagonal" and complexes and "witness" not in doc \
             and "module" not in doc:
         raise JobFileError("qiso_to_diagonal expectation needs a diagonal block")
-    witness = wfinal = None
+    witness = None
     if "witness" in doc:
-        witness, wfinal = parse_witness(doc["witness"], rng, complexes)
+        witness = parse_witness(doc["witness"], rng, complexes, diagonal)
     gb_module = None
     if "module" in doc:
         md = _obj(doc["module"], "module")
@@ -294,7 +311,7 @@ def parse_job(doc: dict) -> Job:
     return Job(name=_str(doc.get("name", "job"), "name"), ring=rng, complexes=complexes,
                expectation=expectation, diagonal=diagonal,
                diagonal_complex=diag_name, witness=witness,
-               witness_final=wfinal, gb_module=gb_module)
+               gb_module=gb_module)
 
 
 def load_job(path: str, field: Optional[str] = None) -> Job:

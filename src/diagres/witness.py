@@ -1,22 +1,25 @@
 """Generation-time certificates and their structural verification.
 
 A witness asserts that the diagonal is generated in time k by declared
-(weakly) product bimodules: it names the generators, exhibits the tower of
-triangles 0 -> R_0 -> ... -> R_k, identifies each cone as an explicit
-finite direct sum of shifted generators, and points at the final complex
-whose diagonal quasi-isomorphism is checked by the complexes module.  On
-success the report states the Rouquier-dimension bound.
+(weakly) product bimodules: it names the generators and exhibits the tower
+of triangles 0 -> R_0 -> ... -> R_k.  Step 0 declares R_0 = S_0; step
+i >= 1 gives the attaching map psi_i: S_i[-1] -> R_{i-1} and declares
+R_i = cone(psi_i), where S_i is the step's declared sum of shifted
+generator models, taken in declared order.  The final complex R_k carries
+the diagonal quasi-isomorphism checked by the complexes module.  On success
+the report states the Rouquier-dimension bound.
 
-"Cone is in the generated subcategory" is verified only in the strong
-explicit form: the cone must literally agree with the declared direct sum
-of shifted generator models after cancelling contractible pairs, up to a
-signed permutation of basis elements.  Summands that would require
-idempotent splitting are out of scope.
+Each step is checked by three equalities of complexes, never by a search:
+psi_i.tgt is R_{i-1}, psi_i.src is the declared sum shifted by -1, and R_i
+is cone(psi_i).  A summand presented in another basis or order does not
+match; summands that would require idempotent splitting are out of scope.
 
-Weakly-product declarations carry one of two certificates: the cone-of-
-product-morphism shape (source and target must be declared product
-objects), or a graded-map certificate whose row-reduction decomposition
-must only emit labels from the declared closure set.
+A witness over several charts (the cycle) declares its generators and
+steps once and carries one local witness per distinct chart pattern in
+`charts`; every local witness goes through the same step and diagonal
+checks.  A weakly product generator carries a cone certificate whose
+endpoints must be declared product objects; a generator declared product
+is taken as declared, and nothing checks that it is one.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bimodcalc import GradedLinearMap, cone_image_decomposition
 from .complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError,
-                        QisoResult, cone, direct_sum, minimize, shift,
-                        verify_diagonal_qiso)
+                        QisoResult, cone, direct_sum, shift, verify_diagonal_qiso,
+                        zero_complex)
 
 
 @dataclass
@@ -40,25 +42,18 @@ class ConeCertificate:
 
 
 @dataclass
-class GradedCertificate:
-    """Weak productness via a graded decomposition; emits three labels."""
-
-    phi: GradedLinearMap
-    emitted_labels: tuple  # (source label, cone label, target label)
-
-
-@dataclass
 class GeneratorDecl:
     label: str
-    kind: str  # 'product' | 'weakly_product' | 'plain'
-    certificate: object = None
+    kind: str  # 'product' | 'weakly_product'
+    certificate: Optional[ConeCertificate] = None
 
     def __post_init__(self):
-        if self.kind not in ("product", "weakly_product", "plain"):
+        if self.kind not in ("product", "weakly_product"):
             raise InputDataError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "weakly_product" and self.certificate is None:
+        if self.kind == "weakly_product" and not isinstance(self.certificate,
+                                                             ConeCertificate):
             raise InputDataError(
-                f"weakly_product generator {self.label!r} needs a certificate")
+                f"weakly_product generator {self.label!r} needs a cone certificate")
 
 
 @dataclass
@@ -71,7 +66,10 @@ class DeclaredSummand:
 
 @dataclass
 class WitnessStep:
-    """Triangle R_{i-1} -> R_i; step_map None means the zero map 0 -> R_i."""
+    """R_i = cone(step_map); step_map is psi_i, and None for step 0 (R_0 = S_0).
+
+    A witness whose charts carry the algebra leaves its own targets None.
+    """
 
     step_map: Optional[ChainMap]
     target: Optional[ChainComplex]
@@ -83,17 +81,15 @@ class GenerationWitness:
     generators: list
     steps: list
     claimed_time: int
-    final_complex: Optional[ChainComplex] = None
     final_diagonal: Optional[DiagonalSpec] = None
     auxiliary_products: tuple = ()
-    label_level: bool = False
+    charts: tuple = ()  # local witnesses; conclusion names the chart
     conclusion: str = ""
 
 
 @dataclass
 class WitnessReport:
     passed: bool
-    claimed_time: int
     messages: list = field(default_factory=list)
     problems: list = field(default_factory=list)
     final_result: Optional[QisoResult] = None
@@ -101,9 +97,10 @@ class WitnessReport:
 
 def verify_witness(w: GenerationWitness,
                    chart_suite_passed: Optional[bool] = None) -> WitnessReport:
-    if len(w.steps) != w.claimed_time + 1:
-        raise InputDataError(
-            f"witness has {len(w.steps)} steps but claims generation time {w.claimed_time}")
+    for x in (w, *w.charts):
+        if len(x.steps) != w.claimed_time + 1:
+            raise InputDataError(
+                f"witness has {len(x.steps)} steps but claims generation time {w.claimed_time}")
     declared = {g.label: g for g in w.generators}
     closure = set(declared) | set(w.auxiliary_products)
     for step in w.steps:
@@ -111,54 +108,45 @@ def verify_witness(w: GenerationWitness,
             if s.label not in declared:
                 raise InputDataError(f"step cites undeclared label {s.label!r}")
 
-    report = WitnessReport(passed=True, claimed_time=w.claimed_time)
+    report = WitnessReport(passed=True)
 
     for g in w.generators:
         if g.kind != "weakly_product":
             continue
-        cert = g.certificate
-        if isinstance(cert, ConeCertificate):
-            for lab in (cert.source_label, cert.target_label):
-                if lab not in closure:
-                    raise InputDataError(
-                        f"certificate of {g.label!r} cites undeclared label {lab!r}")
-                kind = declared[lab].kind if lab in declared else "product"
-                if kind == "weakly_product":
-                    report.passed = False
-                    report.problems.append(
-                        f"{g.label}: cone certificate endpoint {lab} is not a product object")
-        elif isinstance(cert, GradedCertificate):
-            emitted = cone_image_decomposition(cert.phi, cert.emitted_labels)
-            bad = sorted({s.label for s in emitted} - closure)
-            if bad:
-                report.passed = False
+        for lab in (g.certificate.source_label, g.certificate.target_label):
+            if lab not in closure:
+                raise InputDataError(
+                    f"certificate of {g.label!r} cites undeclared label {lab!r}")
+            if lab in declared and declared[lab].kind == "weakly_product":
                 report.problems.append(
-                    f"{g.label}: graded certificate emits undeclared labels {bad}")
-        else:
-            raise InputDataError(f"unrecognized certificate on {g.label!r}")
+                    f"{g.label}: cone certificate endpoint {lab} is not a product object")
 
-    if not w.label_level:
-        for idx, step in enumerate(w.steps):
-            ok, why = _check_step_cone(step)
-            if not ok:
-                report.passed = False
-                report.problems.append(f"step {idx}: {why}")
-
-    if w.final_complex is not None and w.final_diagonal is not None:
-        result = verify_diagonal_qiso(w.final_complex, w.final_diagonal)
+    for local in w.charts or (w,):
+        where = f"{local.conclusion}: " if w.charts else ""
+        prev = None
+        for idx, step in enumerate(local.steps):
+            why = _check_step(step, idx, prev)
+            if why:
+                report.problems.append(f"{where}step {idx}: {why}")
+            prev = step.target
+        if local.final_diagonal is None and chart_suite_passed is None:
+            raise InputDataError("witness has neither a final diagonal nor chart results")
+        if local.final_diagonal is None or prev is None:
+            continue
+        try:
+            result = verify_diagonal_qiso(prev, local.final_diagonal)
+        except InputDataError as exc:
+            report.problems.append(f"{where}final complex fails diagonal check: {exc}")
+            continue
         report.final_result = result
         if not result.passed:
-            report.passed = False
             f = result.first_failure()
-            report.problems.append(
-                f"final complex fails diagonal check: {f.condition} at degree {f.degree}")
-    elif chart_suite_passed is not None:
-        if not chart_suite_passed:
-            report.passed = False
-            report.problems.append("chart verification suite failed")
-    else:
-        raise InputDataError("witness has neither a final complex nor chart results")
+            report.problems.append(f"{where}final complex fails diagonal check: "
+                                   f"{f.condition} at degree {f.degree}")
+    if chart_suite_passed is False:
+        report.problems.append("chart verification suite failed")
 
+    report.passed = not report.problems
     if report.passed:
         k = w.claimed_time
         report.messages.append(
@@ -170,93 +158,36 @@ def verify_witness(w: GenerationWitness,
     return report
 
 
-def _check_step_cone(step: WitnessStep):
-    """Cone of the step map must match the declared sum of shifted models."""
-    if step.step_map is None:
-        built = step.target
-    else:
-        built = cone(step.step_map)
+def _same(a: ChainComplex, b: ChainComplex) -> bool:
+    return a is b or a == b
+
+
+def _check_step(step: WitnessStep, idx: int, prev: Optional[ChainComplex]) -> str:
+    """Why step idx is not the triangle it declares, or "" if it is."""
+    if step.target is None:
+        return "no target complex"
     pieces = []
     for s in step.summands:
         if s.model is None:
-            return False, f"summand {s.label!r} lacks a model for the structural check"
-        for _ in range(s.multiplicity):
-            pieces.append(shift(s.model, s.shift))
-    if not pieces:
-        return (built is None or built.is_zero()), "declared empty sum against nonzero cone"
-    declared = direct_sum(*pieces)
-    built_min, _ = minimize(built)
-    declared_min, _ = minimize(declared)
-    if built_min == declared_min:
-        return True, ""
-    if _signed_permutation_match(built_min, declared_min):
-        return True, ""
-    return False, ("cone does not match the declared sum: ranks "
-                   f"{built_min.ranks} vs {declared_min.ranks}")
-
-
-def _signed_permutation_match(a: ChainComplex, b: ChainComplex) -> bool:
-    """Equality after permuting basis elements and flipping their signs."""
-    if a.ring != b.ring or a.ranks != b.ranks:
-        return False
-    degs = sorted(a.ranks)
-    assign: dict = {}
-
-    def column_candidates(i, c):
-        out = []
-        for c2 in range(b.rank(i)):
-            if (i, c2) in assign.values():
-                continue
-            for sign in (1, -1):
-                out.append((c2, sign))
-        return out
-
-    def entries_consistent(i, c, c2, sign, signs):
-        da, db = a.diff(i), b.diff(i)
-        if a.rank(i - 1):
-            for r in range(a.rank(i - 1)):
-                key = (i - 1, r)
-                if key not in assign:
-                    continue
-                r2, rs = assign[key], signs[key]
-                lhs = db[r2[1]][c2]
-                rhs = da[r][c].scale(a.ring.field.from_int(sign * rs))
-                if lhs != rhs:
-                    return False
-        return True
-
-    signs: dict = {}
-
-    def solve(degree_idx, col):
-        if degree_idx == len(degs):
-            return True
-        i = degs[degree_idx]
-        if col == a.rank(i):
-            return solve(degree_idx + 1, 0)
-        for c2, sign in column_candidates(i, col):
-            if not entries_consistent(i, col, c2, sign, signs):
-                continue
-            assign[(i, col)] = (i, c2)
-            signs[(i, col)] = sign
-            # forward-check the next differential rows once both ends assigned
-            if solve(degree_idx, col + 1):
-                return True
-            del assign[(i, col)]
-            del signs[(i, col)]
-        return False
-
-    ok = solve(0, 0)
-    if not ok:
-        return False
-    # full re-check of every differential under the found signed permutation
-    for i in degs:
-        if not a.rank(i) or not a.rank(i - 1):
-            continue
-        da, db = a.diff(i), b.diff(i)
-        for c in range(a.rank(i)):
-            c2, cs = assign[(i, c)][1], signs[(i, c)]
-            for r in range(a.rank(i - 1)):
-                r2, rs = assign[(i - 1, r)][1], signs[(i - 1, r)]
-                if db[r2][c2] != da[r][c].scale(a.ring.field.from_int(cs * rs)):
-                    return False
-    return True
+            return f"summand {s.label!r} lacks a model for the structural check"
+        # S_i[-1] is the source of psi_i; R_0 is S_0 itself.
+        pieces += [shift(s.model, s.shift - (idx > 0))] * s.multiplicity
+    declared = direct_sum(*pieces) if pieces else zero_complex(step.target.ring)
+    if idx == 0:
+        if step.step_map is not None:
+            return "step 0 takes no attaching map"
+        if _same(step.target, declared):
+            return ""
+        return ("target does not match the declared sum: ranks "
+                f"{step.target.ranks} vs {declared.ranks}")
+    psi = step.step_map
+    if psi is None:
+        return "no attaching map"
+    if prev is None or not _same(psi.tgt, prev):
+        return "attaching map does not end at the previous step's target"
+    if not _same(psi.src, declared):
+        return ("attaching map's source does not match the declared sum: ranks "
+                f"{psi.src.ranks} vs {declared.ranks}")
+    if not _same(step.target, cone(psi)):
+        return "target is not the cone of the attaching map"
+    return ""

@@ -254,31 +254,93 @@ def test_witness_subcommand(capsys):
     assert code == 0 and "Rouquier dimension <= 1" in out
 
 
-def test_witness_job_label_level(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("label_level", True),
+                                        ("final", {"complex": "total"})])
+def test_witness_job_removed_key_is_input_error(tmp_path, capsys, key, value):
     path = tmp_path / "wit.json"
     path.write_text(json.dumps({
         "schema": 1,
-        "name": "labelwit",
+        "ring": {"variables": ["x1", "x2"]},
+        "complexes": [{"name": "total", "ranks": {"0": 1}}],
+        "witness": {"claimed_time": 0, "generators": [], "steps": [], key: value},
+    }))
+    code, _, err = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 2 and f"witness.{key}" in err
+
+
+def _affine_witness_job():
+    """The affine line's witness as a job: R_0, S_1[-1], R_1, models and psi_1."""
+    from diagres.catalog import build_affine_line
+    from diagres.jobio import complex_to_dict, diagonal_to_dict, ring_to_dict
+    from diagres.matrices import mat_to_strings
+    entry = build_affine_line()
+    step0, step1 = entry.witness.steps
+    psi = step1.step_map
+    named = {"R0": step0.target, "S1": psi.src, "R1": step1.target,
+             "plane": step1.summands[0].model, "origin": step1.summands[1].model}
+    return {
+        "schema": 1,
+        "name": "affine",
+        "ring": ring_to_dict(entry.ring),
+        "complexes": [complex_to_dict(cx, name) for name, cx in named.items()],
+        "diagonal": diagonal_to_dict(entry.diagonal, "R1"),
+        "witness": {
+            "claimed_time": 1,
+            "generators": [
+                {"label": "O_plane", "kind": "product"},
+                {"label": "O_origin", "kind": "product"},
+                {"label": "ideal_origin", "kind": "weakly_product",
+                 "certificate": {"source": "O_plane", "target": "O_origin"}}],
+            "steps": [
+                {"target": "R0",
+                 "summands": [{"label": "ideal_origin", "model": "R0"}]},
+                {"target": "R1",
+                 "map": {"source": "S1", "target": "R0",
+                         "matrices": {str(i): mat_to_strings(m)
+                                      for i, m in sorted(psi.mats.items())}},
+                 "summands": [{"label": "O_plane", "shift": 1, "model": "plane"},
+                              {"label": "O_origin", "shift": 0, "model": "origin"}]}],
+        },
+    }
+
+
+def test_witness_job_structural_affine_line(tmp_path, capsys):
+    doc = _affine_witness_job()
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 0 and "Rouquier dimension <= 1" in out
+    entry = doc["witness"]["steps"][1]["map"]["matrices"]["0"]
+    assert entry[0][0] == "x1 - x2"
+    entry[0][0] = "x1 + x2"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 1 and "target is not the cone of the attaching map" in out
+
+
+@pytest.mark.parametrize("generator, where", [
+    ({"label": "Delta", "kind": "plain"}, "witness.generators[0].kind"),
+    ({"label": "Delta"}, "'kind' at witness.generators[0]"),
+])
+def test_witness_job_generator_kind_is_product_or_weakly_product(
+        tmp_path, capsys, generator, where):
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps({
+        "schema": 1,
         "ring": {"variables": ["x1", "x2"]},
         "complexes": [{"name": "total", "ranks": {"0": 1, "1": 1},
                        "differentials": {"1": [["x1-x2"]]}}],
         "diagonal": {"complex": "total", "ideal": ["x1-x2"], "degree": 0,
                      "augmentation": ["1"]},
         "witness": {
-            "claimed_time": 1,
-            "label_level": True,
-            "generators": [
-                {"label": "O", "kind": "product"},
-                {"label": "P", "kind": "product"},
-                {"label": "I", "kind": "weakly_product",
-                 "certificate": {"source": "O", "target": "P"}}],
-            "steps": [{"summands": [{"label": "I"}]},
-                      {"summands": [{"label": "O", "shift": 1}]}],
-            "final": {"complex": "total"},
+            "claimed_time": 0,
+            "generators": [generator],
+            "steps": [{"target": "total",
+                       "summands": [{"label": "Delta", "model": "total"}]}],
         },
     }))
-    code, out, _ = run_cli(capsys, "witness", "--job", str(path))
-    assert code == 0 and "Rouquier dimension <= 1" in out
+    code, out, err = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 2 and where in err and "Rouquier" not in out
 
 
 def test_job_with_negative_degrees(tmp_path, capsys):

@@ -3,7 +3,9 @@
 import pytest
 
 from diagres.catalog import build_affine_line, build_nodal_conic
+from diagres.catalog.mutations import WITNESS_MUTATIONS
 from diagres.complexes import DiagonalSpec, InputDataError, verify_diagonal_qiso
+from diagres.scalars import QQ
 from diagres.witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
                              GeneratorDecl, WitnessStep, verify_witness)
 
@@ -30,7 +32,6 @@ def test_undeclared_label_is_input_error():
                            [DeclaredSummand("mystery", 0, 1, w.steps[0].target)]),
                w.steps[1]],
         claimed_time=1,
-        final_complex=w.final_complex,
         final_diagonal=w.final_diagonal)
     with pytest.raises(InputDataError):
         verify_witness(bad)
@@ -40,7 +41,7 @@ def test_step_count_must_match_claim():
     entry = build_affine_line()
     w = entry.witness
     short = GenerationWitness(generators=w.generators, steps=w.steps[:1],
-                              claimed_time=1, final_complex=w.final_complex,
+                              claimed_time=1,
                               final_diagonal=w.final_diagonal)
     with pytest.raises(InputDataError):
         verify_witness(short)
@@ -52,9 +53,8 @@ def test_monotonicity_dropping_a_step_fails():
     w = entry.witness
     collapsed = GenerationWitness(
         generators=w.generators,
-        steps=[WitnessStep(None, w.final_complex, w.steps[0].summands)],
+        steps=[WitnessStep(None, w.steps[-1].target, w.steps[0].summands)],
         claimed_time=0,
-        final_complex=w.final_complex,
         final_diagonal=w.final_diagonal)
     rep = verify_witness(collapsed)
     assert not rep.passed
@@ -68,7 +68,7 @@ def test_failing_final_complex_never_passes():
                             degree=0,
                             augmentation=w.final_diagonal.augmentation)
     bad = GenerationWitness(generators=w.generators, steps=w.steps,
-                            claimed_time=1, final_complex=w.final_complex,
+                            claimed_time=1,
                             final_diagonal=bad_diag)
     rep = verify_witness(bad)
     assert not rep.passed
@@ -97,7 +97,7 @@ def test_witness_reuses_the_entry_verdict(build, monkeypatch):
                             degree=0, augmentation=w.final_diagonal.augmentation,
                             window=w.final_diagonal.window)
     bad = GenerationWitness(generators=w.generators, steps=w.steps,
-                            claimed_time=1, final_complex=w.final_complex,
+                            claimed_time=1,
                             final_diagonal=bad_diag)
     assert not verify_witness(bad).passed
     assert runs[-1] == (bad_diag, True)
@@ -115,43 +115,40 @@ def test_cone_certificate_endpoints_must_be_products():
             GeneratorDecl("ideal_origin", "weakly_product",
                           ConeCertificate("O_plane", "O_origin", -1))]
     bad = GenerationWitness(generators=gens, steps=w.steps, claimed_time=1,
-                            final_complex=w.final_complex,
                             final_diagonal=w.final_diagonal)
     rep = verify_witness(bad)
     assert not rep.passed
     assert any("not a product object" in p for p in rep.problems)
 
 
-def test_signed_permutation_matching_absorbs_basis_relabeling():
-    """The step check tolerates reordered summands and global sign flips."""
-    from diagres.complexes import shift
-    from diagres.matrices import mat_neg
+def test_step_check_needs_the_declared_block_order():
+    """The step check is literal: reordered summands and a negated model no
+    longer match, and only the declaration in the attaching map's block
+    order passes."""
     from diagres.complexes import ChainComplex
+    from diagres.matrices import mat_neg
     entry = build_affine_line()
     w = entry.witness
     step2 = w.steps[1]
-    # declare the same sum with the summands swapped: literal equality fails,
-    # the signed-permutation matcher must close the gap
-    swapped = WitnessStep(step2.step_map, step2.target,
-                          list(reversed(step2.summands)))
-    alt = GenerationWitness(generators=w.generators, steps=[w.steps[0], swapped],
-                            claimed_time=1, final_complex=w.final_complex,
-                            final_diagonal=w.final_diagonal)
-    assert verify_witness(alt).passed
-    # and with a model whose differentials are globally negated (an
-    # isomorphic presentation of the same summand)
+
+    def with_step(summands):
+        step = WitnessStep(step2.step_map, step2.target, summands)
+        return GenerationWitness(generators=w.generators, steps=[w.steps[0], step],
+                                 claimed_time=1, final_diagonal=w.final_diagonal)
+
+    assert verify_witness(with_step(list(step2.summands))).passed
+    rep = verify_witness(with_step(list(reversed(step2.summands))))
+    assert not rep.passed
+    assert any("does not match the declared sum" in p for p in rep.problems)
     orig = step2.summands[1].model
     negated = ChainComplex(orig.ring, dict(orig.ranks),
                            {i: mat_neg(m) for i, m in orig.diffs.items()},
                            check=False)
-    resigned = WitnessStep(step2.step_map, step2.target,
-                           [step2.summands[0],
-                            DeclaredSummand(step2.summands[1].label,
-                                            step2.summands[1].shift, 1, negated)])
-    alt2 = GenerationWitness(generators=w.generators, steps=[w.steps[0], resigned],
-                             claimed_time=1, final_complex=w.final_complex,
-                             final_diagonal=w.final_diagonal)
-    assert verify_witness(alt2).passed
+    rep = verify_witness(with_step([
+        step2.summands[0],
+        DeclaredSummand(step2.summands[1].label, step2.summands[1].shift, 1, negated)]))
+    assert not rep.passed
+    assert any("does not match the declared sum" in p for p in rep.problems)
 
 
 def test_wrong_declared_sum_fails():
@@ -163,8 +160,30 @@ def test_wrong_declared_sum_fails():
                         [DeclaredSummand(s.label, s.shift + 1, s.multiplicity,
                                          s.model) for s in step2.summands])
     bad = GenerationWitness(generators=w.generators, steps=[w.steps[0], wrong],
-                            claimed_time=1, final_complex=w.final_complex,
+                            claimed_time=1,
                             final_diagonal=w.final_diagonal)
     rep = verify_witness(bad)
     assert not rep.passed
     assert any("does not match the declared sum" in p for p in rep.problems)
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_MUTATIONS))
+def test_witness_mutation_controls_fail_with_a_named_problem(name):
+    problem, build = WITNESS_MUTATIONS[name]
+    w, chart_suite_passed = build(QQ)
+    rep = verify_witness(w, chart_suite_passed=chart_suite_passed)
+    assert not rep.passed
+    assert not rep.messages
+    assert any(problem in p for p in rep.problems), rep.problems
+
+
+def test_plain_generator_kind_is_rejected():
+    """A generator that is neither product nor weakly product certifies nothing:
+    with it, the conic's own total would be a 0-step witness for Rdim <= 0."""
+    entry = build_nodal_conic()
+    with pytest.raises(InputDataError, match="plain"):
+        GenerationWitness(
+            generators=[GeneratorDecl("Delta", "plain")],
+            steps=[WitnessStep(None, entry.complex,
+                               [DeclaredSummand("Delta", 0, 1, entry.complex)])],
+            claimed_time=0, final_diagonal=entry.diagonal)
