@@ -58,17 +58,18 @@ def section_into_ideal_sheaf(kstruct: ChainComplex, proj: ChainMap,
     return map_to_shifted_cone(mult, proj, h)
 
 
-def skyscraper_connecting_map(proj: ChainMap, source: ChainComplex) -> ChainMap:
+def skyscraper_connecting_map(proj: ChainMap, ideal: ChainComplex,
+                              source: ChainComplex) -> ChainMap:
     """Shifted skyscraper -> ideal sheaf (the triangle's connecting map).
 
-    The identity onto the skyscraper block of cone(proj)[-1], in the degrees
-    of source (the shifted skyscraper, possibly truncated).
+    The identity onto the skyscraper block of ideal = ideal_sheaf_model(proj),
+    in the degrees of source (the shifted skyscraper, possibly truncated).
     """
     rng = proj.ring
     mats = {i: block_matrix(rng, [proj.src.rank(i), source.rank(i)], [source.rank(i)],
                             {(1, 0): identity_matrix(rng, source.rank(i))})
             for i in source.degrees() if source.rank(i)}
-    return ChainMap(source, ideal_sheaf_model(proj), mats, check=False)
+    return ChainMap(source, ideal, mats, check=False)
 
 
 def inclusion_of_truncation(kfull: ChainComplex, length: int = SOURCE_LEN) -> ChainMap:

@@ -20,7 +20,6 @@ immutable, and the cache holds one entry per field and kind.
 
 from __future__ import annotations
 
-import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -111,7 +110,7 @@ def build_affine_line(field: Field = QQ) -> CatalogEntry:
     sec1 = section_into_ideal_sheaf(plane, proj, x1)
     sec2 = section_into_ideal_sheaf(plane, proj, x2)
     origin_shifted = shift(origin, -1)
-    connecting = skyscraper_connecting_map(proj, origin_shifted)
+    connecting = skyscraper_connecting_map(proj, ideal_sheaf, origin_shifted)
     psi = block_map([plane, origin_shifted], [ideal_sheaf],
                     {(0, 0): map_sub(sec1, sec2), (0, 1): connecting},
                     check=False)
@@ -193,12 +192,13 @@ def _build_conic_pieces(field: Field) -> ConicPieces:
     k0 = resolve_cyclic(rng, [x1, y1, x2, y2], TARGET_LEN)
     px = skyscraper_projection(kx, k0)
     py = skyscraper_projection(ky, k0)
+    ix, iy = ideal_sheaf_model(px), ideal_sheaf_model(py)
     k0m = shift(truncate(k0, SOURCE_LEN), -1)
     return ConicPieces(
-        rng, kx, ky, k0, px, py, ideal_sheaf_model(px), ideal_sheaf_model(py),
+        rng, kx, ky, k0, px, py, ix, iy,
         section_into_ideal_sheaf(kx, px, x1), section_into_ideal_sheaf(kx, px, x2),
         section_into_ideal_sheaf(ky, py, y1), section_into_ideal_sheaf(ky, py, y2),
-        k0m, skyscraper_connecting_map(px, k0m), skyscraper_connecting_map(py, k0m))
+        k0m, skyscraper_connecting_map(px, ix, k0m), skyscraper_connecting_map(py, iy, k0m))
 
 
 def _conic_pieces(field: Field) -> ConicPieces:
@@ -363,9 +363,6 @@ def _cycle_witness(n: int) -> GenerationWitness:
     )
 
 
-_CYCLE_OBJECT = re.compile(r"O_(square|node)_(\d+)(\(-1,-1\))?")
-
-
 def _restrictions(g: GeneratorDecl, n: int) -> list:
     """(chart, model key) for each chart of the n-cycle that generator g meets.
 
@@ -376,27 +373,24 @@ def _restrictions(g: GeneratorDecl, n: int) -> list:
     y-plane.  Node k lies only on chart (k, k).  O_square_m -> O_node_k
     restricts to the node's ideal sheaf on that plane where node k lies on
     the chart, and to the plane elsewhere; O_square_m(-1,-1) restricts to
-    the truncated plane and O_node_k to the truncated skyscraper.
+    the truncated plane and O_node_k to the truncated skyscraper.  Labels
+    are the ones _cycle_witness writes; only their numbers are read.
     """
-    def index(label: str, what: str) -> int:
-        m = _CYCLE_OBJECT.fullmatch(label)
-        if m is None or m[1] + (m[3] or "") != what or not 1 <= int(m[2]) <= n:
-            raise InputDataError(f"{label!r} is not an O_{what} object of the {n}-cycle")
-        return int(m[2])
+    def num(label: str) -> int:
+        return int(label.split("_")[2].split("(")[0])
 
     def on_square(m: int, form: str, node: int = 0) -> list:
-        before = (m - 2) % n + 1
-        return [((i, j), ("ideal" if i == j == node else form)
-                 + ("" if i != j else "_x" if i == m else "_y"))
-                for i in (before, m) for j in (before, m)]
+        b = (m - 2) % n + 1
+        return [((m, m), "ideal_x" if node == m else f"{form}_x"),
+                ((b, b), "ideal_y" if node == b else f"{form}_y"),
+                ((b, m), form), ((m, b), form)]
 
     if g.kind == "weakly_product":
-        return on_square(index(g.certificate.source_label, "square"), "plane",
-                         index(g.certificate.target_label, "node"))
+        return on_square(num(g.certificate.source_label), "plane",
+                         num(g.certificate.target_label))
     if g.label.startswith("O_node_"):
-        k = index(g.label, "node")
-        return [((k, k), "point")]
-    return on_square(index(g.label, "square(-1,-1)"), "trunc")
+        return [((num(g.label),) * 2, "point")]
+    return on_square(num(g.label), "trunc")
 
 
 def _chart_witnesses(w: GenerationWitness, n: int, field: Field) -> tuple:

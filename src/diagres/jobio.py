@@ -41,8 +41,8 @@ Schema (version 1)::
     }
 
 The witness's final complex is its last step's target, checked against the
-diagonal block.  Any other key in the witness block is rejected with its
-path.
+diagonal block, whose "complex", if given, must name that target.  Any
+other key in the witness block is rejected with its path.
 
 All polynomial entries are strings in the polynomial grammar.  Parsing
 reports the offending JSON path on failure; polynomial parse errors carry
@@ -230,11 +230,12 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
             qpath = f"{spath}.summands[{k}]"
             _obj(q, qpath)
             model = _named(complexes, q["model"], f"{qpath}.model") if q.get("model") else None
+            mult = _int(q.get("multiplicity", 1), f"{qpath}.multiplicity")
+            if mult < 1:
+                raise JobFileError(f"multiplicity below 1 at {qpath}.multiplicity")
             summands.append(DeclaredSummand(_str(_need(q, "label", qpath), f"{qpath}.label"),
                                             _int(q.get("shift", 0), f"{qpath}.shift"),
-                                            _int(q.get("multiplicity", 1),
-                                                 f"{qpath}.multiplicity"),
-                                            model))
+                                            mult, model))
         target = _named(complexes, _need(s, "target", spath), f"{spath}.target")
         step_map = None
         if s.get("map") is not None:
@@ -294,6 +295,10 @@ def parse_job(doc: dict) -> Job:
     witness = None
     if "witness" in doc:
         witness = parse_witness(doc["witness"], rng, complexes, diagonal)
+        if diag_name is not None and witness.steps \
+                and witness.steps[-1].target is not complexes.get(diag_name):
+            raise JobFileError(f"diagonal.complex {diag_name!r} is not the final "
+                               f"complex witness.steps[{len(witness.steps) - 1}].target")
     gb_module = None
     if "module" in doc:
         md = _obj(doc["module"], "module")

@@ -6,8 +6,9 @@ of triangles 0 -> R_0 -> ... -> R_k.  Step 0 declares R_0 = S_0; step
 i >= 1 gives the attaching map psi_i: S_i[-1] -> R_{i-1} and declares
 R_i = cone(psi_i), where S_i is the step's declared sum of shifted
 generator models, taken in declared order.  The final complex R_k carries
-the diagonal quasi-isomorphism checked by the complexes module.  On success
-the report states the Rouquier-dimension bound.
+the diagonal quasi-isomorphism checked by the complexes module; a negative
+k is an input error and a witness without R_k fails.  On success the
+report states the Rouquier-dimension bound.
 
 Each step is checked by three equalities of complexes, never by a search:
 psi_i.tgt is R_{i-1}, psi_i.src is the declared sum shifted by -1, and R_i
@@ -97,6 +98,8 @@ class WitnessReport:
 
 def verify_witness(w: GenerationWitness,
                    chart_suite_passed: Optional[bool] = None) -> WitnessReport:
+    if w.claimed_time < 0:
+        raise InputDataError(f"claimed generation time {w.claimed_time} is negative")
     for x in (w, *w.charts):
         if len(x.steps) != w.claimed_time + 1:
             raise InputDataError(
@@ -131,7 +134,10 @@ def verify_witness(w: GenerationWitness,
             prev = step.target
         if local.final_diagonal is None and chart_suite_passed is None:
             raise InputDataError("witness has neither a final diagonal nor chart results")
-        if local.final_diagonal is None or prev is None:
+        if local.final_diagonal is None:
+            continue
+        if prev is None:
+            report.problems.append(f"{where}no final complex")
             continue
         try:
             result = verify_diagonal_qiso(prev, local.final_diagonal)

@@ -318,6 +318,29 @@ def test_witness_job_structural_affine_line(tmp_path, capsys):
     assert code == 1 and "target is not the cone of the attaching map" in out
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda w: w.update(claimed_time=-1, steps=[]), "negative"),
+    (lambda w: w["steps"][1]["summands"][1].update(multiplicity=-3),
+     "witness.steps[1].summands[1].multiplicity"),
+], ids=["negative-claimed-time", "negative-multiplicity"])
+def test_witness_job_negative_count_is_input_error(tmp_path, capsys, edit, where):
+    doc = _affine_witness_job()
+    edit(doc["witness"])
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 2 and where in err and "Rouquier" not in out
+
+
+def test_witness_job_diagonal_complex_must_be_the_final_target(tmp_path, capsys):
+    doc = _affine_witness_job()
+    doc["diagonal"]["complex"] = "R0"
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 2 and "witness.steps[1].target" in err and "Rouquier" not in out
+
+
 @pytest.mark.parametrize("generator, where", [
     ({"label": "Delta", "kind": "plain"}, "witness.generators[0].kind"),
     ({"label": "Delta"}, "'kind' at witness.generators[0]"),

@@ -47,6 +47,20 @@ def test_step_count_must_match_claim():
         verify_witness(short)
 
 
+def test_empty_tower_never_passes():
+    """No steps under a claimed time of -1, or no final complex, bounds nothing."""
+    w = build_affine_line().witness
+    empty = GenerationWitness(generators=w.generators, steps=[], claimed_time=-1,
+                              final_diagonal=w.final_diagonal)
+    with pytest.raises(InputDataError, match="negative"):
+        verify_witness(empty)
+    untargeted = GenerationWitness(
+        generators=w.generators, steps=[WitnessStep(None, None, w.steps[0].summands)],
+        claimed_time=0, final_diagonal=w.final_diagonal)
+    rep = verify_witness(untargeted)
+    assert not rep.passed and "no final complex" in rep.problems
+
+
 def test_monotonicity_dropping_a_step_fails():
     """A 0-step witness for the same final complex fails structurally."""
     entry = build_affine_line()
