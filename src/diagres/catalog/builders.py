@@ -72,10 +72,10 @@ def skyscraper_connecting_map(proj: ChainMap, ideal: ChainComplex,
     return ChainMap(source, ideal, mats, check=False)
 
 
-def inclusion_of_truncation(kfull: ChainComplex, length: int = SOURCE_LEN) -> ChainMap:
-    """Identity components from the truncated resolution into the full one."""
+def inclusion_of_truncation(kfull: ChainComplex) -> ChainMap:
+    """Identity components from the SOURCE_LEN truncation into the full resolution."""
     rng = kfull.ring
-    ks = truncate(kfull, length)
+    ks = truncate(kfull, SOURCE_LEN)
     mats = {i: [[rng.one() if a == b else rng.zero() for b in range(ks.rank(i))]
                 for a in range(kfull.rank(i))] for i in ks.degrees()}
     return ChainMap(ks, kfull, mats, check=False)

@@ -112,8 +112,7 @@ def build_affine_line(field: Field = QQ) -> CatalogEntry:
     origin_shifted = shift(origin, -1)
     connecting = skyscraper_connecting_map(proj, ideal_sheaf, origin_shifted)
     psi = block_map([plane, origin_shifted], [ideal_sheaf],
-                    {(0, 0): map_sub(sec1, sec2), (0, 1): connecting},
-                    check=False)
+                    {(0, 0): map_sub(sec1, sec2), (0, 1): connecting})
     total = cone(psi)
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2")], degree=0,
@@ -123,7 +122,7 @@ def build_affine_line(field: Field = QQ) -> CatalogEntry:
             GeneratorDecl("O_plane", "product"),
             GeneratorDecl("O_origin", "product"),
             GeneratorDecl("ideal_origin", "weakly_product",
-                          ConeCertificate("O_plane", "O_origin", -1)),
+                          ConeCertificate("O_plane", "O_origin")),
         ],
         steps=[
             WitnessStep(None, ideal_sheaf,
@@ -213,7 +212,7 @@ def build_nodal_conic(field: Field = QQ) -> CatalogEntry:
     psi = block_map([sx1.src, p.k0m, sy1.src], [ix, iy], {
         (0, 0): map_sub(sx1, p.sx2), (0, 1): p.dx,
         (1, 1): p.dy, (1, 2): map_sub(sy1, p.sy2),
-    }, check=False)
+    })
     total = cone(psi)
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2"), rng.parse("y1-y2")], degree=0,
@@ -225,9 +224,9 @@ def build_nodal_conic(field: Field = QQ) -> CatalogEntry:
             GeneratorDecl("O_yplane", "product"),
             GeneratorDecl("O_origin", "product"),
             GeneratorDecl("ideal_origin_x", "weakly_product",
-                          ConeCertificate("O_xplane", "O_origin", -1)),
+                          ConeCertificate("O_xplane", "O_origin")),
             GeneratorDecl("ideal_origin_y", "weakly_product",
-                          ConeCertificate("O_yplane", "O_origin", -1)),
+                          ConeCertificate("O_yplane", "O_origin")),
         ],
         steps=[
             WitnessStep(None, psi.tgt,
@@ -258,11 +257,11 @@ def build_nodal_conic_product(field: Field = QQ) -> CatalogEntry:
     # The skyscraper projections already lift 1 from the kx, ky truncations.
     kx, ky = px.src, py.src
     kxs, kys = truncate(kx, SOURCE_LEN), truncate(ky, SOURCE_LEN)
-    collapse = block_map([kx, ky], [k0], {(0, 0): px, (0, 1): py}, check=False)
+    collapse = block_map([kx, ky], [k0], {(0, 0): px, (0, 1): py})
     gx = lift_module_map(kxs, kx, [[x1 - x2]])
     gy = lift_module_map(kys, ky, [[y1 - y2]])
     separate = block_map([kxs, kys], [kx, ky],
-                         {(0, 0): gx, (1, 1): gy}, check=False)
+                         {(0, 0): gx, (1, 1): gy})
     total = totalize_chain(
         {-1: k0, 0: collapse.src, 1: separate.src},
         {0: collapse.mats, 1: separate.mats})
@@ -302,7 +301,7 @@ def _build_diagonal_chart_complex(field: Field):
             (1, 0): negate_map(inc_x_a), (1, 1): inc_x_b,
             (2, 2): inc_y_a, (2, 3): negate_map(inc_y_b),
             (3, 2): negate_map(p.sy1), (3, 3): p.sy2, (3, 4): p.dy,
-        }, check=False)
+        })
     total = cone(psi)
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2"), rng.parse("y1-y2")], degree=0,
@@ -346,9 +345,9 @@ def _cycle_witness(n: int) -> GenerationWitness:
             GeneratorDecl(f"O_square_{j}(-1,-1)", "product"),
             GeneratorDecl(f"O_node_{j}", "product"),
             GeneratorDecl(f"F_{j}", "weakly_product",
-                          ConeCertificate(f"O_square_{j}", f"O_node_{j}", -1)),
+                          ConeCertificate(f"O_square_{j}", f"O_node_{j}")),
             GeneratorDecl(f"G_{j}", "weakly_product",
-                          ConeCertificate(f"O_square_{j}", f"O_node_{jm}", -1)),
+                          ConeCertificate(f"O_square_{j}", f"O_node_{jm}")),
         ])
         steps0.extend([DeclaredSummand(f"F_{j}", 0, 1),
                        DeclaredSummand(f"G_{j}", 0, 1)])
@@ -503,12 +502,11 @@ def restrict_complex(cx: ChainComplex, rmap: RingMap) -> ChainComplex:
 # verification drivers
 
 
-def verify_entry(entry: CatalogEntry, pre_minimize: bool = True) -> VerificationReport:
+def verify_entry(entry: CatalogEntry) -> VerificationReport:
     t0 = time.time()
     field_name = field_spec_str(entry.ring.field)
     try:
-        result = verify_diagonal_qiso(entry.complex, entry.diagonal,
-                                      pre_minimize=pre_minimize)
+        result = verify_diagonal_qiso(entry.complex, entry.diagonal)
     except InputDataError as exc:
         return VerificationReport(entry.name, "error", field_name,
                                   notes=list(entry.notes), error=str(exc),
@@ -528,17 +526,15 @@ def _entry_notes(entry: CatalogEntry, result) -> list:
     return notes
 
 
-def verify_chart_job(job: ChartJob, pre_minimize: bool = True) -> VerificationReport:
+def verify_chart_job(job: ChartJob) -> VerificationReport:
     t0 = time.time()
     name = f"chart({job.chart[0]},{job.chart[1]}):{job.kind}"
     field_name = field_spec_str(job.ring.field)
     try:
         if job.expectation == "exact_everywhere":
-            result = exact_everywhere(job.complex, window=job.window,
-                                      pre_minimize=pre_minimize)
+            result = exact_everywhere(job.complex, window=job.window)
         else:
-            result = verify_diagonal_qiso(job.complex, job.diagonal,
-                                          pre_minimize=pre_minimize)
+            result = verify_diagonal_qiso(job.complex, job.diagonal)
     except InputDataError as exc:
         return VerificationReport(name, "error", field_name, notes=list(job.notes),
                                   error=str(exc), timing_seconds=time.time() - t0)
@@ -549,7 +545,7 @@ def verify_chart_job(job: ChartJob, pre_minimize: bool = True) -> VerificationRe
                             timing=time.time() - t0)
 
 
-def verify_chart_jobs(jobs, pre_minimize: bool = True):
+def verify_chart_jobs(jobs):
     """Verify jobs in (i, j) order, reusing verdicts of shared complexes."""
     cache: dict = {}
     out = []
@@ -566,7 +562,7 @@ def verify_chart_jobs(jobs, pre_minimize: bool = True):
                 window=base.window, timing_seconds=0.0)
             out.append(rep)
             continue
-        rep = verify_chart_job(job, pre_minimize=pre_minimize)
+        rep = verify_chart_job(job)
         cache[key] = rep
         out.append(rep)
     return out

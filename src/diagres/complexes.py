@@ -25,6 +25,7 @@ unchanged.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -281,8 +282,11 @@ def direct_sum(*summands: ChainComplex) -> ChainComplex:
 
 
 def block_map(srcs: Sequence[ChainComplex], tgts: Sequence[ChainComplex],
-              blocks: dict, check: bool = True) -> ChainMap:
-    """Chain map between direct sums from a {(tgt_idx, src_idx): ChainMap} dict."""
+              blocks: dict) -> ChainMap:
+    """Chain map between direct sums from a {(tgt_idx, src_idx): ChainMap} dict.
+
+    Not checked to commute: a block matrix of chain maps is one.
+    """
     src = direct_sum(*srcs)
     tgt = direct_sum(*tgts)
     rng = src.ring
@@ -301,7 +305,7 @@ def block_map(srcs: Sequence[ChainComplex], tgts: Sequence[ChainComplex],
             if rows[ti] and cols[si]:
                 bl[(ti, si)] = f.mat(i)
         mats[i] = block_matrix(rng, rows, cols, bl)
-    return ChainMap(src, tgt, mats, check=check)
+    return ChainMap(src, tgt, mats, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,107 +319,68 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
     a matrix original_rank x reduced_rank whose columns express the reduced
     basis inside the original one; the inclusion is a chain map and a
     quasi-isomorphism, so homology questions transfer verbatim.
+
+    The elimination is sparse and keeps the original basis indices: d[k][r]
+    maps the columns of row r of d_k to their nonzero entries, and incl[k][t]
+    is reduced basis vector t of C_k over the original basis.  Cancelling the
+    unit at (r, c) of d_k deletes basis vector c of C_k and r of C_{k-1} in
+    place; nothing is renumbered, and the survivors are packed into dense
+    matrices once, at the end.  Degrees are cleared in ascending order, each
+    at its lexicographically first unit (row, column): a pivot at degree k
+    only removes a row above and a column below it, so it never creates a
+    unit outside d_k, and the pivots are those of a scan restarted from the
+    lowest degree after every cancellation.
     """
     rng = cx.ring
-    fld = rng.field
-    ranks = dict(cx.ranks)
-    # Rows are replaced, never edited in place, so the stored blocks are
-    # shared; a missing block is zero and holds no unit.
-    diffs = dict(cx.diffs)
-    incl = {d: identity_matrix(rng, cx.rank(d)) for d in transport_degrees}
-
-    def is_unit(e):
-        return not e.is_zero() and e.is_constant()
-
-    # units[k][r]: ascending columns of the scalar-unit entries in row r of
-    # d_k, kept in step with diffs so that no pivot search rescans a matrix.
-    units = {k: [[t for t, e in enumerate(row) if is_unit(e)] for row in mat]
-             for k, mat in diffs.items()}
-
-    def find_pivot(lowest):
-        for k in sorted(units):
-            if k < lowest:
+    zero = rng.zero()
+    keep = {k: dict.fromkeys(range(n)) for k, n in cx.ranks.items()}
+    d = {k: {r: {c: e for c, e in enumerate(row) if not e.is_zero()}
+             for r, row in enumerate(mat)} for k, mat in cx.diffs.items()}
+    incl = {k: {t: {t: rng.one()} for t in range(cx.rank(k))} for k in transport_degrees}
+    for k in sorted(d):
+        dk = d[k]
+        # Candidate unit positions, checked when popped; the Schur update
+        # pushes every position it makes a nonzero constant.
+        heap = [(r, c) for r, row in dk.items() for c, e in row.items() if e.is_constant()]
+        heapq.heapify(heap)
+        while heap:
+            r, c = heapq.heappop(heap)
+            prow = dk.get(r)
+            if prow is None or c not in prow or not prow[c].is_constant():
                 continue
-            for r, cols in enumerate(units[k]):
-                if cols:
-                    return k, r, cols[0], diffs[k][r][cols[0]].constant_value()
-        return None
-
-    # A pivot at degree k only shrinks the differentials below k, which had
-    # no unit entry, so each scan resumes at the previous pivot's degree.
-    k = cx.lo
-    while True:
-        piv = find_pivot(k)
-        if piv is None:
-            break
-        k, r, c, a = piv
-        inv = fld.inv(a)
-        mat = diffs[k]
-        rows, cols = mat_shape(mat)
-        pcol = [mat[s][c] for s in range(rows)]
-        prow = mat[r]
-        pnz = [t for t in range(cols) if t != c and not prow[t].is_zero()]
-        pnz_set = set(pnz)
-        # Schur complement on d_k.  Only the columns in pnz change, so only
-        # they can gain or lose a unit; the other unit columns just shift.
-        new_k, new_units = [], []
-        for s in range(rows):
-            if s == r:
-                continue
-            row = mat[s]
-            if pcol[s].is_zero():
-                new_k.append(row[:c] + row[c + 1:])
-                u = units[k][s]
-                new_units.append([t - (t > c) for t in u] if u else u)
-                continue
-            row_out = row[:]
-            corr = pcol[s].scale(inv)
-            for t in pnz:
-                row_out[t] = row[t] - corr * prow[t]
-            u = sorted([t for t in units[k][s] if t != c and t not in pnz_set]
-                       + [t for t in pnz if is_unit(row_out[t])])
-            del row_out[c]
-            new_k.append(row_out)
-            new_units.append([t - (t > c) for t in u])
-        # transported inclusion at degree k: kept column t gains a correction
-        if k in incl:
-            old = incl[k]
-            cols_keep = [t for t in range(cols) if t != c]
-            colc = [old[s][c] for s in range(len(old))]
-            incl[k] = [[old[s][t] - colc[s] * prow[t].scale(inv)
-                        for t in cols_keep] for s in range(len(old))]
-        if k - 1 in incl:
-            old = incl[k - 1]
-            incl[k - 1] = [[old[s][t] for t in range(len(old[0])) if t != r]
-                           for s in range(len(old))]
-        # neighbours: d_{k+1} loses row c, d_{k-1} loses column r
-        if k + 1 in diffs:
-            up = [row for t, row in enumerate(diffs[k + 1]) if t != c]
-            if up and up[0]:
-                diffs[k + 1] = up
-                del units[k + 1][c]
-            else:
-                del diffs[k + 1], units[k + 1]
-        if k - 1 in diffs:
-            dn = [row[:r] + row[r + 1:] for row in diffs[k - 1]]
-            if dn and dn[0]:
-                diffs[k - 1] = dn
-                units[k - 1] = [[t - (t > r) for t in u if t != r] for u in units[k - 1]]
-            else:
-                del diffs[k - 1], units[k - 1]
-        ranks[k] -= 1
-        ranks[k - 1] -= 1
-        if new_k and new_k[0]:
-            diffs[k] = new_k
-            units[k] = new_units
-        else:
-            del diffs[k], units[k]
-        for d in (k, k - 1):
-            if ranks.get(d) == 0:
-                del ranks[d]
-
-    out = ChainComplex(rng, ranks, {i: m for i, m in diffs.items()}, check=False)
-    return out, incl
+            inv = rng.field.inv(prow.pop(c).constant_value())
+            del dk[r]
+            for s, row in dk.items():
+                x = row.pop(c, None)
+                if x is None:
+                    continue
+                corr = x.scale(inv)
+                for t, e in prow.items():
+                    v = row.get(t, zero) - corr * e
+                    if v.is_zero():
+                        row.pop(t, None)
+                    else:
+                        row[t] = v
+                        if v.is_constant():
+                            heapq.heappush(heap, (s, t))
+            if k in incl:
+                ccol = incl[k].pop(c)
+                for t, e in prow.items():
+                    tcol = incl[k][t]
+                    for s, x in ccol.items():
+                        tcol[s] = tcol.get(s, zero) - x * e.scale(inv)
+            if k - 1 in incl:
+                del incl[k - 1][r]
+            # d_{k+1} loses row c, d_{k-1} loses column r
+            d.get(k + 1, {}).pop(c, None)
+            for row in d.get(k - 1, {}).values():
+                row.pop(r, None)
+            del keep[k][c], keep[k - 1][r]
+    diffs = {k: [[d[k][r].get(c, zero) for c in keep[k]] for r in keep[k - 1]]
+             for k in d if keep[k] and keep[k - 1]}
+    out = ChainComplex(rng, {k: len(b) for k, b in keep.items()}, diffs, check=False)
+    return out, {k: [[col.get(s, zero) for col in cols.values()] for s in range(cx.rank(k))]
+                 for k, cols in incl.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +591,13 @@ def _transport_row(row: list, incl, rng: QuotientRing) -> list:
             for j in range(len(incl[0]) if incl else 0)]
 
 
-def exact_everywhere(cx: ChainComplex, window: Optional[tuple] = None,
-                     pre_minimize: bool = True) -> QisoResult:
+def exact_everywhere(cx: ChainComplex, window: Optional[tuple] = None) -> QisoResult:
     """All homology vanishes in the window (distant-chart expectation)."""
     if cx.is_zero():
         return QisoResult(True, 0, window or (0, 0), [ConditionResult("exact", None, True)])
     if window is None:
         window = (cx.lo - 1, cx.hi + 1)
-    work, _ = minimize(cx) if pre_minimize else (cx, None)
+    work, _ = minimize(cx)
     conditions = [ConditionResult("exact", i, _homology_zero_raw(work, i))
                   for i in range(window[0], window[1] + 1)]
     return QisoResult(all(c.passed for c in conditions), 0, window, conditions)

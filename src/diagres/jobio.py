@@ -42,7 +42,8 @@ Schema (version 1)::
 
 The witness's final complex is its last step's target, checked against the
 diagonal block, whose "complex", if given, must name that target.  Any
-other key in the witness block is rejected with its path.
+other key in the witness block or in a certificate is rejected with its
+path.
 
 All polynomial entries are strings in the polynomial grammar.  Parsing
 reports the offending JSON path on failure; polynomial parse errors carry
@@ -213,9 +214,11 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
         if "certificate" in g:
             cpath = f"{gpath}.certificate"
             c = _obj(g["certificate"], cpath)
+            for key in c:
+                if key not in ("source", "target"):
+                    raise JobFileError(f"unknown key at {cpath}.{key}")
             cert = ConeCertificate(_str(_need(c, "source", cpath), f"{cpath}.source"),
-                                   _str(_need(c, "target", cpath), f"{cpath}.target"),
-                                   _int(c.get("shift", -1), f"{cpath}.shift"))
+                                   _str(_need(c, "target", cpath), f"{cpath}.target"))
         kind = _str(_need(g, "kind", gpath), f"{gpath}.kind")
         if kind not in ("product", "weakly_product"):
             raise JobFileError(f"unknown generator kind {kind!r} at {gpath}.kind")

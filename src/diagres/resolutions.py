@@ -85,7 +85,7 @@ def truncate(cx: ChainComplex, hi: int) -> ChainComplex:
     return ChainComplex(cx.ring, ranks, diffs, check=False)
 
 
-def lift_module_map(src: ChainComplex, tgt: ChainComplex, phi0, check: bool = False) -> ChainMap:
+def lift_module_map(src: ChainComplex, tgt: ChainComplex, phi0) -> ChainMap:
     """Lift a map of presented modules to a chain map of resolutions.
 
     phi0 is the rank(tgt_0) x rank(src_0) matrix describing the map on the
@@ -113,7 +113,7 @@ def lift_module_map(src: ChainComplex, tgt: ChainComplex, phi0, check: bool = Fa
             cols.append(q)
         mats[i] = [[cols[j][t] for j in range(len(cols))] for t in range(tgt.rank(i))]
         prev = mats[i]
-    return ChainMap(src, tgt, mats, check=check)
+    return ChainMap(src, tgt, mats, check=False)
 
 
 def nullhomotopy(f: ChainMap) -> dict:
@@ -147,7 +147,7 @@ def nullhomotopy(f: ChainMap) -> dict:
     return h
 
 
-def map_to_shifted_cone(mult: ChainMap, f: ChainMap, h: dict, check: bool = False) -> ChainMap:
+def map_to_shifted_cone(mult: ChainMap, f: ChainMap, h: dict) -> ChainMap:
     """Chain map Y -> cone(f)[-1] from mult: Y -> src(f) and a nullhomotopy.
 
     h must satisfy d.h + h.d = f . mult.  cone(f)[-1]_i = src_i (+) tgt_{i+1}
@@ -169,10 +169,10 @@ def map_to_shifted_cone(mult: ChainMap, f: ChainMap, h: dict, check: bool = Fals
         if rows[1] and i in h:
             blk[(1, 0)] = mat_neg(h[i])
         mats[i] = block_matrix(rng, rows, [mult.src.rank(i)], blk)
-    return ChainMap(mult.src, target, mats, check=check)
+    return ChainMap(mult.src, target, mats, check=False)
 
 
-def totalize_chain(models: dict, lifts: dict, check_homotopies: bool = True) -> ChainComplex:
+def totalize_chain(models: dict, lifts: dict) -> ChainComplex:
     """Total complex of a short complex of modules with free models.
 
     models: object degree -> ChainComplex (the free model of that object);

@@ -39,7 +39,6 @@ class ConeCertificate:
 
     source_label: str
     target_label: str
-    shift: int = -1
 
 
 @dataclass

@@ -172,23 +172,32 @@ def test_verdict_invariant_under_scalar_conjugation():
     rand = random.Random(31)
 
     def random_invertible(n):
-        """(Q, Q^-1) as a product of a few elementary matrices."""
-        from diagres.bimodcalc import invert_matrix, mat_mul_scalar, _identity
+        """(Q, Q^-1) for Q a product of a few elementary matrices E.
+
+        Each E is applied directly: Q <- E Q is a row operation on Q, and
+        Q^-1 <- Q^-1 E^-1 the inverse column operation on Q^-1.
+        """
+        from diagres.bimodcalc import _identity
         from diagres.scalars import QQ
-        q = _identity(QQ, n)
+        q, qinv = _identity(QQ, n), _identity(QQ, n)
         for _ in range(min(6, n)):
             kind = rand.choice(("add", "scale", "swap"))
-            e = _identity(QQ, n)
             i, j = rand.randrange(n), rand.randrange(n)
             if kind == "add" and i != j:
-                e[i][j] = Fraction(rand.choice((-2, -1, 1, 2)))
+                a = Fraction(rand.choice((-2, -1, 1, 2)))
+                q[i] = [x + a * y for x, y in zip(q[i], q[j])]
+                for row in qinv:
+                    row[j] -= a * row[i]
             elif kind == "scale":
-                e[i][i] = Fraction(rand.choice((-1, 2, -2)))
+                a = Fraction(rand.choice((-1, 2, -2)))
+                q[i] = [a * x for x in q[i]]
+                for row in qinv:
+                    row[i] /= a
             elif kind == "swap" and i != j:
-                e[i][i] = e[j][j] = QQ.zero
-                e[i][j] = e[j][i] = QQ.one
-            q = mat_mul_scalar(QQ, e, q)
-        return q, invert_matrix(QQ, q)
+                q[i], q[j] = q[j], q[i]
+                for row in qinv:
+                    row[i], row[j] = row[j], row[i]
+        return q, qinv
 
     for _ in range(10):
         qs, qinvs = {}, {}

@@ -332,6 +332,18 @@ def test_witness_job_negative_count_is_input_error(tmp_path, capsys, edit, where
     assert code == 2 and where in err and "Rouquier" not in out
 
 
+@pytest.mark.parametrize("key, value", [("shift", -1), ("note", "x")])
+def test_witness_job_certificate_key_outside_schema_is_input_error(tmp_path, capsys,
+                                                                   key, value):
+    doc = _affine_witness_job()
+    doc["witness"]["generators"][2]["certificate"][key] = value
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 2 and f"witness.generators[2].certificate.{key}" in err
+    assert "Rouquier" not in out
+
+
 def test_witness_job_diagonal_complex_must_be_the_final_target(tmp_path, capsys):
     doc = _affine_witness_job()
     doc["diagonal"]["complex"] = "R0"

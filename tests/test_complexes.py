@@ -241,8 +241,8 @@ def test_verify_input_errors():
 
 
 # ---------------------------------------------------------------------------
-# minimize: the resumed pivot scan matches a scan restarted from the lowest
-# degree after every pivot
+# minimize: the sparse elimination matches a dense scan restarted from the
+# lowest degree after every pivot
 
 
 def _minimize_restarting(cx, transport_degrees=()):
@@ -332,11 +332,14 @@ def _assert_same_minimization(cx, degrees):
 
 
 def test_minimize_matches_restarting_scan_on_catalog():
-    from diagres.catalog import build_affine_line, build_nodal_conic
+    from diagres.catalog import build_affine_line, build_nodal_conic, build_nodal_conic_product
     from diagres.catalog.entries import _chart_complex_cached
-    from diagres.scalars import QQ
+    from diagres.scalars import QQ, field_from_spec
     cxs = [build_affine_line().complex, build_nodal_conic().complex,
-           _chart_complex_cached(QQ, "adjacent")[1]]
+           _chart_complex_cached(QQ, "adjacent")[1],
+           _chart_complex_cached(QQ, "diagonal")[1],
+           build_nodal_conic_product().complex,
+           build_nodal_conic(field_from_spec("fp:32003")).complex]
     for cx in cxs:
         _assert_same_minimization(cx, (0,))
 

@@ -50,7 +50,7 @@ def test_truncate():
 def test_lift_module_map_commutes():
     kx = resolve_cyclic(RXY, [RXY.parse("y")], 5)
     k0 = resolve_cyclic(RXY, [RXY.parse("x"), RXY.parse("y")], 6)
-    lifted = lift_module_map(truncate(kx, 5), k0, [[RXY.one()]], check=True)
+    lifted = lift_module_map(truncate(kx, 5), k0, [[RXY.one()]])
     assert lifted.commutes()
 
 
@@ -99,7 +99,7 @@ def test_map_to_shifted_cone_is_chain_map():
     proj = lift_module_map(truncate(kx, 5), k0, [[RXY.one()]])
     mult = lift_module_map(truncate(kx, 4), proj.src, [[RXY.parse("x")]])
     h = nullhomotopy(compose(proj, mult))
-    phi = map_to_shifted_cone(mult, proj, h, check=True)
+    phi = map_to_shifted_cone(mult, proj, h)
     assert phi.commutes()
     assert phi.tgt == shift(cone(proj), -1)
 

@@ -125,9 +125,9 @@ def test_cone_certificate_endpoints_must_be_products():
     w = entry.witness
     gens = [GeneratorDecl("O_plane", "product"),
             GeneratorDecl("O_origin", "weakly_product",
-                          ConeCertificate("O_plane", "O_plane", -1)),
+                          ConeCertificate("O_plane", "O_plane")),
             GeneratorDecl("ideal_origin", "weakly_product",
-                          ConeCertificate("O_plane", "O_origin", -1))]
+                          ConeCertificate("O_plane", "O_origin"))]
     bad = GenerationWitness(generators=gens, steps=w.steps, claimed_time=1,
                             final_diagonal=w.final_diagonal)
     rep = verify_witness(bad)
