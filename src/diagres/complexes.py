@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .groebner import Submodule, buchberger, member, normal_form, syzygies, vec_is_zero
 from .matrices import (block_matrix, identity_matrix, mat_cols, mat_eq, mat_mul,
-                       mat_neg, mat_shape, zero_matrix)
+                       mat_neg, mat_shape, nonzero_rows, sparse_mul, zero_matrix)
 from .polyring import Polynomial, QuotientRing, RingMismatchError
 
 
@@ -105,11 +105,10 @@ class ChainComplex:
         for i in self.degrees():
             # A missing block is zero, and so is any product through it.
             if i in self.diffs and i - 1 in self.diffs:
-                prod = mat_mul(self.diffs[i - 1], self.diffs[i], self.ring)
-                for row in prod:
-                    for e in row:
-                        # Most products vanish before reduction; skip those.
-                        if not e.is_zero() and not vec_is_zero(normal_form((e,), gb)):
+                # Most products vanish before reduction and are never stored.
+                for row in sparse_mul(self.diffs[i - 1], self.diffs[i], self.ring):
+                    for t in row.values():
+                        if not vec_is_zero(normal_form((Polynomial(self.ring, t),), gb)):
                             return i - 1
         return None
 
@@ -171,20 +170,19 @@ class ChainMap:
         return zero_matrix(self.ring, self.tgt.rank(i), self.src.rank(i))
 
     def commutes(self) -> bool:
-        gb = _relations_gb(self.ring)
+        rng = self.ring
+        gb = _relations_gb(rng)
         lo = min(self.src.lo, self.tgt.lo)
         hi = max(self.src.hi, self.tgt.hi)
         for i in range(lo, hi + 2):
             rows, cols = self.tgt.rank(i - 1), self.src.rank(i)
             if rows == 0 or cols == 0:
                 continue
-            lhs = (mat_mul(self.tgt.diff(i), self.mat(i), self.ring)
-                   if self.tgt.rank(i) else zero_matrix(self.ring, rows, cols))
-            rhs = (mat_mul(self.mat(i - 1), self.src.diff(i), self.ring)
-                   if self.src.rank(i - 1) else zero_matrix(self.ring, rows, cols))
+            lhs = sparse_mul(self.tgt.diff(i), self.mat(i), rng)
+            rhs = sparse_mul(self.mat(i - 1), self.src.diff(i), rng)
             for ra, rb in zip(lhs, rhs):
-                for a, b in zip(ra, rb):
-                    e = a - b
+                for j in ra.keys() | rb.keys():
+                    e = Polynomial(rng, ra.get(j, {})) - Polynomial(rng, rb.get(j, {}))
                     if not e.is_zero() and not vec_is_zero(normal_form((e,), gb)):
                         return False
         return True
@@ -334,8 +332,7 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
     rng = cx.ring
     zero = rng.zero()
     keep = {k: dict.fromkeys(range(n)) for k, n in cx.ranks.items()}
-    d = {k: {r: {c: e for c, e in enumerate(row) if not e.is_zero()}
-             for r, row in enumerate(mat)} for k, mat in cx.diffs.items()}
+    d = {k: dict(enumerate(nonzero_rows(mat))) for k, mat in cx.diffs.items()}
     incl = {k: {t: {t: rng.one()} for t in range(cx.rank(k))} for k in transport_degrees}
     for k in sorted(d):
         dk = d[k]

@@ -47,7 +47,8 @@ path.
 
 All polynomial entries are strings in the polynomial grammar.  Parsing
 reports the offending JSON path on failure; polynomial parse errors carry
-their position in the string.
+their position in the string.  Each distinct entry string is parsed once
+per job, and equal strings share one Polynomial (polynomials are immutable).
 """
 
 from __future__ import annotations
@@ -120,19 +121,24 @@ def _strs(v, path: str) -> list:
     return [_str(s, f"{path}[{i}]") for i, s in enumerate(_list(v, path))]
 
 
-def _poly(rng: QuotientRing, v, path: str):
+def _poly(rng: QuotientRing, v, path: str, memo: dict):
+    """Parse a string entry and store it in memo; a bad entry is never stored."""
     try:
-        return rng.parse(_str(v, path))
+        p = rng.parse(_str(v, path))
     except ParseError as exc:
         raise JobFileError(f"bad polynomial at {path}: {exc}") from exc
+    memo[v] = p
+    return p
 
 
-def _polys(rng: QuotientRing, v, path: str) -> list:
-    return [_poly(rng, s, f"{path}[{i}]") for i, s in enumerate(_list(v, path))]
+def _polys(rng: QuotientRing, v, path: str, memo: dict) -> list:
+    """A list of entries; memo maps each string already parsed to its Polynomial."""
+    return [memo[s] if type(s) is str and s in memo else _poly(rng, s, f"{path}[{i}]", memo)
+            for i, s in enumerate(_list(v, path))]
 
 
-def _matrix(rng: QuotientRing, v, path: str) -> list:
-    rows = [_polys(rng, row, f"{path}[{i}]") for i, row in enumerate(_list(v, path))]
+def _matrix(rng: QuotientRing, v, path: str, memo: dict) -> list:
+    rows = [_polys(rng, row, f"{path}[{i}]", memo) for i, row in enumerate(_list(v, path))]
     if any(len(row) != len(rows[0]) for row in rows):
         raise JobFileError(f"ragged matrix at {path}")
     return rows
@@ -166,14 +172,16 @@ def parse_ring(d: dict, path: str = "ring") -> QuotientRing:
         raise JobFileError(f"bad ring at {path}: {exc}") from exc
 
 
-def parse_complex(d: dict, rng: QuotientRing, path: str) -> ChainComplex:
+def parse_complex(d: dict, rng: QuotientRing, path: str,
+                  memo: Optional[dict] = None) -> ChainComplex:
     _obj(d, path)
+    memo = {} if memo is None else memo
     ranks = {}
     for k, v, kpath in _by_degree(_need(d, "ranks", path), f"{path}.ranks"):
         ranks[k] = _int(v, kpath)
         if ranks[k] < 0:
             raise JobFileError(f"negative rank at {kpath}")
-    diffs = {k: _matrix(rng, rows, kpath) for k, rows, kpath
+    diffs = {k: _matrix(rng, rows, kpath, memo) for k, rows, kpath
              in _by_degree(d.get("differentials", {}), f"{path}.differentials")}
     try:
         return ChainComplex(rng, ranks, diffs, check=True)
@@ -181,10 +189,12 @@ def parse_complex(d: dict, rng: QuotientRing, path: str) -> ChainComplex:
         raise JobFileError(f"invalid complex at {path}: {exc}") from exc
 
 
-def parse_diagonal(d: dict, rng: QuotientRing, path: str = "diagonal") -> DiagonalSpec:
+def parse_diagonal(d: dict, rng: QuotientRing, path: str = "diagonal",
+                   memo: Optional[dict] = None) -> DiagonalSpec:
     _obj(d, path)
-    ideal = _polys(rng, _need(d, "ideal", path), f"{path}.ideal")
-    aug = _polys(rng, _need(d, "augmentation", path), f"{path}.augmentation")
+    memo = {} if memo is None else memo
+    ideal = _polys(rng, _need(d, "ideal", path), f"{path}.ideal", memo)
+    aug = _polys(rng, _need(d, "augmentation", path), f"{path}.augmentation", memo)
     degree = _int(_need(d, "degree", path), f"{path}.degree")
     window = None
     if "window" in d:
@@ -204,8 +214,9 @@ def _named(complexes: dict, v, path: str) -> ChainComplex:
 
 def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
                   diagonal: Optional[DiagonalSpec] = None,
-                  path: str = "witness") -> GenerationWitness:
+                  path: str = "witness", memo: Optional[dict] = None) -> GenerationWitness:
     _obj(d, path)
+    memo = {} if memo is None else memo
     gens = []
     for i, g in enumerate(_list(d.get("generators", []), f"{path}.generators")):
         gpath = f"{path}.generators[{i}]"
@@ -246,7 +257,7 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
             m = _obj(s["map"], mpath)
             src = _named(complexes, _need(m, "source", mpath), f"{mpath}.source")
             tgt = _named(complexes, _need(m, "target", mpath), f"{mpath}.target")
-            mats = {k: _matrix(rng, v, kpath) for k, v, kpath
+            mats = {k: _matrix(rng, v, kpath, memo) for k, v, kpath
                     in _by_degree(m.get("matrices", {}), f"{mpath}.matrices")}
             # Not checked to commute here: the witness check compares
             # cone(map) with the d*d-checked target, which implies it, so
@@ -277,18 +288,19 @@ def parse_job(doc: dict) -> Job:
     if doc.get("schema") != SCHEMA:
         raise JobFileError(f"unsupported schema {doc.get('schema')!r}, expected {SCHEMA}")
     rng = parse_ring(_need(doc, "ring", "$"))
+    memo = {}  # entry string -> Polynomial, shared by every matrix and list below
     complexes = {}
     for i, cd in enumerate(_list(doc.get("complexes", []), "complexes")):
         path = f"complexes[{i}]"
         name = _str(_obj(cd, path).get("name", f"complex{i}"), f"{path}.name")
-        complexes[name] = parse_complex(cd, rng, path)
+        complexes[name] = parse_complex(cd, rng, path, memo)
     expectation = doc.get("expectation", "qiso_to_diagonal")
     if expectation not in ("qiso_to_diagonal", "exact_everywhere"):
         raise JobFileError(f"unknown expectation {expectation!r}")
     diagonal = None
     diag_name = None
     if "diagonal" in doc:
-        diagonal = parse_diagonal(doc["diagonal"], rng)
+        diagonal = parse_diagonal(doc["diagonal"], rng, memo=memo)
         diag_name = doc["diagonal"].get("complex")
         if diag_name is not None:
             _str(diag_name, "diagonal.complex")
@@ -297,7 +309,7 @@ def parse_job(doc: dict) -> Job:
         raise JobFileError("qiso_to_diagonal expectation needs a diagonal block")
     witness = None
     if "witness" in doc:
-        witness = parse_witness(doc["witness"], rng, complexes, diagonal)
+        witness = parse_witness(doc["witness"], rng, complexes, diagonal, memo=memo)
         if diag_name is not None and witness.steps \
                 and witness.steps[-1].target is not complexes.get(diag_name):
             raise JobFileError(f"diagonal.complex {diag_name!r} is not the final "
@@ -311,7 +323,7 @@ def parse_job(doc: dict) -> Job:
         gens = []
         for k, row in enumerate(_list(md.get("generators", []), "module.generators")):
             gpath = f"module.generators[{k}]"
-            vec = _polys(rng, row, gpath)
+            vec = _polys(rng, row, gpath, memo)
             if len(vec) != rank:
                 raise JobFileError(f"{gpath} has length {len(vec)}, want {rank}")
             gens.append(tuple(vec))

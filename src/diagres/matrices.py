@@ -3,13 +3,20 @@
 A matrix is a list of rows, each a list of Polynomial, all over one ring.
 Shapes are explicit everywhere: a 0 x c or r x 0 matrix is its shape plus no
 entries, and degreewise chain-complex data uses such matrices freely.
+
+Products and scans skip zero entries: sparse_mul works on the nonzero
+entries of each row and returns row dicts {column: terms} holding only the
+nonzero entries of the product, and mat_mul is its dense wrapper.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
+from ._terms import axpy_p, axpy_q
 from .polyring import Polynomial, QuotientRing
+from .scalars import PrimeField
 
 Matrix = list
 
@@ -33,23 +40,42 @@ def mat_neg(mat: Matrix) -> Matrix:
     return [[e if e.is_zero() else -e for e in row] for row in mat]
 
 
-def mat_mul(a: Matrix, b: Matrix, rng: QuotientRing) -> Matrix:
-    rows, inner = mat_shape(a)
-    inner2, cols = mat_shape(b)
-    if inner != inner2:
+def nonzero_rows(mat: Matrix) -> list:
+    """Each row as a {column: entry} dict of its nonzero entries."""
+    return [{c: e for c, e in enumerate(row) if e.terms} for row in mat]
+
+
+def sparse_mul(a: Matrix, b: Matrix, rng: QuotientRing) -> list:
+    """The nonzero entries of a*b, one {column: terms} dict per row of a.
+
+    Each term dict accumulates in place over the nonzero (column, entry)
+    pairs of the rows of b; an entry that cancels to zero is dropped.
+    """
+    if mat_shape(a)[1] != len(b):
         raise ValueError(f"shape mismatch: {mat_shape(a)} * {mat_shape(b)}")
-    out = zero_matrix(rng, rows, cols)
-    for i in range(rows):
-        arow = a[i]
-        for k in range(inner):
-            e = arow[k]
-            if e.is_zero():
+    fld = rng.field
+    axpy = partial(axpy_p, p=fld.p) if isinstance(fld, PrimeField) else axpy_q
+    brows = nonzero_rows(b)
+    out = []
+    for arow in a:
+        acc = {}
+        for k, e in enumerate(arow):
+            if not e.terms:
                 continue
-            brow = b[k]
-            for j in range(cols):
-                if not brow[j].is_zero():
-                    out[i][j] = out[i][j] + e * brow[j]
+            for j, f in brows[k].items():
+                t = acc.setdefault(j, {})
+                for m, c in e.terms.items():
+                    axpy(t, c, m, f.terms)
+        out.append({j: t for j, t in acc.items() if t})
     return out
+
+
+def mat_mul(a: Matrix, b: Matrix, rng: QuotientRing) -> Matrix:
+    """The dense product a*b: sparse_mul's rows, with one shared zero."""
+    z = rng.zero()
+    cols = mat_shape(b)[1]
+    return [[Polynomial(rng, row[j]) if j in row else z for j in range(cols)]
+            for row in sparse_mul(a, b, rng)]
 
 
 def mat_cols(mat: Matrix, cols: int) -> list:
@@ -78,9 +104,9 @@ def block_matrix(rng: QuotientRing, row_sizes: Sequence[int], col_sizes: Sequenc
             continue
         if mat_shape(blk) != want:
             raise ValueError(f"block ({bi},{bj}) has shape {mat_shape(blk)}, want {want}")
+        c0, c1 = col_off[bj], col_off[bj + 1]
         for i, row in enumerate(blk):
-            for j, e in enumerate(row):
-                out[row_off[bi] + i][col_off[bj] + j] = e
+            out[row_off[bi] + i][c0:c1] = row
     return out
 
 
@@ -93,5 +119,6 @@ def mat_to_strings(mat: Matrix) -> list:
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
+    """Entrywise equality of two matrices over one ring (the caller checks it)."""
     return mat_shape(a) == mat_shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+        x is y or x.terms == y.terms for ra, rb in zip(a, b) for x, y in zip(ra, rb))

@@ -4,10 +4,14 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagres.cli import main
-from diagres.jobio import JobFileError, emit_job, job_document, parse_job
+from diagres.complexes import ChainComplex
+from diagres.jobio import JobFileError, emit_job, job_document, parse_complex, parse_job
+from diagres.polyring import ring
 from diagres.report import VerificationReport
+from diagres.scalars import field_from_spec
 
 
 def run_cli(capsys, *argv):
@@ -454,6 +458,41 @@ def test_malformed_job_field_is_input_error(tmp_path, capsys, section, key, valu
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "verify", "--job", str(path))
     assert code == 2 and where in err
+
+
+# Entry strings that repeat, as they do in exported jobs; " 0" and "0" are
+# equal polynomials under different strings.
+ENTRY_STRINGS = ["0", "1", "-1", "x1", "x1 - x2", "1/2*y1", " 0"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(["q", "fp:32003"]),
+       rows=st.integers(1, 4).flatmap(lambda c: st.lists(
+           st.lists(st.sampled_from(ENTRY_STRINGS), min_size=c, max_size=c),
+           min_size=1, max_size=4)))
+def test_memoized_parse_equals_one_parse_per_entry(spec, rows):
+    rng = ring(["x1", "x2", "y1"], field=field_from_spec(spec))
+    ranks = {0: len(rows), 1: len(rows[0])}
+    got = parse_complex({"ranks": {str(k): v for k, v in ranks.items()},
+                         "differentials": {"1": rows}}, rng, "complexes[0]")
+    assert got == ChainComplex(rng, ranks, {1: [[rng.parse(s) for s in row] for row in rows]})
+    shared = {}
+    for row, prow in zip(rows, got.diff(1)):
+        for s, p in zip(row, prow):
+            assert shared.setdefault(s, p) is p
+
+
+@pytest.mark.parametrize("bad", [0, None, ["0"], "x9", "1/0"])
+def test_bad_entry_after_a_parsed_equal_string_names_its_path(tmp_path, capsys, bad):
+    doc = _hand_job()
+    doc["complexes"][0] = {"name": "total", "ranks": {"0": 2, "1": 2, "2": 1},
+                           "differentials": {"1": [["0", "x1"], ["0", bad]],
+                                             "2": [["0"], [bad]]}}
+    doc["diagonal"]["augmentation"] = ["1", "0"]
+    path = tmp_path / "badentry.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and "at complexes[0].differentials.1[1][1]" in err
 
 
 def test_oversized_prime_field_is_input_error(tmp_path, capsys):

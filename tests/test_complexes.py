@@ -9,7 +9,7 @@ from diagres.complexes import (ChainComplex, ChainMap, DiagonalSpec,
                                direct_sum, exact_everywhere,
                                homology_is_zero_at, minimize, shift,
                                verify_diagonal_qiso, zero_complex)
-from diagres.matrices import identity_matrix, mat_mul
+from diagres.matrices import identity_matrix, mat_mul, sparse_mul
 from diagres.polyring import ring
 from diagres.resolutions import lift_module_map, resolve_cyclic
 from diagres.scalars import CHECK_PRIME
@@ -349,9 +349,16 @@ def test_minimize_matches_restarting_scan_randomized():
     k = koszul(R2, ["x1", "x2"])
     ident = ChainMap(k, k, {i: identity_matrix(R2, k.rank(i)) for i in k.degrees()})
     mult = lift_module_map(k, k, [[R2.parse("x1 + 1")]])
+    # Cancelling the unit 1 of [[1, x1], [x1, x1^2 + 1]] turns x1^2 + 1 into
+    # the unit 1: a unit that only the Schur update creates.
+    schur = ChainComplex(R2, {0: 2, 1: 2},
+                         {1: [[R2.parse(e) for e in row] for row in
+                              (("1", "x1"), ("x1", "x1^2 + 1"))]})
     bases = [direct_sum(k, cone(ident), shift(k, 1)), cone(mult),
-             direct_sum(cone(ident), cone(lift_module_map(k, k, [[R2.parse("x2")]])))]
+             direct_sum(cone(ident), cone(lift_module_map(k, k, [[R2.parse("x2")]]))),
+             schur]
     for base in bases:
+        _assert_same_minimization(base, tuple(base.degrees()))
         for _ in range(3):
             cx = _conjugate(base, rand, steps=12)
             _assert_same_minimization(cx, tuple(cx.degrees()))
@@ -395,8 +402,8 @@ def test_mutated_copy_of_checked_complex_fails_its_own_check(tmp_path, capsys):
 def test_square_zero_scan_skips_degrees_without_differentials(monkeypatch):
     from diagres.jobio import parse_complex
     calls = []
-    monkeypatch.setattr("diagres.complexes.mat_mul",
-                        lambda a, b, rng: calls.append(1) or mat_mul(a, b, rng))
+    monkeypatch.setattr("diagres.complexes.sparse_mul",
+                        lambda a, b, rng: calls.append(1) or sparse_mul(a, b, rng))
     n = 60
     assert check_differential(ChainComplex(R2, {0: n, 1: n, 2: n}, {}))
     parse_complex({"ranks": {"0": n, "1": n, "2": n}}, R2, "complexes[0]")
