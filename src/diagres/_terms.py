@@ -5,8 +5,12 @@ to nonzero coefficients.  For a polynomial the key is the exponent vector;
 for a module vector the key is (component,) + exponents and multiplication
 shifts use a tuple with 0 in the component slot.  Everything here is the
 inner loop of Gröbner reduction, so the functions avoid any abstraction.
-Coefficients are Python ints or Fractions, so arithmetic over F_p is exact
-for every prime the fields accept.
+Over F_p coefficients are ints in [0, p), and Python's unbounded ints keep
+the arithmetic exact for every prime the fields accept.  Over Q a coefficient
+is an int while it is an integer and a Fraction only when it is not (see
+scalars); the kernels here use only +, - and *, never /, so two int operands
+stay ints.  A mixed product may leave an integral Fraction (1/2 * 2), which
+compares and hashes equal to the int, so nothing here depends on the type.
 """
 
 from __future__ import annotations

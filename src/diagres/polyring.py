@@ -150,10 +150,13 @@ class QuotientRing:
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
+        """The constant c, which must be exact: an int or a Fraction."""
         if isinstance(c, int):
             c = self.field.from_int(c)
-        elif isinstance(c, Fraction) and isinstance(self.field, PrimeField):
+        elif isinstance(c, Fraction):
             c = self.field.from_fraction(c.numerator, c.denominator)
+        else:
+            raise TypeError(f"constant {c!r} is not an int or a Fraction")
         if self.field.is_zero(c):
             return Polynomial(self, {})
         return Polynomial(self, {self._zero_exps: c})

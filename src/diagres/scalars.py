@@ -1,13 +1,22 @@
 """Exact coefficient fields.
 
-Two fields are supported: the rationals (arbitrary precision, always in
-lowest terms with positive denominator, courtesy of fractions.Fraction) and
-prime fields F_p (residues stored as ints in [0, p)).  Every verification in
-this package is exact; there is deliberately no floating-point path.
+Two fields are supported: the rationals (arbitrary precision) and prime
+fields F_p (residues stored as ints in [0, p)).  Every verification in this
+package is exact; there is deliberately no floating-point path.
 
-Scalar values are plain Python objects (Fraction or int).  A Field instance
-supplies the operations; rings tag their polynomials with the field, and
-cross-field operations are rejected at the ring layer.
+A rational is stored as a Python int while it is an integer, and as a
+fractions.Fraction in lowest terms with positive denominator only when it is
+not.  Most certificate coefficients are small integers, and int arithmetic
+skips Fraction's gcd work.  The constructors (from_int, from_fraction) and
+the operations that can leave the integers (div, inv) return an int whenever
+the value is integral; add, sub and mul return what Python gives, which is
+an int for two ints and may be an integral Fraction otherwise.  Ints and
+Fractions compare and hash equal, so no check may depend on the type.  A
+quotient is always formed through Fraction: int / int gives a float, and no
+code here may divide two ints with /.
+
+A Field instance supplies the operations; rings tag their polynomials with
+the field, and cross-field operations are rejected at the ring layer.
 """
 
 from __future__ import annotations
@@ -57,7 +66,12 @@ class Field:
         return self.from_int(1)
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a
+
+
+def _integral(x: Fraction):
+    """x as an int if it is an integer, else x itself."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class RationalField(Field):
@@ -75,7 +89,7 @@ class RationalField(Field):
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in the rational field")
-        return a / b
+        return _integral(Fraction(a) / b)
 
     def neg(self, a):
         return -a
@@ -83,13 +97,13 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _integral(1 / Fraction(a))
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, num: int, den: int):
-        return Fraction(num, den)
+        return _integral(Fraction(num, den))
 
     def __repr__(self):
         return "QQ"
@@ -152,7 +166,7 @@ class PrimeField(Field):
     def div(self, a, b):
         if b % self.p == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return (a * pow(b, self.p - 2, self.p)) % self.p
+        return (a * pow(b, -1, self.p)) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -160,7 +174,7 @@ class PrimeField(Field):
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def from_int(self, n: int):
         return n % self.p

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, job files, report determinism."""
 
+import hashlib
 import json
 import time
 
@@ -518,3 +519,48 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert code == 2
     assert err == "internal error: RuntimeError: builder broke second line\n"
     assert out == ""
+
+
+def _strip_unpinned(node):
+    """A report without timing_seconds and stats, at every level."""
+    if isinstance(node, dict):
+        return {k: _strip_unpinned(v) for k, v in node.items()
+                if k not in ("timing_seconds", "stats")}
+    if isinstance(node, list):
+        return [_strip_unpinned(v) for v in node]
+    return node
+
+
+# sha256 of each example's JSON report, stripped of timing and stats and
+# dumped with sorted keys (the digest the benchmark's catalog-cold check uses).
+PINNED_REPORTS = [
+    (("verify", "--example", "affine-line"), "q",
+     "6cc660ea3a343ce0f22befe7de5e8aac86cec658f587243dc9226f17d0c88b93"),
+    (("verify", "--example", "affine-line"), "fp:32003",
+     "5d8f8571be9a6e8189e6c1ffad88d77be55a20c675e576765bfa1264e8391f2d"),
+    (("verify", "--example", "nodal-conic"), "q",
+     "a28a6e6f4f3d2eb61a737c327b783ca6dd9c60c6e2894f8de6070e58b28e9e3c"),
+    (("verify", "--example", "nodal-conic"), "fp:32003",
+     "e62c11d60de72af421f9e71c6c3625722c5fdf5309c1c9414e3ed349423e18ff"),
+    (("verify", "--example", "cycle", "--n", "3"), "q",
+     "ee8d260a3193071c35f9a3a786c9b5d5d171396467b8dc8beb779cd6b2d97d0c"),
+    (("verify", "--example", "cycle", "--n", "3"), "fp:32003",
+     "eebc3d26c3e02c522859fa97465a1110638a49e8f369858c97540d4714732158"),
+    (("verify", "--example", "cycle", "--n", "4"), "q",
+     "14618b7e37106d95282c6569dedfb5601180499db7cb75f040919f6d24063475"),
+    (("verify", "--example", "cycle", "--n", "4"), "fp:32003",
+     "08763e8a95271647f70847b297626deeaca6913dd1e183dead3ae55e17631f9f"),
+    (("witness", "--example", "nodal-conic"), "q",
+     "618c158fbe5452019759898ecdc056463b8782e16135c7e903469f23c6527f9d"),
+    (("witness", "--example", "nodal-conic"), "fp:32003",
+     "7d97363071f63be341f2088a7a8eb6643ae8aea6506224a47ca645d874ab8d38"),
+]
+
+
+@pytest.mark.parametrize("argv, spec, digest", PINNED_REPORTS,
+                         ids=[" ".join(a[0:1] + a[2:]) + f" {s}" for a, s, _ in PINNED_REPORTS])
+def test_example_report_matches_pinned_digest(capsys, argv, spec, digest):
+    code, out, _ = run_cli(capsys, *argv, "--field", spec, "--report", "json")
+    assert code == 0
+    canon = json.dumps(_strip_unpinned(json.loads(out)), sort_keys=True)
+    assert hashlib.sha256(canon.encode()).hexdigest() == digest

@@ -1,12 +1,15 @@
 """Field arithmetic: exactness, canonical forms, axioms."""
 
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagres._terms import axpy_p, mul_p
+from diagres.polyring import ring
 from diagres.scalars import CHECK_PRIME, QQ, PrimeField, field_from_spec, field_spec_str
 
 F5 = PrimeField(5)
@@ -71,7 +74,9 @@ def test_field_spec_round_trip():
         field_from_spec("float")
 
 
-rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+# Q values as the field stores them: plain ints and Fractions, mixed.
+rationals = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                      st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4))
 residues = st.integers(min_value=0, max_value=CHECK_PRIME - 1)
 
 
@@ -84,10 +89,65 @@ def test_rational_axioms(a, b, c):
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     if b != 0:
         assert f.mul(f.div(a, b), b) == a
-    # canonical form: Fraction keeps lowest terms, positive denominator
+    # canonical form: lowest terms, positive denominator
     s = f.add(a, b)
-    import math
     assert math.gcd(s.numerator, s.denominator) == 1 and s.denominator > 0
+
+
+def _check_rational_value(got, want: Fraction, integral_as_int: bool):
+    assert isinstance(got, (int, Fraction))  # never a float
+    assert got == want
+    if integral_as_int and want.denominator == 1:
+        assert type(got) is int
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rationals, rationals, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+def test_rational_representation_matches_fraction_reference(a, b, num, den):
+    f = QQ
+    fa, fb = Fraction(a), Fraction(b)
+    _check_rational_value(f.add(a, b), fa + fb, False)
+    _check_rational_value(f.sub(a, b), fa - fb, False)
+    _check_rational_value(f.mul(a, b), fa * fb, False)
+    _check_rational_value(f.neg(a), -fa, False)
+    _check_rational_value(f.from_int(num), Fraction(num), True)
+    _check_rational_value(f.from_fraction(num, den), Fraction(num, den), True)
+    _check_rational_value(f.from_fraction(num, -den), Fraction(num, -den), True)
+    if b != 0:
+        _check_rational_value(f.div(a, b), fa / fb, True)
+        _check_rational_value(f.inv(b), 1 / fb, True)
+    assert f.is_zero(a) == (fa == 0)
+
+
+def test_rational_integral_values_are_ints():
+    assert type(QQ.from_int(3)) is int and type(QQ.one) is int and type(QQ.zero) is int
+    assert type(QQ.from_fraction(6, 3)) is int
+    assert type(QQ.div(6, 3)) is int and QQ.div(1, 2) == Fraction(1, 2)
+    assert type(QQ.div(Fraction(1, 2), Fraction(1, 4))) is int
+    assert type(QQ.inv(-1)) is int and QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(Fraction(1, 3))) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7"])
+def test_const_accepts_exact_scalars_only(spec):
+    rng = ring(["x"], field=field_from_spec(spec))
+    half = rng.const(Fraction(1, 2))
+    assert half * rng.const(2) == rng.one()
+    assert rng.const(Fraction(4, 2)) == rng.const(2)
+    assert rng.const(Fraction(0)).is_zero()
+    if spec == "q":
+        assert type(rng.const(Fraction(4, 2)).constant_value()) is int
+        assert half.constant_value() == Fraction(1, 2)
+    else:
+        assert half.constant_value() == 4
+        assert rng.const(-1).constant_value() == 6
+    for bad in (0.5, 2.0, Decimal("0.5"), "1", None):
+        with pytest.raises(TypeError):
+            rng.const(bad)
 
 
 @settings(max_examples=1000, deadline=None)
