@@ -74,10 +74,8 @@ def skyscraper_connecting_map(proj: ChainMap, ideal: ChainComplex,
 
 def inclusion_of_truncation(kfull: ChainComplex) -> ChainMap:
     """Identity components from the SOURCE_LEN truncation into the full resolution."""
-    rng = kfull.ring
     ks = truncate(kfull, SOURCE_LEN)
-    mats = {i: [[rng.one() if a == b else rng.zero() for b in range(ks.rank(i))]
-                for a in range(kfull.rank(i))] for i in ks.degrees()}
+    mats = {i: identity_matrix(kfull.ring, ks.rank(i)) for i in ks.degrees()}
     return ChainMap(ks, kfull, mats, check=False)
 
 

@@ -491,7 +491,7 @@ def restrict_complex(cx: ChainComplex, rmap: RingMap) -> ChainComplex:
             raise InputDataError(
                 f"substitution sends relation {rel} to {image}, "
                 "which is outside the target relation ideal")
-    diffs = {i: mat_map(m, rmap.apply) for i, m in cx.diffs.items()}
+    diffs = {i: mat_map(m, rmap.apply, target) for i, m in cx.diffs.items()}
     out = ChainComplex(target, dict(cx.ranks), diffs, check=False)
     if not check_differential(out):
         raise InputDataError("restricted complex fails d*d = 0")

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..complexes import ChainComplex, DiagonalSpec, InputDataError, verify_diagonal_qiso
+from ..matrices import Matrix
 from ..scalars import Field
 from ..witness import ConeCertificate, GeneratorDecl
 from .entries import (_chart_witnesses, _cycle_witness, build_affine_line,
@@ -112,8 +113,12 @@ def apply_mutation(cx: ChainComplex, dspec: DiagonalSpec, mutation: Mutation):
         deg, row, col = mutation.location
         if deg not in cx.diffs:
             raise InputDataError(f"no differential at degree {deg}")
-        diffs = {i: [list(r) for r in m] for i, m in cx.diffs.items()}
-        diffs[deg][row][col] = value
+        m = cx.diffs[deg]
+        rows = list(m.rows)  # unchanged rows are shared, as matrices are immutable
+        rows[row] = {c: e for c, e in rows[row].items() if c != col}
+        if value.terms:
+            rows[row][col] = value
+        diffs = {**cx.diffs, deg: Matrix(rng, m.nrows, m.ncols, rows)}
         return (ChainComplex(rng, dict(cx.ranks), diffs, check=False), dspec)
     if mutation.kind == "augmentation":
         (idx,) = mutation.location

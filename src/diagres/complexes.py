@@ -16,6 +16,9 @@ to the cyclic module R/I through a supplied augmentation row.  Truncated
 models of infinite periodic resolutions are handled by an explicit degree
 window inside which the verdict is claimed.
 
+Differentials and chain-map components are stored as sparse matrices (see
+matrices); the constructors convert dense lists of rows once, at the boundary.
+
 For speed, homology questions are answered after cancelling scalar-unit
 entries of the differentials (Gaussian cancellation); this produces a
 homotopy-equivalent complex together with an explicit degreewise inclusion,
@@ -29,9 +32,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groebner import Submodule, buchberger, member, normal_form, syzygies, vec_is_zero
-from .matrices import (block_matrix, identity_matrix, mat_cols, mat_eq, mat_mul,
-                       mat_neg, mat_shape, nonzero_rows, sparse_mul, zero_matrix)
+from .groebner import (Submodule, buchberger, member, reduces_to_zero, syzygies,
+                       unit_vectors, vec_is_zero)
+from .matrices import (Matrix, as_matrix, block_matrix, from_columns, identity_matrix,
+                       mat_cols, mat_eq, mat_mul, mat_neg, mat_sub, zero_matrix)
 from .polyring import Polynomial, QuotientRing, RingMismatchError
 
 
@@ -58,21 +62,10 @@ class ChainComplex:
 
     def __init__(self, rng: QuotientRing, ranks: dict, diffs: dict, check: bool = True):
         self.ring = rng
-        ranks = {i: r for i, r in ranks.items() if r > 0}
-        if ranks:
-            self.lo = min(ranks)
-            self.hi = max(ranks)
-        else:
-            self.lo, self.hi = 0, -1
-        self.ranks = ranks
-        self.diffs = {}
-        for i, mat in diffs.items():
-            want = (self.rank(i - 1), self.rank(i))
-            if mat_shape(mat) != want:
-                raise InputDataError(
-                    f"differential at degree {i} has shape {mat_shape(mat)}, want {want}")
-            if want[0] and want[1]:
-                self.diffs[i] = mat
+        self.ranks = ranks = {i: r for i, r in ranks.items() if r > 0}
+        self.lo, self.hi = (min(ranks), max(ranks)) if ranks else (0, -1)
+        self.diffs = _stored(rng, diffs, lambda i: (self.rank(i - 1), self.rank(i)),
+                             "differential")
         self._d2_failure = _UNCHECKED
         self._qiso = {}  # (id(spec), pre_minimize) -> (spec, QisoResult)
         if check:
@@ -83,10 +76,9 @@ class ChainComplex:
     def rank(self, i: int) -> int:
         return self.ranks.get(i, 0)
 
-    def diff(self, i: int):
-        if i in self.diffs:
-            return self.diffs[i]
-        return zero_matrix(self.ring, self.rank(i - 1), self.rank(i))
+    def diff(self, i: int) -> Matrix:
+        return self.diffs[i] if i in self.diffs else zero_matrix(self.ring, self.rank(i - 1),
+                                                                 self.rank(i))
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -106,10 +98,9 @@ class ChainComplex:
             # A missing block is zero, and so is any product through it.
             if i in self.diffs and i - 1 in self.diffs:
                 # Most products vanish before reduction and are never stored.
-                for row in sparse_mul(self.diffs[i - 1], self.diffs[i], self.ring):
-                    for t in row.values():
-                        if not vec_is_zero(normal_form((Polynomial(self.ring, t),), gb)):
-                            return i - 1
+                for row in mat_mul(self.diffs[i - 1], self.diffs[i]).rows:
+                    if not all(reduces_to_zero(e.terms, gb) for e in row.values()):
+                        return i - 1
         return None
 
     def __eq__(self, other):
@@ -125,6 +116,18 @@ class ChainComplex:
     def __repr__(self):
         ranks = ", ".join(f"{i}:{self.rank(i)}" for i in self.degrees())
         return f"ChainComplex([{self.lo},{self.hi}] ranks {{{ranks}}})"
+
+
+def _stored(rng: QuotientRing, mats: dict, shape, what: str) -> dict:
+    """mats shape-checked, dense rows converted once, empty shapes dropped."""
+    out = {}
+    for i, m in mats.items():
+        m = as_matrix(rng, m)
+        if m.shape != shape(i):
+            raise InputDataError(f"{what} at degree {i} has shape {m.shape}, want {shape(i)}")
+        if all(m.shape):
+            out[i] = m
+    return out
 
 
 def _relations_gb(rng: QuotientRing):
@@ -153,38 +156,25 @@ class ChainMap:
         self.src = src
         self.tgt = tgt
         self.ring = src.ring
-        self.mats = {}
-        for i, m in mats.items():
-            want = (tgt.rank(i), src.rank(i))
-            if mat_shape(m) != want:
-                raise InputDataError(
-                    f"chain map at degree {i} has shape {mat_shape(m)}, want {want}")
-            if want[0] and want[1]:
-                self.mats[i] = m
+        self.mats = _stored(self.ring, mats, lambda i: (tgt.rank(i), src.rank(i)), "chain map")
         if check and not self.commutes():
             raise InputDataError("not a chain map: f.d != d.f modulo relations")
 
-    def mat(self, i: int):
-        if i in self.mats:
-            return self.mats[i]
-        return zero_matrix(self.ring, self.tgt.rank(i), self.src.rank(i))
+    def mat(self, i: int) -> Matrix:
+        return self.mats[i] if i in self.mats else zero_matrix(self.ring, self.tgt.rank(i),
+                                                               self.src.rank(i))
 
     def commutes(self) -> bool:
-        rng = self.ring
-        gb = _relations_gb(rng)
+        gb = _relations_gb(self.ring)
         lo = min(self.src.lo, self.tgt.lo)
         hi = max(self.src.hi, self.tgt.hi)
         for i in range(lo, hi + 2):
-            rows, cols = self.tgt.rank(i - 1), self.src.rank(i)
-            if rows == 0 or cols == 0:
+            if self.tgt.rank(i - 1) == 0 or self.src.rank(i) == 0:
                 continue
-            lhs = sparse_mul(self.tgt.diff(i), self.mat(i), rng)
-            rhs = sparse_mul(self.mat(i - 1), self.src.diff(i), rng)
-            for ra, rb in zip(lhs, rhs):
-                for j in ra.keys() | rb.keys():
-                    e = Polynomial(rng, ra.get(j, {})) - Polynomial(rng, rb.get(j, {}))
-                    if not e.is_zero() and not vec_is_zero(normal_form((e,), gb)):
-                        return False
+            diff = mat_sub(mat_mul(self.tgt.diff(i), self.mat(i)),
+                           mat_mul(self.mat(i - 1), self.src.diff(i)))
+            if not all(reduces_to_zero(e.terms, gb) for row in diff.rows for e in row.values()):
+                return False
         return True
 
 
@@ -192,10 +182,7 @@ def map_sub(f: ChainMap, g: ChainMap) -> ChainMap:
     if f.src is not g.src or f.tgt is not g.tgt:
         if f.src != g.src or f.tgt != g.tgt:
             raise InputDataError("chain map difference needs equal source and target")
-    mats = {}
-    for i in set(f.mats) | set(g.mats):
-        fm, gm = f.mat(i), g.mat(i)
-        mats[i] = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(fm, gm)]
+    mats = {i: mat_sub(f.mat(i), g.mat(i)) for i in set(f.mats) | set(g.mats)}
     return ChainMap(f.src, f.tgt, mats, check=False)
 
 
@@ -203,9 +190,7 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f."""
     if f.tgt is not g.src and f.tgt != g.src:
         raise InputDataError("composition mismatch")
-    mats = {}
-    for i in set(f.mats):
-        mats[i] = mat_mul(g.mat(i), f.mat(i), f.ring)
+    mats = {i: mat_mul(g.mat(i), f.mat(i)) for i in f.mats}
     return ChainMap(f.src, g.tgt, mats, check=False)
 
 
@@ -216,36 +201,25 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: cone(f)_i = src_{i-1} (+) tgt_i, d = [[-d_src, 0], [f, d_tgt]]."""
     src, tgt, rng = f.src, f.tgt, f.ring
-    ranks = {}
-    lo = min(src.lo + 1, tgt.lo)
-    hi = max(src.hi + 1, tgt.hi)
-    for i in range(lo, hi + 1):
-        r = src.rank(i - 1) + tgt.rank(i)
-        if r:
-            ranks[i] = r
-    diffs = {}
-    for i in range(lo, hi + 1):
-        rows = [src.rank(i - 2), tgt.rank(i - 1)]
-        cols = [src.rank(i - 1), tgt.rank(i)]
-        if sum(rows) == 0 or sum(cols) == 0:
-            continue
-        diffs[i] = block_matrix(rng, rows, cols, {
-            (0, 0): mat_neg(src.diff(i - 1)),
-            (1, 0): f.mat(i - 1),
-            (1, 1): tgt.diff(i),
-        })
-    return ChainComplex(rng, ranks, diffs, check=False)
+    degs = range(min(src.lo + 1, tgt.lo), max(src.hi + 1, tgt.hi) + 1)
+    diffs = {i: block_matrix(rng, [src.rank(i - 2), tgt.rank(i - 1)],
+                             [src.rank(i - 1), tgt.rank(i)],
+                             {(0, 0): mat_neg(src.diff(i - 1)), (1, 0): f.mat(i - 1),
+                              (1, 1): tgt.diff(i)}) for i in degs}
+    return ChainComplex(rng, {i: src.rank(i - 1) + tgt.rank(i) for i in degs}, diffs,
+                        check=False)
 
 
 def shift(cx: ChainComplex, s: int) -> ChainComplex:
     """C[s]_i = C_{i-s}; differentials pick up (-1)^s."""
-    rng = cx.ring
-    ranks = {i + s: r for i, r in cx.ranks.items()}
-    sign = 1 if s % 2 == 0 else -1
-    diffs = {}
-    for i, m in cx.diffs.items():
-        diffs[i + s] = m if sign == 1 else mat_neg(m)
-    return ChainComplex(rng, ranks, diffs, check=False)
+    diffs = {i + s: mat_neg(m) if s % 2 else m for i, m in cx.diffs.items()}
+    return ChainComplex(cx.ring, {i + s: r for i, r in cx.ranks.items()}, diffs, check=False)
+
+
+def truncate(cx: ChainComplex, hi: int) -> ChainComplex:
+    """Drop all degrees above hi."""
+    return ChainComplex(cx.ring, {i: r for i, r in cx.ranks.items() if i <= hi},
+                        {i: m for i, m in cx.diffs.items() if i <= hi}, check=False)
 
 
 def shift_map(f: ChainMap, s: int) -> ChainMap:
@@ -260,23 +234,13 @@ def direct_sum(*summands: ChainComplex) -> ChainComplex:
     for c in summands:
         if c.ring != rng:
             raise RingMismatchError("direct sum over different rings")
-    ranks: dict = {}
-    lo = min(c.lo for c in summands)
-    hi = max(c.hi for c in summands)
-    for i in range(lo, hi + 1):
-        r = sum(c.rank(i) for c in summands)
-        if r:
-            ranks[i] = r
-    diffs = {}
-    for i in range(lo, hi + 1):
-        rows = [c.rank(i - 1) for c in summands]
-        cols = [c.rank(i) for c in summands]
-        if sum(rows) == 0 or sum(cols) == 0:
-            continue
-        blocks = {(k, k): c.diff(i) for k, c in enumerate(summands)
-                  if rows[k] and cols[k]}
-        diffs[i] = block_matrix(rng, rows, cols, blocks)
-    return ChainComplex(rng, ranks, diffs, check=False)
+    degs = range(min(c.lo for c in summands), max(c.hi for c in summands) + 1)
+    diffs = {i: block_matrix(rng, [c.rank(i - 1) for c in summands],
+                             [c.rank(i) for c in summands],
+                             {(k, k): c.diffs[i] for k, c in enumerate(summands)
+                              if i in c.diffs}) for i in degs}
+    return ChainComplex(rng, {i: sum(c.rank(i) for c in summands) for i in degs}, diffs,
+                        check=False)
 
 
 def block_map(srcs: Sequence[ChainComplex], tgts: Sequence[ChainComplex],
@@ -287,22 +251,9 @@ def block_map(srcs: Sequence[ChainComplex], tgts: Sequence[ChainComplex],
     """
     src = direct_sum(*srcs)
     tgt = direct_sum(*tgts)
-    rng = src.ring
-    lo = min(src.lo, tgt.lo)
-    hi = max(src.hi, tgt.hi)
-    mats = {}
-    for i in range(lo, hi + 1):
-        rows = [t.rank(i) for t in tgts]
-        cols = [s.rank(i) for s in srcs]
-        if sum(rows) == 0 or sum(cols) == 0:
-            continue
-        bl = {}
-        for (ti, si), f in blocks.items():
-            if f is None:
-                continue
-            if rows[ti] and cols[si]:
-                bl[(ti, si)] = f.mat(i)
-        mats[i] = block_matrix(rng, rows, cols, bl)
+    mats = {i: block_matrix(src.ring, [t.rank(i) for t in tgts], [s.rank(i) for s in srcs],
+                            {k: f.mat(i) for k, f in blocks.items() if f is not None})
+            for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1)}
     return ChainMap(src, tgt, mats, check=False)
 
 
@@ -322,18 +273,32 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
     maps the columns of row r of d_k to their nonzero entries, and incl[k][t]
     is reduced basis vector t of C_k over the original basis.  Cancelling the
     unit at (r, c) of d_k deletes basis vector c of C_k and r of C_{k-1} in
-    place; nothing is renumbered, and the survivors are packed into dense
-    matrices once, at the end.  Degrees are cleared in ascending order, each
+    place, and the survivors are renumbered once, at the end.  An updated
+    entry is built by axpy on a fresh copy of its terms, so no stored
+    Polynomial is edited.  Degrees are cleared in ascending order, each
     at its lexicographically first unit (row, column): a pivot at degree k
     only removes a row above and a column below it, so it never creates a
     unit outside d_k, and the pivots are those of a scan restarted from the
     lowest degree after every cancellation.
     """
     rng = cx.ring
-    zero = rng.zero()
+    fld = rng.field
+    axpy = fld.axpy
+    one = rng.one()
+
+    def update(vec: dict, t, x: Polynomial, e: Polynomial, inv):
+        """vec[t] -= x*e*inv in a fresh Polynomial; a zero result is removed."""
+        old = vec.pop(t, None)
+        terms = dict(old.terms) if old is not None else {}
+        for m, a in x.terms.items():
+            axpy(terms, fld.neg(fld.mul(a, inv)), m, e.terms)
+        if terms:
+            vec[t] = Polynomial(rng, terms)
+            return vec[t]
+
     keep = {k: dict.fromkeys(range(n)) for k, n in cx.ranks.items()}
-    d = {k: dict(enumerate(nonzero_rows(mat))) for k, mat in cx.diffs.items()}
-    incl = {k: {t: {t: rng.one()} for t in range(cx.rank(k))} for k in transport_degrees}
+    d = {k: dict(enumerate(map(dict, mat.rows))) for k, mat in cx.diffs.items()}
+    incl = {k: {t: {t: one} for t in range(cx.rank(k))} for k in transport_degrees}
     for k in sorted(d):
         dk = d[k]
         # Candidate unit positions, checked when popped; the Schur update
@@ -345,27 +310,21 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
             prow = dk.get(r)
             if prow is None or c not in prow or not prow[c].is_constant():
                 continue
-            inv = rng.field.inv(prow.pop(c).constant_value())
+            inv = fld.inv(prow.pop(c).constant_value())
             del dk[r]
             for s, row in dk.items():
                 x = row.pop(c, None)
                 if x is None:
                     continue
-                corr = x.scale(inv)
                 for t, e in prow.items():
-                    v = row.get(t, zero) - corr * e
-                    if v.is_zero():
-                        row.pop(t, None)
-                    else:
-                        row[t] = v
-                        if v.is_constant():
-                            heapq.heappush(heap, (s, t))
+                    v = update(row, t, x, e, inv)
+                    if v is not None and v.is_constant():
+                        heapq.heappush(heap, (s, t))
             if k in incl:
                 ccol = incl[k].pop(c)
                 for t, e in prow.items():
-                    tcol = incl[k][t]
                     for s, x in ccol.items():
-                        tcol[s] = tcol.get(s, zero) - x * e.scale(inv)
+                        update(incl[k][t], s, x, e, inv)
             if k - 1 in incl:
                 del incl[k - 1][r]
             # d_{k+1} loses row c, d_{k-1} loses column r
@@ -373,10 +332,12 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
             for row in d.get(k - 1, {}).values():
                 row.pop(r, None)
             del keep[k][c], keep[k - 1][r]
-    diffs = {k: [[d[k][r].get(c, zero) for c in keep[k]] for r in keep[k - 1]]
+    pos = {k: {b: n for n, b in enumerate(kb)} for k, kb in keep.items()}
+    diffs = {k: Matrix(rng, len(keep[k - 1]), len(keep[k]),
+                       [{pos[k][c]: e for c, e in d[k][r].items()} for r in keep[k - 1]])
              for k in d if keep[k] and keep[k - 1]}
     out = ChainComplex(rng, {k: len(b) for k, b in keep.items()}, diffs, check=False)
-    return out, {k: [[col.get(s, zero) for col in cols.values()] for s in range(cx.rank(k))]
+    return out, {k: from_columns(rng, cx.rank(k), list(cols.values()))
                  for k, cols in incl.items()}
 
 
@@ -404,15 +365,14 @@ def _homology_zero_raw(cx: ChainComplex, i: int) -> bool:
 def _kernel_generators(cx: ChainComplex, i: int) -> list:
     # A missing d_i is zero (or maps to rank 0): the kernel is all of C_i.
     if i not in cx.diffs:
-        return [tuple(row) for row in identity_matrix(cx.ring, cx.rank(i))]
-    return syzygies(cx.diffs[i], cx.ring, rank=cx.rank(i)).generators
+        return unit_vectors(cx.ring, cx.rank(i))
+    return syzygies(cx.diffs[i], cx.ring).generators
 
 
 def _image_submodule(cx: ChainComplex, i: int) -> Submodule:
-    gens = []
-    if i + 1 in cx.diffs:
-        gens = mat_cols(cx.diffs[i + 1], cx.rank(i + 1))
-    return Submodule(cx.ring, cx.rank(i), gens)
+    n, zero = cx.rank(i), cx.ring.zero()
+    cols = mat_cols(cx.diffs[i + 1]) if i + 1 in cx.diffs else []
+    return Submodule(cx.ring, n, [tuple(col.get(r, zero) for r in range(n)) for col in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +475,12 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     if not (window[0] <= i0 <= window[1]):
         raise InputDataError("designated degree outside the claimed window")
 
-    work, incl = (minimize(cx, transport_degrees=(i0,)) if pre_minimize
-                  else (cx, {i0: identity_matrix(rng, cx.rank(i0))}))
-    aug = _transport_row(dspec.augmentation, incl[i0], rng)
+    # Homology at i <= w = window[1] reads d_i and d_{i+1}.  d_{w+2} stays, as its
+    # units cancel C_{w+1}; pivots run by ascending degree, so d_{<=w+1} reduce as in cx.
+    sliced = truncate(cx, window[1] + 2)
+    work, incl = (minimize(sliced, transport_degrees=(i0,)) if pre_minimize
+                  else (sliced, {i0: identity_matrix(rng, cx.rank(i0))}))
+    aug = _row_times(dspec.augmentation, incl[i0])  # sparse, over the reduced basis
 
     conditions = []
     for i in range(window[0], window[1] + 1):
@@ -531,13 +494,12 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     # there would be strictly weaker.
     ok_b = True
     detail_b = ""
-    if cx.rank(i0 + 1):
-        raw_aug = dspec.augmentation
-        for j, col in enumerate(mat_cols(_aug_matrix(raw_aug, cx, i0), cx.rank(i0 + 1))):
-            if not member(col, ideal_sub):
-                ok_b = False
-                detail_b = f"column {j} of aug.d_{i0 + 1} escapes the ideal"
-                break
+    row = _row_times(dspec.augmentation, cx.diff(i0 + 1))
+    for j in sorted(row):
+        if not member((row[j],), ideal_sub):
+            ok_b = False
+            detail_b = f"column {j} of aug.d_{i0 + 1} escapes the ideal"
+            break
     conditions.append(ConditionResult("well_defined", i0, ok_b, detail_b))
 
     kernel = _kernel_generators(work, i0) if work.rank(i0) else []
@@ -571,21 +533,17 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     return QisoResult(passed, i0, window, conditions, truncated)
 
 
-def _aug_matrix(aug: list, cx: ChainComplex, i0: int):
-    return mat_mul([aug], cx.diff(i0 + 1), cx.ring)
+def _row_times(row: list, mat: Matrix) -> dict:
+    """The row vector row*mat as a {column: nonzero Polynomial} dict."""
+    return mat_mul(as_matrix(mat.ring, [row]), mat).rows[0]
 
 
-def _row_dot(row: list, vec, rng: QuotientRing) -> Polynomial:
+def _row_dot(row: dict, vec, rng: QuotientRing) -> Polynomial:
     out = rng.zero()
-    for a, b in zip(row, vec):
-        if not a.is_zero() and not b.is_zero():
-            out = out + a * b
+    for j, a in row.items():
+        if vec[j].terms:
+            out = out + a * vec[j]
     return out
-
-
-def _transport_row(row: list, incl, rng: QuotientRing) -> list:
-    return [_row_dot(row, tuple(incl[s][j] for s in range(len(incl))), rng)
-            for j in range(len(incl[0]) if incl else 0)]
 
 
 def exact_everywhere(cx: ChainComplex, window: Optional[tuple] = None) -> QisoResult:

@@ -35,9 +35,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ._terms import axpy_p, axpy_q, tup_lcm, tup_sub
+from ._terms import tup_lcm, tup_sub
+from .matrices import Matrix, as_matrix
 from .polyring import Polynomial, QuotientRing, RingMismatchError
-from .scalars import PrimeField
 
 FreeVector = tuple  # tuple[Polynomial, ...]
 
@@ -46,9 +46,11 @@ FreeVector = tuple  # tuple[Polynomial, ...]
 # conversions between vector-of-polynomials and term dicts
 
 
-def vec_to_dict(vec: Sequence[Polynomial]) -> dict:
+def vec_to_dict(vec) -> dict:
+    """Term dict of a vector: a sequence of polynomials or a sparse column
+    {component: Polynomial}."""
     out = {}
-    for comp, p in enumerate(vec):
+    for comp, p in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
         for exps, c in p.terms.items():
             out[(comp,) + exps] = c
     return out
@@ -59,6 +61,25 @@ def dict_to_vec(d: dict, rng: QuotientRing, rank: int) -> FreeVector:
     for term, c in d.items():
         polys[term[0]][term[1:]] = c
     return tuple(Polynomial(rng, t) for t in polys)
+
+
+def dict_to_col(d: dict, rng: QuotientRing) -> dict:
+    """A vector's term dict as a sparse column {component: nonzero Polynomial}."""
+    polys: dict = {}
+    for term, c in d.items():
+        polys.setdefault(term[0], {})[term[1:]] = c
+    return {i: Polynomial(rng, t) for i, t in polys.items()}
+
+
+def unit_vectors(rng: QuotientRing, n: int) -> list:
+    """The standard basis e_0, ..., e_{n-1} of R^n."""
+    one, zero = rng.one(), rng.zero()
+    out = []
+    for j in range(n):
+        v = [zero] * n
+        v[j] = one
+        out.append(tuple(v))
+    return out
 
 
 def vec_is_zero(vec: Sequence[Polynomial]) -> bool:
@@ -90,16 +111,26 @@ class Submodule:
         return self._gb
 
 
-@dataclass
+@dataclass(eq=False)
 class GroebnerBasis:
-    """Reduced, monic, deterministically sorted basis of an augmented submodule."""
+    """Reduced, monic, deterministically sorted basis of an augmented submodule.
+
+    The engine works on the term dicts; the basis as FreeVectors (dense
+    tuples, descending leading terms) is built on first use of vectors.
+    """
 
     base: Submodule
-    vectors: list  # list[FreeVector], descending leading terms
     order: str = "position-over-term/ring-order"
-    _engine: object = field(default=None, repr=False, compare=False)
-    _dicts: list = field(default=None, repr=False, compare=False)
-    _buckets: dict = field(default=None, repr=False, compare=False)
+    _engine: object = field(default=None, repr=False)
+    _dicts: list = field(default=None, repr=False)
+    _buckets: dict = field(default=None, repr=False)
+    _vectors: list = field(default=None, repr=False)
+
+    @property
+    def vectors(self) -> list:
+        if self._vectors is None:
+            self._vectors = [dict_to_vec(d, self.base.ring, self.base.rank) for d in self._dicts]
+        return self._vectors
 
     def buckets(self) -> dict:
         if self._buckets is None:
@@ -109,14 +140,9 @@ class GroebnerBasis:
 
 def quotient_augment(sub: Submodule) -> Submodule:
     """Append j*e_i for every relation j; realizes computation over R/J."""
-    rng = sub.ring
-    gens = list(sub.generators)
-    zero = rng.zero()
-    for rel in rng.relations:
-        for i in range(sub.rank):
-            vec = tuple(rel if j == i else zero for j in range(sub.rank))
-            gens.append(vec)
-    return Submodule(rng, sub.rank, gens)
+    rng, rank = sub.ring, sub.rank
+    extra = [dict_to_vec(d, rng, rank) for d in _relation_dicts(rng, rank)]
+    return Submodule(rng, rank, list(sub.generators) + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +157,13 @@ class _Engine:
         self.tkey = lambda t: (-t[0], rkey(t[1:]))
         fld = rng.field
         self.field = fld
-        if isinstance(fld, PrimeField):
-            p = fld.p
-            self.axpy = lambda dst, c, m, src: axpy_p(dst, c, m, src, p)
-        else:
-            self.axpy = axpy_q
+        self.axpy = fld.axpy
         self.zero_shift = (0,) * (rng.nvars + 1)
 
     def lead(self, d: dict):
         """Largest term of a nonzero vector dict."""
+        if len(d) == 1:
+            return next(iter(d))
         return max(d, key=self.tkey)
 
     def monic(self, d: dict) -> dict:
@@ -218,10 +242,9 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
     def push_pairs(j: int):
         nonlocal counter
         ltj = lts[j]
-        for i in range(j):
-            if lts[i][0] != ltj[0]:
-                continue
-            lcm = tup_lcm(lts[i][1:], ltj[1:])
+        # pairs only within a component: the bucket holds j's predecessors there
+        for lexps, i in buckets[ltj[0]][:-1]:
+            lcm = tup_lcm(lexps, ltj[1:])
             heapq.heappush(pairs, (sum(lcm), counter, i, j))
             counter += 1
 
@@ -256,15 +279,13 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
     # minimal: drop vectors whose leading term is divisible by another's
     order_idx = sorted(range(len(basis)), key=lambda i: engine.tkey(lts[i]))
     keep: list = []
+    kept: dict = {}  # component -> leading exponents kept there
     for i in order_idx:
         lt = lts[i]
-        redundant = False
-        for j in keep:
-            if lts[j][0] == lt[0] and tup_sub(lt[1:], lts[j][1:]) is not None:
-                redundant = True
-                break
-        if not redundant:
+        same = kept.setdefault(lt[0], [])
+        if all(tup_sub(lt[1:], e) is None for e in same):
             keep.append(i)
+            same.append(lt[1:])
     minimal = [basis[i] for i in keep]
 
     # reduced: tail-reduce each against one shared index (module docstring)
@@ -281,32 +302,55 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
     return reduced
 
 
+def _relation_dicts(rng: QuotientRing, rank: int) -> list:
+    """quotient_augment's extra generators j*e_i, in its order, as term dicts."""
+    return [{(i,) + m: c for m, c in rel.terms.items()}
+            for rel in rng.relations for i in range(rank)]
+
+
 def buchberger(sub: Submodule, augment: bool = True) -> GroebnerBasis:
     """Reduced Gröbner basis of the (by default J-augmented) submodule."""
-    work = quotient_augment(sub) if augment else sub
     engine = _Engine(sub.ring, sub.rank)
-    dicts = _buchberger_dicts([vec_to_dict(g) for g in work.generators], engine)
-    vectors = [dict_to_vec(d, sub.ring, sub.rank) for d in dicts]
-    return GroebnerBasis(base=sub, vectors=vectors, _engine=engine, _dicts=dicts)
+    gens = [vec_to_dict(g) for g in sub.generators]
+    if augment:
+        gens += _relation_dicts(sub.ring, sub.rank)
+    return GroebnerBasis(base=sub, _engine=engine, _dicts=_buchberger_dicts(gens, engine))
 
 
-def normal_form(vec: FreeVector, gb: GroebnerBasis) -> FreeVector:
-    """Canonical remainder of vec against the basis."""
-    engine: _Engine = gb._engine
+def _checked_terms(vec: FreeVector, gb: GroebnerBasis) -> dict:
     if len(vec) != gb.base.rank:
         raise ValueError("vector rank differs from basis rank")
     for p in vec:
         if p.ring != gb.base.ring:
             raise RingMismatchError("vector in a different ring")
-    r = engine.nf(vec_to_dict(vec), gb._dicts, gb.buckets())
+    return vec_to_dict(vec)
+
+
+def normal_form(vec: FreeVector, gb: GroebnerBasis) -> FreeVector:
+    """Canonical remainder of vec against the basis."""
+    r = gb._engine.nf(_checked_terms(vec, gb), gb._dicts, gb.buckets())
     return dict_to_vec(r, gb.base.ring, gb.base.rank)
+
+
+def _reduces_to_zero(d: dict, gb: GroebnerBasis) -> bool:
+    """True iff the vector with term dict d reduces to zero against gb.  Every
+    component is below stop_comp, so nf stops at the first irreducible
+    leading term, which every nonzero remainder has."""
+    return gb._engine.nf(d, gb._dicts, gb.buckets(), stop_comp=gb.base.rank)[1]
+
+
+def reduces_to_zero(terms: dict, gb: GroebnerBasis) -> bool:
+    """True iff the polynomial with these terms reduces to zero against the
+    rank-1 basis gb."""
+    return _reduces_to_zero({(0,) + m: c for m, c in terms.items()}, gb)
 
 
 def member(vec: FreeVector, sub: Submodule) -> bool:
     """Membership as an R/J-module element (J-augmented span)."""
     if len(vec) != sub.rank:
         raise ValueError("vector rank differs from ambient rank")
-    return vec_is_zero(normal_form(vec, sub.groebner()))
+    gb = sub.groebner()
+    return _reduces_to_zero(_checked_terms(vec, gb), gb)
 
 
 def submodule_equal(a: Submodule, b: Submodule) -> bool:
@@ -320,48 +364,35 @@ def submodule_equal(a: Submodule, b: Submodule) -> bool:
 # syzygies and solving in images (elimination in rank m + c)
 
 
-def _elimination_gb(rng: QuotientRing, matrix: list, m: int, c: int):
+def _elimination_gb(rng: QuotientRing, matrix: Matrix, m: int, c: int):
     """GB of {(col_j ; e_j)} + {j*e_i ; 0} in R^(m+c), top block dominant."""
     engine = _Engine(rng, m + c)
-    zero = rng.zero()
-    gens = []
-    for j in range(c):
-        col = [matrix[i][j] for i in range(m)]
-        tag = [zero] * c
-        tag[j] = rng.one()
-        gens.append(tuple(col + tag))
-    for rel in rng.relations:
-        for i in range(m):
-            vec = [zero] * (m + c)
-            vec[i] = rel
-            gens.append(tuple(vec))
-    dicts = _buchberger_dicts([vec_to_dict(g) for g in gens], engine)
+    gens = [{} for _ in range(c)]
+    for i, row in enumerate(matrix.rows):
+        for j, e in row.items():
+            gens[j].update(((i,) + exps, v) for exps, v in e.terms.items())
+    for j, g in enumerate(gens):
+        g[(m + j,) + rng._zero_exps] = rng.field.one
+    dicts = _buchberger_dicts(gens + _relation_dicts(rng, m), engine)
     return engine, dicts
 
 
-def syzygies(matrix: list, rng: QuotientRing, rank: Optional[int] = None) -> Submodule:
+def syzygies(matrix, rng: QuotientRing, rank: Optional[int] = None) -> Submodule:
     """Kernel of the map R^c -> (R/J)^m given by an m x c matrix.
 
-    matrix is a list of m rows of c polynomials; m = 0 is allowed (then the
-    kernel is everything).  Output generators satisfy M*s = 0 modulo J*R^m.
+    matrix is a Matrix or a dense list of m rows of c polynomials; m = 0 is
+    allowed (then the kernel is everything, and a list needs rank = c).
+    Output generators satisfy M*s = 0 modulo J*R^m.
     """
-    m = len(matrix)
-    if m == 0:
-        if rank is None:
+    if not isinstance(matrix, Matrix):
+        if not matrix and rank is None:
             raise ValueError("need the column count for an empty matrix")
-        c = rank
-    else:
-        c = len(matrix[0])
-        if any(len(row) != c for row in matrix):
-            raise ValueError("ragged matrix")
+        matrix = as_matrix(rng, matrix, rank or 0)
+    m, c = matrix.shape
     if c == 0:
         return Submodule(rng, 1, [])
     if m == 0:
-        gens = []
-        one, zero = rng.one(), rng.zero()
-        for j in range(c):
-            gens.append(tuple(one if i == j else zero for i in range(c)))
-        return Submodule(rng, c, gens)
+        return Submodule(rng, c, unit_vectors(rng, c))
     return ImageSolver(matrix, rng).kernel()
 
 
@@ -375,25 +406,28 @@ class ImageSolver:
     nullhomotopies.
     """
 
-    def __init__(self, matrix: list, rng: QuotientRing):
+    def __init__(self, matrix, rng: QuotientRing):
         self.ring = rng
-        self.matrix = matrix
-        self.m = len(matrix)
+        self.matrix = matrix = as_matrix(rng, matrix)
+        self.m, self.c = matrix.shape
         if self.m == 0:
             raise ValueError("target rank must be positive")
-        self.c = len(matrix[0])
         self.engine, self.dicts = _elimination_gb(rng, matrix, self.m, self.c)
         self.buckets = _make_buckets(self.dicts, self.engine)
 
-    def solve(self, vec: FreeVector):
-        if len(vec) != self.m:
+    def solve(self, vec):
+        """vec is a sequence of m polynomials or a sparse column {row:
+        Polynomial}; q comes back in the same form."""
+        sparse = isinstance(vec, dict)
+        if not sparse and len(vec) != self.m:
             raise ValueError("vector rank differs from matrix row count")
-        d = vec_to_dict(vec)
-        r, ok = self.engine.nf(d, self.dicts, self.buckets, stop_comp=self.m)
+        r, ok = self.engine.nf(vec_to_dict(vec), self.dicts, self.buckets, stop_comp=self.m)
         if not ok:
             return None
         fld = self.ring.field
         shifted = {(t[0] - self.m,) + t[1:]: fld.neg(v) for t, v in r.items()}
+        if sparse:
+            return dict_to_col(shifted, self.ring)
         return dict_to_vec(shifted, self.ring, self.c) if self.c else ()
 
     def kernel(self) -> Submodule:

@@ -49,6 +49,9 @@ All polynomial entries are strings in the polynomial grammar.  Parsing
 reports the offending JSON path on failure; polynomial parse errors carry
 their position in the string.  Each distinct entry string is parsed once
 per job, and equal strings share one Polynomial (polynomials are immutable).
+Matrices are written densely, and each row is parsed into a dict of its
+nonzero entries.  A declared rank above MAX_RANK is an input error, so a
+small file cannot ask for unbounded work.
 """
 
 from __future__ import annotations
@@ -58,13 +61,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import ChainComplex, ChainMap, DiagonalSpec, InputDataError
-from .matrices import mat_to_strings
+from .matrices import Matrix, mat_to_strings
 from .polyring import MonomialOrder, ParseError, QuotientRing, ring
 from .scalars import field_from_spec, field_spec_str
 from .witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
                       GeneratorDecl, WitnessStep)
 
 SCHEMA = 1
+# The largest rank a complex may declare: about nine times the largest
+# catalog rank (232, the cycle's diagonal chart).  Not settable.
+MAX_RANK = 2048
 
 
 class JobFileError(ValueError):
@@ -137,11 +143,20 @@ def _polys(rng: QuotientRing, v, path: str, memo: dict) -> list:
             for i, s in enumerate(_list(v, path))]
 
 
-def _matrix(rng: QuotientRing, v, path: str, memo: dict) -> list:
-    rows = [_polys(rng, row, f"{path}[{i}]", memo) for i, row in enumerate(_list(v, path))]
-    if any(len(row) != len(rows[0]) for row in rows):
+def _matrix(rng: QuotientRing, v, path: str, memo: dict) -> Matrix:
+    """A dense list of rows as a Matrix; the first bad entry in row-major
+    order is the one reported."""
+    raw = _list(v, path)
+    rows = []
+    for i, row in enumerate(raw):
+        rpath = f"{path}[{i}]"
+        try:  # a row of strings all parsed before: one memo lookup per entry
+            rows.append({c: p for c, s in enumerate(_list(row, rpath)) if (p := memo[s]).terms})
+        except (KeyError, TypeError):  # memo keys are parsed strings only
+            rows.append({c: p for c, p in enumerate(_polys(rng, row, rpath, memo)) if p.terms})
+    if any(len(row) != len(raw[0]) for row in raw):
         raise JobFileError(f"ragged matrix at {path}")
-    return rows
+    return Matrix(rng, len(raw), len(raw[0]) if raw else 0, rows)
 
 
 def _by_degree(v, path: str) -> list:
@@ -181,6 +196,8 @@ def parse_complex(d: dict, rng: QuotientRing, path: str,
         ranks[k] = _int(v, kpath)
         if ranks[k] < 0:
             raise JobFileError(f"negative rank at {kpath}")
+        if ranks[k] > MAX_RANK:
+            raise JobFileError(f"rank {ranks[k]} above the maximum {MAX_RANK} at {kpath}")
     diffs = {k: _matrix(rng, rows, kpath, memo) for k, rows, kpath
              in _by_degree(d.get("differentials", {}), f"{path}.differentials")}
     try:

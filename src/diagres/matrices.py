@@ -1,124 +1,166 @@
-"""Small helpers for matrices of polynomials.
+"""Sparse matrices of polynomials.
 
-A matrix is a list of rows, each a list of Polynomial, all over one ring.
-Shapes are explicit everywhere: a 0 x c or r x 0 matrix is its shape plus no
-entries, and degreewise chain-complex data uses such matrices freely.
+A Matrix is an nrows x ncols matrix over one ring, stored as one
+{column: nonzero Polynomial} dict per row; the shape is explicit, so a
+0 x c or r x 0 matrix is its shape plus no entries.  Every operation here
+costs in proportion to the nonzero entries.  Matrices are immutable by
+convention (a row dict may be shared between matrices).
 
-Products and scans skip zero entries: sparse_mul works on the nonzero
-entries of each row and returns row dicts {column: terms} holding only the
-nonzero entries of the product, and mat_mul is its dense wrapper.
+Dense lists of rows exist only at the boundary: as_matrix converts one once
+(a Matrix passes through as the same object), and a Matrix has a read-only
+dense row view (len, m[r], iteration) for export and outside callers.
+Nothing in the package builds or verifies through that view.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from ._terms import axpy_p, axpy_q
 from .polyring import Polynomial, QuotientRing
-from .scalars import PrimeField
 
-Matrix = list
+
+class Matrix:
+    __slots__ = ("ring", "nrows", "ncols", "rows")
+
+    def __init__(self, rng: QuotientRing, nrows: int, ncols: int, rows: list = None):
+        self.ring, self.nrows, self.ncols = rng, nrows, ncols
+        self.rows = [{} for _ in range(nrows)] if rows is None else rows
+
+    @property
+    def shape(self) -> tuple:
+        return (self.nrows, self.ncols)
+
+    # the read-only dense row view: fresh lists, zeros are rng.zero(), and
+    # iteration runs through __getitem__
+
+    def __len__(self) -> int:
+        return self.nrows
+
+    def __getitem__(self, r: int) -> list:
+        row, z = self.rows[r], self.ring.zero()
+        return [row.get(c, z) for c in range(self.ncols)]
+
+    def __eq__(self, other):
+        return mat_eq(self, other) if isinstance(other, Matrix) else NotImplemented
+
+    __hash__ = None
+
+
+def as_matrix(rng: QuotientRing, m, ncols: int = 0) -> Matrix:
+    """m itself if it is a Matrix, else the dense list of rows m as a Matrix
+    (ncols is the width of a list with no rows)."""
+    if isinstance(m, Matrix):
+        return m
+    if m:
+        ncols = len(m[0])
+    if any(len(row) != ncols for row in m):
+        raise ValueError("ragged matrix")
+    return Matrix(rng, len(m), ncols, [{c: e for c, e in enumerate(row) if e.terms} for row in m])
 
 
 def zero_matrix(rng: QuotientRing, rows: int, cols: int) -> Matrix:
-    z = rng.zero()
-    return [[z for _ in range(cols)] for _ in range(rows)]
+    return Matrix(rng, rows, cols)
 
 
 def identity_matrix(rng: QuotientRing, n: int) -> Matrix:
-    one, zero = rng.one(), rng.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    one = rng.one()
+    return Matrix(rng, n, n, [{i: one} for i in range(n)])
 
 
-def mat_shape(mat: Matrix) -> tuple:
-    return (len(mat), len(mat[0]) if mat else 0)
+def from_columns(rng: QuotientRing, nrows: int, cols: Sequence[dict]) -> Matrix:
+    """The matrix whose column j is the {row: nonzero Polynomial} dict cols[j]."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, e in col.items():
+            rows[i][j] = e
+    return Matrix(rng, nrows, len(cols), rows)
+
+
+def mat_cols(mat: Matrix) -> list:
+    """The columns, each a {row: nonzero Polynomial} dict."""
+    cols = [{} for _ in range(mat.ncols)]
+    for i, row in enumerate(mat.rows):
+        for j, e in row.items():
+            cols[j][i] = e
+    return cols
 
 
 def mat_neg(mat: Matrix) -> Matrix:
-    """Entrywise negation; zero entries are shared, not rebuilt."""
-    return [[e if e.is_zero() else -e for e in row] for row in mat]
+    return Matrix(mat.ring, mat.nrows, mat.ncols,
+                  [{c: -e for c, e in row.items()} for row in mat.rows])
 
 
-def nonzero_rows(mat: Matrix) -> list:
-    """Each row as a {column: entry} dict of its nonzero entries."""
-    return [{c: e for c, e in enumerate(row) if e.terms} for row in mat]
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    """a - b; entries that cancel are dropped."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} - {b.shape}")
+    rows = [dict(ra) for ra in a.rows]
+    for row, rb in zip(rows, b.rows):
+        for c, e in rb.items():
+            if (v := row.pop(c) - e if c in row else -e).terms:
+                row[c] = v
+    return Matrix(a.ring, a.nrows, a.ncols, rows)
 
 
-def sparse_mul(a: Matrix, b: Matrix, rng: QuotientRing) -> list:
-    """The nonzero entries of a*b, one {column: terms} dict per row of a.
-
-    Each term dict accumulates in place over the nonzero (column, entry)
-    pairs of the rows of b; an entry that cancels to zero is dropped.
-    """
-    if mat_shape(a)[1] != len(b):
-        raise ValueError(f"shape mismatch: {mat_shape(a)} * {mat_shape(b)}")
-    fld = rng.field
-    axpy = partial(axpy_p, p=fld.p) if isinstance(fld, PrimeField) else axpy_q
-    brows = nonzero_rows(b)
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a*b over the nonzero entries: each entry's term dict accumulates in
+    place, and an entry that cancels to zero is dropped."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch: {a.shape} * {b.shape}")
+    rng = a.ring
+    axpy = rng.field.axpy
+    brows = b.rows
     out = []
-    for arow in a:
+    for arow in a.rows:
         acc = {}
-        for k, e in enumerate(arow):
-            if not e.terms:
-                continue
+        for k, e in arow.items():
             for j, f in brows[k].items():
-                t = acc.setdefault(j, {})
+                t = acc.get(j)
+                if t is None:
+                    t = acc[j] = {}
                 for m, c in e.terms.items():
                     axpy(t, c, m, f.terms)
-        out.append({j: t for j, t in acc.items() if t})
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix, rng: QuotientRing) -> Matrix:
-    """The dense product a*b: sparse_mul's rows, with one shared zero."""
-    z = rng.zero()
-    cols = mat_shape(b)[1]
-    return [[Polynomial(rng, row[j]) if j in row else z for j in range(cols)]
-            for row in sparse_mul(a, b, rng)]
-
-
-def mat_cols(mat: Matrix, cols: int) -> list:
-    """Columns as tuples of polynomials."""
-    rows = len(mat)
-    return [tuple(mat[i][j] for i in range(rows)) for j in range(cols)]
+        out.append({j: Polynomial(rng, t) for j, t in acc.items() if t})
+    return Matrix(rng, a.nrows, b.ncols, out)
 
 
 def block_matrix(rng: QuotientRing, row_sizes: Sequence[int], col_sizes: Sequence[int],
                  blocks: dict) -> Matrix:
-    """Assemble a block matrix; blocks maps (block_row, block_col) -> Matrix.
-
-    Missing blocks are zero.  Block shapes are checked against the declared
-    row/column sizes.
-    """
-    out = zero_matrix(rng, sum(row_sizes), sum(col_sizes))
-    row_off = [0]
-    for s in row_sizes:
-        row_off.append(row_off[-1] + s)
-    col_off = [0]
-    for s in col_sizes:
-        col_off.append(col_off[-1] + s)
+    """The block matrix of {(block_row, block_col): Matrix}, with missing
+    blocks zero and block shapes checked against the declared sizes."""
+    row_off = list(accumulate(row_sizes, initial=0))
+    col_off = list(accumulate(col_sizes, initial=0))
+    rows = [{} for _ in range(row_off[-1])]
     for (bi, bj), blk in blocks.items():
         want = (row_sizes[bi], col_sizes[bj])
         if want[0] == 0 or want[1] == 0:
             continue
-        if mat_shape(blk) != want:
-            raise ValueError(f"block ({bi},{bj}) has shape {mat_shape(blk)}, want {want}")
-        c0, c1 = col_off[bj], col_off[bj + 1]
-        for i, row in enumerate(blk):
-            out[row_off[bi] + i][c0:c1] = row
-    return out
+        if blk.shape != want:
+            raise ValueError(f"block ({bi},{bj}) has shape {blk.shape}, want {want}")
+        r0, c0 = row_off[bi], col_off[bj]
+        for i, row in enumerate(blk.rows):
+            out = rows[r0 + i]
+            for c, e in row.items():
+                out[c0 + c] = e
+    return Matrix(rng, row_off[-1], col_off[-1], rows)
 
 
-def mat_map(mat: Matrix, f: Callable[[Polynomial], Polynomial]) -> Matrix:
-    return [[f(e) for e in row] for row in mat]
+def mat_map(mat: Matrix, f: Callable[[Polynomial], Polynomial],
+            rng: QuotientRing = None) -> Matrix:
+    """f applied to every nonzero entry (f must send zero to zero); the
+    result lives over rng, by default the matrix's own ring."""
+    return Matrix(rng or mat.ring, mat.nrows, mat.ncols,
+                  [{c: v for c, e in row.items() if (v := f(e)).terms} for row in mat.rows])
 
 
 def mat_to_strings(mat: Matrix) -> list:
-    return [[str(e) for e in row] for row in mat]
+    return [[str(row[c]) if c in row else "0" for c in range(mat.ncols)] for row in mat.rows]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     """Entrywise equality of two matrices over one ring (the caller checks it)."""
-    return mat_shape(a) == mat_shape(b) and all(
-        x is y or x.terms == y.terms for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return a.shape == b.shape and all(
+        ra.keys() == rb.keys() and all(x is rb[c] or x.terms == rb[c].terms
+                                       for c, x in ra.items())
+        for ra, rb in zip(a.rows, b.rows))

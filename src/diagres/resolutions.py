@@ -29,12 +29,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from .complexes import ChainComplex, ChainMap, InputDataError, cone, shift
+from .complexes import truncate  # noqa: F401  (part of this module's interface)
 from .groebner import ImageSolver
-from .matrices import block_matrix, mat_cols, mat_mul, mat_neg
+from .matrices import (Matrix, as_matrix, block_matrix, from_columns, mat_cols, mat_mul,
+                       mat_neg, mat_sub)
 from .polyring import Polynomial, QuotientRing
 
 
-def _solver(matrix: list, rng: QuotientRing) -> ImageSolver:
+def _solver(matrix: Matrix, rng: QuotientRing) -> ImageSolver:
     """The ImageSolver of a differential, computed once per matrix object.
 
     The memo lives on the ring and is keyed by the matrix's identity.  That
@@ -60,10 +62,10 @@ def resolve_cyclic(rng: QuotientRing, gens: Sequence[Polynomial], length: int) -
     diffs: dict = {}
     if not gens:
         return ChainComplex(rng, ranks, diffs, check=False)
-    current = [list(gens)]  # 1 x k matrix
+    current = as_matrix(rng, [list(gens)])  # 1 x k
     deg = 1
     while deg <= length:
-        cols = len(current[0])
+        cols = current.ncols
         if cols == 0:
             break
         ranks[deg] = cols
@@ -74,45 +76,36 @@ def resolve_cyclic(rng: QuotientRing, gens: Sequence[Polynomial], length: int) -
         deg += 1
         if deg > length:
             break
-        current = [[g[i] for g in syz.generators] for i in range(cols)]
+        current = as_matrix(rng, [[g[i] for g in syz.generators] for i in range(cols)])
     return ChainComplex(rng, ranks, diffs, check=False)
-
-
-def truncate(cx: ChainComplex, hi: int) -> ChainComplex:
-    """Drop all degrees above hi."""
-    ranks = {i: r for i, r in cx.ranks.items() if i <= hi}
-    diffs = {i: cx.diffs[i] for i in cx.diffs if i <= hi}
-    return ChainComplex(cx.ring, ranks, diffs, check=False)
 
 
 def lift_module_map(src: ChainComplex, tgt: ChainComplex, phi0) -> ChainMap:
     """Lift a map of presented modules to a chain map of resolutions.
 
-    phi0 is the rank(tgt_0) x rank(src_0) matrix describing the map on the
-    degree-0 covers.  Requires (and verifies by solving) that the map
-    carries relations into relations modulo J.  src must not extend beyond
-    tgt in degree.
+    phi0 is the rank(tgt_0) x rank(src_0) matrix (a Matrix or dense rows)
+    describing the map on the degree-0 covers.  Requires (and verifies by
+    solving) that the map carries relations into relations modulo J.  src
+    must not extend beyond tgt in degree.
     """
     if src.hi > tgt.hi:
         raise InputDataError("cannot lift: source resolution longer than target")
     rng = src.ring
-    mats = {src.lo: phi0}
-    prev = phi0
+    prev = as_matrix(rng, phi0)
+    mats = {src.lo: prev}
     for i in range(src.lo + 1, src.hi + 1):
         if src.rank(i) == 0:
             break
         if tgt.rank(i) == 0:
             raise InputDataError(f"cannot lift at degree {i}: target has rank 0")
         solver = _solver(tgt.diff(i), rng)
-        need = mat_mul(prev, src.diff(i), rng)
         cols = []
-        for col in mat_cols(need, src.rank(i)):
+        for col in mat_cols(mat_mul(prev, src.diff(i))):
             q = solver.solve(col)
             if q is None:
                 raise InputDataError(f"map does not lift at degree {i}")
             cols.append(q)
-        mats[i] = [[cols[j][t] for j in range(len(cols))] for t in range(tgt.rank(i))]
-        prev = mats[i]
+        mats[i] = prev = from_columns(rng, tgt.rank(i), cols)
     return ChainMap(src, tgt, mats, check=False)
 
 
@@ -127,23 +120,21 @@ def nullhomotopy(f: ChainMap) -> dict:
             continue
         residual = f.mat(i)
         if prev is not None:
-            corr = mat_mul(prev, src.diff(i), rng)
-            residual = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(residual, corr)]
+            residual = mat_sub(residual, mat_mul(prev, src.diff(i)))
         if tgt.rank(i + 1) == 0:
-            if any(not e.is_zero() for row in residual for e in row):
+            if any(residual.rows):
                 raise InputDataError(f"no nullhomotopy: nonzero residual at degree {i} "
                                      "with no room above")
             prev = None
             continue
         solver = _solver(tgt.diff(i + 1), rng)
         cols = []
-        for col in mat_cols(residual, src.rank(i)):
+        for col in mat_cols(residual):
             q = solver.solve(col)
             if q is None:
                 raise InputDataError(f"no nullhomotopy at degree {i}")
             cols.append(q)
-        h[i] = [[cols[j][t] for j in range(len(cols))] for t in range(tgt.rank(i + 1))]
-        prev = h[i]
+        h[i] = prev = from_columns(rng, tgt.rank(i + 1), cols)
     return h
 
 
@@ -187,8 +178,8 @@ def totalize_chain(models: dict, lifts: dict) -> ChainComplex:
     homotopies: dict = {}
     for a in degs:
         if a - 1 in models and a in lifts and (a - 1) in lifts:
-            comp = compose_mats(lifts[a - 1], lifts[a], models[a], models[a - 2], rng)
-            if any(any(not e.is_zero() for e in row) for m in comp.values() for row in m):
+            comp = compose_mats(lifts[a - 1], lifts[a])
+            if any(row for m in comp.values() for row in m.rows):
                 sign = 1 if (a + 1) % 2 == 0 else -1
                 gmap = ChainMap(models[a], models[a - 2],
                                 {i: (m if sign == 1 else mat_neg(m))
@@ -231,13 +222,6 @@ def totalize_chain(models: dict, lifts: dict) -> ChainComplex:
     return ChainComplex(rng, ranks, diffs, check=False)
 
 
-def compose_mats(f: dict, g: dict, src: ChainComplex, tgt: ChainComplex,
-                 rng: QuotientRing) -> dict:
+def compose_mats(f: dict, g: dict) -> dict:
     """Degreewise product f.g of two matrix dicts (g applied first)."""
-    out = {}
-    for i, gm in g.items():
-        fm = f.get(i)
-        if fm is None:
-            continue
-        out[i] = mat_mul(fm, gm, rng)
-    return out
+    return {i: mat_mul(f[i], gm) for i, gm in g.items() if i in f}

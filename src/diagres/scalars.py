@@ -15,13 +15,17 @@ Fractions compare and hash equal, so no check may depend on the type.  A
 quotient is always formed through Fraction: int / int gives a float, and no
 code here may divide two ints with /.
 
-A Field instance supplies the operations; rings tag their polynomials with
-the field, and cross-field operations are rejected at the ring layer.
+A Field instance supplies the operations, and its axpy is the in-place
+term kernel dst += c * t^m * src of _terms for its coefficients; rings tag
+their polynomials with the field, and cross-field operations are rejected
+at the ring layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from ._terms import axpy_p, axpy_q
 
 
 class FieldMismatchError(ValueError):
@@ -76,6 +80,7 @@ def _integral(x: Fraction):
 
 class RationalField(Field):
     kind = "rationals"
+    axpy = staticmethod(axpy_q)
 
     def add(self, a, b):
         return a + b
@@ -153,6 +158,7 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        self.axpy = lambda dst, c, m, src: axpy_p(dst, c, m, src, p)
 
     def add(self, a, b):
         return (a + b) % self.p

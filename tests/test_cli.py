@@ -1,15 +1,19 @@
 """CLI surface: subcommands, exit codes, job files, report determinism."""
 
 import hashlib
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagres.cli import main
 from diagres.complexes import ChainComplex
-from diagres.jobio import JobFileError, emit_job, job_document, parse_complex, parse_job
+from diagres.jobio import (MAX_RANK, JobFileError, emit_job, job_document, parse_complex,
+                           parse_job)
+from diagres.matrices import Matrix
 from diagres.polyring import ring
 from diagres.report import VerificationReport
 from diagres.scalars import field_from_spec
@@ -224,6 +228,34 @@ def test_exact_everywhere_job_with_zero_blocks_is_fast(tmp_path, capsys):
     verdicts = [(c["degree"], c["passed"]) for c in json.loads(out)["conditions"]]
     assert verdicts == [(-1, True), (0, False), (1, False), (2, False), (3, True)]
     assert elapsed < 2.0
+
+
+def _ranks_job(path, n):
+    path.write_text(json.dumps({
+        "schema": 1,
+        "ring": {"variables": ["x1", "x2"], "relations": ["x1*x2", "x1^2", "x2^2"]},
+        "complexes": [{"name": "total", "ranks": {"0": n, "1": n}}],
+        "expectation": "exact_everywhere",
+    }))
+    return str(path)
+
+
+def test_declared_rank_at_the_bound_is_accepted(tmp_path, capsys):
+    """Ranks-only at the bound, over a ring with relations: the relation
+    generators j*e_i are built as term dicts, never as dense vectors."""
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--job", _ranks_job(tmp_path / "at.json", MAX_RANK),
+                           "--report", "json")
+    assert code == 1
+    assert [c["passed"] for c in json.loads(out)["conditions"]] == [True, False, False, True]
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_declared_rank_above_the_bound_is_input_error(tmp_path, capsys):
+    path = _ranks_job(tmp_path / "above.json", MAX_RANK + 1)
+    code, out, err = run_cli(capsys, "verify", "--job", path)
+    assert code == 2 and out == ""
+    assert f"rank {MAX_RANK + 1} above the maximum {MAX_RANK} at complexes[0].ranks.0" in err
 
 
 def test_gb_subcommand(tmp_path, capsys):
@@ -478,9 +510,10 @@ def test_memoized_parse_equals_one_parse_per_entry(spec, rows):
                          "differentials": {"1": rows}}, rng, "complexes[0]")
     assert got == ChainComplex(rng, ranks, {1: [[rng.parse(s) for s in row] for row in rows]})
     shared = {}
-    for row, prow in zip(rows, got.diff(1)):
-        for s, p in zip(row, prow):
-            assert shared.setdefault(s, p) is p
+    for row, prow in zip(rows, got.diff(1).rows):
+        assert all(p.terms for p in prow.values())  # zeros are not stored
+        for c, p in prow.items():
+            assert shared.setdefault(row[c], p) is p
 
 
 @pytest.mark.parametrize("bad", [0, None, ["0"], "x9", "1/0"])
@@ -564,3 +597,47 @@ def test_example_report_matches_pinned_digest(capsys, argv, spec, digest):
     assert code == 0
     canon = json.dumps(_strip_unpinned(json.loads(out)), sort_keys=True)
     assert hashlib.sha256(canon.encode()).hexdigest() == digest
+
+
+def test_no_build_or_verify_path_reads_the_dense_row_view(tmp_path, capsys, monkeypatch):
+    """Builds and verdicts run on the sparse rows alone: with every part of
+    the dense row view raising, the catalog builds from empty caches, the
+    examples and the witness verify, and an exported job verifies."""
+    from diagres.catalog import build_nodal_conic, entries
+    entry = build_nodal_conic()
+    path = tmp_path / "conic.json"
+    path.write_text(emit_job(job_document(entry.name, entry.ring, entry.complex,
+                                          entry.diagonal)))
+    monkeypatch.setattr(entries, "_CACHE", {})
+
+    def refuse(self, *args):
+        raise AssertionError("dense row view read")
+
+    for name in ("__len__", "__getitem__"):  # iteration runs through __getitem__
+        monkeypatch.setattr(Matrix, name, refuse)
+    for argv in (["verify", "--example", "nodal-conic"],
+                 ["verify", "--example", "cycle", "--n", "3"],
+                 ["witness", "--example", "nodal-conic"],
+                 ["verify", "--job", str(path)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    # the product resolution is the one catalog entry built by totalization
+    from diagres.catalog import build_nodal_conic_product, verify_entry
+    assert verify_entry(build_nodal_conic_product()).verdict == "pass"
+
+
+# The job files the benchmark's job-stream workload verifies, one round per
+# seed; they are built through the dense row view, which this pins.
+JOB_STREAM_DIGESTS = {
+    1: "613fef241b7d1b503f80b9a4456714024657e73ae78c830db98ec5a7f0d0bffb",
+    2: "a94a2a2d0fe675f9616577c3dff8be3910a986858c967bc4cc357652f3f2ca36",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(JOB_STREAM_DIGESTS))
+def test_job_stream_inputs_match_pinned_digest(tmp_path, seed):
+    where = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", where)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    assert inputs.write_jobs(seed, str(tmp_path))["digest"] == JOB_STREAM_DIGESTS[seed]
