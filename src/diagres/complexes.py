@@ -216,12 +216,6 @@ def shift(cx: ChainComplex, s: int) -> ChainComplex:
     return ChainComplex(cx.ring, {i + s: r for i, r in cx.ranks.items()}, diffs, check=False)
 
 
-def truncate(cx: ChainComplex, hi: int) -> ChainComplex:
-    """Drop all degrees above hi."""
-    return ChainComplex(cx.ring, {i: r for i, r in cx.ranks.items() if i <= hi},
-                        {i: m for i, m in cx.diffs.items() if i <= hi}, check=False)
-
-
 def shift_map(f: ChainMap, s: int) -> ChainMap:
     return ChainMap(shift(f.src, s), shift(f.tgt, s),
                     {i + s: m for i, m in f.mats.items()}, check=False)
@@ -475,11 +469,8 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     if not (window[0] <= i0 <= window[1]):
         raise InputDataError("designated degree outside the claimed window")
 
-    # Homology at i <= w = window[1] reads d_i and d_{i+1}.  d_{w+2} stays, as its
-    # units cancel C_{w+1}; pivots run by ascending degree, so d_{<=w+1} reduce as in cx.
-    sliced = truncate(cx, window[1] + 2)
-    work, incl = (minimize(sliced, transport_degrees=(i0,)) if pre_minimize
-                  else (sliced, {i0: identity_matrix(rng, cx.rank(i0))}))
+    work, incl = (minimize(cx, transport_degrees=(i0,)) if pre_minimize
+                  else (cx, {i0: identity_matrix(rng, cx.rank(i0))}))
     aug = _row_times(dspec.augmentation, incl[i0])  # sparse, over the reduced basis
 
     conditions = []

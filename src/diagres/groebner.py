@@ -46,11 +46,9 @@ FreeVector = tuple  # tuple[Polynomial, ...]
 # conversions between vector-of-polynomials and term dicts
 
 
-def vec_to_dict(vec) -> dict:
-    """Term dict of a vector: a sequence of polynomials or a sparse column
-    {component: Polynomial}."""
+def vec_to_dict(vec: Sequence[Polynomial]) -> dict:
     out = {}
-    for comp, p in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+    for comp, p in enumerate(vec):
         for exps, c in p.terms.items():
             out[(comp,) + exps] = c
     return out
@@ -415,20 +413,16 @@ class ImageSolver:
         self.engine, self.dicts = _elimination_gb(rng, matrix, self.m, self.c)
         self.buckets = _make_buckets(self.dicts, self.engine)
 
-    def solve(self, vec):
-        """vec is a sequence of m polynomials or a sparse column {row:
-        Polynomial}; q comes back in the same form."""
-        sparse = isinstance(vec, dict)
-        if not sparse and len(vec) != self.m:
-            raise ValueError("vector rank differs from matrix row count")
-        r, ok = self.engine.nf(vec_to_dict(vec), self.dicts, self.buckets, stop_comp=self.m)
+    def solve(self, col: dict):
+        """col is a sparse column {row: Polynomial}; q comes back as a sparse
+        column {index: nonzero Polynomial}."""
+        terms = {(i,) + e: c for i, p in col.items() for e, c in p.terms.items()}
+        r, ok = self.engine.nf(terms, self.dicts, self.buckets, stop_comp=self.m)
         if not ok:
             return None
         fld = self.ring.field
-        shifted = {(t[0] - self.m,) + t[1:]: fld.neg(v) for t, v in r.items()}
-        if sparse:
-            return dict_to_col(shifted, self.ring)
-        return dict_to_vec(shifted, self.ring, self.c) if self.c else ()
+        return dict_to_col({(t[0] - self.m,) + t[1:]: fld.neg(v) for t, v in r.items()},
+                           self.ring)
 
     def kernel(self) -> Submodule:
         """Generators of {q : M*q = 0 modulo J*R^m}: the basis vectors that

@@ -50,8 +50,10 @@ reports the offending JSON path on failure; polynomial parse errors carry
 their position in the string.  Each distinct entry string is parsed once
 per job, and equal strings share one Polynomial (polynomials are immutable).
 Matrices are written densely, and each row is parsed into a dict of its
-nonzero entries.  A declared rank above MAX_RANK is an input error, so a
-small file cannot ask for unbounded work.
+nonzero entries.  A declared rank above MAX_RANK, a witness step whose
+declared sum reaches a rank or a multiplicity above it, and a degree, window
+end or shift outside [-MAX_DEGREE, MAX_DEGREE] are input errors: every complex
+a job declares then has a bounded rank in each of a bounded number of degrees.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ SCHEMA = 1
 # The largest rank a complex may declare: about nine times the largest
 # catalog rank (232, the cycle's diagonal chart).  Not settable.
 MAX_RANK = 2048
+# The largest absolute degree, window end or shift a job may name: the
+# catalog's complexes live in degrees -1..5.  Not settable.
+MAX_DEGREE = 32
 
 
 class JobFileError(ValueError):
@@ -123,6 +128,14 @@ def _int(v, path: str) -> int:
     return _typed(v, int, "an integer", path)
 
 
+def _degree(v, path: str) -> int:
+    """A degree, window end or shift: an integer of absolute value at most MAX_DEGREE."""
+    k = _int(v, path)
+    if abs(k) > MAX_DEGREE:
+        raise JobFileError(f"degree {k} outside [-{MAX_DEGREE}, {MAX_DEGREE}] at {path}")
+    return k
+
+
 def _strs(v, path: str) -> list:
     return [_str(s, f"{path}[{i}]") for i, s in enumerate(_list(v, path))]
 
@@ -147,13 +160,8 @@ def _matrix(rng: QuotientRing, v, path: str, memo: dict) -> Matrix:
     """A dense list of rows as a Matrix; the first bad entry in row-major
     order is the one reported."""
     raw = _list(v, path)
-    rows = []
-    for i, row in enumerate(raw):
-        rpath = f"{path}[{i}]"
-        try:  # a row of strings all parsed before: one memo lookup per entry
-            rows.append({c: p for c, s in enumerate(_list(row, rpath)) if (p := memo[s]).terms})
-        except (KeyError, TypeError):  # memo keys are parsed strings only
-            rows.append({c: p for c, p in enumerate(_polys(rng, row, rpath, memo)) if p.terms})
+    rows = [{c: p for c, p in enumerate(_polys(rng, row, f"{path}[{i}]", memo)) if p.terms}
+            for i, row in enumerate(raw)]
     if any(len(row) != len(raw[0]) for row in raw):
         raise JobFileError(f"ragged matrix at {path}")
     return Matrix(rng, len(raw), len(raw[0]) if raw else 0, rows)
@@ -161,7 +169,7 @@ def _matrix(rng: QuotientRing, v, path: str, memo: dict) -> Matrix:
 
 def _by_degree(v, path: str) -> list:
     """(degree, value, path of the value) for an object keyed by degree."""
-    return [(_int(k, f"{path}.{k}"), x, f"{path}.{k}") for k, x in _obj(v, path).items()]
+    return [(_degree(k, f"{path}.{k}"), x, f"{path}.{k}") for k, x in _obj(v, path).items()]
 
 
 def parse_ring(d: dict, path: str = "ring") -> QuotientRing:
@@ -212,13 +220,13 @@ def parse_diagonal(d: dict, rng: QuotientRing, path: str = "diagonal",
     memo = {} if memo is None else memo
     ideal = _polys(rng, _need(d, "ideal", path), f"{path}.ideal", memo)
     aug = _polys(rng, _need(d, "augmentation", path), f"{path}.augmentation", memo)
-    degree = _int(_need(d, "degree", path), f"{path}.degree")
+    degree = _degree(_need(d, "degree", path), f"{path}.degree")
     window = None
     if "window" in d:
         raw = _list(d["window"], f"{path}.window")
         if len(raw) != 2:
             raise JobFileError(f"expected [lo, hi] at {path}.window, got {raw!r}")
-        window = tuple(_int(w, f"{path}.window[{i}]") for i, w in enumerate(raw))
+        window = tuple(_degree(w, f"{path}.window[{i}]") for i, w in enumerate(raw))
     return DiagonalSpec(ideal=ideal, degree=degree, augmentation=aug, window=window)
 
 
@@ -256,7 +264,7 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
     for i, s in enumerate(_list(d.get("steps", []), f"{path}.steps")):
         spath = f"{path}.steps[{i}]"
         _obj(s, spath)
-        summands = []
+        summands, total = [], {}  # total: degree -> rank of the declared sum
         for k, q in enumerate(_list(s.get("summands", []), f"{spath}.summands")):
             qpath = f"{spath}.summands[{k}]"
             _obj(q, qpath)
@@ -264,9 +272,16 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
             mult = _int(q.get("multiplicity", 1), f"{qpath}.multiplicity")
             if mult < 1:
                 raise JobFileError(f"multiplicity below 1 at {qpath}.multiplicity")
-            summands.append(DeclaredSummand(_str(_need(q, "label", qpath), f"{qpath}.label"),
-                                            _int(q.get("shift", 0), f"{qpath}.shift"),
-                                            mult, model))
+            label = _str(_need(q, "label", qpath), f"{qpath}.label")
+            sh = _degree(q.get("shift", 0), f"{qpath}.shift")
+            summands.append(DeclaredSummand(label, sh, mult, model))
+            # The witness builds this sum, so it is bounded like a declared
+            # complex; the multiplicity too, as a model may be zero.
+            for deg, r in (model.ranks.items() if model is not None else ()):
+                total[deg + sh] = total.get(deg + sh, 0) + mult * r
+            if mult > MAX_RANK or any(r > MAX_RANK for r in total.values()):
+                raise JobFileError(f"declared sum above the maximum rank {MAX_RANK} "
+                                   f"at {qpath}.multiplicity")
         target = _named(complexes, _need(s, "target", spath), f"{spath}.target")
         step_map = None
         if s.get("map") is not None:

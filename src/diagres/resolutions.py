@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .complexes import ChainComplex, ChainMap, InputDataError, cone, shift
-from .complexes import truncate  # noqa: F401  (part of this module's interface)
 from .groebner import ImageSolver
 from .matrices import (Matrix, as_matrix, block_matrix, from_columns, mat_cols, mat_mul,
                        mat_neg, mat_sub)
@@ -78,6 +77,12 @@ def resolve_cyclic(rng: QuotientRing, gens: Sequence[Polynomial], length: int) -
             break
         current = as_matrix(rng, [[g[i] for g in syz.generators] for i in range(cols)])
     return ChainComplex(rng, ranks, diffs, check=False)
+
+
+def truncate(cx: ChainComplex, hi: int) -> ChainComplex:
+    """Drop all degrees above hi."""
+    return ChainComplex(cx.ring, {i: r for i, r in cx.ranks.items() if i <= hi},
+                        {i: m for i, m in cx.diffs.items() if i <= hi}, check=False)
 
 
 def lift_module_map(src: ChainComplex, tgt: ChainComplex, phi0) -> ChainMap:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from diagres.cli import main
 from diagres.complexes import ChainComplex
-from diagres.jobio import (MAX_RANK, JobFileError, emit_job, job_document, parse_complex,
+from diagres.jobio import (MAX_DEGREE, MAX_RANK, JobFileError, emit_job, job_document, parse_complex,
                            parse_job)
 from diagres.matrices import Matrix
 from diagres.polyring import ring
@@ -256,6 +256,67 @@ def test_declared_rank_above_the_bound_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--job", path)
     assert code == 2 and out == ""
     assert f"rank {MAX_RANK + 1} above the maximum {MAX_RANK} at complexes[0].ranks.0" in err
+
+
+def _degree_job(where, k):
+    """The diagonal job of x1 - x2 with k written as a degree at `where`;
+    returns the document and the JSON path that names k."""
+    doc = {
+        "schema": 1,
+        "ring": {"variables": ["x1", "x2"]},
+        "complexes": [{"name": "total", "ranks": {"0": 1, "1": 1},
+                       "differentials": {"1": [["x1-x2"]]}}],
+        "diagonal": {"complex": "total", "ideal": ["x1-x2"], "degree": 0,
+                     "augmentation": ["1"]},
+    }
+    cx, diag = doc["complexes"][0], doc["diagonal"]
+    if where == "ranks":
+        cx["ranks"][str(k)] = 1
+        return doc, f"complexes[0].ranks.{k}"
+    if where == "differentials":
+        cx["differentials"][str(k)] = []
+        return doc, f"complexes[0].differentials.{k}"
+    if where == "window":
+        diag["window"] = [k, 3] if k < 0 else [-1, k]
+        return doc, f"diagonal.window[{int(k > 0)}]"
+    step = {"target": "total", "summands": [{"label": "I", "shift": k, "model": "total"}]}
+    doc["witness"] = {"claimed_time": 0, "steps": [step],
+                      "generators": [{"label": "I", "kind": "product"}]}
+    return doc, "witness.steps[0].summands[0].shift"
+
+
+@pytest.mark.parametrize("where", ["ranks", "differentials", "window", "shift"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_degree_at_the_bound_is_accepted_and_beyond_it_is_input_error(tmp_path, capsys,
+                                                                       where, sign):
+    doc, _ = _degree_job(where, sign * MAX_DEGREE)
+    (tmp_path / "at.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--job", str(tmp_path / "at.json"))
+    assert code in (0, 1), err
+    doc, kpath = _degree_job(where, sign * (MAX_DEGREE + 1))
+    (tmp_path / "beyond.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--job", str(tmp_path / "beyond.json"))
+    assert code == 2 and out == ""
+    assert f"degree {sign * (MAX_DEGREE + 1)} outside [-{MAX_DEGREE}, {MAX_DEGREE}] " \
+           f"at {kpath}" in err
+
+
+@pytest.mark.parametrize("mults,bad", [([MAX_RANK], None), ([MAX_RANK + 1], 0),
+                                        ([MAX_RANK // 2, MAX_RANK // 2 + 1], 1)])
+def test_witness_declared_sum_is_bounded_by_max_rank(tmp_path, capsys, mults, bad):
+    """The witness builds each step's declared sum, so a multiplicity may not
+    ask for more than a declared rank could (the model has rank 1)."""
+    doc, _ = _degree_job("shift", 0)
+    doc["witness"]["steps"][0]["summands"] = [
+        {"label": "I", "model": "total", "multiplicity": m} for m in mults]
+    (tmp_path / "w.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "witness", "--job", str(tmp_path / "w.json"))
+    if bad is None:
+        assert code == 1 and "does not match the declared sum" in out
+    else:
+        assert code == 2
+        assert (f"declared sum above the maximum rank {MAX_RANK} at "
+                f"witness.steps[0].summands[{bad}].multiplicity") in err
 
 
 def test_gb_subcommand(tmp_path, capsys):

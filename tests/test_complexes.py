@@ -364,24 +364,6 @@ def test_minimize_matches_restarting_scan_randomized():
             _assert_same_minimization(cx, tuple(cx.degrees()))
 
 
-def test_window_slice_reduces_low_degrees_as_the_whole_complex():
-    """The verdict minimizes truncate(cx, w + 2): pivots run by ascending
-    degree, so every reduced d_i with i <= w + 1 and the transported
-    inclusion equal those of minimizing the whole complex."""
-    from diagres.catalog import build_nodal_conic, build_nodal_conic_product
-    from diagres.catalog.entries import _chart_complex_cached
-    from diagres.resolutions import truncate
-    from diagres.scalars import QQ
-    for cx in [build_nodal_conic().complex, build_nodal_conic_product().complex,
-               _chart_complex_cached(QQ, "diagonal")[1]]:
-        whole, incl = minimize(cx, transport_degrees=(0,))
-        for w in range(0, cx.hi - 2):
-            part, part_incl = minimize(truncate(cx, w + 2), transport_degrees=(0,))
-            assert all(part.rank(i) == whole.rank(i) for i in range(cx.lo, w + 2))
-            assert all(part.diff(i) == whole.diff(i) for i in range(cx.lo, w + 2))
-            assert part_incl[0] == incl[0]
-
-
 # ---------------------------------------------------------------------------
 # one d*d check per complex
 

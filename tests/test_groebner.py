@@ -114,11 +114,11 @@ def test_product_criterion_module_counterexample():
 def test_image_solver():
     mat = [[R2.parse("x1"), R2.parse("x2")]]
     solver = ImageSolver(mat, R2)
-    q = solver.solve((R2.parse("x1^2 + x1*x2"),))
+    q = solver.solve({0: R2.parse("x1^2 + x1*x2")})
     assert q is not None
-    combo = mat[0][0] * q[0] + mat[0][1] * q[1]
+    combo = mat[0][0] * q.get(0, R2.zero()) + mat[0][1] * q.get(1, R2.zero())
     assert combo == R2.parse("x1^2 + x1*x2")
-    assert solver.solve((R2.one(),)) is None
+    assert solver.solve({0: R2.one()}) is None
 
 
 # ---------------------------------------------------------------------------

@@ -173,4 +173,5 @@ def test_memoized_solver_matches_fresh_solver(spec):
         probes = cols + [tuple(x1 * e for e in col) for col in cols]
         probes.append(tuple(rng.one() for _ in d))
         for vec in probes:
-            assert shared.solve(vec) == fresh.solve(vec)
+            col = dict(enumerate(vec))
+            assert shared.solve(col) == fresh.solve(col)
