@@ -146,20 +146,26 @@ def _run_gb(args) -> int:
     if job.gb_module is None:
         raise JobFileError("gb subcommand needs a module block in the job file")
     sub = Submodule(job.ring, job.gb_module["rank"], job.gb_module["generators"])
-    gb = buchberger(sub)
+    zero = str(job.ring.zero())
+    basis = []
+    for col in buchberger(sub).columns():
+        strs = [zero] * sub.rank
+        for i, p in col.items():
+            strs[i] = str(p)
+        basis.append(strs)
     doc = {
         "schema": 1,
         "name": job.name,
         "field": field_spec_str(job.ring.field),
         "rank": sub.rank,
-        "basis": [[str(p) for p in vec] for vec in gb.vectors],
+        "basis": basis,
     }
     if args.report == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(f"{job.name}: reduced basis, {len(gb.vectors)} vectors")
-        for vec in gb.vectors:
-            print("  (" + ", ".join(str(p) for p in vec) + ")")
+        print(f"{job.name}: reduced basis, {len(basis)} vectors")
+        for strs in basis:
+            print("  (" + ", ".join(strs) + ")")
     return EXIT_PASS
 
 

@@ -349,6 +349,9 @@ def homology_is_zero_at(cx: ChainComplex, i: int, pre_minimize: bool = True) -> 
 def _homology_zero_raw(cx: ChainComplex, i: int) -> bool:
     if cx.rank(i) == 0:
         return True
+    if i not in cx.diffs and i + 1 not in cx.diffs:
+        # No differential on either side: H_i = (R/J)^n, zero iff J is the unit ideal.
+        return reduces_to_zero(cx.ring.one().terms, _relations_gb(cx.ring))
     kernel = _kernel_generators(cx, i)
     if not kernel:
         return True

@@ -13,8 +13,8 @@ polynomials and vectors identically.
 
 Determinism: bases are auto-reduced (the reduced Gröbner basis is unique
 for a given order), made monic, and sorted by descending leading term, so
-identical inputs produce byte-identical bases.  Pair selection is the normal
-strategy (smallest lcm total degree first) with FIFO tie-break.
+identical inputs produce byte-identical bases, whatever order the pairs are
+reduced in.
 
 Auto-reduction builds one divisor index over the minimal basis.  Each
 element's tail (its terms below the leading term) is reduced against the
@@ -23,16 +23,47 @@ the element's own leading term, so it is never divisible by it, and
 reduction only introduces smaller terms: the element's own index entry is
 never used and no leading term changes.
 
+Pairs and criteria.  S-pairs are formed only between vectors whose leading
+terms share a component: the syzygies of the leading terms are generated by
+those pairs, since terms in different components have no common multiple.
+Within one component the leading terms x^a e_c behave like monomials, so the
+Gebauer-Moller update (Gebauer-Moller, "On an installation of Buchberger's
+algorithm", J. Symbolic Comput. 6, 1988) applies there unchanged.  On
+inserting h with leading term t in component c:
+
+- B_k: a pending pair (a, b) of component c is dropped if t divides
+  lcm(a, b) and lcm(a, h), lcm(b, h) both differ from it (the chain
+  criterion: its S-vector is a combination of those of (a, h) and (b, h),
+  whose lcms strictly divide its own);
+- M: a new pair (i, h) is dropped if another new pair's lcm strictly
+  divides its lcm;
+- F: of the new pairs with equal lcm one is kept, and the whole group is
+  dropped if one of them passes the product criterion.
+
 The classical coprimality (product) criterion is only valid for module pairs
 when both vectors are concentrated in their common leading component; see
-test_groebner for the standard rank-2 counterexample.  The criterion is
-applied exactly in that sound regime.
+test_groebner for the standard rank-2 counterexample.  It is applied exactly
+in that regime, and only here, in the update.
+
+Selection is the sugar strategy (Giovini, Mora, Niesi, Robbiano, Traverso,
+"One sugar cube, please", ISSAC 1991): an input vector's sugar is its
+largest term degree, a pair's is max(sugar_i + deg m_i, sugar_j + deg m_j)
+for the multipliers m_i, m_j taking the leading terms to the lcm, and a
+remainder keeps the larger of its pair's sugar and its own degree.  The
+pair of least sugar is reduced first, first in first out among equals.
+For homogeneous input this is the normal (least lcm degree) strategy; for
+non-homogeneous input under lex the lcm degree can be far below the degree
+the reduction really works in, and selecting by it lets the criteria send
+the computation through long detours.  Pending pairs are kept per component
+as {(i, j): lcm}; pairs the update drops stay in the heap and are skipped
+when popped.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import ge
 from typing import Optional, Sequence
 
 from ._terms import tup_lcm, tup_sub
@@ -130,6 +161,11 @@ class GroebnerBasis:
             self._vectors = [dict_to_vec(d, self.base.ring, self.base.rank) for d in self._dicts]
         return self._vectors
 
+    def columns(self) -> list:
+        """The basis as sparse columns {component: nonzero Polynomial}, in the
+        order of vectors, without building the dense tuples."""
+        return [dict_to_col(d, self.base.ring) for d in self._dicts]
+
     def buckets(self) -> dict:
         if self._buckets is None:
             self._buckets = _make_buckets(self._dicts, self._engine)
@@ -225,54 +261,80 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
     fld = engine.field
     basis: list = []
     lts: list = []
+    ldeg: list = []    # total degree of each leading term
+    sugar: list = []
     single: list = []  # support concentrated in the leading component?
     buckets: dict = {}
+    pending: dict = {}  # component -> {(i, j): lcm} of the pairs still to reduce
+    heap: list = []     # (sugar, counter, i, j); entries dropped from pending are stale
+    counter = 0
 
-    def support_single(d: dict, comp: int) -> bool:
-        return all(t[0] == comp for t in d)
+    def degree(d: dict) -> int:
+        return max(sum(t) - t[0] for t in d)
+
+    def insert(d: dict, sug: int):
+        """Add d to the basis and update the pairs of its component
+        (Gebauer-Moller; see the module docstring)."""
+        nonlocal counter
+        lt = engine.lead(d)
+        comp, e = lt[0], lt[1:]
+        k, dk = len(basis), sum(e)
+        basis.append(d)
+        lts.append(lt)
+        ldeg.append(dk)
+        sugar.append(sug)
+        sk = all(t[0] == comp for t in d)
+        single.append(sk)
+        bucket = buckets.setdefault(comp, [])
+        new = []
+        for le, i in bucket:
+            lcm = tup_lcm(le, e)
+            new.append((sum(lcm), lcm, i))
+        bucket.append((e, k))
+        if not new:
+            return
+        pend = pending.setdefault(comp, {})
+        if pend:  # B_k
+            lcm_with = {i: lcm for _, lcm, i in new}
+            dead = [ab for ab, lcm in pend.items()
+                    if all(map(ge, lcm, e)) and lcm_with[ab[0]] != lcm
+                    and lcm_with[ab[1]] != lcm]
+            for ab in dead:
+                del pend[ab]
+        # M and F: in ascending lcm degree a strict divisor comes first, and
+        # one that was dropped is strictly divided by one that was kept
+        new.sort()
+        groups: dict = {}  # lcm -> (its degree, the new pairs' partners with that lcm)
+        for dl, lcm, i in new:
+            if lcm in groups:
+                groups[lcm][1].append(i)
+            elif not any(all(map(ge, lcm, g)) for g in groups):
+                groups[lcm] = (dl, [i])
+        for lcm, (dl, same) in groups.items():
+            # product criterion: coprime iff deg lcm = deg lt_i + deg lt_h
+            if sk and any(single[i] and dl == ldeg[i] + dk for i in same):
+                continue
+            i = same[0]
+            pend[(i, k)] = lcm
+            heapq.heappush(heap, (max(sugar[i] - ldeg[i], sug - dk) + dl, counter, i, k))
+            counter += 1
 
     start = [engine.monic(d) for d in gen_dicts if d]
     start.sort(key=lambda d: engine.tkey(engine.lead(d)), reverse=True)
-
-    pairs: list = []
-    counter = 0
-
-    def push_pairs(j: int):
-        nonlocal counter
-        ltj = lts[j]
-        # pairs only within a component: the bucket holds j's predecessors there
-        for lexps, i in buckets[ltj[0]][:-1]:
-            lcm = tup_lcm(lexps, ltj[1:])
-            heapq.heappush(pairs, (sum(lcm), counter, i, j))
-            counter += 1
-
-    def insert(d: dict):
-        lt = engine.lead(d)
-        basis.append(d)
-        lts.append(lt)
-        single.append(support_single(d, lt[0]))
-        buckets.setdefault(lt[0], []).append((lt[1:], len(basis) - 1))
-        push_pairs(len(basis) - 1)
-
     for d in start:
-        insert(d)
+        insert(d, degree(d))
 
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        lti, ltj = lts[i], lts[j]
-        lcm = tup_lcm(lti[1:], ltj[1:])
-        # product criterion, in its module-sound form only
-        if single[i] and single[j] and all(a + b == c for a, b, c in
-                                           zip(lti[1:], ltj[1:], lcm)):
+    while heap:
+        sug, _, i, j = heapq.heappop(heap)
+        lcm = pending[lts[j][0]].pop((i, j), None)
+        if lcm is None:
             continue
-        mi = tup_sub(lcm, lti[1:])
-        mj = tup_sub(lcm, ltj[1:])
         s: dict = {}
-        engine.axpy(s, fld.one, (0,) + mi, basis[i])
-        engine.axpy(s, fld.neg(fld.one), (0,) + mj, basis[j])
+        engine.axpy(s, fld.one, (0,) + tup_sub(lcm, lts[i][1:]), basis[i])
+        engine.axpy(s, fld.neg(fld.one), (0,) + tup_sub(lcm, lts[j][1:]), basis[j])
         r = engine.nf(s, basis, buckets)
         if r:
-            insert(engine.monic(r))
+            insert(engine.monic(r), max(sug, degree(r)))
 
     # minimal: drop vectors whose leading term is divisible by another's
     order_idx = sorted(range(len(basis)), key=lambda i: engine.tkey(lts[i]))

@@ -50,10 +50,11 @@ reports the offending JSON path on failure; polynomial parse errors carry
 their position in the string.  Each distinct entry string is parsed once
 per job, and equal strings share one Polynomial (polynomials are immutable).
 Matrices are written densely, and each row is parsed into a dict of its
-nonzero entries.  A declared rank above MAX_RANK, a witness step whose
-declared sum reaches a rank or a multiplicity above it, and a degree, window
-end or shift outside [-MAX_DEGREE, MAX_DEGREE] are input errors: every complex
-a job declares then has a bounded rank in each of a bounded number of degrees.
+nonzero entries.  A declared rank above MAX_RANK (a complex's or module.rank),
+a witness step whose declared sum reaches a rank or a multiplicity above it,
+and a degree, window end or shift outside [-MAX_DEGREE, MAX_DEGREE] are input
+errors: every complex or module a job declares then has a bounded rank, in
+each of a bounded number of degrees.
 """
 
 from __future__ import annotations
@@ -352,6 +353,8 @@ def parse_job(doc: dict) -> Job:
         rank = _int(_need(md, "rank", "module"), "module.rank")
         if rank < 1:
             raise JobFileError(f"module.rank must be at least 1, got {rank}")
+        if rank > MAX_RANK:
+            raise JobFileError(f"rank {rank} above the maximum {MAX_RANK} at module.rank")
         gens = []
         for k, row in enumerate(_list(md.get("generators", []), "module.generators")):
             gpath = f"module.generators[{k}]"

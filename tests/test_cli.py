@@ -251,6 +251,26 @@ def test_declared_rank_at_the_bound_is_accepted(tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_ranks_only_job_at_both_bounds_is_answered_directly(tmp_path, capsys):
+    """MAX_RANK in every degree from -MAX_DEGREE to MAX_DEGREE and no
+    differential: each homology is (R/J)^MAX_RANK, nonzero since J is not the
+    unit ideal, and is answered without a rank-MAX_RANK basis."""
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({
+        "schema": 1,
+        "ring": {"variables": ["x1", "x2"], "relations": ["x1*x2", "x1^2", "x2^2"]},
+        "complexes": [{"name": "total", "ranks": {str(k): MAX_RANK for k in
+                                                  range(-MAX_DEGREE, MAX_DEGREE + 1)}}],
+        "expectation": "exact_everywhere",
+    }))
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--job", str(path), "--report", "json")
+    assert code == 1
+    assert ([c["passed"] for c in json.loads(out)["conditions"]]
+            == [True] + [False] * (2 * MAX_DEGREE + 1) + [True])
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_declared_rank_above_the_bound_is_input_error(tmp_path, capsys):
     path = _ranks_job(tmp_path / "above.json", MAX_RANK + 1)
     code, out, err = run_cli(capsys, "verify", "--job", path)
@@ -345,6 +365,37 @@ def test_gb_subcommand_module_rank_two(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert ["0", "x^2 - y^2"] in doc["basis"]  # the essential module syzygy
+
+    code, text, _ = run_cli(capsys, "gb", "--job", str(path))
+    assert code == 0
+    assert text.splitlines() == ["module-demo: reduced basis, 3 vectors"] + [
+        "  (" + ", ".join(v) + ")" for v in doc["basis"]]
+
+
+def _gb_rank_job(path, n):
+    path.write_text(json.dumps({"schema": 1, "ring": {"variables": ["x"], "relations": ["x^2"]},
+                                "module": {"rank": n}}))
+    return str(path)
+
+
+def test_gb_module_rank_at_the_bound_is_accepted(tmp_path, capsys):
+    """The zero submodule of (k[x]/(x^2))^MAX_RANK: its basis is x^2*e_i for
+    every i, printed from the sparse basis."""
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "gb", "--job", _gb_rank_job(tmp_path / "at.json", MAX_RANK))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"job: reduced basis, {MAX_RANK} vectors" and len(lines) == MAX_RANK + 1
+    assert lines[1] == "  (" + ", ".join(["x^2"] + ["0"] * (MAX_RANK - 1)) + ")"
+    assert lines[-1] == "  (" + ", ".join(["0"] * (MAX_RANK - 1) + ["x^2"]) + ")"
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_gb_module_rank_above_the_bound_is_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "gb", "--job",
+                             _gb_rank_job(tmp_path / "above.json", MAX_RANK + 1))
+    assert code == 2 and out == ""
+    assert f"rank {MAX_RANK + 1} above the maximum {MAX_RANK} at module.rank" in err
 
 
 def test_witness_subcommand(capsys):

@@ -429,3 +429,21 @@ def test_mat_neg_negates_every_entry_and_keeps_zeros(spec):
     cx = ChainComplex(rng, {0: 3, 1: 3}, {}, check=False)
     f = ChainMap(cx, cx, {0: mat}, check=False)
     assert negate_map(f).mats == {0: neg}
+
+
+@pytest.mark.parametrize("relations,unit", [((), False),
+                                            (("x1*x2", "x1^2", "x2^2"), False),
+                                            (("x1*x2 - 1", "x1"), True)])
+def test_homology_without_differentials_matches_augmented_membership(relations, unit):
+    """A degree with no differential on either side has H = (R/J)^n: the
+    direct answer equals membership of every unit vector in J*R^n."""
+    from diagres.complexes import _homology_zero_raw, _image_submodule, _kernel_generators
+    from diagres.groebner import member
+    rng = ring(["x1", "x2"], relations=relations)
+    for n in (1, 2, 3):
+        d1 = [[rng.parse("x1")] * n]  # C_1 -> C_0, so degree 2 has no differential
+        cx = ChainComplex(rng, {0: 1, 1: n, 2: n}, {1: d1})
+        for i in (0, 1, 2):
+            old = all(member(g, _image_submodule(cx, i)) for g in _kernel_generators(cx, i))
+            assert _homology_zero_raw(cx, i) == old
+        assert _homology_zero_raw(cx, 2) == unit

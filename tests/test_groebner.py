@@ -268,3 +268,159 @@ def test_basis_is_reduced_randomized(spec):
             assert_reduced(buchberger(random_module(rng, rand, rank=1)))
         for _ in range(4):
             assert_reduced(buchberger(random_module(rng, rand, rank=2)))
+
+
+# ---------------------------------------------------------------------------
+# pair criteria and sugar selection against a criteria-free reference
+
+
+def reference_buchberger(gens: list, eng) -> list:
+    """Buchberger with no criteria: every pair within a component is reduced,
+    first in first out, by a linear-scan normal form.  Returns the reduced
+    monic basis sorted by descending leading term, like _buchberger_dicts."""
+    from collections import deque
+
+    from diagres._terms import tup_lcm, tup_sub
+    fld = eng.field
+
+    def nf(d, basis, leads):
+        work, out = dict(d), {}
+        while work:
+            t = eng.lead(work)
+            for g, lg in zip(basis, leads):
+                m = tup_sub(t[1:], lg[1:]) if lg[0] == t[0] else None
+                if m is not None:
+                    eng.axpy(work, fld.neg(work[t]), (0,) + m, g)
+                    break
+            else:
+                out[t] = work.pop(t)
+        return out
+
+    basis = [eng.monic(d) for d in gens if d]
+    leads = [eng.lead(d) for d in basis]
+    pairs = deque((i, j) for j in range(len(basis)) for i in range(j)
+                  if leads[i][0] == leads[j][0])
+    while pairs:
+        i, j = pairs.popleft()
+        lcm = tup_lcm(leads[i][1:], leads[j][1:])
+        s = {}
+        eng.axpy(s, fld.one, (0,) + tup_sub(lcm, leads[i][1:]), basis[i])
+        eng.axpy(s, fld.neg(fld.one), (0,) + tup_sub(lcm, leads[j][1:]), basis[j])
+        r = nf(s, basis, leads)
+        if r:
+            basis.append(eng.monic(r))
+            leads.append(eng.lead(basis[-1]))
+            k = len(basis) - 1
+            pairs.extend((i, k) for i in range(k) if leads[i][0] == leads[k][0])
+
+    def redundant(k):  # a proper divisor of its leading term, or an earlier equal one
+        lt = leads[k]
+        return any(other[0] == lt[0] and tup_sub(lt[1:], other[1:]) is not None
+                   and (other != lt or m < k) for m, other in enumerate(leads) if m != k)
+
+    keep = [k for k in range(len(basis)) if not redundant(k)]
+    minimal, min_leads = [basis[k] for k in keep], [leads[k] for k in keep]
+    reduced = []
+    for d, lt in zip(minimal, min_leads):
+        r = nf({t: c for t, c in d.items() if t != lt}, minimal, min_leads)
+        r[lt] = fld.one
+        reduced.append(r)
+    reduced.sort(key=lambda d: eng.tkey(eng.lead(d)), reverse=True)
+    return reduced
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_criteria_and_sugar_match_criteria_free_reference(spec, kind):
+    from diagres.groebner import _relation_dicts, vec_to_dict
+    from diagres.scalars import field_from_spec
+    fld, order = field_from_spec(spec), MonomialOrder(kind)
+    rand = random.Random(31)
+    rings = [ring(["x", "y", "z"], field=fld, order=order),
+             ring(["x1", "y1", "x2", "y2"], field=fld, order=order,
+                  relations=["x1*y1", "x2*y2"])]
+    for rng in rings:
+        for rank in (1, 2, 3):
+            for _ in range(8):
+                sub = random_module(rng, rand, rank)
+                augment = rand.random() < 0.7
+                gb = buchberger(sub, augment=augment)
+                gens = [vec_to_dict(g) for g in sub.generators]
+                if augment:
+                    gens += _relation_dicts(rng, rank)
+                assert gb._dicts == reference_buchberger(gens, gb._engine)
+
+
+LEX_RANK2_BASIS = [
+    ("x + 12801*z^2 + 19201*z + 30403",
+     "11201*x^2*y + 11201*x*y + 21202*y^9*z^5 + 9701*y^8*z^4 + 22002*y^7*z^5 + "
+     "31603*y^7*z^4 + 18602*y^7*z^3 + 4900*y^6*z^4 + 29803*y^6*z^3 + 7201*y^6*z^2 + "
+     "2667*y^5*z^5 + 22802*y^5*z^4 + 3599*y^5*z^3 + 7201*y^5*z^2 + 30403*y^5*z + "
+     "18135*y^4*z^5 + 29670*y^4*z^4 + 21201*y^4*z^3 + 19200*y^4*z^2 + 30403*y^4*z + "
+     "20535*y^3*z^4 + 23737*y^3*z^3 + 19200*y^3*z^2 + 9600*y^3*z + 28536*y^2*z^4 + "
+     "18668*y^2*z^3 + 15470*y^2*z^2 + 9600*y^2*z + 6934*y*z^4 + 24269*y*z^3 + "
+     "5867*y*z^2 + 4268*y*z"),
+    ("y + 25602*z^2 + 6399*z + 28803",
+     "21335*x^2*y^2 + 22402*x^2*y + 21335*x*y^2 + 22402*x*y + 7334*y^10*z^5 + "
+     "3067*y^9*z^5 + 5167*y^9*z^4 + 20002*y^8*z^5 + 4234*y^8*z^4 + 22335*y^8*z^3 + "
+     "24002*y^7*z^5 + 6535*y^7*z^4 + 7868*y^7*z^3 + 30669*y^7*z^2 + 20446*y^6*z^5 + "
+     "5799*y^6*z^4 + 27606*y^6*z^3 + 14402*y^6*z^2 + 24002*y^6*z + 16891*y^5*z^5 + "
+     "10042*y^5*z^4 + 17865*y^5*z^3 + 17073*y^5*z^2 + 28803*y^5*z + 4267*y^4*z^5 + "
+     "16227*y^4*z^4 + 8610*y^4*z^3 + 6397*y^4*z^2 + 28805*y^4*z + 19290*y^3*z^4 + "
+     "27920*y^3*z^3 + 24158*y^3*z^2 + 19200*y^3*z + 3289*y^2*z^4 + 28446*y^2*z^3 + "
+     "27385*y^2*z^2 + 26300*y^2*z + 13868*y*z^4 + 19202*y*z^3 + 17068*y*z^2 + "
+     "29870*y*z"),
+    ("z^3 + 5*z^2 + 24003*z + 3",
+     "32002*x^2*y + 32002*x*y + 22002*y^9*z^5 + 9001*y^8*z^5 + 15501*y^8*z^4 + "
+     "29003*y^7*z^5 + 11252*y^7*z^4 + 2999*y^7*z^3 + 16001*y^6*z^5 + 26255*y^6*z^4 + "
+     "19504*y^6*z^3 + 28001*y^6*z^2 + 25335*y^5*z^5 + 22499*y^5*z^4 + 4009*y^5*z^3 + "
+     "6003*y^5*z^2 + 8000*y^5*z + 26670*y^4*z^5 + 23829*y^4*z^4 + 26996*y^4*z^3 + "
+     "8013*y^4*z^2 + 20003*y^4*z + 10673*y^3*z^4 + 22642*y^3*z^3 + 31996*y^3*z^2 + "
+     "6*y^3*z + 8667*y^2*z^4 + 7345*y^2*z^3 + 5285*y^2*z^2 + 7997*y^2*z + "
+     "18668*y*z^4 + 27335*y*z^3 + 1344*y*z^2 + 21303*y*z + 4*z"),
+    ("0",
+     "x^3*y + x^2*y + 21002*y^10*z^5 + 11001*y^9*z^5 + 8251*y^9*z^4 + 2000*y^8*z^5 + "
+     "22752*y^8*z^4 + 14502*y^8*z^3 + 30003*y^7*z^5 + 4999*y^7*z^4 + 12001*y^7*z^3 + "
+     "2001*y^7*z^2 + 28003*y^6*z^5 + 22003*y^6*z^4 + 15997*y^6*z^3 + 28003*y^6*z + "
+     "4000*y^5*z^5 + 20005*y^5*z^4 + y^5*z^3 + 11995*y^5*z^2 + 1998*y^4*z^4 + "
+     "24013*y^4*z^3 + 32000*y^4*z + 30003*y^3*z^4 + 32000*y^3*z^3 + 16018*y^3*z^2 + "
+     "30003*y^2*z^4 + 8001*y^2*z^3 + 9*y^2*z + 12001*y*z^3 + 24002*y*z^2"),
+    ("0",
+     "x*z + 24002*y^6*z^5 + 8001*y^5*z^5 + 30001*y^5*z^4 + 10002*y^4*z^4 + "
+     "11996*y^4*z^3 + 12001*y^3*z^4 + y^3*z^3 + 15995*y^3*z^2 + 12001*y^2*z^4 + "
+     "32000*y^2*z + 8001*y*z^3 + 16001*z^2"),
+    ("0",
+     "y^5*z^6 + 32002*y^4*z^6 + 8010*y^4*z^5 + 23996*y^3*z^5 + 35*y^3*z^4 + "
+     "16002*y^2*z^5 + 15989*y^2*z^4 + 67*y^2*z^3 + 16002*y*z^5 + y*z^4 + "
+     "31995*y*z^3 + 64*y*z^2 + 24*z"),
+]
+
+
+def test_lex_rank2_module_is_fast_and_unchanged():
+    """Under lex, selecting pairs by lcm degree lets the criteria detour for
+    minutes on this module; sugar selection does not."""
+    import time
+
+    from diagres.scalars import PrimeField
+    rng = ring(["x", "y", "z"], field=PrimeField(32003), order=MonomialOrder("lex"))
+    p = rng.parse
+    gens = [(p("-2*x^2*z + x*y*z"), p("-2*z")), (p("x*y*z + 2*x - z"), rng.zero()),
+            (p("-3 + 2*x*y*z - 2*y*z"), p("x^2*y + x*y"))]
+    t0 = time.perf_counter()
+    gb = buchberger(Submodule(rng, 2, gens))
+    assert time.perf_counter() - t0 < 2.0
+    assert basis_strs(gb) == LEX_RANK2_BASIS
+
+
+def test_chain_criterion_skips_staircase_pairs(monkeypatch):
+    """x^3, x^2*y, x*y^2, y^3: only the three adjacent pairs are reduced (the
+    other three are chained through a middle generator; before the criteria
+    five were).  Each of the four basis elements adds one tail reduction."""
+    from diagres import groebner
+    calls = []
+    nf = groebner._Engine.nf
+    monkeypatch.setattr(groebner._Engine, "nf",
+                        lambda self, *a, **k: calls.append(1) or nf(self, *a, **k))
+    gb = buchberger(ideal(RLEX, "x^3", "x^2*y", "x*y^2", "y^3"))
+    assert basis_strs(gb) == [("x^3",), ("x^2*y",), ("x*y^2",), ("y^3",)]
+    assert len(calls) - len(gb._dicts) == 3
