@@ -399,8 +399,8 @@ def _chart_witnesses(w: GenerationWitness, n: int, field: Field) -> tuple:
     kind, restricted pattern) gives one local witness, its summands sorted
     into the kind's block order and checked against that kind's attaching
     map, models and spec.  The label work visits 3n charts; the algebra runs
-    once per kind.  Distant charts receive nothing and are left to the chart
-    suite.
+    once per kind.  Distant charts receive nothing: their chart complex is the
+    zero complex, which is exact everywhere.
     """
     decls = {g.label: g for g in w.generators}
     patterns = {c: [Counter() for _ in w.steps] for i in range(1, n + 1)

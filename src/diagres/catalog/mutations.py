@@ -151,7 +151,7 @@ def _conic_step_0_only(field: Field):
     """The nodal conic cut to step 0 with claimed time 0 (Rdim <= 0 is
     false: a reduced curve has Rdim >= 1)."""
     w = build_nodal_conic(field).witness
-    return replace(w, steps=w.steps[:1], claimed_time=0), None
+    return replace(w, steps=w.steps[:1], claimed_time=0)
 
 
 def _cycle_misplaced_certificate(field: Field):
@@ -162,7 +162,7 @@ def _cycle_misplaced_certificate(field: Field):
         GeneratorDecl("G_1", "weakly_product", ConeCertificate("O_square_3", "O_node_1"))
         if g.label == "G_1" else g for g in w.generators]
     w.charts = _chart_witnesses(w, 4, field)
-    return w, True
+    return w
 
 
 def _conic_product_final(field: Field):
@@ -171,18 +171,18 @@ def _conic_product_final(field: Field):
     w = build_nodal_conic(field).witness
     product = build_nodal_conic_product(field)
     last = replace(w.steps[-1], target=product.complex)
-    return replace(w, steps=w.steps[:-1] + [last], final_diagonal=product.diagonal), None
+    return replace(w, steps=w.steps[:-1] + [last], final_diagonal=product.diagonal)
 
 
 def _affine_reversed_summands(field: Field):
     """The affine line's step-1 summands declared in reverse block order."""
     w = build_affine_line(field).witness
     last = replace(w.steps[-1], summands=list(reversed(w.steps[-1].summands)))
-    return replace(w, steps=w.steps[:-1] + [last]), None
+    return replace(w, steps=w.steps[:-1] + [last])
 
 
 # name -> (text one of the witness problems must contain,
-#          field -> (witness, chart_suite_passed))
+#          field -> witness)
 WITNESS_MUTATIONS = {
     "conic-step-0-only": ("final complex fails diagonal check", _conic_step_0_only),
     "cycle-misplaced-certificate": ("does not match the declared sum",

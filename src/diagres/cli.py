@@ -53,8 +53,8 @@ def _emit(report: VerificationReport, args) -> int:
     return EXIT_FAIL
 
 
-def _witness_report(witness, name, field_used, chart_suite_passed=None):
-    wrep = verify_witness(witness, chart_suite_passed=chart_suite_passed)
+def _witness_report(witness, name, field_used):
+    wrep = verify_witness(witness)
     return VerificationReport(
         name=name,
         verdict="pass" if wrep.passed else "fail",
@@ -98,13 +98,10 @@ def _verify_example(args) -> int:
                 raise JobFileError(f"no chart ({ci},{cj}) for n={n}")
         top = VerificationReport(f"cycle(n={n})", "pass", fname,
                                  notes=list(cat.notes))
-        subs = catalog.verify_chart_jobs(jobs)
-        top.subreports.extend(subs)
+        top.subreports.extend(catalog.verify_chart_jobs(jobs))
         if not args.chart:
-            all_ok = all(s.verdict == "pass" for s in subs)
-            top.subreports.append(_witness_report(
-                cat.witness, f"cycle(n={n}):witness", fname,
-                chart_suite_passed=all_ok))
+            top.subreports.append(_witness_report(cat.witness, f"cycle(n={n}):witness",
+                                                  fname))
     else:
         raise JobFileError(f"unknown example {args.example!r}")
     if any(s.verdict == "error" for s in top.subreports):
@@ -181,13 +178,12 @@ def _run_witness(args) -> int:
     fld = _field(args)
     fname = field_spec_str(fld)
     if args.example == "cycle":
-        cat = catalog.build_cycle(args.n, fld)
-        ok = all(s.verdict == "pass" for s in catalog.verify_chart_jobs(cat.chart_jobs))
-        return _emit(_witness_report(cat.witness, f"cycle(n={args.n}):witness",
-                                     fname, chart_suite_passed=ok), args)
-    build = {"affine-line": catalog.build_affine_line,
-             "nodal-conic": catalog.build_nodal_conic}[args.example]
-    return _emit(_witness_report(build(fld).witness, f"{args.example}:witness", fname), args)
+        witness, name = catalog.build_cycle(args.n, fld).witness, f"cycle(n={args.n})"
+    else:
+        build = {"affine-line": catalog.build_affine_line,
+                 "nodal-conic": catalog.build_nodal_conic}[args.example]
+        witness, name = build(fld).witness, args.example
+    return _emit(_witness_report(witness, f"{name}:witness", fname), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,10 @@ For speed, homology questions are answered after cancelling scalar-unit
 entries of the differentials (Gaussian cancellation); this produces a
 homotopy-equivalent complex together with an explicit degreewise inclusion,
 through which the augmentation row is transported, so every verdict is
-unchanged.
+unchanged.  Each differential then gets one elimination basis per verdict
+(an ImageSolver, built on first use): kernel generators of d_i are read off
+the solver of d_i, and a column of C_i is a boundary iff the solver of
+d_{i+1} solves it, or, with no d_{i+1}, iff its entries lie in J.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groebner import (Submodule, buchberger, member, reduces_to_zero, syzygies,
-                       unit_vectors, vec_is_zero)
+from .groebner import ImageSolver, Submodule, buchberger, member, reduces_to_zero
 from .matrices import (Matrix, as_matrix, block_matrix, from_columns, identity_matrix,
                        mat_cols, mat_eq, mat_mul, mat_neg, mat_sub, zero_matrix)
 from .polyring import Polynomial, QuotientRing, RingMismatchError
@@ -93,13 +95,12 @@ class ChainComplex:
         return self._d2_failure
 
     def _scan_square_zero(self) -> Optional[int]:
-        gb = _relations_gb(self.ring)
         for i in self.degrees():
             # A missing block is zero, and so is any product through it.
             if i in self.diffs and i - 1 in self.diffs:
                 # Most products vanish before reduction and are never stored.
                 for row in mat_mul(self.diffs[i - 1], self.diffs[i]).rows:
-                    if not all(reduces_to_zero(e.terms, gb) for e in row.values()):
+                    if not _vanishes(self.ring, row.values()):
                         return i - 1
         return None
 
@@ -133,9 +134,14 @@ def _stored(rng: QuotientRing, mats: dict, shape, what: str) -> dict:
 def _relations_gb(rng: QuotientRing):
     gb = getattr(rng, "_relations_gb", None)
     if gb is None:
-        gb = buchberger(Submodule(rng, 1, [(r,) for r in rng.relations]), augment=False)
-        rng._relations_gb = gb
+        gb = rng._relations_gb = buchberger(Submodule(rng, 1, []))
     return gb
+
+
+def _vanishes(rng: QuotientRing, entries) -> bool:
+    """True iff every polynomial in entries lies in the relation ideal J."""
+    gb = _relations_gb(rng)
+    return all(reduces_to_zero(e.terms, gb) for e in entries)
 
 
 def check_differential(cx: ChainComplex) -> bool:
@@ -165,7 +171,6 @@ class ChainMap:
                                                                self.src.rank(i))
 
     def commutes(self) -> bool:
-        gb = _relations_gb(self.ring)
         lo = min(self.src.lo, self.tgt.lo)
         hi = max(self.src.hi, self.tgt.hi)
         for i in range(lo, hi + 2):
@@ -173,7 +178,7 @@ class ChainMap:
                 continue
             diff = mat_sub(mat_mul(self.tgt.diff(i), self.mat(i)),
                            mat_mul(self.mat(i - 1), self.src.diff(i)))
-            if not all(reduces_to_zero(e.terms, gb) for row in diff.rows for e in row.values()):
+            if not _vanishes(self.ring, (e for row in diff.rows for e in row.values())):
                 return False
         return True
 
@@ -343,33 +348,45 @@ def homology_is_zero_at(cx: ChainComplex, i: int, pre_minimize: bool = True) -> 
     """True iff ker(d_i) is contained in im(d_{i+1}) + J*C_i."""
     if pre_minimize:
         cx, _ = minimize(cx)
-    return _homology_zero_raw(cx, i)
+    return _Homology(cx).zero_at(i)
 
 
-def _homology_zero_raw(cx: ChainComplex, i: int) -> bool:
-    if cx.rank(i) == 0:
-        return True
-    if i not in cx.diffs and i + 1 not in cx.diffs:
-        # No differential on either side: H_i = (R/J)^n, zero iff J is the unit ideal.
-        return reduces_to_zero(cx.ring.one().terms, _relations_gb(cx.ring))
-    kernel = _kernel_generators(cx, i)
-    if not kernel:
-        return True
-    image = _image_submodule(cx, i)
-    return all(member(g, image) for g in kernel)
+class _Homology:
+    """Homology questions about one complex, all answered from one
+    ImageSolver per differential, built on first use.
 
+    An instance lives for one verdict and is not retained, so neither are
+    its solvers: the matrices of a minimized complex are fresh every time.
+    """
 
-def _kernel_generators(cx: ChainComplex, i: int) -> list:
-    # A missing d_i is zero (or maps to rank 0): the kernel is all of C_i.
-    if i not in cx.diffs:
-        return unit_vectors(cx.ring, cx.rank(i))
-    return syzygies(cx.diffs[i], cx.ring).generators
+    def __init__(self, cx: ChainComplex):
+        self.cx = cx
+        self._solvers = {}
 
+    def _solver(self, i: int) -> ImageSolver:
+        solver = self._solvers.get(i)
+        if solver is None:
+            solver = self._solvers[i] = ImageSolver(self.cx.diffs[i], self.cx.ring)
+        return solver
 
-def _image_submodule(cx: ChainComplex, i: int) -> Submodule:
-    n, zero = cx.rank(i), cx.ring.zero()
-    cols = mat_cols(cx.diffs[i + 1]) if i + 1 in cx.diffs else []
-    return Submodule(cx.ring, n, [tuple(col.get(r, zero) for r in range(n)) for col in cols])
+    def cycles(self, i: int) -> Matrix:
+        """Generators of ker d_i, as the columns of a matrix; with no d_i (it
+        is zero or maps to rank 0) the identity columns."""
+        if i in self.cx.diffs:
+            return self._solver(i).kernel()
+        return identity_matrix(self.cx.ring, self.cx.rank(i))
+
+    def is_boundary(self, i: int, col: dict) -> bool:
+        """Whether the sparse column col of C_i lies in im(d_{i+1}) + J*C_i."""
+        if i + 1 in self.cx.diffs:
+            return self._solver(i + 1).solve(col) is not None
+        return _vanishes(self.cx.ring, col.values())
+
+    def zero_at(self, i: int) -> bool:
+        if i not in self.cx.diffs and i + 1 not in self.cx.diffs:
+            # The identity columns are boundaries iff 1 lies in J: one test, not n.
+            return self.cx.rank(i) == 0 or _vanishes(self.cx.ring, [self.cx.ring.one()])
+        return all(self.is_boundary(i, col) for col in mat_cols(self.cycles(i)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +491,18 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
 
     work, incl = (minimize(cx, transport_degrees=(i0,)) if pre_minimize
                   else (cx, {i0: identity_matrix(rng, cx.rank(i0))}))
-    aug = _row_times(dspec.augmentation, incl[i0])  # sparse, over the reduced basis
+    eps = as_matrix(rng, [dspec.augmentation])
+    hom = _Homology(work)
 
-    conditions = []
-    for i in range(window[0], window[1] + 1):
-        if i == i0:
-            continue
-        ok = _homology_zero_raw(work, i)
-        conditions.append(ConditionResult("exact", i, ok))
+    conditions = [ConditionResult("exact", i, hom.zero_at(i))
+                  for i in range(window[0], window[1] + 1) if i != i0]
 
     # (b) well-definedness on boundaries, checked against the complex as
     # given: the reduced model only sees reduced boundaries, so checking
     # there would be strictly weaker.
     ok_b = True
     detail_b = ""
-    row = _row_times(dspec.augmentation, cx.diff(i0 + 1))
+    row = mat_mul(eps, cx.diff(i0 + 1)).rows[0]
     for j in sorted(row):
         if not member((row[j],), ideal_sub):
             ok_b = False
@@ -496,48 +510,27 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
             break
     conditions.append(ConditionResult("well_defined", i0, ok_b, detail_b))
 
-    kernel = _kernel_generators(work, i0) if work.rank(i0) else []
+    # (c) and (d) read one elimination basis of the row (aug on the kernel
+    # generators | I), with the augmentation transported to the reduced basis.
+    cycles = hom.cycles(i0)
+    k = cycles.ncols
+    vals = mat_mul(mat_mul(eps, incl[i0]), cycles).rows[0]
+    vals.update((k + j, g) for j, g in enumerate(dspec.ideal) if g.terms)
+    combo = ImageSolver(Matrix(rng, 1, k + len(dspec.ideal), [vals]), rng)
 
     # (c) surjectivity: 1 in (aug values on the kernel) + I
-    vals = [_row_dot(aug, g, rng) for g in kernel]
-    surj_sub = Submodule(rng, 1, [(v,) for v in vals] + [(g,) for g in dspec.ideal])
-    ok_c = member((rng.one(),), surj_sub)
-    conditions.append(ConditionResult("surjective", i0, ok_c))
+    conditions.append(ConditionResult("surjective", i0,
+                                      combo.solve({0: rng.one()}) is not None))
 
-    # (d) injectivity: kernel vectors with augmentation in I are boundaries
-    ok_d = True
-    detail_d = ""
-    if kernel:
-        combo_rows = [vals + [g for g in dspec.ideal]]
-        combos = syzygies(combo_rows, rng, rank=len(vals) + len(dspec.ideal))
-        image = _image_submodule(work, i0)
-        for s in combos.generators:
-            vec = tuple(rng.zero() for _ in range(work.rank(i0)))
-            for coeff, g in zip(s[:len(kernel)], kernel):
-                if coeff.is_zero():
-                    continue
-                vec = tuple(a + coeff * b for a, b in zip(vec, g))
-            if not vec_is_zero(vec) and not member(vec, image):
-                ok_d = False
-                detail_d = "kernel class with augmentation in the ideal is not a boundary"
-                break
-    conditions.append(ConditionResult("injective", i0, ok_d))
+    # (d) injectivity: kernel vectors with augmentation in I are boundaries;
+    # they are the columns of cycles * (the kernel rows of the combinations)
+    syz = combo.kernel()
+    vecs = mat_mul(cycles, Matrix(rng, k, syz.ncols, syz.rows[:k]))
+    conditions.append(ConditionResult(
+        "injective", i0, all(hom.is_boundary(i0, col) for col in mat_cols(vecs))))
 
     passed = all(c.passed for c in conditions)
     return QisoResult(passed, i0, window, conditions, truncated)
-
-
-def _row_times(row: list, mat: Matrix) -> dict:
-    """The row vector row*mat as a {column: nonzero Polynomial} dict."""
-    return mat_mul(as_matrix(mat.ring, [row]), mat).rows[0]
-
-
-def _row_dot(row: dict, vec, rng: QuotientRing) -> Polynomial:
-    out = rng.zero()
-    for j, a in row.items():
-        if vec[j].terms:
-            out = out + a * vec[j]
-    return out
 
 
 def exact_everywhere(cx: ChainComplex, window: Optional[tuple] = None) -> QisoResult:
@@ -546,7 +539,7 @@ def exact_everywhere(cx: ChainComplex, window: Optional[tuple] = None) -> QisoRe
         return QisoResult(True, 0, window or (0, 0), [ConditionResult("exact", None, True)])
     if window is None:
         window = (cx.lo - 1, cx.hi + 1)
-    work, _ = minimize(cx)
-    conditions = [ConditionResult("exact", i, _homology_zero_raw(work, i))
+    hom = _Homology(minimize(cx)[0])
+    conditions = [ConditionResult("exact", i, hom.zero_at(i))
                   for i in range(window[0], window[1] + 1)]
     return QisoResult(all(c.passed for c in conditions), 0, window, conditions)

@@ -67,7 +67,7 @@ from operator import ge
 from typing import Optional, Sequence
 
 from ._terms import tup_lcm, tup_sub
-from .matrices import Matrix, as_matrix
+from .matrices import Matrix, as_matrix, from_columns, identity_matrix, mat_cols
 from .polyring import Polynomial, QuotientRing, RingMismatchError
 
 FreeVector = tuple  # tuple[Polynomial, ...]
@@ -98,17 +98,6 @@ def dict_to_col(d: dict, rng: QuotientRing) -> dict:
     for term, c in d.items():
         polys.setdefault(term[0], {})[term[1:]] = c
     return {i: Polynomial(rng, t) for i, t in polys.items()}
-
-
-def unit_vectors(rng: QuotientRing, n: int) -> list:
-    """The standard basis e_0, ..., e_{n-1} of R^n."""
-    one, zero = rng.one(), rng.zero()
-    out = []
-    for j in range(n):
-        v = [zero] * n
-        v[j] = one
-        out.append(tuple(v))
-    return out
 
 
 def vec_is_zero(vec: Sequence[Polynomial]) -> bool:
@@ -368,12 +357,10 @@ def _relation_dicts(rng: QuotientRing, rank: int) -> list:
             for rel in rng.relations for i in range(rank)]
 
 
-def buchberger(sub: Submodule, augment: bool = True) -> GroebnerBasis:
-    """Reduced Gröbner basis of the (by default J-augmented) submodule."""
+def buchberger(sub: Submodule) -> GroebnerBasis:
+    """Reduced Gröbner basis of the J-augmented submodule."""
     engine = _Engine(sub.ring, sub.rank)
-    gens = [vec_to_dict(g) for g in sub.generators]
-    if augment:
-        gens += _relation_dicts(sub.ring, sub.rank)
+    gens = [vec_to_dict(g) for g in sub.generators] + _relation_dicts(sub.ring, sub.rank)
     return GroebnerBasis(base=sub, _engine=engine, _dicts=_buchberger_dicts(gens, engine))
 
 
@@ -437,33 +424,33 @@ def _elimination_gb(rng: QuotientRing, matrix: Matrix, m: int, c: int):
     return engine, dicts
 
 
-def syzygies(matrix, rng: QuotientRing, rank: Optional[int] = None) -> Submodule:
+def syzygies(matrix, rng: QuotientRing) -> Submodule:
     """Kernel of the map R^c -> (R/J)^m given by an m x c matrix.
 
-    matrix is a Matrix or a dense list of m rows of c polynomials; m = 0 is
-    allowed (then the kernel is everything, and a list needs rank = c).
-    Output generators satisfy M*s = 0 modulo J*R^m.
+    matrix is a Matrix or a dense list of m rows of c polynomials; a Matrix
+    may have m = 0 (then the kernel is everything).  Output generators
+    satisfy M*s = 0 modulo J*R^m.
     """
-    if not isinstance(matrix, Matrix):
-        if not matrix and rank is None:
-            raise ValueError("need the column count for an empty matrix")
-        matrix = as_matrix(rng, matrix, rank or 0)
+    matrix = as_matrix(rng, matrix)
     m, c = matrix.shape
     if c == 0:
         return Submodule(rng, 1, [])
-    if m == 0:
-        return Submodule(rng, c, unit_vectors(rng, c))
-    return ImageSolver(matrix, rng).kernel()
+    kernel = ImageSolver(matrix, rng).kernel() if m else identity_matrix(rng, c)
+    zero = rng.zero()
+    return Submodule(rng, c, [tuple(col.get(r, zero) for r in range(c))
+                              for col in mat_cols(kernel)])
 
 
 class ImageSolver:
     """Expresses vectors as combinations of the columns of a fixed matrix.
 
     solve(v) returns coefficients q with  M*q = v  modulo J*R^m, or None if
-    v is not in the column span plus J-augmentation; kernel() returns the
-    syzygies of the columns.  Both read the one elimination basis computed
-    here; this is the workhorse behind resolutions, chain-map lifting and
-    nullhomotopies.
+    v is not in the column span plus J-augmentation, so a vector is a
+    boundary of a differential d exactly when the solver of d solves it;
+    kernel() returns the syzygies of the columns as the columns of a sparse
+    matrix.  Both read the one elimination basis computed here; this is the
+    workhorse behind resolutions, chain-map lifting, nullhomotopies and every
+    homology question of the verdict.
     """
 
     def __init__(self, matrix, rng: QuotientRing):
@@ -486,12 +473,10 @@ class ImageSolver:
         return dict_to_col({(t[0] - self.m,) + t[1:]: fld.neg(v) for t, v in r.items()},
                            self.ring)
 
-    def kernel(self) -> Submodule:
-        """Generators of {q : M*q = 0 modulo J*R^m}: the basis vectors that
-        live entirely in the tag block."""
-        m, gens = self.m, []
-        for d in self.dicts:
-            if all(t[0] >= m for t in d):
-                shifted = {(t[0] - m,) + t[1:]: v for t, v in d.items()}
-                gens.append(dict_to_vec(shifted, self.ring, self.c))
-        return Submodule(self.ring, self.c, gens)
+    def kernel(self) -> Matrix:
+        """The c x k matrix whose columns generate {q : M*q = 0 modulo J*R^m}:
+        the basis vectors that live entirely in the tag block."""
+        m = self.m
+        return from_columns(self.ring, self.c, [
+            dict_to_col({(t[0] - m,) + t[1:]: v for t, v in d.items()}, self.ring)
+            for d in self.dicts if all(t[0] >= m for t in d)])

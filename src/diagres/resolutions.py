@@ -62,20 +62,12 @@ def resolve_cyclic(rng: QuotientRing, gens: Sequence[Polynomial], length: int) -
     if not gens:
         return ChainComplex(rng, ranks, diffs, check=False)
     current = as_matrix(rng, [list(gens)])  # 1 x k
-    deg = 1
-    while deg <= length:
-        cols = current.ncols
-        if cols == 0:
-            break
-        ranks[deg] = cols
+    for deg in range(1, length + 1):
+        ranks[deg] = current.ncols
         diffs[deg] = current
-        syz = _solver(current, rng).kernel()
-        if not syz.generators:
+        current = _solver(current, rng).kernel()  # the next differential
+        if not current.ncols:
             break
-        deg += 1
-        if deg > length:
-            break
-        current = as_matrix(rng, [[g[i] for g in syz.generators] for i in range(cols)])
     return ChainComplex(rng, ranks, diffs, check=False)
 
 

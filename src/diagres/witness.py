@@ -95,8 +95,7 @@ class WitnessReport:
     final_result: Optional[QisoResult] = None
 
 
-def verify_witness(w: GenerationWitness,
-                   chart_suite_passed: Optional[bool] = None) -> WitnessReport:
+def verify_witness(w: GenerationWitness) -> WitnessReport:
     if w.claimed_time < 0:
         raise InputDataError(f"claimed generation time {w.claimed_time} is negative")
     for x in (w, *w.charts):
@@ -131,10 +130,8 @@ def verify_witness(w: GenerationWitness,
             if why:
                 report.problems.append(f"{where}step {idx}: {why}")
             prev = step.target
-        if local.final_diagonal is None and chart_suite_passed is None:
-            raise InputDataError("witness has neither a final diagonal nor chart results")
         if local.final_diagonal is None:
-            continue
+            raise InputDataError(f"{where}witness has no final diagonal")
         if prev is None:
             report.problems.append(f"{where}no final complex")
             continue
@@ -148,8 +145,6 @@ def verify_witness(w: GenerationWitness,
             f = result.first_failure()
             report.problems.append(f"{where}final complex fails diagonal check: "
                                    f"{f.condition} at degree {f.degree}")
-    if chart_suite_passed is False:
-        report.problems.append("chart verification suite failed")
 
     report.passed = not report.problems
     if report.passed:

@@ -68,7 +68,7 @@ def test_criterion_3_cycle(capsys):
         cat = build_cycle(n)
         reports = verify_chart_jobs(cat.chart_jobs)
         charts_ok = len(reports) == n * n and all(r.passed for r in reports)
-        wrep = verify_witness(cat.witness, chart_suite_passed=charts_ok)
+        wrep = verify_witness(cat.witness)
         bound = any(f"Rdim(D^bCoh(I_{n})) <= 1" in m for m in wrep.messages)
         elapsed = time.monotonic() - t0
         ok = ok and charts_ok and wrep.passed and bound and elapsed < 60.0
@@ -218,8 +218,7 @@ def test_criterion_8_field_cross_check(capsys):
                verify_entry(build_nodal_conic_product(field)).verdict]
         cat = build_cycle(3, field)
         out.extend(r.verdict for r in verify_chart_jobs(cat.chart_jobs))
-        out.append("pass" if verify_witness(
-            cat.witness, chart_suite_passed=True).passed else "fail")
+        out.append("pass" if verify_witness(cat.witness).passed else "fail")
         return out
 
     v_q = verdicts(QQ)

@@ -112,7 +112,7 @@ def test_cycle_charts_verify_and_witness_emits_bound():
     reports = verify_chart_jobs(cat.chart_jobs)
     assert len(reports) == 9
     assert all(r.passed for r in reports)
-    wrep = verify_witness(cat.witness, chart_suite_passed=True)
+    wrep = verify_witness(cat.witness)
     assert wrep.passed
     assert any("Rdim(D^bCoh(I_3)) <= 1" in m for m in wrep.messages)
 

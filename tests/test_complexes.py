@@ -431,19 +431,105 @@ def test_mat_neg_negates_every_entry_and_keeps_zeros(spec):
     assert negate_map(f).mats == {0: neg}
 
 
+# ---------------------------------------------------------------------------
+# homology from one elimination basis per differential
+
+
+def _homology_zero_reference(cx, i):
+    """H_i = 0 the long way: kernel generators of d_i (the unit vectors when
+    there is none), each tested for membership in a Submodule of the image
+    columns of d_{i+1}, which has its own Gröbner basis."""
+    from diagres.groebner import Submodule, member, syzygies
+    from diagres.matrices import mat_cols
+    rng, n = cx.ring, cx.rank(i)
+    if n == 0:
+        return True
+    zero = rng.zero()
+    image = Submodule(rng, n, [tuple(col.get(r, zero) for r in range(n))
+                               for col in mat_cols(cx.diff(i + 1))])
+    return all(member(g, image) for g in syzygies(cx.diff(i), rng).generators)
+
+
+def _assert_homology_matches_reference(cx):
+    reduced, _ = minimize(cx)
+    for i in range(cx.lo - 1, cx.hi + 2):
+        assert homology_is_zero_at(cx, i, pre_minimize=False) == \
+            _homology_zero_reference(cx, i), (cx, i, "raw")
+        assert homology_is_zero_at(cx, i) == _homology_zero_reference(reduced, i), \
+            (cx, i, "minimized")
+
+
 @pytest.mark.parametrize("relations,unit", [((), False),
                                             (("x1*x2", "x1^2", "x2^2"), False),
                                             (("x1*x2 - 1", "x1"), True)])
 def test_homology_without_differentials_matches_augmented_membership(relations, unit):
     """A degree with no differential on either side has H = (R/J)^n: the
-    direct answer equals membership of every unit vector in J*R^n."""
-    from diagres.complexes import _homology_zero_raw, _image_submodule, _kernel_generators
-    from diagres.groebner import member
+    identity columns are boundaries iff every unit vector lies in J*R^n."""
     rng = ring(["x1", "x2"], relations=relations)
     for n in (1, 2, 3):
         d1 = [[rng.parse("x1")] * n]  # C_1 -> C_0, so degree 2 has no differential
         cx = ChainComplex(rng, {0: 1, 1: n, 2: n}, {1: d1})
         for i in (0, 1, 2):
-            old = all(member(g, _image_submodule(cx, i)) for g in _kernel_generators(cx, i))
-            assert _homology_zero_raw(cx, i) == old
-        assert _homology_zero_raw(cx, 2) == unit
+            assert homology_is_zero_at(cx, i, pre_minimize=False) == \
+                _homology_zero_reference(cx, i)
+        assert homology_is_zero_at(cx, 2, pre_minimize=False) == unit
+
+
+def test_homology_matches_image_membership_randomized():
+    """At every degree, the homology verdict equals the reference on random
+    cones of multiplication maps between resolutions over R2 and the conic
+    ring, conjugated by random changes of basis, minimized and raw."""
+    from diagres.catalog.builders import conic_ring
+    rand = random.Random(12)
+    conic = conic_ring()
+    cases = [(R2, ["x1", "x2", "x1^2", "x1*x2 - x2", "x2^2 + x1"], 4),
+             (conic, ["x1", "y1", "x2", "y2", "x1 - x2", "y1 + y2", "x1*y2"], 3)]
+    for rng, pool, length in cases:
+        for _ in range(4):
+            gens = [rng.parse(g) for g in rand.sample(pool, rand.choice((1, 2, 3)))]
+            res = resolve_cyclic(rng, gens, length)
+            p = rng.parse(rand.choice(pool + ["1", "0"]))
+            cx = cone(lift_module_map(res, res, [[p]]))
+            _assert_homology_matches_reference(cx)
+            _assert_homology_matches_reference(_conjugate(cx, rand, steps=6))
+
+
+def test_homology_matches_image_membership_on_catalog():
+    from diagres.catalog import build_affine_line, build_nodal_conic, build_nodal_conic_product
+    from diagres.catalog.entries import _chart_complex_cached
+    from diagres.scalars import QQ
+    for cx in (build_affine_line().complex, build_nodal_conic().complex,
+               build_nodal_conic_product().complex,
+               _chart_complex_cached(QQ, "diagonal")[1],
+               _chart_complex_cached(QQ, "adjacent")[1]):
+        _assert_homology_matches_reference(cx)
+
+
+@pytest.mark.parametrize("pre_minimize", [True, False])
+def test_verdict_builds_one_solver_per_differential(monkeypatch, pre_minimize):
+    """A verdict on the nodal conic builds at most one ImageSolver per
+    differential of the checked complex, plus one for the row of
+    augmentation values and ideal generators, and no Gröbner basis of an
+    image submodule: the only Submodule basis it builds is the ideal's."""
+    from diagres import complexes, groebner
+    from diagres.catalog import build_nodal_conic
+    entry = build_nodal_conic()
+    # a fresh complex has no memoized verdict; its d*d check caches the
+    # relation basis before counting starts
+    cx = ChainComplex(entry.ring, dict(entry.complex.ranks), dict(entry.complex.diffs))
+    reduced, solved, bases = [], [], []
+    minimize_ = complexes.minimize
+    init = groebner.ImageSolver.__init__
+    build = groebner.buchberger
+    monkeypatch.setattr(complexes, "minimize",
+                        lambda *a, **kw: reduced.append(out := minimize_(*a, **kw)) or out)
+    monkeypatch.setattr(groebner.ImageSolver, "__init__",
+                        lambda self, m, rng: solved.append(m) or init(self, m, rng))
+    monkeypatch.setattr(groebner, "buchberger", lambda sub: bases.append(sub) or build(sub))
+    assert verify_diagonal_qiso(cx, entry.diagonal, pre_minimize).passed
+    work = reduced[0][0] if pre_minimize else cx
+    own = [m for m in solved if any(m is d for d in work.diffs.values())]
+    assert len({id(m) for m in own}) == len(own) >= 2
+    rest = [m for m in solved if not any(m is d for d in work.diffs.values())]
+    assert len(rest) == 1 and rest[0].nrows == 1
+    assert [sub.generators for sub in bases] == [[(g,) for g in entry.diagonal.ideal]]

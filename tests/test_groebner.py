@@ -343,11 +343,8 @@ def test_criteria_and_sugar_match_criteria_free_reference(spec, kind):
         for rank in (1, 2, 3):
             for _ in range(8):
                 sub = random_module(rng, rand, rank)
-                augment = rand.random() < 0.7
-                gb = buchberger(sub, augment=augment)
-                gens = [vec_to_dict(g) for g in sub.generators]
-                if augment:
-                    gens += _relation_dicts(rng, rank)
+                gb = buchberger(sub)
+                gens = [vec_to_dict(g) for g in sub.generators] + _relation_dicts(rng, rank)
                 assert gb._dicts == reference_buchberger(gens, gb._engine)
 
 

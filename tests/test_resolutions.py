@@ -4,7 +4,7 @@ import pytest
 
 from diagres.complexes import (InputDataError, check_differential,
                                compose, cone, homology_is_zero_at, shift)
-from diagres.matrices import mat_mul, zero_matrix
+from diagres.matrices import mat_eq, mat_mul, zero_matrix
 from diagres.polyring import ring
 from diagres.resolutions import (lift_module_map, map_to_shifted_cone,
                                  nullhomotopy, resolve_cyclic, totalize_chain,
@@ -168,7 +168,7 @@ def test_memoized_solver_matches_fresh_solver(spec):
     for d in diffs:
         shared, fresh = _solver(d, rng), ImageSolver(d, rng)
         assert shared.matrix is d
-        assert shared.kernel().generators == fresh.kernel().generators
+        assert mat_eq(shared.kernel(), fresh.kernel())
         cols = [tuple(row[j] for row in d) for j in range(len(d[0]))]
         probes = cols + [tuple(x1 * e for e in col) for col in cols]
         probes.append(tuple(rng.one() for _ in d))

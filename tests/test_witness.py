@@ -48,7 +48,8 @@ def test_step_count_must_match_claim():
 
 
 def test_empty_tower_never_passes():
-    """No steps under a claimed time of -1, or no final complex, bounds nothing."""
+    """No steps under a claimed time of -1, no final complex, or no final
+    diagonal bounds nothing."""
     w = build_affine_line().witness
     empty = GenerationWitness(generators=w.generators, steps=[], claimed_time=-1,
                               final_diagonal=w.final_diagonal)
@@ -59,6 +60,9 @@ def test_empty_tower_never_passes():
         claimed_time=0, final_diagonal=w.final_diagonal)
     rep = verify_witness(untargeted)
     assert not rep.passed and "no final complex" in rep.problems
+    undiagonal = GenerationWitness(generators=w.generators, steps=w.steps, claimed_time=1)
+    with pytest.raises(InputDataError, match="no final diagonal"):
+        verify_witness(undiagonal)
 
 
 def test_monotonicity_dropping_a_step_fails():
@@ -184,8 +188,7 @@ def test_wrong_declared_sum_fails():
 @pytest.mark.parametrize("name", sorted(WITNESS_MUTATIONS))
 def test_witness_mutation_controls_fail_with_a_named_problem(name):
     problem, build = WITNESS_MUTATIONS[name]
-    w, chart_suite_passed = build(QQ)
-    rep = verify_witness(w, chart_suite_passed=chart_suite_passed)
+    rep = verify_witness(build(QQ))
     assert not rep.passed
     assert not rep.messages
     assert any(problem in p for p in rep.problems), rep.problems
