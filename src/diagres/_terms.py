@@ -11,6 +11,9 @@ is an int while it is an integer and a Fraction only when it is not (see
 scalars); the kernels here use only +, - and *, never /, so two int operands
 stay ints.  A mixed product may leave an integral Fraction (1/2 * 2), which
 compares and hashes equal to the int, so nothing here depends on the type.
+The Gröbner engine's terms are order keys (see groebner), on which a
+product is still slotwise addition; grevlex_sub and grevlex_lcm are the
+quotient and lcm on grevlex keys.
 """
 
 from __future__ import annotations
@@ -33,6 +36,26 @@ def tup_sub(a: tuple, b: tuple):
 
 def tup_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def grevlex_sub(a: tuple, b: tuple):
+    """a / b on grevlex keys, or None if b does not divide a."""
+    pairs = zip(a, b)
+    x, y = next(pairs)
+    if x < y:  # lower degree: a quick reject
+        return None
+    out = [x - y]
+    for x, y in pairs:
+        if x > y:
+            return None
+        out.append(x - y)
+    return tuple(out)
+
+
+def grevlex_lcm(a: tuple, b: tuple) -> tuple:
+    """lcm(a, b) on grevlex keys."""
+    rest = tuple(x if x <= y else y for x, y in zip(a[1:], b[1:]))
+    return (-sum(rest),) + rest
 
 
 def axpy_q(dst: dict, c, m: tuple, src: dict) -> None:

@@ -519,15 +519,19 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     combo = ImageSolver(Matrix(rng, 1, k + len(dspec.ideal), [vals]), rng)
 
     # (c) surjectivity: 1 in (aug values on the kernel) + I
-    conditions.append(ConditionResult("surjective", i0,
-                                      combo.solve({0: rng.one()}) is not None))
+    ok_c = combo.solve({0: rng.one()}) is not None
+    conditions.append(ConditionResult(
+        "surjective", i0, ok_c, "" if ok_c else f"1 is not in aug(ker d_{i0}) + I"))
 
     # (d) injectivity: kernel vectors with augmentation in I are boundaries;
     # they are the columns of cycles * (the kernel rows of the combinations)
     syz = combo.kernel()
     vecs = mat_mul(cycles, Matrix(rng, k, syz.ncols, syz.rows[:k]))
+    bad = next((j for j, col in enumerate(mat_cols(vecs)) if not hom.is_boundary(i0, col)),
+               None)
     conditions.append(ConditionResult(
-        "injective", i0, all(hom.is_boundary(i0, col) for col in mat_cols(vecs))))
+        "injective", i0, bad is None,
+        "" if bad is None else f"column {bad} of ker(aug mod I) on ker d_{i0} is not a boundary"))
 
     passed = all(c.passed for c in conditions)
     return QisoResult(passed, i0, window, conditions, truncated)

@@ -6,10 +6,15 @@ j*e_i for every relation j and every free-module slot i (quotient_augment).
 One engine, one correctness argument.
 
 Module order: position-over-term, lower component index dominant, ties by
-the ring's monomial order.  Internally a module term of a rank-n free module
-over an m-variable ring is the tuple (component, e_1, ..., e_m) and vectors
-are dicts {term: coefficient}, which lets the shared term kernels treat
-polynomials and vectors identically.
+the ring's monomial order.  Internally a vector is a dict {term: coefficient}
+whose term for component c and exponents e is (-c,) + ring.key(e).  The order
+key is additive and one to one, so tuple comparison is the module order, the
+leading term is max(d), and a monomial product adds (0,) + key slot by slot.
+Terms are encoded where vectors enter the engine and decoded where they leave
+(dict_to_vec, dict_to_col).  A lex key is a permuted exponent vector, on which
+divisibility and lcm are slotwise.  A grevlex key is (deg, -e_k, ..., -e_1):
+k divides k' iff every slot of k' - k but the degree is <= 0, and the lcm is
+the slotwise min of those slots with the degree reset to minus their sum.
 
 Determinism: bases are auto-reduced (the reduced Gröbner basis is unique
 for a given order), made monic, and sorted by descending leading term, so
@@ -63,12 +68,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import ge
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from ._terms import tup_lcm, tup_sub
+from ._terms import grevlex_lcm, grevlex_sub, tup_lcm, tup_sub
 from .matrices import Matrix, as_matrix, from_columns, identity_matrix, mat_cols
 from .polyring import Polynomial, QuotientRing, RingMismatchError
+from .scalars import PrimeField, _integral
 
 FreeVector = tuple  # tuple[Polynomial, ...]
 
@@ -77,26 +83,26 @@ FreeVector = tuple  # tuple[Polynomial, ...]
 # conversions between vector-of-polynomials and term dicts
 
 
-def vec_to_dict(vec: Sequence[Polynomial]) -> dict:
-    out = {}
-    for comp, p in enumerate(vec):
-        for exps, c in p.terms.items():
-            out[(comp,) + exps] = c
-    return out
+def vec_to_dict(vec: Sequence[Polynomial], rng: QuotientRing) -> dict:
+    key = rng.key
+    return {(-comp,) + key(exps): c
+            for comp, p in enumerate(vec) for exps, c in p.terms.items()}
 
 
 def dict_to_vec(d: dict, rng: QuotientRing, rank: int) -> FreeVector:
     polys = [dict() for _ in range(rank)]
+    decode = rng.decode
     for term, c in d.items():
-        polys[term[0]][term[1:]] = c
+        polys[-term[0]][decode(term[1:])] = c
     return tuple(Polynomial(rng, t) for t in polys)
 
 
 def dict_to_col(d: dict, rng: QuotientRing) -> dict:
     """A vector's term dict as a sparse column {component: nonzero Polynomial}."""
     polys: dict = {}
+    decode = rng.decode
     for term, c in d.items():
-        polys.setdefault(term[0], {})[term[1:]] = c
+        polys.setdefault(-term[0], {})[decode(term[1:])] = c
     return {i: Polynomial(rng, t) for i, t in polys.items()}
 
 
@@ -157,7 +163,7 @@ class GroebnerBasis:
 
     def buckets(self) -> dict:
         if self._buckets is None:
-            self._buckets = _make_buckets(self._dicts, self._engine)
+            self._buckets = _make_buckets(self._dicts)
         return self._buckets
 
 
@@ -176,50 +182,50 @@ class _Engine:
     def __init__(self, rng: QuotientRing, rank: int):
         self.ring = rng
         self.rank = rank
-        rkey = rng.key
-        self.tkey = lambda t: (-t[0], rkey(t[1:]))
+        lex = rng.order.kind == "lex"
+        self.sub = tup_sub if lex else grevlex_sub
+        self.lcm = tup_lcm if lex else grevlex_lcm
+        self.deg = sum if lex else itemgetter(0)  # degree of a monomial key
         fld = rng.field
         self.field = fld
         self.axpy = fld.axpy
-        self.zero_shift = (0,) * (rng.nvars + 1)
-
-    def lead(self, d: dict):
-        """Largest term of a nonzero vector dict."""
-        if len(d) == 1:
-            return next(iter(d))
-        return max(d, key=self.tkey)
 
     def monic(self, d: dict) -> dict:
-        lt = self.lead(d)
-        c = d[lt]
-        if c == self.field.one:
+        c = d[max(d)]
+        fld = self.field
+        if c == fld.one:
             return d
-        inv = self.field.inv(c)
-        return {t: self.field.mul(v, inv) for t, v in d.items()}
+        inv = fld.inv(c)
+        if isinstance(fld, PrimeField):
+            return {t: fld.mul(v, inv) for t, v in d.items()}
+        # over Q integral coefficients stay ints: reductions by d then use int arithmetic
+        return {t: _integral(v * inv) for t, v in d.items()}
 
     def nf(self, d: dict, basis: list, buckets: dict, stop_comp: Optional[int] = None):
         """Full normal form of d against monic basis dicts.
 
         basis[i] is a dict with leading term basis_lt[i]; buckets maps a
-        component to [(lead exponents, index)].  If stop_comp is given,
-        reduction stops as soon as the working maximum falls into components
-        >= stop_comp, and the function returns (remainder, True); an
+        component slot to [(leading monomial key, index)].  If stop_comp is
+        given, reduction stops as soon as the working maximum falls into
+        components >= stop_comp, and the function returns (remainder, True); an
         irreducible maximum in components < stop_comp returns (remainder,
         False).  Without stop_comp it returns the canonical remainder.
         """
         work = dict(d)
         out: dict = {}
         fld = self.field
+        sub = self.sub
+        stop = None if stop_comp is None else -stop_comp
         while work:
-            t = self.lead(work)
-            if stop_comp is not None and t[0] >= stop_comp:
+            t = max(work)
+            if stop is not None and t[0] <= stop:
                 out.update(work)
                 return out, True
             c = work[t]
             comp, exps = t[0], t[1:]
             hit = None
             for lexps, idx in buckets.get(comp, ()):
-                m = tup_sub(exps, lexps)
+                m = sub(exps, lexps)
                 if m is not None:
                     hit = (m, idx)
                     break
@@ -237,10 +243,10 @@ class _Engine:
         return out
 
 
-def _make_buckets(basis: list, engine: _Engine) -> dict:
+def _make_buckets(basis: list) -> dict:
     buckets: dict = {}
     for idx, d in enumerate(basis):
-        lt = engine.lead(d)
+        lt = max(d)
         buckets.setdefault(lt[0], []).append((lt[1:], idx))
     return buckets
 
@@ -248,6 +254,7 @@ def _make_buckets(basis: list, engine: _Engine) -> dict:
 def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
     """Core loop on term dicts; returns the reduced monic sorted basis."""
     fld = engine.field
+    sub, lcm_of, deg = engine.sub, engine.lcm, engine.deg
     basis: list = []
     lts: list = []
     ldeg: list = []    # total degree of each leading term
@@ -259,15 +266,15 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
     counter = 0
 
     def degree(d: dict) -> int:
-        return max(sum(t) - t[0] for t in d)
+        return max(deg(t[1:]) for t in d)
 
     def insert(d: dict, sug: int):
         """Add d to the basis and update the pairs of its component
         (Gebauer-Moller; see the module docstring)."""
         nonlocal counter
-        lt = engine.lead(d)
+        lt = max(d)
         comp, e = lt[0], lt[1:]
-        k, dk = len(basis), sum(e)
+        k, dk = len(basis), deg(e)
         basis.append(d)
         lts.append(lt)
         ldeg.append(dk)
@@ -277,8 +284,8 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
         bucket = buckets.setdefault(comp, [])
         new = []
         for le, i in bucket:
-            lcm = tup_lcm(le, e)
-            new.append((sum(lcm), lcm, i))
+            lcm = lcm_of(le, e)
+            new.append((deg(lcm), lcm, i))
         bucket.append((e, k))
         if not new:
             return
@@ -286,7 +293,7 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
         if pend:  # B_k
             lcm_with = {i: lcm for _, lcm, i in new}
             dead = [ab for ab, lcm in pend.items()
-                    if all(map(ge, lcm, e)) and lcm_with[ab[0]] != lcm
+                    if sub(lcm, e) is not None and lcm_with[ab[0]] != lcm
                     and lcm_with[ab[1]] != lcm]
             for ab in dead:
                 del pend[ab]
@@ -297,7 +304,7 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
         for dl, lcm, i in new:
             if lcm in groups:
                 groups[lcm][1].append(i)
-            elif not any(all(map(ge, lcm, g)) for g in groups):
+            elif not any(sub(lcm, g) is not None for g in groups):
                 groups[lcm] = (dl, [i])
         for lcm, (dl, same) in groups.items():
             # product criterion: coprime iff deg lcm = deg lt_i + deg lt_h
@@ -309,7 +316,7 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
             counter += 1
 
     start = [engine.monic(d) for d in gen_dicts if d]
-    start.sort(key=lambda d: engine.tkey(engine.lead(d)), reverse=True)
+    start.sort(key=max, reverse=True)
     for d in start:
         insert(d, degree(d))
 
@@ -319,26 +326,26 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
         if lcm is None:
             continue
         s: dict = {}
-        engine.axpy(s, fld.one, (0,) + tup_sub(lcm, lts[i][1:]), basis[i])
-        engine.axpy(s, fld.neg(fld.one), (0,) + tup_sub(lcm, lts[j][1:]), basis[j])
+        engine.axpy(s, fld.one, (0,) + sub(lcm, lts[i][1:]), basis[i])
+        engine.axpy(s, fld.neg(fld.one), (0,) + sub(lcm, lts[j][1:]), basis[j])
         r = engine.nf(s, basis, buckets)
         if r:
             insert(engine.monic(r), max(sug, degree(r)))
 
     # minimal: drop vectors whose leading term is divisible by another's
-    order_idx = sorted(range(len(basis)), key=lambda i: engine.tkey(lts[i]))
+    order_idx = sorted(range(len(basis)), key=lts.__getitem__)
     keep: list = []
     kept: dict = {}  # component -> leading exponents kept there
     for i in order_idx:
         lt = lts[i]
         same = kept.setdefault(lt[0], [])
-        if all(tup_sub(lt[1:], e) is None for e in same):
+        if all(sub(lt[1:], e) is None for e in same):
             keep.append(i)
             same.append(lt[1:])
     minimal = [basis[i] for i in keep]
 
     # reduced: tail-reduce each against one shared index (module docstring)
-    index = _make_buckets(minimal, engine)
+    index = _make_buckets(minimal)
     reduced = []
     for i, d in zip(keep, minimal):
         lt = lts[i]
@@ -347,20 +354,21 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
         r.update(engine.nf(tail, minimal, index))
         reduced.append(r)
 
-    reduced.sort(key=lambda d: engine.tkey(engine.lead(d)), reverse=True)
+    reduced.reverse()  # keep ascends by leading term; tail reduction keeps those
     return reduced
 
 
 def _relation_dicts(rng: QuotientRing, rank: int) -> list:
     """quotient_augment's extra generators j*e_i, in its order, as term dicts."""
-    return [{(i,) + m: c for m, c in rel.terms.items()}
+    key = rng.key
+    return [{(-i,) + key(m): c for m, c in rel.terms.items()}
             for rel in rng.relations for i in range(rank)]
 
 
 def buchberger(sub: Submodule) -> GroebnerBasis:
     """Reduced Gröbner basis of the J-augmented submodule."""
     engine = _Engine(sub.ring, sub.rank)
-    gens = [vec_to_dict(g) for g in sub.generators] + _relation_dicts(sub.ring, sub.rank)
+    gens = [vec_to_dict(g, sub.ring) for g in sub.generators] + _relation_dicts(sub.ring, sub.rank)
     return GroebnerBasis(base=sub, _engine=engine, _dicts=_buchberger_dicts(gens, engine))
 
 
@@ -370,7 +378,7 @@ def _checked_terms(vec: FreeVector, gb: GroebnerBasis) -> dict:
     for p in vec:
         if p.ring != gb.base.ring:
             raise RingMismatchError("vector in a different ring")
-    return vec_to_dict(vec)
+    return vec_to_dict(vec, gb.base.ring)
 
 
 def normal_form(vec: FreeVector, gb: GroebnerBasis) -> FreeVector:
@@ -389,7 +397,8 @@ def _reduces_to_zero(d: dict, gb: GroebnerBasis) -> bool:
 def reduces_to_zero(terms: dict, gb: GroebnerBasis) -> bool:
     """True iff the polynomial with these terms reduces to zero against the
     rank-1 basis gb."""
-    return _reduces_to_zero({(0,) + m: c for m, c in terms.items()}, gb)
+    key = gb.base.ring.key
+    return _reduces_to_zero({(0,) + key(m): c for m, c in terms.items()}, gb)
 
 
 def member(vec: FreeVector, sub: Submodule) -> bool:
@@ -414,12 +423,14 @@ def submodule_equal(a: Submodule, b: Submodule) -> bool:
 def _elimination_gb(rng: QuotientRing, matrix: Matrix, m: int, c: int):
     """GB of {(col_j ; e_j)} + {j*e_i ; 0} in R^(m+c), top block dominant."""
     engine = _Engine(rng, m + c)
+    key = rng.key
     gens = [{} for _ in range(c)]
     for i, row in enumerate(matrix.rows):
         for j, e in row.items():
-            gens[j].update(((i,) + exps, v) for exps, v in e.terms.items())
+            gens[j].update(((-i,) + key(exps), v) for exps, v in e.terms.items())
+    one = key(rng._zero_exps)
     for j, g in enumerate(gens):
-        g[(m + j,) + rng._zero_exps] = rng.field.one
+        g[(-m - j,) + one] = rng.field.one
     dicts = _buchberger_dicts(gens + _relation_dicts(rng, m), engine)
     return engine, dicts
 
@@ -460,17 +471,18 @@ class ImageSolver:
         if self.m == 0:
             raise ValueError("target rank must be positive")
         self.engine, self.dicts = _elimination_gb(rng, matrix, self.m, self.c)
-        self.buckets = _make_buckets(self.dicts, self.engine)
+        self.buckets = _make_buckets(self.dicts)
 
     def solve(self, col: dict):
         """col is a sparse column {row: Polynomial}; q comes back as a sparse
         column {index: nonzero Polynomial}."""
-        terms = {(i,) + e: c for i, p in col.items() for e, c in p.terms.items()}
+        key = self.ring.key
+        terms = {(-i,) + key(e): c for i, p in col.items() for e, c in p.terms.items()}
         r, ok = self.engine.nf(terms, self.dicts, self.buckets, stop_comp=self.m)
         if not ok:
             return None
         fld = self.ring.field
-        return dict_to_col({(t[0] - self.m,) + t[1:]: fld.neg(v) for t, v in r.items()},
+        return dict_to_col({(t[0] + self.m,) + t[1:]: fld.neg(v) for t, v in r.items()},
                            self.ring)
 
     def kernel(self) -> Matrix:
@@ -478,5 +490,5 @@ class ImageSolver:
         the basis vectors that live entirely in the tag block."""
         m = self.m
         return from_columns(self.ring, self.c, [
-            dict_to_col({(t[0] - m,) + t[1:]: v for t, v in d.items()}, self.ring)
-            for d in self.dicts if all(t[0] >= m for t in d)])
+            dict_to_col({(t[0] + m,) + t[1:]: v for t, v in d.items()}, self.ring)
+            for d in self.dicts if all(t[0] <= -m for t in d)])

@@ -63,10 +63,16 @@ class MonomialOrder:
         self.kind = kind
         self.priority = tuple(priority) if priority is not None else None
 
-    def key_func(self, nvars: int):
+    def _priority(self, nvars: int) -> tuple:
         prio = self.priority if self.priority is not None else tuple(range(nvars))
         if sorted(prio) != list(range(nvars)):
             raise ValueError("order priority must be a permutation of variable indices")
+        return prio
+
+    def key_func(self, nvars: int):
+        """The sort key on exponent tuples of length nvars.  It is additive and
+        one to one, so the Gröbner engine stores monomials as their keys."""
+        prio = self._priority(nvars)
         if self.kind == "lex":
             def key(exps: tuple):
                 return tuple(exps[i] for i in prio)
@@ -76,8 +82,18 @@ class MonomialOrder:
             rev = tuple(reversed(prio))
 
             def key(exps: tuple):
-                return (sum(exps), tuple(-exps[i] for i in rev))
+                return (sum(exps),) + tuple(-exps[i] for i in rev)
         return key
+
+    def decode_func(self, nvars: int):
+        """The inverse of key_func(nvars): exponents from a key."""
+        prio = self._priority(nvars)
+        if self.kind == "lex":
+            slots = tuple(prio.index(v) for v in range(nvars))
+            return lambda key: tuple(key[s] for s in slots)
+        rev = prio[::-1]
+        slots = tuple(1 + rev.index(v) for v in range(nvars))
+        return lambda key: tuple(-key[s] for s in slots)
 
     def __eq__(self, other):
         return (
@@ -128,6 +144,7 @@ class QuotientRing:
         self.field = field
         self.order = order if order is not None else MonomialOrder("grevlex")
         self.key = self.order.key_func(self.nvars)
+        self.decode = self.order.decode_func(self.nvars)
         self.index = {nm: i for i, nm in enumerate(names)}
         self.relations: tuple[Polynomial, ...] = ()
         self._zero_exps = (0,) * self.nvars

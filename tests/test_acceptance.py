@@ -23,8 +23,8 @@ from diagres.catalog import (build_affine_line, build_cycle, build_nodal_conic,
                              mutation_flips, verify_chart_jobs, verify_entry)
 from diagres.cli import main as cli_main
 from diagres.complexes import DiagonalSpec, verify_diagonal_qiso
-from diagres.groebner import (Submodule, buchberger, dict_to_vec, member,
-                              normal_form, syzygies, vec_is_zero)
+from diagres.groebner import (Submodule, buchberger, member, normal_form, syzygies,
+                              vec_is_zero)
 from diagres.polyring import ring
 from diagres.scalars import CHECK_PRIME, QQ, PrimeField
 from diagres.witness import verify_witness
@@ -121,21 +121,15 @@ def test_criterion_5_groebner_suite(capsys):
     for _ in range(100):
         sub = _random_ideal(rng, rand)
         gb = buchberger(sub)
-        eng = gb._engine
-        dicts = gb._dicts
-        # every S-polynomial of the output basis reduces to zero
-        for i in range(len(dicts)):
-            for j in range(i + 1, len(dicts)):
-                lti, ltj = eng.lead(dicts[i]), eng.lead(dicts[j])
-                if lti[0] != ltj[0]:
-                    continue
-                lcm = tup_lcm(lti[1:], ltj[1:])
-                s: dict = {}
-                eng.axpy(s, eng.field.one, (0,) + tup_sub(lcm, lti[1:]), dicts[i])
-                eng.axpy(s, eng.field.neg(eng.field.one),
-                         (0,) + tup_sub(lcm, ltj[1:]), dicts[j])
-                if s and not vec_is_zero(normal_form(
-                        dict_to_vec(s, rng, 1), gb)):
+        # every S-polynomial of the (monic) output basis reduces to zero
+        polys = [v[0] for v in gb.vectors]
+        leads = [p.leading()[0] for p in polys]
+        for i in range(len(polys)):
+            for j in range(i + 1, len(polys)):
+                lcm = tup_lcm(leads[i], leads[j])
+                s = (polys[i].shift(tup_sub(lcm, leads[i]))
+                     - polys[j].shift(tup_sub(lcm, leads[j])))
+                if not vec_is_zero(normal_form((s,), gb)):
                     ok = False
         # membership agrees with normal-form-vanishing
         for _ in range(3):

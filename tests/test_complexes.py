@@ -228,6 +228,12 @@ def test_verify_diagonal_qiso_affine_pattern():
                        augmentation=[R2.parse("x1")])
     res = verify_diagonal_qiso(cx, bad)
     assert not res.passed and res.first_failure().condition == "surjective"
+    assert res.first_failure().detail == "1 is not in aug(ker d_0) + I"
+    # R alone in degree 0: aug is onto R/(x1-x2), but x1-x2 is no boundary
+    res = verify_diagonal_qiso(ChainComplex(R2, {0: 1}, {}), spec)
+    assert not res.passed and res.first_failure().condition == "injective"
+    assert res.first_failure().detail == (
+        "column 0 of ker(aug mod I) on ker d_0 is not a boundary")
 
 
 def test_verify_input_errors():

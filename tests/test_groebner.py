@@ -8,13 +8,15 @@ generators.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from diagres.groebner import (GroebnerBasis, ImageSolver, Submodule, buchberger,
                               member, normal_form, quotient_augment, submodule_equal,
                               syzygies, vec_is_zero)
-from diagres.polyring import MonomialOrder, ring
+from diagres._terms import tup_lcm, tup_sub
+from diagres.polyring import MonomialOrder, Polynomial, ring
 
 RLEX = ring(["x", "y"], order=MonomialOrder("lex"))
 R2 = ring(["x1", "x2"])
@@ -41,6 +43,45 @@ def test_buchberger_lex_example_sympy_oracle():
     ours = {str(v[0]).replace(" ", "") for v in buchberger(ideal(RLEX, "x*y", "x-y")).vectors}
     theirs = {str(e).replace(" ", "").replace("**", "^") for e in expected.exprs}
     assert ours == theirs
+
+
+@pytest.mark.parametrize("kind, priority", [("grevlex", None), ("grevlex", (2, 0, 1)),
+                                             ("lex", (1, 2, 0))])
+def test_reduced_ideal_bases_match_sympy_randomized(kind, priority):
+    """Reduced bases of random ideals equal sympy's, whose generators are
+    listed most significant first."""
+    sympy = pytest.importorskip("sympy")
+    rng = ring(["x", "y", "z"], order=MonomialOrder(kind, priority=priority))
+    prio = priority or (0, 1, 2)
+    gens = sympy.symbols(" ".join(rng.names[i] for i in prio))
+    rand = random.Random(37)
+    for _ in range(12):
+        sub = Submodule(rng, 1, [(random_poly(rng, rand) + random_poly(rng, rand),)
+                                 for _ in range(rand.randint(2, 3))])
+        exprs = [sympy.sympify(str(g[0]).replace("^", "**")) for g in sub.generators]
+        theirs = set()
+        for e in sympy.groebner(exprs, *gens, order=kind, domain="QQ").exprs:
+            terms = {}
+            for monom, c in sympy.Poly(e, *gens).terms():
+                exps = [0] * 3
+                for i, k in zip(prio, monom):
+                    exps[i] = k
+                terms[tuple(exps)] = Fraction(int(c.p), int(c.q))
+            p = Polynomial(rng, terms)
+            theirs.add(p.scale(rng.field.inv(p.leading()[1])))
+        assert {v[0] for v in buchberger(sub).vectors} == theirs
+
+
+def test_monic_basis_over_q_keeps_integral_coefficients_ints():
+    """Leading coefficients 2 and 3 are divided out: 4/2 stays the int 2, not
+    an integral Fraction that would put later reductions on Fraction
+    arithmetic."""
+    from diagres.scalars import _integral
+    rng = ring(["x", "y", "z"])
+    gb = buchberger(ideal(rng, "2*x^2 + 4*y*z - 6", "3*x*y - 9*z^2 + 3", "2*y^2 - 4*x"))
+    coeffs = [c for v in gb.vectors for p in v for c in p.terms.values()]
+    assert any(isinstance(c, Fraction) for c in coeffs)
+    assert all(type(_integral(c)) is type(c) for c in coeffs)
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -139,30 +180,53 @@ def random_ideal(rng, rand, max_gens=4, max_deg=3, nterms=3):
     return Submodule(rng, 1, gens if gens else [(rng.one(),)])
 
 
+# The helpers below read a basis through its public vectors, as plain term
+# dicts {(component,) + exponents: coefficient}, and order terms with the
+# ring's MonomialOrder key, independently of the engine's own term encoding.
+
+
+def plain_dict(vec) -> dict:
+    return {(comp,) + e: c for comp, p in enumerate(vec) for e, c in p.terms.items()}
+
+
+def plain_vec(d: dict, rng, rank: int) -> tuple:
+    polys = [{} for _ in range(rank)]
+    for t, c in d.items():
+        polys[t[0]][t[1:]] = c
+    return tuple(Polynomial(rng, p) for p in polys)
+
+
+def plain_order(rng):
+    """Sort key of plain terms: lowest component first, then the ring order."""
+    key = rng.key
+    return lambda t: (-t[0], key(t[1:]))
+
+
+def plain_lead(d: dict, rng) -> tuple:
+    return max(d, key=plain_order(rng))
+
+
+def plain_spoly(d1: dict, d2: dict, l1: tuple, l2: tuple, fld) -> dict:
+    """S-vector of two monic plain dicts with leading terms l1, l2 (same component)."""
+    lcm = tup_lcm(l1[1:], l2[1:])
+    s: dict = {}
+    fld.axpy(s, fld.one, (0,) + tup_sub(lcm, l1[1:]), d1)
+    fld.axpy(s, fld.neg(fld.one), (0,) + tup_sub(lcm, l2[1:]), d2)
+    return s
+
+
 def spoly_reduces_to_zero(gb: GroebnerBasis) -> bool:
-    eng = gb._engine
-    from diagres._terms import tup_lcm, tup_sub
-    dicts = gb._dicts
+    rng, rank = gb.base.ring, gb.base.rank
+    dicts = [plain_dict(v) for v in gb.vectors]
+    leads = [plain_lead(d, rng) for d in dicts]
     for i in range(len(dicts)):
         for j in range(i + 1, len(dicts)):
-            lti, ltj = eng.lead(dicts[i]), eng.lead(dicts[j])
-            if lti[0] != ltj[0]:
+            if leads[i][0] != leads[j][0]:
                 continue
-            lcm = tup_lcm(lti[1:], ltj[1:])
-            s = {}
-            eng.axpy(s, eng.field.one, (0,) + tup_sub(lcm, lti[1:]), dicts[i])
-            eng.axpy(s, eng.field.neg(eng.field.one), (0,) + tup_sub(lcm, ltj[1:]),
-                     dicts[j])
-            vec = s and normal_form(
-                tuple(p for p in _dict_vec(s, gb)), gb)
-            if s and not vec_is_zero(vec):
+            s = plain_spoly(dicts[i], dicts[j], leads[i], leads[j], rng.field)
+            if s and not vec_is_zero(normal_form(plain_vec(s, rng, rank), gb)):
                 return False
     return True
-
-
-def _dict_vec(d, gb):
-    from diagres.groebner import dict_to_vec
-    return dict_to_vec(d, gb.base.ring, gb.base.rank)
 
 
 def test_spoly_criterion_randomized():
@@ -243,11 +307,11 @@ def random_module(rng, rand, rank, max_gens=4):
 
 def assert_reduced(gb: GroebnerBasis):
     """Monic, and no tail term divisible by a leading term of its component."""
-    from diagres._terms import tup_sub
-    eng = gb._engine
-    lts = [eng.lead(d) for d in gb._dicts]
-    for d, lt in zip(gb._dicts, lts):
-        assert d[lt] == eng.field.one
+    rng = gb.base.ring
+    dicts = [plain_dict(v) for v in gb.vectors]
+    lts = [plain_lead(d, rng) for d in dicts]
+    for d, lt in zip(dicts, lts):
+        assert d[lt] == rng.field.one
         for t in d:
             for other in lts:
                 if t == lt and other == lt:
@@ -274,42 +338,42 @@ def test_basis_is_reduced_randomized(spec):
 # pair criteria and sugar selection against a criteria-free reference
 
 
-def reference_buchberger(gens: list, eng) -> list:
-    """Buchberger with no criteria: every pair within a component is reduced,
-    first in first out, by a linear-scan normal form.  Returns the reduced
-    monic basis sorted by descending leading term, like _buchberger_dicts."""
+def reference_buchberger(gens: list, rng) -> list:
+    """Buchberger with no criteria on plain term dicts: every pair within a
+    component is reduced, first in first out, by a linear-scan normal form.
+    Returns the reduced monic basis sorted by descending leading term, like
+    GroebnerBasis.vectors."""
     from collections import deque
 
-    from diagres._terms import tup_lcm, tup_sub
-    fld = eng.field
+    fld = rng.field
+
+    def monic(d):
+        inv = fld.inv(d[plain_lead(d, rng)])
+        return {t: fld.mul(c, inv) for t, c in d.items()}
 
     def nf(d, basis, leads):
         work, out = dict(d), {}
         while work:
-            t = eng.lead(work)
+            t = plain_lead(work, rng)
             for g, lg in zip(basis, leads):
                 m = tup_sub(t[1:], lg[1:]) if lg[0] == t[0] else None
                 if m is not None:
-                    eng.axpy(work, fld.neg(work[t]), (0,) + m, g)
+                    fld.axpy(work, fld.neg(work[t]), (0,) + m, g)
                     break
             else:
                 out[t] = work.pop(t)
         return out
 
-    basis = [eng.monic(d) for d in gens if d]
-    leads = [eng.lead(d) for d in basis]
+    basis = [monic(d) for d in gens if d]
+    leads = [plain_lead(d, rng) for d in basis]
     pairs = deque((i, j) for j in range(len(basis)) for i in range(j)
                   if leads[i][0] == leads[j][0])
     while pairs:
         i, j = pairs.popleft()
-        lcm = tup_lcm(leads[i][1:], leads[j][1:])
-        s = {}
-        eng.axpy(s, fld.one, (0,) + tup_sub(lcm, leads[i][1:]), basis[i])
-        eng.axpy(s, fld.neg(fld.one), (0,) + tup_sub(lcm, leads[j][1:]), basis[j])
-        r = nf(s, basis, leads)
+        r = nf(plain_spoly(basis[i], basis[j], leads[i], leads[j], fld), basis, leads)
         if r:
-            basis.append(eng.monic(r))
-            leads.append(eng.lead(basis[-1]))
+            basis.append(monic(r))
+            leads.append(plain_lead(basis[-1], rng))
             k = len(basis) - 1
             pairs.extend((i, k) for i in range(k) if leads[i][0] == leads[k][0])
 
@@ -325,27 +389,29 @@ def reference_buchberger(gens: list, eng) -> list:
         r = nf({t: c for t, c in d.items() if t != lt}, minimal, min_leads)
         r[lt] = fld.one
         reduced.append(r)
-    reduced.sort(key=lambda d: eng.tkey(eng.lead(d)), reverse=True)
+    reduced.sort(key=lambda d: plain_order(rng)(plain_lead(d, rng)), reverse=True)
     return reduced
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:32003"])
 @pytest.mark.parametrize("kind", ["grevlex", "lex"])
 def test_criteria_and_sugar_match_criteria_free_reference(spec, kind):
-    from diagres.groebner import _relation_dicts, vec_to_dict
     from diagres.scalars import field_from_spec
     fld, order = field_from_spec(spec), MonomialOrder(kind)
     rand = random.Random(31)
     rings = [ring(["x", "y", "z"], field=fld, order=order),
              ring(["x1", "y1", "x2", "y2"], field=fld, order=order,
-                  relations=["x1*y1", "x2*y2"])]
+                  relations=["x1*y1", "x2*y2"]),
+             ring(["x", "y", "z"], field=fld, order=MonomialOrder(kind, priority=(2, 0, 1)))]
     for rng in rings:
         for rank in (1, 2, 3):
             for _ in range(8):
                 sub = random_module(rng, rand, rank)
                 gb = buchberger(sub)
-                gens = [vec_to_dict(g) for g in sub.generators] + _relation_dicts(rng, rank)
-                assert gb._dicts == reference_buchberger(gens, gb._engine)
+                gens = [plain_dict(g) for g in sub.generators] + [
+                    {(i,) + m: c for m, c in rel.terms.items()}
+                    for rel in rng.relations for i in range(rank)]
+                assert [plain_dict(v) for v in gb.vectors] == reference_buchberger(gens, rng)
 
 
 LEX_RANK2_BASIS = [

@@ -92,6 +92,31 @@ def test_order_axioms(a, b, c):
         assert monomial_cmp(a, (0, 0), order) >= 0    # 1 is minimal
 
 
+CODEC_ORDERS = [MonomialOrder(kind, priority=prio) for kind in ("lex", "grevlex")
+                for prio in (None, (2, 0, 3, 1))]
+mono4 = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CODEC_ORDERS), mono4, mono4)
+def test_order_key_is_an_additive_codec(order, a, b):
+    """The Gröbner engine stores a monomial as its order key and uses the
+    quotient, lcm and degree kernels it picks for the order on those keys."""
+    from diagres._terms import tup_add, tup_lcm, tup_sub
+    from diagres.groebner import _Engine
+    rng = ring(["a", "b", "c", "d"], order=order)
+    eng = _Engine(rng, 1)
+    ka, kb = rng.key(a), rng.key(b)
+    assert rng.decode(ka) == a
+    assert rng.key(tup_add(a, b)) == tup_add(ka, kb)
+    assert (ka > kb) - (ka < kb) == monomial_cmp(a, b, order)
+    assert eng.deg(ka) == sum(a)
+    q = tup_sub(a, b)
+    assert eng.sub(ka, kb) == (None if q is None else rng.key(q))
+    assert eng.sub(rng.key(tup_add(a, b)), kb) == ka
+    assert rng.decode(eng.lcm(ka, kb)) == tup_lcm(a, b)
+
+
 def _random_poly(rng, data):
     terms = data.draw(st.lists(
         st.tuples(st.tuples(*[st.integers(0, 4)] * rng.nvars),
