@@ -35,14 +35,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._terms import InputDataError
 from .groebner import ImageSolver, Submodule, buchberger, member, reduces_to_zero
 from .matrices import (Matrix, as_matrix, block_matrix, from_columns, identity_matrix,
                        mat_cols, mat_eq, mat_mul, mat_neg, mat_sub, zero_matrix)
 from .polyring import Polynomial, QuotientRing, RingMismatchError
-
-
-class InputDataError(ValueError):
-    """Malformed verification input (not a failed verification)."""
 
 
 # ---------------------------------------------------------------------------

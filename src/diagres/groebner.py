@@ -7,14 +7,14 @@ One engine, one correctness argument.
 
 Module order: position-over-term, lower component index dominant, ties by
 the ring's monomial order.  Internally a vector is a dict {term: coefficient}
-whose term for component c and exponents e is (-c,) + ring.key(e).  The order
-key is additive and one to one, so tuple comparison is the module order, the
-leading term is max(d), and a monomial product adds (0,) + key slot by slot.
-Terms are encoded where vectors enter the engine and decoded where they leave
-(dict_to_vec, dict_to_col).  A lex key is a permuted exponent vector, on which
-divisibility and lcm are slotwise.  A grevlex key is (deg, -e_k, ..., -e_1):
-k divides k' iff every slot of k' - k but the degree is <= 0, and the lcm is
-the slotwise min of those slots with the degree reset to minus their sum.
+whose term is the packed int of its component and exponents (_terms.Packing,
+the ring's packing): int comparison is the module order, the leading term is
+max(d), a monomial product is one int addition and divisibility is one
+guard-bit test.  Terms are encoded where vectors enter the engine
+(vec_to_dict, _relation_dicts, _elimination_gb, ImageSolver.solve,
+reduces_to_zero) and decoded where they leave (dict_to_vec, dict_to_col).
+A term that does not fit its packed fields raises InputDataError, at
+encoding and at every product (see _terms for the rule).
 
 Determinism: bases are auto-reduced (the reduced Gröbner basis is unique
 for a given order), made monic, and sorted by descending leading term, so
@@ -68,10 +68,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import partial
 from typing import Optional, Sequence
 
-from ._terms import grevlex_lcm, grevlex_sub, tup_lcm, tup_sub
+from ._terms import FIELD_MAX, packed_axpy_p, packed_axpy_q, term_overflow
 from .matrices import Matrix, as_matrix, from_columns, identity_matrix, mat_cols
 from .polyring import Polynomial, QuotientRing, RingMismatchError
 from .scalars import PrimeField, _integral
@@ -84,25 +84,26 @@ FreeVector = tuple  # tuple[Polynomial, ...]
 
 
 def vec_to_dict(vec: Sequence[Polynomial], rng: QuotientRing) -> dict:
-    key = rng.key
-    return {(-comp,) + key(exps): c
-            for comp, p in enumerate(vec) for exps, c in p.terms.items()}
+    encode = rng.packing.encode
+    return {encode(comp, exps): c for comp, p in enumerate(vec) for exps, c in p.terms.items()}
 
 
 def dict_to_vec(d: dict, rng: QuotientRing, rank: int) -> FreeVector:
     polys = [dict() for _ in range(rank)]
-    decode = rng.decode
+    decode = rng.packing.decode
     for term, c in d.items():
-        polys[-term[0]][decode(term[1:])] = c
+        comp, exps = decode(term)
+        polys[comp][exps] = c
     return tuple(Polynomial(rng, t) for t in polys)
 
 
 def dict_to_col(d: dict, rng: QuotientRing) -> dict:
     """A vector's term dict as a sparse column {component: nonzero Polynomial}."""
     polys: dict = {}
-    decode = rng.decode
+    decode = rng.packing.decode
     for term, c in d.items():
-        polys.setdefault(-term[0], {})[decode(term[1:])] = c
+        comp, exps = decode(term)
+        polys.setdefault(comp, {})[exps] = c
     return {i: Polynomial(rng, t) for i, t in polys.items()}
 
 
@@ -163,7 +164,7 @@ class GroebnerBasis:
 
     def buckets(self) -> dict:
         if self._buckets is None:
-            self._buckets = _make_buckets(self._dicts)
+            self._buckets = self._engine.index(self._dicts)
         return self._buckets
 
 
@@ -179,16 +180,12 @@ def quotient_augment(sub: Submodule) -> Submodule:
 
 
 class _Engine:
-    def __init__(self, rng: QuotientRing, rank: int):
-        self.ring = rng
-        self.rank = rank
-        lex = rng.order.kind == "lex"
-        self.sub = tup_sub if lex else grevlex_sub
-        self.lcm = tup_lcm if lex else grevlex_lcm
-        self.deg = sum if lex else itemgetter(0)  # degree of a monomial key
+    def __init__(self, rng: QuotientRing):
+        self.packing = rng.packing
         fld = rng.field
         self.field = fld
-        self.axpy = fld.axpy
+        self.axpy = (partial(packed_axpy_p, p=fld.p) if isinstance(fld, PrimeField)
+                     else packed_axpy_q)
 
     def monic(self, d: dict) -> dict:
         c = d[max(d)]
@@ -201,99 +198,109 @@ class _Engine:
         # over Q integral coefficients stay ints: reductions by d then use int arithmetic
         return {t: _integral(v * inv) for t, v in d.items()}
 
-    def nf(self, d: dict, basis: list, buckets: dict, stop_comp: Optional[int] = None):
-        """Full normal form of d against monic basis dicts.
+    def entry(self, d: dict, top: int) -> tuple:
+        """d's divisor-index entry (lt in exponent form, lt, reach, d), where lt
+        is d's leading term and reach the largest degree of a term that
+        lt may divide: a larger one would give d's multiple a term of degree
+        above FIELD_MAX."""
+        lt = max(d)
+        pk = self.packing
+        return lt ^ pk.flip, lt, FIELD_MAX - top + pk.degree(lt), d
 
-        basis[i] is a dict with leading term basis_lt[i]; buckets maps a
-        component slot to [(leading monomial key, index)].  If stop_comp is
-        given, reduction stops as soon as the working maximum falls into
-        components >= stop_comp, and the function returns (remainder, True); an
-        irreducible maximum in components < stop_comp returns (remainder,
-        False).  Without stop_comp it returns the canonical remainder.
+    def index(self, basis: list) -> dict:
+        """The divisor index of basis: component field -> [entry]."""
+        buckets: dict = {}
+        shift = self.packing.shift
+        for d in basis:
+            e = self.entry(d, self.packing.top_degree(d))
+            buckets.setdefault(e[1] >> shift, []).append(e)
+        return buckets
+
+    def nf(self, d: dict, buckets: dict, stop_comp: Optional[int] = None):
+        """Full normal form of d against a divisor index of monic dicts.
+
+        If stop_comp is given, reduction stops as soon as the working maximum
+        falls into components >= stop_comp, and the function returns
+        (remainder, True); an irreducible maximum in components < stop_comp
+        returns (remainder, False).  Without stop_comp it returns the
+        canonical remainder.
         """
         work = dict(d)
         out: dict = {}
-        fld = self.field
-        sub = self.sub
-        stop = None if stop_comp is None else -stop_comp
+        neg, axpy, pk = self.field.neg, self.axpy, self.packing
+        shift, flip, guards = pk.shift, pk.flip, pk.guards
+        deg_shift, mask = pk.deg_shift, pk.mask
+        stop = None if stop_comp is None else (1 - stop_comp) << shift
         while work:
             t = max(work)
-            if stop is not None and t[0] <= stop:
+            if stop is not None and t < stop:
                 out.update(work)
                 return out, True
-            c = work[t]
-            comp, exps = t[0], t[1:]
-            hit = None
-            for lexps, idx in buckets.get(comp, ()):
-                m = sub(exps, lexps)
-                if m is not None:
-                    hit = (m, idx)
+            te = t ^ flip | guards
+            for le, lt, reach, g in buckets.get(t >> shift, ()):
+                if (te - le) & guards == guards:  # lt divides t
+                    dt = (t >> deg_shift) & mask
+                    if dt > reach:
+                        raise term_overflow(dt - reach + FIELD_MAX)
+                    axpy(work, neg(work[t]), t - lt, g)
                     break
-            if hit is None:
-                if stop_comp is not None:
+            else:
+                if stop is not None:
                     out.update(work)
                     return out, False
-                del work[t]
-                out[t] = c
-            else:
-                m, idx = hit
-                self.axpy(work, fld.neg(c), (0,) + m, basis[idx])
-        if stop_comp is not None:
+                out[t] = work.pop(t)
+        if stop is not None:
             return out, True
         return out
-
-
-def _make_buckets(basis: list) -> dict:
-    buckets: dict = {}
-    for idx, d in enumerate(basis):
-        lt = max(d)
-        buckets.setdefault(lt[0], []).append((lt[1:], idx))
-    return buckets
 
 
 def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
     """Core loop on term dicts; returns the reduced monic sorted basis."""
     fld = engine.field
-    sub, lcm_of, deg = engine.sub, engine.lcm, engine.deg
+    pk = engine.packing
+    shift, deg, divides, lcm_of = pk.shift, pk.degree, pk.divides, pk.lcm
+    deg_shift, mask = pk.deg_shift, pk.mask
     basis: list = []
+    entries: list = []  # divisor-index entry of each basis vector (_Engine.entry)
     lts: list = []
     ldeg: list = []    # total degree of each leading term
     sugar: list = []
     single: list = []  # support concentrated in the leading component?
-    buckets: dict = {}
-    pending: dict = {}  # component -> {(i, j): lcm} of the pairs still to reduce
+    buckets: dict = {}  # component field -> entries, the index nf reduces by
+    members: dict = {}  # component field -> indices of the vectors led there
+    pending: dict = {}  # component field -> {(i, j): lcm} of the pairs still to reduce
     heap: list = []     # (sugar, counter, i, j); entries dropped from pending are stale
     counter = 0
 
-    def degree(d: dict) -> int:
-        return max(deg(t[1:]) for t in d)
-
-    def insert(d: dict, sug: int):
-        """Add d to the basis and update the pairs of its component
-        (Gebauer-Moller; see the module docstring)."""
+    def insert(d: dict, top: int, sug: int):
+        """Add d, whose terms have degree at most top, to the basis and update
+        the pairs of its component (Gebauer-Moller; see the module docstring)."""
         nonlocal counter
-        lt = max(d)
-        comp, e = lt[0], lt[1:]
-        k, dk = len(basis), deg(e)
+        entry = engine.entry(d, top)
+        lt = entry[1]
+        comp = lt >> shift
+        k, dk = len(basis), deg(lt)
         basis.append(d)
+        entries.append(entry)
         lts.append(lt)
         ldeg.append(dk)
         sugar.append(sug)
-        sk = all(t[0] == comp for t in d)
+        sk = min(d) >> shift == comp
         single.append(sk)
-        bucket = buckets.setdefault(comp, [])
+        buckets.setdefault(comp, []).append(entry)
+        led = members.setdefault(comp, [])
         new = []
-        for le, i in bucket:
-            lcm = lcm_of(le, e)
-            new.append((deg(lcm), lcm, i))
-        bucket.append((e, k))
+        for i in led:
+            dl, lcm = lcm_of(lts[i], lt)
+            new.append((dl, lcm, i))
+        led.append(k)
         if not new:
             return
         pend = pending.setdefault(comp, {})
         if pend:  # B_k
             lcm_with = {i: lcm for _, lcm, i in new}
             dead = [ab for ab, lcm in pend.items()
-                    if sub(lcm, e) is not None and lcm_with[ab[0]] != lcm
+                    if divides(lt, lcm) and lcm_with[ab[0]] != lcm
                     and lcm_with[ab[1]] != lcm]
             for ab in dead:
                 del pend[ab]
@@ -304,7 +311,7 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
         for dl, lcm, i in new:
             if lcm in groups:
                 groups[lcm][1].append(i)
-            elif not any(sub(lcm, g) is not None for g in groups):
+            elif not any(divides(g, lcm) for g in groups):
                 groups[lcm] = (dl, [i])
         for lcm, (dl, same) in groups.items():
             # product criterion: coprime iff deg lcm = deg lt_i + deg lt_h
@@ -318,40 +325,46 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
     start = [engine.monic(d) for d in gen_dicts if d]
     start.sort(key=max, reverse=True)
     for d in start:
-        insert(d, degree(d))
+        top = pk.top_degree(d)
+        insert(d, top, top)
 
     while heap:
         sug, _, i, j = heapq.heappop(heap)
-        lcm = pending[lts[j][0]].pop((i, j), None)
+        lcm = pending[lts[j] >> shift].pop((i, j), None)
         if lcm is None:
             continue
+        dl, reach = (lcm >> deg_shift) & mask, min(entries[i][2], entries[j][2])
+        if dl > reach:
+            raise term_overflow(dl - reach + FIELD_MAX)
         s: dict = {}
-        engine.axpy(s, fld.one, (0,) + sub(lcm, lts[i][1:]), basis[i])
-        engine.axpy(s, fld.neg(fld.one), (0,) + sub(lcm, lts[j][1:]), basis[j])
-        r = engine.nf(s, basis, buckets)
+        engine.axpy(s, fld.one, lcm - lts[i], basis[i])
+        engine.axpy(s, fld.neg(fld.one), lcm - lts[j], basis[j])
+        r = engine.nf(s, buckets)
         if r:
-            insert(engine.monic(r), max(sug, degree(r)))
+            top = pk.top_degree(r)
+            insert(engine.monic(r), top, max(sug, top))
 
     # minimal: drop vectors whose leading term is divisible by another's
     order_idx = sorted(range(len(basis)), key=lts.__getitem__)
     keep: list = []
-    kept: dict = {}  # component -> leading exponents kept there
+    kept: dict = {}  # component field -> leading terms kept there
     for i in order_idx:
         lt = lts[i]
-        same = kept.setdefault(lt[0], [])
-        if all(sub(lt[1:], e) is None for e in same):
+        same = kept.setdefault(lt >> shift, [])
+        if not any(divides(e, lt) for e in same):
             keep.append(i)
-            same.append(lt[1:])
-    minimal = [basis[i] for i in keep]
+            same.append(lt)
 
     # reduced: tail-reduce each against one shared index (module docstring)
-    index = _make_buckets(minimal)
+    index: dict = {}
+    for i in keep:
+        index.setdefault(lts[i] >> shift, []).append(entries[i])
     reduced = []
-    for i, d in zip(keep, minimal):
-        lt = lts[i]
+    for i in keep:
+        d, lt = basis[i], lts[i]
         tail = {t: c for t, c in d.items() if t != lt}
         r = {lt: d[lt]}
-        r.update(engine.nf(tail, minimal, index))
+        r.update(engine.nf(tail, index))
         reduced.append(r)
 
     reduced.reverse()  # keep ascends by leading term; tail reduction keeps those
@@ -360,14 +373,14 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
 
 def _relation_dicts(rng: QuotientRing, rank: int) -> list:
     """quotient_augment's extra generators j*e_i, in its order, as term dicts."""
-    key = rng.key
-    return [{(-i,) + key(m): c for m, c in rel.terms.items()}
+    encode = rng.packing.encode
+    return [{encode(i, m): c for m, c in rel.terms.items()}
             for rel in rng.relations for i in range(rank)]
 
 
 def buchberger(sub: Submodule) -> GroebnerBasis:
     """Reduced Gröbner basis of the J-augmented submodule."""
-    engine = _Engine(sub.ring, sub.rank)
+    engine = _Engine(sub.ring)
     gens = [vec_to_dict(g, sub.ring) for g in sub.generators] + _relation_dicts(sub.ring, sub.rank)
     return GroebnerBasis(base=sub, _engine=engine, _dicts=_buchberger_dicts(gens, engine))
 
@@ -383,7 +396,7 @@ def _checked_terms(vec: FreeVector, gb: GroebnerBasis) -> dict:
 
 def normal_form(vec: FreeVector, gb: GroebnerBasis) -> FreeVector:
     """Canonical remainder of vec against the basis."""
-    r = gb._engine.nf(_checked_terms(vec, gb), gb._dicts, gb.buckets())
+    r = gb._engine.nf(_checked_terms(vec, gb), gb.buckets())
     return dict_to_vec(r, gb.base.ring, gb.base.rank)
 
 
@@ -391,14 +404,14 @@ def _reduces_to_zero(d: dict, gb: GroebnerBasis) -> bool:
     """True iff the vector with term dict d reduces to zero against gb.  Every
     component is below stop_comp, so nf stops at the first irreducible
     leading term, which every nonzero remainder has."""
-    return gb._engine.nf(d, gb._dicts, gb.buckets(), stop_comp=gb.base.rank)[1]
+    return gb._engine.nf(d, gb.buckets(), stop_comp=gb.base.rank)[1]
 
 
 def reduces_to_zero(terms: dict, gb: GroebnerBasis) -> bool:
     """True iff the polynomial with these terms reduces to zero against the
     rank-1 basis gb."""
-    key = gb.base.ring.key
-    return _reduces_to_zero({(0,) + key(m): c for m, c in terms.items()}, gb)
+    encode = gb.base.ring.packing.encode
+    return _reduces_to_zero({encode(0, m): c for m, c in terms.items()}, gb)
 
 
 def member(vec: FreeVector, sub: Submodule) -> bool:
@@ -422,15 +435,14 @@ def submodule_equal(a: Submodule, b: Submodule) -> bool:
 
 def _elimination_gb(rng: QuotientRing, matrix: Matrix, m: int, c: int):
     """GB of {(col_j ; e_j)} + {j*e_i ; 0} in R^(m+c), top block dominant."""
-    engine = _Engine(rng, m + c)
-    key = rng.key
+    engine = _Engine(rng)
+    encode = rng.packing.encode
     gens = [{} for _ in range(c)]
     for i, row in enumerate(matrix.rows):
         for j, e in row.items():
-            gens[j].update(((-i,) + key(exps), v) for exps, v in e.terms.items())
-    one = key(rng._zero_exps)
+            gens[j].update((encode(i, exps), v) for exps, v in e.terms.items())
     for j, g in enumerate(gens):
-        g[(-m - j,) + one] = rng.field.one
+        g[encode(m + j, rng._zero_exps)] = rng.field.one
     dicts = _buchberger_dicts(gens + _relation_dicts(rng, m), engine)
     return engine, dicts
 
@@ -471,24 +483,25 @@ class ImageSolver:
         if self.m == 0:
             raise ValueError("target rank must be positive")
         self.engine, self.dicts = _elimination_gb(rng, matrix, self.m, self.c)
-        self.buckets = _make_buckets(self.dicts)
+        self.buckets = self.engine.index(self.dicts)
 
     def solve(self, col: dict):
         """col is a sparse column {row: Polynomial}; q comes back as a sparse
         column {index: nonzero Polynomial}."""
-        key = self.ring.key
-        terms = {(-i,) + key(e): c for i, p in col.items() for e, c in p.terms.items()}
-        r, ok = self.engine.nf(terms, self.dicts, self.buckets, stop_comp=self.m)
+        pk = self.ring.packing
+        terms = {pk.encode(i, e): c for i, p in col.items() for e, c in p.terms.items()}
+        r, ok = self.engine.nf(terms, self.buckets, stop_comp=self.m)
         if not ok:
             return None
-        fld = self.ring.field
-        return dict_to_col({(t[0] + self.m,) + t[1:]: fld.neg(v) for t, v in r.items()},
-                           self.ring)
+        neg, up = self.ring.field.neg, self.m << pk.shift  # component c + m -> c
+        return dict_to_col({t + up: neg(v) for t, v in r.items()}, self.ring)
 
     def kernel(self) -> Matrix:
         """The c x k matrix whose columns generate {q : M*q = 0 modulo J*R^m}:
-        the basis vectors that live entirely in the tag block."""
-        m = self.m
+        the basis vectors that live entirely in the tag block, which are
+        those whose leading term lives there."""
+        shift = self.ring.packing.shift
+        up, stop = self.m << shift, (1 - self.m) << shift
         return from_columns(self.ring, self.c, [
-            dict_to_col({(t[0] + m,) + t[1:]: v for t, v in d.items()}, self.ring)
-            for d in self.dicts if all(t[0] <= -m for t in d)])
+            dict_to_col({t + up: v for t, v in d.items()}, self.ring)
+            for d in self.dicts if max(d) < stop])

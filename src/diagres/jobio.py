@@ -61,6 +61,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import ne
 from typing import Optional
 
 from .complexes import ChainComplex, ChainMap, DiagonalSpec, InputDataError
@@ -158,11 +160,20 @@ def _polys(rng: QuotientRing, v, path: str, memo: dict) -> list:
 
 
 def _matrix(rng: QuotientRing, v, path: str, memo: dict) -> Matrix:
-    """A dense list of rows as a Matrix; the first bad entry in row-major
+    """A dense list of rows as a Matrix.  Entries spelled "0" are skipped
+    without a Python step each (compress); the first bad entry in row-major
     order is the one reported."""
     raw = _list(v, path)
-    rows = [{c: p for c, p in enumerate(_polys(rng, row, f"{path}[{i}]", memo)) if p.terms}
-            for i, row in enumerate(raw)]
+    rows = []
+    for i, row in enumerate(raw):
+        rpath = f"{path}[{i}]"
+        entries = {}
+        for c in compress(range(len(_list(row, rpath))), map(ne, row, repeat("0"))):
+            s = row[c]
+            p = memo[s] if type(s) is str and s in memo else _poly(rng, s, f"{rpath}[{c}]", memo)
+            if p.terms:
+                entries[c] = p
+        rows.append(entries)
     if any(len(row) != len(raw[0]) for row in raw):
         raise JobFileError(f"ragged matrix at {path}")
     return Matrix(rng, len(raw), len(raw[0]) if raw else 0, rows)

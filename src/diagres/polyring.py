@@ -20,6 +20,9 @@ Text grammar (bit-exact, whitespace insignificant)::
     coeff := int | int '/' uint
     var   := identifier
 
+An exponent is at most MAX_EXPONENT, and so is the sum of the exponents a
+term gives one variable (x^3*x^5 is x^8); a larger one is a ParseError.
+
 print() emits the canonical form (terms strictly descending in the ring
 order) and parse(print(p)) == p.
 """
@@ -30,8 +33,14 @@ import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._terms import mul_p, mul_q, tup_add
+from ._terms import Packing, mul_p, mul_q, tup_add
 from .scalars import QQ, Field, FieldMismatchError, PrimeField
+
+
+# The largest exponent the grammar accepts: far inside the Gröbner engine's
+# packed fields (_terms.FIELD_MAX, 2^23 - 1), so the products a verification
+# forms (d*d, compositions, cones) still fit.  Not settable.
+MAX_EXPONENT = 2 ** 16
 
 
 class RingMismatchError(ValueError):
@@ -70,8 +79,7 @@ class MonomialOrder:
         return prio
 
     def key_func(self, nvars: int):
-        """The sort key on exponent tuples of length nvars.  It is additive and
-        one to one, so the Gröbner engine stores monomials as their keys."""
+        """The sort key on exponent tuples of length nvars."""
         prio = self._priority(nvars)
         if self.kind == "lex":
             def key(exps: tuple):
@@ -85,15 +93,9 @@ class MonomialOrder:
                 return (sum(exps),) + tuple(-exps[i] for i in rev)
         return key
 
-    def decode_func(self, nvars: int):
-        """The inverse of key_func(nvars): exponents from a key."""
-        prio = self._priority(nvars)
-        if self.kind == "lex":
-            slots = tuple(prio.index(v) for v in range(nvars))
-            return lambda key: tuple(key[s] for s in slots)
-        rev = prio[::-1]
-        slots = tuple(1 + rev.index(v) for v in range(nvars))
-        return lambda key: tuple(-key[s] for s in slots)
+    def packing(self, nvars: int) -> Packing:
+        """The Gröbner engine's packed-int terms for this order (see _terms)."""
+        return Packing(self.kind, self._priority(nvars), nvars)
 
     def __eq__(self, other):
         return (
@@ -144,7 +146,7 @@ class QuotientRing:
         self.field = field
         self.order = order if order is not None else MonomialOrder("grevlex")
         self.key = self.order.key_func(self.nvars)
-        self.decode = self.order.decode_func(self.nvars)
+        self.packing = self.order.packing(self.nvars)
         self.index = {nm: i for i, nm in enumerate(names)}
         self.relations: tuple[Polynomial, ...] = ()
         self._zero_exps = (0,) * self.nvars
@@ -441,9 +443,12 @@ def parse_poly(text: str, rng: QuotientRing) -> Polynomial:
                 k2, v2, p2 = tok()
                 if k2 != "int":
                     raise ParseError("expected exponent after '^'", p2)
-                e = int(v2)
+                # int() of a literal longer than sys.get_int_max_str_digits() raises
+                e = int(v2) if len(v2.lstrip("0")) <= 9 else MAX_EXPONENT + 1
                 i += 1
             exps[rng.index[val]] += e
+            if exps[rng.index[val]] > MAX_EXPONENT:
+                raise ParseError(f"exponent of {val} above the maximum {MAX_EXPONENT}", pos)
             saw_factor = True
             need_factor = False
             if tok()[0] == "op" and tok()[1] == "*":

@@ -12,11 +12,11 @@ Runtime targets are asserted as hard bounds (wall clock, single process):
   8. catalog verdicts identical over Q and F_32003
 """
 
+import operator
 import random
 import time
 from fractions import Fraction
 
-from diagres._terms import tup_lcm, tup_sub
 from diagres.bimodcalc import GradedLinearMap, GradedVectorSpace, decompose
 from diagres.catalog import (build_affine_line, build_cycle, build_nodal_conic,
                              build_nodal_conic_product, documented_mutations,
@@ -126,9 +126,9 @@ def test_criterion_5_groebner_suite(capsys):
         leads = [p.leading()[0] for p in polys]
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
-                lcm = tup_lcm(leads[i], leads[j])
-                s = (polys[i].shift(tup_sub(lcm, leads[i]))
-                     - polys[j].shift(tup_sub(lcm, leads[j])))
+                lcm = tuple(map(max, leads[i], leads[j]))
+                s = (polys[i].shift(tuple(map(operator.sub, lcm, leads[i])))
+                     - polys[j].shift(tuple(map(operator.sub, lcm, leads[j]))))
                 if not vec_is_zero(normal_form((s,), gb)):
                     ok = False
         # membership agrees with normal-form-vanishing

@@ -14,7 +14,7 @@ from diagres.complexes import ChainComplex
 from diagres.jobio import (MAX_DEGREE, MAX_RANK, JobFileError, emit_job, job_document, parse_complex,
                            parse_job)
 from diagres.matrices import Matrix
-from diagres.polyring import ring
+from diagres.polyring import MAX_EXPONENT, ring
 from diagres.report import VerificationReport
 from diagres.scalars import field_from_spec
 
@@ -607,7 +607,7 @@ def test_malformed_job_field_is_input_error(tmp_path, capsys, section, key, valu
 
 # Entry strings that repeat, as they do in exported jobs; " 0" and "0" are
 # equal polynomials under different strings.
-ENTRY_STRINGS = ["0", "1", "-1", "x1", "x1 - x2", "1/2*y1", " 0"]
+ENTRY_STRINGS = ["0", "1", "-1", "x1", "x1 - x2", "1/2*y1", " 0", "-0"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -639,6 +639,46 @@ def test_bad_entry_after_a_parsed_equal_string_names_its_path(tmp_path, capsys, 
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "verify", "--job", str(path))
     assert code == 2 and "at complexes[0].differentials.1[1][1]" in err
+
+
+
+@pytest.mark.parametrize("bad", [0, None, ["0"], 1.5])
+def test_non_string_entry_after_a_run_of_zeros_names_its_path(tmp_path, capsys, bad):
+    """Entries spelled "0" are skipped unparsed; a non-string one is not."""
+    doc = _hand_job()
+    doc["complexes"][0] = {"name": "total", "ranks": {"0": 2, "1": 6},
+                           "differentials": {"1": [["0"] * 6, ["0"] * 5 + [bad]]}}
+    path = tmp_path / "afterzeros.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and "expected a string at complexes[0].differentials.1[1][5]" in err
+
+
+def test_exponent_above_the_bound_is_input_error(tmp_path, capsys):
+    doc = _hand_job()
+    doc["diagonal"]["ideal"][0] = f"x1^{MAX_EXPONENT + 1}"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and f"above the maximum {MAX_EXPONENT}" in err
+    assert "at diagonal.ideal[0]" in err
+
+
+def _gb_job(path, order, gens):
+    path.write_text(json.dumps({"schema": 1, "ring": {"variables": ["x", "y"], "order": order},
+                                "module": {"rank": 1, "generators": [[g] for g in gens]}}))
+    return str(path)
+
+
+def test_gb_job_exponent_bound_and_packed_field_overflow_exit_2(tmp_path, capsys):
+    lex = {"kind": "lex"}
+    code, out, err = run_cli(capsys, "gb", "--job", _gb_job(
+        tmp_path / "big.json", lex, ["x^99999999999999999999 - 1"]))
+    assert code == 2 and out == "" and "at module.generators[0][0]" in err
+    # y^(2^30) is in the reduced basis, past the largest degree a packed term holds
+    code, out, err = run_cli(capsys, "gb", "--job", _gb_job(
+        tmp_path / "wide.json", lex, ["x - y^32768", "x^32768"]))
+    assert code == 2 and out == "" and "above the largest degree" in err
 
 
 def test_oversized_prime_field_is_input_error(tmp_path, capsys):

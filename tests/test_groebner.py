@@ -9,13 +9,14 @@ generators.
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from diagres._terms import FIELD_MAX, InputDataError
 from diagres.groebner import (GroebnerBasis, ImageSolver, Submodule, buchberger,
                               member, normal_form, quotient_augment, submodule_equal,
                               syzygies, vec_is_zero)
-from diagres._terms import tup_lcm, tup_sub
 from diagres.polyring import MonomialOrder, Polynomial, ring
 
 RLEX = ring(["x", "y"], order=MonomialOrder("lex"))
@@ -183,6 +184,16 @@ def random_ideal(rng, rand, max_gens=4, max_deg=3, nterms=3):
 # The helpers below read a basis through its public vectors, as plain term
 # dicts {(component,) + exponents: coefficient}, and order terms with the
 # ring's MonomialOrder key, independently of the engine's own term encoding.
+
+
+def tup_sub(a: tuple, b: tuple):
+    """a - b slot by slot, or None if b does not divide a."""
+    out = tuple(x - y for x, y in zip(a, b))
+    return None if min(out, default=0) < 0 else out
+
+
+def tup_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
 
 
 def plain_dict(vec) -> dict:
@@ -412,6 +423,48 @@ def test_criteria_and_sugar_match_criteria_free_reference(spec, kind):
                     {(i,) + m: c for m, c in rel.terms.items()}
                     for rel in rng.relations for i in range(rank)]
                 assert [plain_dict(v) for v in gb.vectors] == reference_buchberger(gens, rng)
+
+
+
+def widen(vec, scale):
+    """vec with every x_v^e replaced by x_v^(e * scale[v])."""
+    return tuple(Polynomial(p.ring, {tuple(map(mul, e, scale)): c for e, c in p.terms.items()})
+                 for p in vec)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+@pytest.mark.parametrize("kind, priority", [("lex", (1, 2, 0)), ("grevlex", (2, 0, 1))])
+def test_modules_with_wide_exponents_match_criteria_free_reference(spec, kind, priority):
+    """Rank 2-3 modules whose exponents reach 2^17, so the engine's packed
+    fields carry values across byte and word boundaries, give the
+    reference's basis."""
+    from diagres.scalars import field_from_spec
+    rng = ring(["x", "y", "z"], field=field_from_spec(spec),
+               order=MonomialOrder(kind, priority=priority))
+    rand = random.Random(43)
+    for rank in (2, 3):
+        for _ in range(6):
+            scale = tuple(rand.choice((1, 255, 256, 4097, 65535)) for _ in range(3))
+            sub = random_module(rng, rand, rank, max_gens=3)
+            sub = Submodule(rng, rank, [widen(g, scale) for g in sub.generators])
+            assert ([plain_dict(v) for v in buchberger(sub).vectors]
+                    == reference_buchberger([plain_dict(g) for g in sub.generators], rng))
+
+
+def test_terms_past_the_packed_field_are_input_errors():
+    """The reduced lex basis of (x - y^32768, x^32768) holds y^(2^30), past
+    the degree 2^23 - 1 a packed term holds: the engine raises, it never
+    wraps.  So does an S-vector whose multiple of a tail is past it, here
+    x^(k-1) * y^k * e_1 from ((x, y^k), (x^k, 0)), built through the API
+    (the grammar caps exponents far lower)."""
+    rng = ring(["x", "y"], order=MonomialOrder("lex"))
+    with pytest.raises(InputDataError, match="above the largest degree"):
+        buchberger(ideal(rng, "x - y^32768", "x^32768"))
+    rng = ring(["x", "y"])
+    k = FIELD_MAX - 9
+    x, yk, xk = rng.var("x"), rng.one().shift((0, k)), rng.one().shift((k, 0))
+    with pytest.raises(InputDataError, match="above the largest degree"):
+        buchberger(Submodule(rng, 2, [(x, yk), (xk, rng.zero())]))
 
 
 LEX_RANK2_BASIS = [

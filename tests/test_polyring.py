@@ -1,9 +1,12 @@
 """Polynomials, monomial orders, the text grammar, ring maps."""
 
+from operator import add, sub
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagres.polyring import (MonomialOrder, ParseError, RingMap,
+from diagres._terms import FIELD_MAX, InputDataError
+from diagres.polyring import (MAX_EXPONENT, MonomialOrder, ParseError, RingMap,
                               RingMismatchError, monomial_cmp, parse_poly,
                               poly_str, ring)
 from diagres.scalars import PrimeField
@@ -94,27 +97,50 @@ def test_order_axioms(a, b, c):
 
 CODEC_ORDERS = [MonomialOrder(kind, priority=prio) for kind in ("lex", "grevlex")
                 for prio in (None, (2, 0, 3, 1))]
-mono4 = st.tuples(*[st.integers(0, 3)] * 4)
+# small exponents, and large ones whose sums still fit a field (4 * 2 * FIELD_MAX // 8)
+exponent = st.one_of(st.integers(0, 3), st.integers(0, FIELD_MAX // 8))
+mono4 = st.tuples(*[exponent] * 4)
+component = st.integers(0, 5)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(CODEC_ORDERS), mono4, mono4)
-def test_order_key_is_an_additive_codec(order, a, b):
-    """The Gröbner engine stores a monomial as its order key and uses the
-    quotient, lcm and degree kernels it picks for the order on those keys."""
-    from diagres._terms import tup_add, tup_lcm, tup_sub
-    from diagres.groebner import _Engine
-    rng = ring(["a", "b", "c", "d"], order=order)
-    eng = _Engine(rng, 1)
-    ka, kb = rng.key(a), rng.key(b)
-    assert rng.decode(ka) == a
-    assert rng.key(tup_add(a, b)) == tup_add(ka, kb)
-    assert (ka > kb) - (ka < kb) == monomial_cmp(a, b, order)
-    assert eng.deg(ka) == sum(a)
-    q = tup_sub(a, b)
-    assert eng.sub(ka, kb) == (None if q is None else rng.key(q))
-    assert eng.sub(rng.key(tup_add(a, b)), kb) == ka
-    assert rng.decode(eng.lcm(ka, kb)) == tup_lcm(a, b)
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(CODEC_ORDERS), component, component, mono4, mono4)
+def test_order_key_is_an_additive_codec(order, ca, cb, a, b):
+    """The Gröbner engine stores a module term as one packed int: decode
+    inverts encode, a product is an int addition, int order is the module
+    order, and the SWAR divisibility test, lcm and degree are exact."""
+    pk = ring(["a", "b", "c", "d"], order=order).packing
+    one = (0,) * 4
+    ta, tb = pk.encode(ca, a), pk.encode(cb, b)
+    assert pk.decode(ta) == (ca, a)
+    assert pk.degree(ta) == sum(a)
+    # x^a * (c, b) is (c, b) plus the multiplier x^a, whatever the component
+    assert pk.encode(cb, tuple(map(add, a, b))) == tb + pk.encode(0, a) - pk.encode(0, one)
+    expected = (cb > ca) - (cb < ca) or monomial_cmp(a, b, order)
+    assert (ta > tb) - (ta < tb) == expected
+    ua = pk.encode(cb, a)  # a in b's component
+    q = tuple(map(sub, a, b))
+    assert pk.divides(tb, ua) == (min(q) >= 0)
+    if min(q) >= 0:
+        assert ua - tb == pk.encode(0, q) - pk.encode(0, one)
+    lcm = tuple(map(max, a, b))
+    assert pk.lcm(ua, tb) == (sum(lcm), pk.encode(cb, lcm))
+
+
+def test_packed_terms_reject_a_degree_past_the_field():
+    pk = ring(["x", "y"], order=MonomialOrder("lex")).packing
+    assert pk.decode(pk.encode(0, (FIELD_MAX, 0))) == (0, (FIELD_MAX, 0))
+    with pytest.raises(InputDataError):
+        pk.encode(0, (FIELD_MAX, 1))
+    with pytest.raises(InputDataError):
+        pk.lcm(pk.encode(0, (FIELD_MAX, 0)), pk.encode(0, (0, 1)))
+
+
+def test_exponent_bound_in_the_grammar():
+    assert R2.parse(f"x^{MAX_EXPONENT}*y").terms == {(MAX_EXPONENT, 1): 1}
+    for text in (f"x^{MAX_EXPONENT + 1}", f"x^{MAX_EXPONENT}*x", "y*x^99999999999999999999"):
+        with pytest.raises(ParseError, match="above the maximum"):
+            R2.parse(text)
 
 
 def _random_poly(rng, data):
