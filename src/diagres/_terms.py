@@ -8,6 +8,8 @@ is an int while it is an integer and a Fraction only when it is not (see
 scalars); the kernels here use only +, - and *, never /, so two int operands
 stay ints.  A mixed product may leave an integral Fraction (1/2 * 2), which
 compares and hashes equal to the int, so nothing here depends on the type.
+The Gröbner engine's vectors over Q are integral (primitive, see groebner),
+so packed_axpy_q only ever sees ints.
 
 Packed terms.  The Gröbner engine stores a module term, component c and
 exponents e, as one int (Monagan-Pearce, "Polynomial division using dynamic
@@ -141,7 +143,8 @@ def packed_axpy_q(dst: dict, c, m: int, src: dict) -> None:
 
 
 def packed_axpy_p(dst: dict, c: int, m: int, src: dict, p: int) -> None:
-    """dst += c * t^m * src over F_p, on packed terms (in place)."""
+    """dst += c * t^m * src over F_p, on packed terms (in place).  c may be
+    any int (the engine passes -a): every value stored is reduced mod p."""
     for k, v in src.items():
         kk = k + m
         w = dst.get(kk)

@@ -16,10 +16,27 @@ reduces_to_zero) and decoded where they leave (dict_to_vec, dict_to_col).
 A term that does not fit its packed fields raises InputDataError, at
 encoding and at every product (see _terms for the rule).
 
+Coefficients: primitive inside, monic at decode.  Over Q the engine holds
+every vector (input generator, basis element, remainder) as a primitive
+integer vector: denominators cleared where vectors enter (_Engine.cleared),
+content divided out and leading coefficient positive (_Engine.primitive).
+nf reduces fraction-free (Geddes, Czapor, Labahn, "Algorithms for Computer
+Algebra", 1992): a working maximum a*t is cancelled by a divisor with
+leading coefficient b as (b/h)*work - (a/h)*t*g, h = gcd(a, b), and an
+S-vector is (b_j/h)*m_i*g_i - (b_i/h)*m_j*g_j.  Each working vector is then
+a fixed nonzero multiple of the one monic arithmetic would hold, so divisor
+choice, pairs, sugar and criteria are those of monic arithmetic, and so is
+every answer.  Fractions are built only where vectors leave: basis vectors
+(vectors, columns, kernel) are divided by their leading coefficient, and a
+remainder (normal_form) or solution (ImageSolver.solve) by the scale nf
+multiplied in.  Over F_p a primitive vector is the monic one, every
+divisor's leading coefficient is 1 and the scaling never happens: one nf
+loop serves both fields.
+
 Determinism: bases are auto-reduced (the reduced Gröbner basis is unique
-for a given order), made monic, and sorted by descending leading term, so
-identical inputs produce byte-identical bases, whatever order the pairs are
-reduced in.
+for a given order), primitive inside and monic where they leave (above),
+and sorted by descending leading term, so identical inputs produce
+byte-identical bases, whatever order the pairs are reduced in.
 
 Auto-reduction builds one divisor index over the minimal basis.  Each
 element's tail (its terms below the leading term) is reduced against the
@@ -68,7 +85,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ._terms import FIELD_MAX, packed_axpy_p, packed_axpy_q, term_overflow
@@ -107,6 +127,18 @@ def dict_to_col(d: dict, rng: QuotientRing) -> dict:
     return {i: Polynomial(rng, t) for i, t in polys.items()}
 
 
+def _divided(d: dict, k: int) -> dict:
+    """d / k over Q, an int wherever the quotient is integral."""
+    return {t: _integral(Fraction(v, k)) for t, v in d.items()}
+
+
+def _monic(d: dict) -> dict:
+    """A basis vector as it leaves the engine: divided by its leading
+    coefficient, which is 1 already over F_p."""
+    c = d[max(d)]
+    return d if c == 1 else _divided(d, c)
+
+
 def vec_is_zero(vec: Sequence[Polynomial]) -> bool:
     return all(p.is_zero() for p in vec)
 
@@ -138,10 +170,11 @@ class Submodule:
 
 @dataclass(eq=False)
 class GroebnerBasis:
-    """Reduced, monic, deterministically sorted basis of an augmented submodule.
+    """Reduced, deterministically sorted basis of an augmented submodule.
 
-    The engine works on the term dicts; the basis as FreeVectors (dense
-    tuples, descending leading terms) is built on first use of vectors.
+    The engine works on the term dicts (primitive over Q); the monic basis
+    as FreeVectors (dense tuples, descending leading terms) is built on
+    first use of vectors.
     """
 
     base: Submodule
@@ -154,13 +187,14 @@ class GroebnerBasis:
     @property
     def vectors(self) -> list:
         if self._vectors is None:
-            self._vectors = [dict_to_vec(d, self.base.ring, self.base.rank) for d in self._dicts]
+            self._vectors = [dict_to_vec(_monic(d), self.base.ring, self.base.rank)
+                             for d in self._dicts]
         return self._vectors
 
     def columns(self) -> list:
         """The basis as sparse columns {component: nonzero Polynomial}, in the
         order of vectors, without building the dense tuples."""
-        return [dict_to_col(d, self.base.ring) for d in self._dicts]
+        return [dict_to_col(_monic(d), self.base.ring) for d in self._dicts]
 
     def buckets(self) -> dict:
         if self._buckets is None:
@@ -179,24 +213,40 @@ def quotient_augment(sub: Submodule) -> Submodule:
 # the engine
 
 
+_denominator = attrgetter("denominator")
+
+
 class _Engine:
     def __init__(self, rng: QuotientRing):
         self.packing = rng.packing
         fld = rng.field
-        self.field = fld
-        self.axpy = (partial(packed_axpy_p, p=fld.p) if isinstance(fld, PrimeField)
-                     else packed_axpy_q)
+        self.p = fld.p if isinstance(fld, PrimeField) else None
+        self.axpy = packed_axpy_q if self.p is None else partial(packed_axpy_p, p=self.p)
 
-    def monic(self, d: dict) -> dict:
+    def cleared(self, d: dict) -> tuple:
+        """(k * d, k) with every coefficient an int, for k the lcm of the
+        denominators in d: the integral vector nf takes over Q (over F_p
+        every coefficient is an int already).  A sum of ints is an int and a
+        sum with a Fraction in it a Fraction, so an all-int d costs one sum."""
+        if self.p is not None or type(sum(d.values())) is int:
+            return d, 1
+        k = lcm(*map(_denominator, d.values()))
+        return {t: v.numerator * (k // v.denominator) for t, v in d.items()}, k
+
+    def primitive(self, d: dict) -> dict:
+        """The multiple of d the engine stores: over Q the primitive integer
+        vector (content 1, positive leading coefficient), over F_p the monic
+        one.  Over Q d must be integral."""
         c = d[max(d)]
-        fld = self.field
-        if c == fld.one:
+        if c == 1:
             return d
-        inv = fld.inv(c)
-        if isinstance(fld, PrimeField):
-            return {t: fld.mul(v, inv) for t, v in d.items()}
-        # over Q integral coefficients stay ints: reductions by d then use int arithmetic
-        return {t: _integral(v * inv) for t, v in d.items()}
+        if self.p is not None:
+            inv = pow(c, -1, self.p)
+            return {t: v * inv % self.p for t, v in d.items()}
+        g = gcd(*d.values())
+        if c < 0:
+            g = -g
+        return d if g == 1 else {t: v // g for t, v in d.items()}
 
     def entry(self, d: dict, top: int) -> tuple:
         """d's divisor-index entry (lt in exponent form, lt, reach, d), where lt
@@ -216,47 +266,57 @@ class _Engine:
             buckets.setdefault(e[1] >> shift, []).append(e)
         return buckets
 
-    def nf(self, d: dict, buckets: dict, stop_comp: Optional[int] = None):
-        """Full normal form of d against a divisor index of monic dicts.
+    def nf(self, d: dict, buckets: dict, stop_comp: Optional[int] = None) -> tuple:
+        """(r, s): the full normal form of s * d is r, against a divisor index of
+        vectors as primitive() stores them.
+
+        Reduction is fraction-free: a working maximum a * t is cancelled by a
+        divisor g with leading coefficient b as (b/h) * work - (a/h) * t * g,
+        h = gcd(a, b), and s is the product of the factors b/h.  Over F_p
+        every b is 1, so s is 1; over Q d must be integral, and so is r.
 
         If stop_comp is given, reduction stops as soon as the working maximum
-        falls into components >= stop_comp, and the function returns
-        (remainder, True); an irreducible maximum in components < stop_comp
-        returns (remainder, False).  Without stop_comp it returns the
-        canonical remainder.
+        falls into components >= stop_comp, and r is what is left; an
+        irreducible maximum in components < stop_comp gives r = None.
         """
         work = dict(d)
         out: dict = {}
-        neg, axpy, pk = self.field.neg, self.axpy, self.packing
+        scale = 1
+        axpy, pk = self.axpy, self.packing
         shift, flip, guards = pk.shift, pk.flip, pk.guards
         deg_shift, mask = pk.deg_shift, pk.mask
         stop = None if stop_comp is None else (1 - stop_comp) << shift
         while work:
             t = max(work)
             if stop is not None and t < stop:
-                out.update(work)
-                return out, True
+                return work, scale
             te = t ^ flip | guards
             for le, lt, reach, g in buckets.get(t >> shift, ()):
                 if (te - le) & guards == guards:  # lt divides t
                     dt = (t >> deg_shift) & mask
                     if dt > reach:
                         raise term_overflow(dt - reach + FIELD_MAX)
-                    axpy(work, neg(work[t]), t - lt, g)
+                    a, b = work[t], g[lt]
+                    if b != 1:  # over Q only
+                        h = gcd(a, b)
+                        a, b = a // h, b // h
+                        if b != 1:
+                            scale *= b
+                            work = {k: v * b for k, v in work.items()}
+                            out = {k: v * b for k, v in out.items()}
+                    axpy(work, -a, t - lt, g)
                     break
             else:
                 if stop is not None:
-                    out.update(work)
-                    return out, False
+                    return None, scale
                 out[t] = work.pop(t)
-        if stop is not None:
-            return out, True
-        return out
+        return out, scale
 
 
 def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
-    """Core loop on term dicts; returns the reduced monic sorted basis."""
-    fld = engine.field
+    """Core loop on (over Q integral) term dicts; returns the reduced basis as
+    primitive() stores it, sorted by descending leading term."""
+    axpy = engine.axpy
     pk = engine.packing
     shift, deg, divides, lcm_of = pk.shift, pk.degree, pk.divides, pk.lcm
     deg_shift, mask = pk.deg_shift, pk.mask
@@ -322,7 +382,7 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
             heapq.heappush(heap, (max(sugar[i] - ldeg[i], sug - dk) + dl, counter, i, k))
             counter += 1
 
-    start = [engine.monic(d) for d in gen_dicts if d]
+    start = [engine.primitive(d) for d in gen_dicts if d]
     start.sort(key=max, reverse=True)
     for d in start:
         top = pk.top_degree(d)
@@ -336,13 +396,20 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
         dl, reach = (lcm >> deg_shift) & mask, min(entries[i][2], entries[j][2])
         if dl > reach:
             raise term_overflow(dl - reach + FIELD_MAX)
+        # fraction-free S-vector (b_j/h) m_i g_i - (b_i/h) m_j g_j, h = gcd(b_i, b_j)
+        bi, bj = basis[i][lts[i]], basis[j][lts[j]]
+        if bi != bj:
+            h = gcd(bi, bj)
+            bi, bj = bi // h, bj // h
+        else:
+            bi = bj = 1
         s: dict = {}
-        engine.axpy(s, fld.one, lcm - lts[i], basis[i])
-        engine.axpy(s, fld.neg(fld.one), lcm - lts[j], basis[j])
-        r = engine.nf(s, buckets)
+        axpy(s, bj, lcm - lts[i], basis[i])
+        axpy(s, -bi, lcm - lts[j], basis[j])
+        r = engine.nf(s, buckets)[0]
         if r:
             top = pk.top_degree(r)
-            insert(engine.monic(r), top, max(sug, top))
+            insert(engine.primitive(r), top, max(sug, top))
 
     # minimal: drop vectors whose leading term is divisible by another's
     order_idx = sorted(range(len(basis)), key=lts.__getitem__)
@@ -362,10 +429,10 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
     reduced = []
     for i in keep:
         d, lt = basis[i], lts[i]
-        tail = {t: c for t, c in d.items() if t != lt}
-        r = {lt: d[lt]}
-        r.update(engine.nf(tail, index))
-        reduced.append(r)
+        tail, s = engine.nf({t: c for t, c in d.items() if t != lt}, index)
+        r = {lt: d[lt] * s}
+        r.update(tail)
+        reduced.append(engine.primitive(r))
 
     reduced.reverse()  # keep ascends by leading term; tail reduction keeps those
     return reduced
@@ -382,36 +449,42 @@ def buchberger(sub: Submodule) -> GroebnerBasis:
     """Reduced Gröbner basis of the J-augmented submodule."""
     engine = _Engine(sub.ring)
     gens = [vec_to_dict(g, sub.ring) for g in sub.generators] + _relation_dicts(sub.ring, sub.rank)
-    return GroebnerBasis(base=sub, _engine=engine, _dicts=_buchberger_dicts(gens, engine))
+    dicts = _buchberger_dicts([engine.cleared(d)[0] for d in gens], engine)
+    return GroebnerBasis(base=sub, _engine=engine, _dicts=dicts)
 
 
-def _checked_terms(vec: FreeVector, gb: GroebnerBasis) -> dict:
+def _checked_terms(vec: FreeVector, gb: GroebnerBasis) -> tuple:
+    """vec's term dict, cleared (_Engine.cleared)."""
     if len(vec) != gb.base.rank:
         raise ValueError("vector rank differs from basis rank")
     for p in vec:
         if p.ring != gb.base.ring:
             raise RingMismatchError("vector in a different ring")
-    return vec_to_dict(vec, gb.base.ring)
+    return gb._engine.cleared(vec_to_dict(vec, gb.base.ring))
 
 
 def normal_form(vec: FreeVector, gb: GroebnerBasis) -> FreeVector:
     """Canonical remainder of vec against the basis."""
-    r = gb._engine.nf(_checked_terms(vec, gb), gb.buckets())
+    d, k = _checked_terms(vec, gb)
+    r, s = gb._engine.nf(d, gb.buckets())
+    if k * s != 1:
+        r = _divided(r, k * s)
     return dict_to_vec(r, gb.base.ring, gb.base.rank)
 
 
 def _reduces_to_zero(d: dict, gb: GroebnerBasis) -> bool:
-    """True iff the vector with term dict d reduces to zero against gb.  Every
-    component is below stop_comp, so nf stops at the first irreducible
-    leading term, which every nonzero remainder has."""
-    return gb._engine.nf(d, gb.buckets(), stop_comp=gb.base.rank)[1]
+    """True iff the vector with (over Q integral) term dict d reduces to zero
+    against gb.  Every component is below stop_comp, so nf stops at the first
+    irreducible leading term, which every nonzero remainder has."""
+    return gb._engine.nf(d, gb.buckets(), stop_comp=gb.base.rank)[0] is not None
 
 
 def reduces_to_zero(terms: dict, gb: GroebnerBasis) -> bool:
     """True iff the polynomial with these terms reduces to zero against the
     rank-1 basis gb."""
     encode = gb.base.ring.packing.encode
-    return _reduces_to_zero({encode(0, m): c for m, c in terms.items()}, gb)
+    d = gb._engine.cleared({encode(0, m): c for m, c in terms.items()})[0]
+    return _reduces_to_zero(d, gb)
 
 
 def member(vec: FreeVector, sub: Submodule) -> bool:
@@ -419,7 +492,7 @@ def member(vec: FreeVector, sub: Submodule) -> bool:
     if len(vec) != sub.rank:
         raise ValueError("vector rank differs from ambient rank")
     gb = sub.groebner()
-    return _reduces_to_zero(_checked_terms(vec, gb), gb)
+    return _reduces_to_zero(_checked_terms(vec, gb)[0], gb)
 
 
 def submodule_equal(a: Submodule, b: Submodule) -> bool:
@@ -443,7 +516,8 @@ def _elimination_gb(rng: QuotientRing, matrix: Matrix, m: int, c: int):
             gens[j].update((encode(i, exps), v) for exps, v in e.terms.items())
     for j, g in enumerate(gens):
         g[encode(m + j, rng._zero_exps)] = rng.field.one
-    dicts = _buchberger_dicts(gens + _relation_dicts(rng, m), engine)
+    dicts = _buchberger_dicts([engine.cleared(d)[0] for d in gens + _relation_dicts(rng, m)],
+                              engine)
     return engine, dicts
 
 
@@ -489,12 +563,14 @@ class ImageSolver:
         """col is a sparse column {row: Polynomial}; q comes back as a sparse
         column {index: nonzero Polynomial}."""
         pk = self.ring.packing
-        terms = {pk.encode(i, e): c for i, p in col.items() for e, c in p.terms.items()}
-        r, ok = self.engine.nf(terms, self.buckets, stop_comp=self.m)
-        if not ok:
+        terms, k = self.engine.cleared({pk.encode(i, e): c for i, p in col.items()
+                                        for e, c in p.terms.items()})
+        r, s = self.engine.nf(terms, self.buckets, stop_comp=self.m)
+        if r is None:
             return None
         neg, up = self.ring.field.neg, self.m << pk.shift  # component c + m -> c
-        return dict_to_col({t + up: neg(v) for t, v in r.items()}, self.ring)
+        q = {t + up: neg(v) for t, v in r.items()}
+        return dict_to_col(q if k * s == 1 else _divided(q, k * s), self.ring)
 
     def kernel(self) -> Matrix:
         """The c x k matrix whose columns generate {q : M*q = 0 modulo J*R^m}:
@@ -503,5 +579,5 @@ class ImageSolver:
         shift = self.ring.packing.shift
         up, stop = self.m << shift, (1 - self.m) << shift
         return from_columns(self.ring, self.c, [
-            dict_to_col({t + up: v for t, v in d.items()}, self.ring)
+            dict_to_col({t + up: v for t, v in _monic(d).items()}, self.ring)
             for d in self.dicts if max(d) < stop])

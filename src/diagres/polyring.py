@@ -21,7 +21,9 @@ Text grammar (bit-exact, whitespace insignificant)::
     var   := identifier
 
 An exponent is at most MAX_EXPONENT, and so is the sum of the exponents a
-term gives one variable (x^3*x^5 is x^8); a larger one is a ParseError.
+term gives one variable (x^3*x^5 is x^8); a larger one is a ParseError.  So
+is an integer literal longer than the interpreter's int-conversion limit
+(sys.get_int_max_str_digits, 4300 digits by default).
 
 print() emits the canonical form (terms strictly descending in the ring
 order) and parse(print(p)) == p.
@@ -30,6 +32,7 @@ order) and parse(print(p)) == p.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -392,6 +395,22 @@ def _tokenize(text: str):
     return out
 
 
+# Python before 3.10.7 has no limit on int() of a digit string
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _int_literal(val: str, pos: int) -> int:
+    """The int a digit string spells.  One with more significant digits than
+    the interpreter's int-conversion limit (sys.get_int_max_str_digits, 0
+    for none) is a ParseError, where int() would raise a bare ValueError."""
+    digits = val.lstrip("0")
+    limit = _int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise ParseError(f"integer literal of {len(digits)} digits, above the "
+                         f"limit of {limit}", pos)
+    return int(digits or "0")
+
+
 def parse_poly(text: str, rng: QuotientRing) -> Polynomial:
     """Parse the grammar in the module docstring; canonical result."""
     if text.strip() == "":
@@ -411,16 +430,17 @@ def parse_poly(text: str, rng: QuotientRing) -> Polynomial:
         need_factor = False
         kind, val, pos = tok()
         if kind == "int":
-            num = int(val)
+            num = _int_literal(val, pos)
             i += 1
             if tok()[0] == "op" and tok()[1] == "/":
                 i += 1
                 k2, v2, p2 = tok()
                 if k2 != "int":
                     raise ParseError("expected denominator after '/'", p2)
-                if int(v2) == 0:
+                den = _int_literal(v2, p2)
+                if den == 0:
                     raise ParseError("zero denominator", p2)
-                coeff = fld.from_fraction(num, int(v2))
+                coeff = fld.from_fraction(num, den)
                 i += 1
             else:
                 coeff = fld.from_int(num)
@@ -443,8 +463,8 @@ def parse_poly(text: str, rng: QuotientRing) -> Polynomial:
                 k2, v2, p2 = tok()
                 if k2 != "int":
                     raise ParseError("expected exponent after '^'", p2)
-                # int() of a literal longer than sys.get_int_max_str_digits() raises
-                e = int(v2) if len(v2.lstrip("0")) <= 9 else MAX_EXPONENT + 1
+                digits = v2.lstrip("0")  # no int() of a literal past the digit limit
+                e = int(digits or "0") if len(digits) <= 9 else MAX_EXPONENT + 1
                 i += 1
             exps[rng.index[val]] += e
             if exps[rng.index[val]] > MAX_EXPONENT:

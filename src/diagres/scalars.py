@@ -15,6 +15,10 @@ Fractions compare and hash equal, so no check may depend on the type.  A
 quotient is always formed through Fraction: int / int gives a float, and no
 code here may divide two ints with /.
 
+Inside the Gröbner engine a Q coefficient is always an int: the engine
+keeps primitive integer vectors and reduces fraction-free, and builds a
+Fraction only where a basis, remainder or solution leaves it (groebner).
+
 A Field instance supplies the operations, and its axpy is the in-place
 term kernel dst += c * t^m * src of _terms for its coefficients; rings tag
 their polynomials with the field, and cross-field operations are rejected

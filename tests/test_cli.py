@@ -681,6 +681,14 @@ def test_gb_job_exponent_bound_and_packed_field_overflow_exit_2(tmp_path, capsys
     assert code == 2 and out == "" and "above the largest degree" in err
 
 
+def test_gb_job_literal_past_the_int_digit_limit_exits_2_with_its_path(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "gb", "--job", _gb_job(
+        tmp_path / "long.json", {"kind": "grevlex"}, ["9" * 5000 + "*x"]))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: bad polynomial at module.generators[0][0]: ")
+    assert "integer literal of 5000 digits" in err and "internal error" not in err
+
+
 def test_oversized_prime_field_is_input_error(tmp_path, capsys):
     big = "fp:" + str(10**400 + 1)
     code, _, err = run_cli(capsys, "verify", "--example", "affine-line", "--field", big)

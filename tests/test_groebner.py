@@ -7,6 +7,7 @@ equivalence of the two membership routes, and exact annihilation of syzygy
 generators.
 """
 
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -17,6 +18,7 @@ from diagres._terms import FIELD_MAX, InputDataError
 from diagres.groebner import (GroebnerBasis, ImageSolver, Submodule, buchberger,
                               member, normal_form, quotient_augment, submodule_equal,
                               syzygies, vec_is_zero)
+from diagres.matrices import mat_cols
 from diagres.polyring import MonomialOrder, Polynomial, ring
 
 RLEX = ring(["x", "y"], order=MonomialOrder("lex"))
@@ -74,15 +76,19 @@ def test_reduced_ideal_bases_match_sympy_randomized(kind, priority):
 
 
 def test_monic_basis_over_q_keeps_integral_coefficients_ints():
-    """Leading coefficients 2 and 3 are divided out: 4/2 stays the int 2, not
-    an integral Fraction that would put later reductions on Fraction
-    arithmetic."""
+    """The basis is made monic where it leaves the engine: leading
+    coefficients 2 and 3 are divided out there, and 4/2 comes out as the int
+    2, not an integral Fraction.  Inside, the engine holds the basis as
+    primitive integer vectors."""
     from diagres.scalars import _integral
     rng = ring(["x", "y", "z"])
     gb = buchberger(ideal(rng, "2*x^2 + 4*y*z - 6", "3*x*y - 9*z^2 + 3", "2*y^2 - 4*x"))
     coeffs = [c for v in gb.vectors for p in v for c in p.terms.values()]
     assert any(isinstance(c, Fraction) for c in coeffs)
     assert all(type(_integral(c)) is type(c) for c in coeffs)
+    assert [d[max(d)] for d in gb._dicts] == [9, 3, 3, 1, 1, 1]
+    for d in gb._dicts:
+        assert all(type(c) is int for c in d.values()) and math.gcd(*d.values()) == 1
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -349,10 +355,27 @@ def test_basis_is_reduced_randomized(spec):
 # pair criteria and sugar selection against a criteria-free reference
 
 
+def plain_nf(d: dict, basis: list, leads: list, rng) -> dict:
+    """Normal form of a plain dict against monic plain dicts with the given
+    leading terms: a linear scan for the first divisor, field arithmetic."""
+    fld = rng.field
+    work, out = dict(d), {}
+    while work:
+        t = plain_lead(work, rng)
+        for g, lg in zip(basis, leads):
+            m = tup_sub(t[1:], lg[1:]) if lg[0] == t[0] else None
+            if m is not None:
+                fld.axpy(work, fld.neg(work[t]), (0,) + m, g)
+                break
+        else:
+            out[t] = work.pop(t)
+    return out
+
+
 def reference_buchberger(gens: list, rng) -> list:
     """Buchberger with no criteria on plain term dicts: every pair within a
-    component is reduced, first in first out, by a linear-scan normal form.
-    Returns the reduced monic basis sorted by descending leading term, like
+    component is reduced, first in first out, by plain_nf.  Returns the
+    reduced monic basis sorted by descending leading term, like
     GroebnerBasis.vectors."""
     from collections import deque
 
@@ -363,17 +386,7 @@ def reference_buchberger(gens: list, rng) -> list:
         return {t: fld.mul(c, inv) for t, c in d.items()}
 
     def nf(d, basis, leads):
-        work, out = dict(d), {}
-        while work:
-            t = plain_lead(work, rng)
-            for g, lg in zip(basis, leads):
-                m = tup_sub(t[1:], lg[1:]) if lg[0] == t[0] else None
-                if m is not None:
-                    fld.axpy(work, fld.neg(work[t]), (0,) + m, g)
-                    break
-            else:
-                out[t] = work.pop(t)
-        return out
+        return plain_nf(d, basis, leads, rng)
 
     basis = [monic(d) for d in gens if d]
     leads = [plain_lead(d, rng) for d in basis]
@@ -540,3 +553,178 @@ def test_chain_criterion_skips_staircase_pairs(monkeypatch):
     gb = buchberger(ideal(RLEX, "x^3", "x^2*y", "x*y^2", "y^3"))
     assert basis_strs(gb) == [("x^3",), ("x^2*y",), ("x*y^2",), ("y^3",)]
     assert len(calls) - len(gb._dicts) == 3
+
+
+# ---------------------------------------------------------------------------
+# fraction-free arithmetic over Q: true fractions and wide integers in, the
+# same bases and true (unscaled) answers out
+
+FRACTIONS = (Fraction(1, 3), Fraction(-5, 7), 2 ** 64 + 13, -(2 ** 70) - 1, Fraction(2 ** 65, 3))
+
+
+def random_q_poly(rng, rand):
+    """random_poly with some coefficients replaced by FRACTIONS."""
+    p = random_poly(rng, rand)
+    return Polynomial(rng, {e: rand.choice(FRACTIONS) if rand.random() < 0.5 else c
+                            for e, c in p.terms.items()})
+
+
+def random_q_module(rng, rand, rank, max_gens=4):
+    return Submodule(rng, rank, [
+        tuple(random_q_poly(rng, rand) if rand.random() < 0.6 else rng.zero()
+              for _ in range(rank))
+        for _ in range(rand.randint(2, max_gens))])
+
+
+Q_RINGS = [ring(["x", "y", "z"]),
+           ring(["x", "y", "z"], order=MonomialOrder("lex", priority=(2, 0, 1))),
+           ring(["x1", "y1", "x2", "y2"], relations=["x1*y1", "3*x2*y2 - 1/2*x1"])]
+
+
+def test_fractional_and_wide_q_modules_match_criteria_free_reference():
+    rand = random.Random(47)
+    for rng in Q_RINGS:
+        for rank in (1, 2, 3):
+            for _ in range(5):
+                sub = random_q_module(rng, rand, rank, max_gens=3)
+                gens = [plain_dict(g) for g in sub.generators] + [
+                    {(i,) + m: c for m, c in rel.terms.items()}
+                    for rel in rng.relations for i in range(rank)]
+                gb = buchberger(sub)
+                assert [plain_dict(v) for v in gb.vectors] == reference_buchberger(gens, rng)
+                assert_reduced(gb)
+
+
+def test_normal_form_and_solve_give_true_unscaled_answers():
+    """normal_form(v) is the reference remainder, and v minus it is in the
+    submodule; a solve coefficient vector q has M*q - v in J*R^m."""
+    rand = random.Random(53)
+    for rng in Q_RINGS:
+        for rank in (1, 2, 3):
+            for _ in range(4):
+                sub = random_q_module(rng, rand, rank, max_gens=3)
+                gb = buchberger(sub)
+                basis = [plain_dict(v) for v in gb.vectors]
+                leads = [plain_lead(d, rng) for d in basis]
+                for _ in range(3):
+                    v = tuple(random_q_poly(rng, rand) for _ in range(rank))
+                    r = normal_form(v, gb)
+                    assert plain_dict(r) == plain_nf(plain_dict(v), basis, leads, rng)
+                    assert member(tuple(a - b for a, b in zip(v, r)), sub)
+                gens = sub.generators
+                mat = [[g[i] for g in gens] for i in range(rank)]
+                solver = ImageSolver(mat, rng)
+                relations = Submodule(rng, rank, [])
+                solved = 0
+                for _ in range(4):
+                    q0 = [random_q_poly(rng, rand) if rand.random() < 0.7 else rng.zero()
+                          for _ in gens]
+                    v = [sum((mat[i][j] * q0[j] for j in range(len(gens))), rng.zero())
+                         for i in range(rank)]
+                    if rand.random() < 0.3:
+                        v[rand.randrange(rank)] += random_q_poly(rng, rand)
+                    q = solver.solve({i: p for i, p in enumerate(v) if not p.is_zero()})
+                    if q is None:
+                        assert not member(tuple(v), Submodule(rng, rank, list(gens)))
+                        continue
+                    solved += 1
+                    image = tuple(sum((mat[i][j] * q.get(j, rng.zero())
+                                       for j in range(len(gens))), rng.zero()) - v[i]
+                                  for i in range(rank))
+                    assert member(image, relations)
+                assert solved
+
+
+def test_kernel_columns_are_monic_syzygies():
+    rand = random.Random(59)
+    checked = 0
+    for rng in Q_RINGS:
+        for rank in (1, 2):
+            for _ in range(4):
+                gens = random_q_module(rng, rand, rank, max_gens=4).generators
+                mat = [[g[i] for g in gens] for i in range(rank)]
+                relations = Submodule(rng, rank, [])
+                for col in mat_cols(ImageSolver(mat, rng).kernel()):
+                    assert col[min(col)].leading()[1] == 1  # position over term
+                    image = tuple(sum((mat[i][j] * p for j, p in col.items()), rng.zero())
+                                  for i in range(rank))
+                    assert member(image, relations)
+                    checked += 1
+    assert checked > 20
+
+
+def test_engine_makes_no_fraction_arithmetic(monkeypatch):
+    """Over Q the engine works on integer vectors: inside _buchberger_dicts
+    and _Engine.nf no Fraction is added, subtracted, multiplied or divided.
+    Fractions are cleared where vectors enter and built where they leave."""
+    from diagres import groebner
+    rand = random.Random(61)
+    rng = Q_RINGS[2]
+    forbidden = {}
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the engine")
+
+    for op in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{op}__", f"__r{op}__"):
+            forbidden[name] = getattr(Fraction, name)
+
+    def guarded(f):
+        def run(*args, **kwargs):
+            for name in forbidden:
+                setattr(Fraction, name, refuse)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                for name, op in forbidden.items():
+                    setattr(Fraction, name, op)
+        return run
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", guarded(groebner._buchberger_dicts))
+    monkeypatch.setattr(groebner._Engine, "nf", guarded(groebner._Engine.nf))
+    for _ in range(4):
+        sub = random_q_module(rng, rand, 2, max_gens=3)
+        probe = tuple(random_q_poly(rng, rand) for _ in range(2))
+        gb = buchberger(sub)
+        assert any(isinstance(c, Fraction) for v in gb.vectors for p in v
+                   for c in p.terms.values())
+        normal_form(probe, gb), member(probe, sub)
+        solver = ImageSolver([[g[i] for g in sub.generators] for i in range(2)], rng)
+        solver.kernel(), solver.solve({0: probe[0], 1: probe[1]})
+
+
+def test_q_and_fp_take_the_same_path(monkeypatch):
+    """The same integer modules over Q and over F_32003 insert the same
+    vectors, up to a scalar, in the same order, with the same nf calls: over
+    Q each S-vector and remainder is a fixed multiple of the monic one, so
+    it cancels the same terms (for these modules no coefficient vanishes
+    mod p)."""
+    from diagres import groebner
+    from diagres.scalars import QQ, PrimeField
+    p = 32003
+    trail = []
+    entry, nf = groebner._Engine.entry, groebner._Engine.nf
+
+    def monic_mod_p(d):
+        inv = pow(d[max(d)], -1, p)
+        return {t: v * inv % p for t, v in d.items() if v % p}
+
+    monkeypatch.setattr(groebner._Engine, "entry",
+                        lambda self, d, top: trail.append(monic_mod_p(d)) or entry(self, d, top))
+    monkeypatch.setattr(groebner._Engine, "nf",
+                        lambda self, *a, **k: trail.append("nf") or nf(self, *a, **k))
+    paths = {}
+    for fld in (QQ, PrimeField(p)):
+        rand = random.Random(67)
+        rings = [ring(["x", "y", "z"], field=fld),
+                 ring(["x", "y", "z"], field=fld, order=MonomialOrder("lex")),
+                 ring(["x1", "y1", "x2", "y2"], field=fld, relations=["x1*y1", "x2*y2"])]
+        paths[fld.kind] = []
+        for rng in rings:
+            for rank in (1, 2, 3):
+                for _ in range(8):
+                    trail.clear()
+                    buchberger(random_module(rng, rand, rank))
+                    paths[fld.kind].append(list(trail))
+    assert paths["rationals"] == paths["prime_field"]
+    assert sum(map(len, paths["rationals"])) > 800

@@ -1,13 +1,15 @@
 """Polynomials, monomial orders, the text grammar, ring maps."""
 
+import sys
+from fractions import Fraction
 from operator import add, sub
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diagres._terms import FIELD_MAX, InputDataError
-from diagres.polyring import (MAX_EXPONENT, MonomialOrder, ParseError, RingMap,
-                              RingMismatchError, monomial_cmp, parse_poly,
+from diagres.polyring import (MAX_EXPONENT, MonomialOrder, ParseError, Polynomial,
+                              RingMap, RingMismatchError, monomial_cmp, parse_poly,
                               poly_str, ring)
 from diagres.scalars import PrimeField
 
@@ -143,10 +145,49 @@ def test_exponent_bound_in_the_grammar():
             R2.parse(text)
 
 
+def test_integer_literal_past_the_int_digit_limit_is_a_parse_error():
+    """int() of a digit string longer than the interpreter's limit raises a
+    bare ValueError; the grammar rejects a literal with more significant
+    digits first, numerator or denominator, at its position.  Leading zeros
+    do not count, in an exponent either."""
+    limit = sys.get_int_max_str_digits()
+    long = "9" * (limit + 1)
+    assert R2.parse("9" * limit + "*x").terms == {(1, 0): int("9" * limit)}
+    assert R2.parse("0" * limit + "7/0" + "0" * limit + "2").terms == {(0, 0): Fraction(7, 2)}
+    assert R2.parse("x^" + "0" * limit + "3").terms == {(3, 0): 1}
+    for text, pos in ((long + "*x", 0), ("x + 1/" + long, 6), ("x - " + long + "/7", 4)):
+        with pytest.raises(ParseError, match=f"{limit + 1} digits") as err:
+            R2.parse(text)
+        assert err.value.pos == pos
+
+
+# Text over the grammar's alphabet: digit runs (some past the int-digit
+# limit), known and unknown names, the operators and spaces.
+GRAMMAR_TOKENS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=4),
+    st.integers(4000, 6000).map(lambda n: "9" * n),
+    st.sampled_from(["x", "y", "z", "x_1"]),
+    st.sampled_from(list("+-*/^")),
+    st.just(" "),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(GRAMMAR_TOKENS, max_size=12).map("".join))
+@example("9" * 5000 + "*x")
+@example("x^" + "0" * 5000 + "1")
+def test_parse_gives_a_polynomial_or_a_parse_error(text):
+    try:
+        p = R2.parse(text)
+    except ParseError:
+        return
+    assert isinstance(p, Polynomial)
+
+
 def _random_poly(rng, data):
     terms = data.draw(st.lists(
         st.tuples(st.tuples(*[st.integers(0, 4)] * rng.nvars),
-                  st.integers(-9, 9)),
+                  st.one_of(st.integers(-9, 9), st.fractions())),
         min_size=0, max_size=6))
     p = rng.zero()
     for exps, c in terms:
