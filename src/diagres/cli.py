@@ -8,6 +8,11 @@ Subcommands::
     diagres gb --job PATH [--report ...]
     diagres witness --example ... | --job PATH
 
+Both ``--example`` subcommands read one table, ``catalog.EXAMPLES``;
+``--n`` (default 3) and ``--chart`` apply to the cycle alone.  One driver,
+``report.verdict_report``, makes the verdict report of every catalog
+entry, cycle chart and job file.
+
 Exit codes: 0 verification passed, 1 verification failed, 2 input or parse
 error, or an internal error (one "internal error:" line on stderr, never a
 traceback, so that exit 1 always means a failed verification).  JSON
@@ -21,24 +26,17 @@ import json
 import sys
 import time
 
-from .complexes import InputDataError, exact_everywhere, verify_diagonal_qiso
+from .complexes import InputDataError
 from .groebner import Submodule, buchberger
 from .jobio import JobFileError, load_job
 from .polyring import ParseError
-from .report import VerificationReport, report_from_qiso
+from .report import VerificationEntry, VerificationReport, verdict_report
 from .scalars import field_from_spec, field_spec_str
 from .witness import verify_witness
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-
-
-def _field(args):
-    try:
-        return field_from_spec(args.field or "q")
-    except ValueError as exc:
-        raise JobFileError(str(exc))
 
 
 def _emit(report: VerificationReport, args) -> int:
@@ -66,44 +64,36 @@ def _witness_report(witness, name, field_used):
     )
 
 
-def _verify_example(args) -> int:
+def _example(args):
+    """(the catalog example args name, over args' field; the field's spec)."""
     from . import catalog
 
-    fld = _field(args)
-    fname = field_spec_str(fld)
+    build, default_n = catalog.EXAMPLES[args.example]
+    if default_n is None and (args.n is not None or getattr(args, "chart", None)):
+        raise JobFileError(f"--n and --chart do not apply to {args.example}")
+    try:
+        fld = field_from_spec(args.field or "q")
+    except ValueError as exc:
+        raise JobFileError(str(exc))
+    return build(fld, default_n if args.n is None else args.n), field_spec_str(fld)
+
+
+def _verify_example(args) -> int:
     t0 = time.time()
-    if args.example == "affine-line":
-        entry = catalog.build_affine_line(fld)
-        top = VerificationReport("affine-line", "pass", fname)
-        top.subreports.append(catalog.verify_entry(entry))
-        top.subreports.append(_witness_report(entry.witness, "affine-line:witness", fname))
-    elif args.example == "nodal-conic":
-        entry = catalog.build_nodal_conic(fld)
-        product = catalog.build_nodal_conic_product(fld)
-        top = VerificationReport("nodal-conic", "pass", fname)
-        top.subreports.append(catalog.verify_entry(entry))
-        top.subreports.append(catalog.verify_entry(product))
-        top.subreports.append(_witness_report(entry.witness, "nodal-conic:witness", fname))
-    elif args.example == "cycle":
-        n = args.n
-        cat = catalog.build_cycle(n, fld)
-        jobs = cat.chart_jobs
-        if args.chart:
-            try:
-                ci, cj = (int(t) for t in args.chart.split(","))
-            except ValueError:
-                raise JobFileError(f"bad --chart {args.chart!r}, expected I,J")
-            jobs = [j for j in jobs if j.chart == (ci, cj)]
-            if not jobs:
-                raise JobFileError(f"no chart ({ci},{cj}) for n={n}")
-        top = VerificationReport(f"cycle(n={n})", "pass", fname,
-                                 notes=list(cat.notes))
-        top.subreports.extend(catalog.verify_chart_jobs(jobs))
-        if not args.chart:
-            top.subreports.append(_witness_report(cat.witness, f"cycle(n={n}):witness",
-                                                  fname))
-    else:
-        raise JobFileError(f"unknown example {args.example!r}")
+    ex, fname = _example(args)
+    entries = ex.entries()
+    if args.chart:
+        try:
+            ci, cj = (int(t) for t in args.chart.split(","))
+        except ValueError:
+            raise JobFileError(f"bad --chart {args.chart!r}, expected I,J")
+        entries = [e for e in entries if e.chart == (ci, cj)]
+        if not entries:
+            raise JobFileError(f"no chart ({ci},{cj}) in {ex.title}")
+    top = VerificationReport(ex.title, "pass", fname, notes=list(ex.notes))
+    top.subreports.extend(ex.verify(entries))
+    if not args.chart:
+        top.subreports.append(_witness_report(ex.witness, f"{ex.title}:witness", fname))
     if any(s.verdict == "error" for s in top.subreports):
         top.verdict = "error"
     elif any(s.verdict != "pass" for s in top.subreports):
@@ -114,28 +104,19 @@ def _verify_example(args) -> int:
 
 def _verify_job(args) -> int:
     job = load_job(args.job, args.field)
-    t0 = time.time()
-    fname = field_spec_str(job.ring.field)
     if not job.complexes:
         raise JobFileError("job has no complexes to verify")
-    if job.expectation == "exact_everywhere":
-        name, cx = next(iter(job.complexes.items()))
-        result = exact_everywhere(cx, window=job.diagonal.window if job.diagonal else None)
-        rep = report_from_qiso(f"{job.name}:{name}", fname, result,
-                               timing=time.time() - t0)
-    else:
+    name = next(iter(job.complexes))
+    if job.expectation != "exact_everywhere":
         if job.diagonal is None:
             raise JobFileError("job needs a diagonal block")
-        name = job.diagonal_complex or next(iter(job.complexes))
+        name = job.diagonal_complex or name
         if name not in job.complexes:
             raise JobFileError(f"diagonal references unknown complex {name!r}")
-        result = verify_diagonal_qiso(job.complexes[name], job.diagonal)
-        rep = report_from_qiso(f"{job.name}:{name}", fname, result,
-                               timing=time.time() - t0)
-        if result.truncated:
-            rep.notes.append(
-                f"truncated model: verdict claimed in window {tuple(result.window)}")
-    return _emit(rep, args)
+    return _emit(verdict_report(VerificationEntry(
+        f"{job.name}:{name}", job.ring, job.complexes[name], job.diagonal,
+        expectation=job.expectation, window=job.diagonal.window if job.diagonal else None,
+        truncation_note="truncated model: verdict claimed in window {}")), args)
 
 
 def _run_gb(args) -> int:
@@ -167,23 +148,14 @@ def _run_gb(args) -> int:
 
 
 def _run_witness(args) -> int:
-    from . import catalog
-
-    if args.job:
-        job = load_job(args.job, args.field)
-        if job.witness is None:
-            raise JobFileError("job has no witness block")
-        return _emit(_witness_report(job.witness, f"{job.name}:witness",
-                                     field_spec_str(job.ring.field)), args)
-    fld = _field(args)
-    fname = field_spec_str(fld)
-    if args.example == "cycle":
-        witness, name = catalog.build_cycle(args.n, fld).witness, f"cycle(n={args.n})"
-    else:
-        build = {"affine-line": catalog.build_affine_line,
-                 "nodal-conic": catalog.build_nodal_conic}[args.example]
-        witness, name = build(fld).witness, args.example
-    return _emit(_witness_report(witness, f"{name}:witness", fname), args)
+    if args.example:
+        ex, fname = _example(args)
+        return _emit(_witness_report(ex.witness, f"{ex.title}:witness", fname), args)
+    job = load_job(args.job, args.field)
+    if job.witness is None:
+        raise JobFileError("job has no witness block")
+    return _emit(_witness_report(job.witness, f"{job.name}:witness",
+                                 field_spec_str(job.ring.field)), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="verify a catalog example or a job file")
     pv.add_argument("--example", choices=("affine-line", "nodal-conic", "cycle"))
     pv.add_argument("--job")
-    pv.add_argument("--n", type=int, default=3, help="cycle length (default 3)")
+    pv.add_argument("--n", type=int, help="cycle length (default 3)")
     pv.add_argument("--chart", help="restrict the cycle run to one chart: I,J")
     common(pv)
 
@@ -213,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("witness", help="check a generation-time witness")
     pw.add_argument("--example", choices=("affine-line", "nodal-conic", "cycle"))
     pw.add_argument("--job")
-    pw.add_argument("--n", type=int, default=3)
+    pw.add_argument("--n", type=int, help="cycle length (default 3)")
     common(pw)
     return parser
 
@@ -222,16 +194,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            if bool(args.example) == bool(args.job):
-                parser.error("verify needs exactly one of --example or --job")
-            return _verify_example(args) if args.example else _verify_job(args)
         if args.command == "gb":
             return _run_gb(args)
+        if bool(args.example) == bool(args.job):
+            parser.error(f"{args.command} needs exactly one of --example or --job")
         if args.command == "witness":
-            if bool(args.example) == bool(args.job):
-                parser.error("witness needs exactly one of --example or --job")
             return _run_witness(args)
+        return _verify_example(args) if args.example else _verify_job(args)
     except (JobFileError, InputDataError, ParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -239,7 +208,6 @@ def main(argv=None) -> int:
         msg = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return EXIT_INPUT
-    parser.error("no command")
 
 
 if __name__ == "__main__":

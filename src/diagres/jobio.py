@@ -329,7 +329,7 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
 def parse_job(doc: dict) -> Job:
     if not isinstance(doc, dict):
         raise JobFileError("job file must be a JSON object")
-    if doc.get("schema") != SCHEMA:
+    if _typed(doc.get("schema"), int, "an integer", "schema") != SCHEMA:
         raise JobFileError(f"unsupported schema {doc.get('schema')!r}, expected {SCHEMA}")
     rng = parse_ring(_need(doc, "ring", "$"))
     memo = {}  # entry string -> Polynomial, shared by every matrix and list below

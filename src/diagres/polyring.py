@@ -26,13 +26,15 @@ is an integer literal longer than the interpreter's int-conversion limit
 (sys.get_int_max_str_digits, 4300 digits by default).
 
 print() emits the canonical form (terms strictly descending in the ring
-order) and parse(print(p)) == p.
+order), every digit of every coefficient included, and parse(print(p)) == p
+for coefficients within the literal limit above.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -330,11 +332,14 @@ class Polynomial:
 
 
 def _coeff_str(field: Field, c) -> str:
+    # Through Decimal, which prints every digit: str(int) raises past the
+    # interpreter's int-conversion limit, and a computed coefficient may be
+    # longer than that.
     if isinstance(field, PrimeField):
-        return str(c)
+        return str(Decimal(c))
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+        return str(Decimal(c.numerator))
+    return f"{Decimal(c.numerator)}/{Decimal(c.denominator)}"
 
 
 def _mono_str(ring_: QuotientRing, exps: tuple) -> str:

@@ -4,15 +4,24 @@ A report is a plain dict-backed structure with a stable JSON encoding:
 parse(emit(report)) == report, and identical runs produce byte-identical
 JSON except for the timing field, which is excluded from the determinism
 guarantee.
+
+``verdict_report`` makes every diagonal or exactness report, from a
+``VerificationEntry``: a catalog entry, a cycle chart or a job file's
+complex.  It needs no catalog build code, so ``verify --job`` imports none.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import QisoResult
+from .complexes import (ChainComplex, DiagonalSpec, InputDataError, check_differential,
+                        exact_everywhere, verify_diagonal_qiso)
+from .polyring import QuotientRing
+from .scalars import field_spec_str
+from .witness import GenerationWitness
 
 SCHEMA_VERSION = 1
 
@@ -33,18 +42,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def first_failure(self) -> Optional[dict]:
-        for c in self.conditions:
-            if not c["passed"]:
-                return c
-        for sub in self.subreports:
-            if sub.verdict != "pass":
-                f = sub.first_failure()
-                return f if f is not None else {"condition": "subreport",
-                                                "degree": None, "passed": False,
-                                                "detail": sub.name}
-        return None
 
     def to_dict(self) -> dict:
         d = {
@@ -117,21 +114,50 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def conditions_from_qiso(result: QisoResult) -> list:
-    return [{"condition": c.condition, "degree": c.degree,
-             "passed": c.passed, "detail": c.detail}
-            for c in result.conditions]
+@dataclass
+class VerificationEntry:
+    """A complex and the verdict expected of it: 'qiso_to_diagonal' against
+    diagonal, or 'exact_everywhere' in window.  A verdict on a truncated
+    model adds truncation_note, formatted with its window.  witness, chart
+    (i, j) and kind are catalog data.  Construction checks d*d = 0, once per
+    complex (the check is memoized on it)."""
+
+    name: str
+    ring: QuotientRing
+    complex: ChainComplex
+    diagonal: Optional[DiagonalSpec]
+    witness: Optional[GenerationWitness] = None
+    notes: list = field(default_factory=list)
+    expectation: str = "qiso_to_diagonal"
+    window: Optional[tuple] = None
+    truncation_note: str = ("truncated free models in play: verdict claimed only in "
+                            "the degree window {}")
+    chart: Optional[tuple] = None
+    kind: Optional[str] = None
+
+    def __post_init__(self):
+        if not check_differential(self.complex):
+            raise InputDataError(f"{self.name}: d*d != 0 at load time")
 
 
-def report_from_qiso(name: str, field_used: str, result: QisoResult,
-                     notes: Optional[list] = None,
-                     timing: Optional[float] = None) -> VerificationReport:
+def verdict_report(entry: VerificationEntry) -> VerificationReport:
+    """The entry's verdict as a report; an InputDataError propagates."""
+    t0 = time.time()
+    if entry.expectation == "exact_everywhere":
+        result = exact_everywhere(entry.complex, window=entry.window)
+    else:
+        result = verify_diagonal_qiso(entry.complex, entry.diagonal)
+    notes = list(entry.notes)
+    if result.truncated:
+        notes.append(entry.truncation_note.format(tuple(result.window)))
     return VerificationReport(
-        name=name,
+        name=entry.name,
         verdict="pass" if result.passed else "fail",
-        field_used=field_used,
-        conditions=conditions_from_qiso(result),
-        notes=list(notes or []),
+        field_used=field_spec_str(entry.ring.field),
+        conditions=[{"condition": c.condition, "degree": c.degree,
+                     "passed": c.passed, "detail": c.detail}
+                    for c in result.conditions],
+        notes=notes,
         window=list(result.window),
-        timing_seconds=timing,
+        timing_seconds=time.time() - t0,
     )

@@ -76,9 +76,17 @@ def test_verify_cycle_n4_has_sixteen_chart_reports(capsys):
 
 
 def test_verify_cycle_bad_chart(capsys):
-    code, _, err = run_cli(capsys, "verify", "--example", "cycle", "--n", "3",
-                           "--chart", "9,9")
-    assert code == 2 and "input error" in err
+    # --n and --chart name a cycle's length and chart; no other example has one.
+    for argv in (("cycle", "--n", "3", "--chart", "9,9"),
+                 ("cycle", "--chart", "1,2,3"),
+                 ("affine-line", "--chart", "1,2"),
+                 ("nodal-conic", "--chart", "1,1"),
+                 ("affine-line", "--n", "3"),
+                 ("nodal-conic", "--n", "4")):
+        code, out, err = run_cli(capsys, "verify", "--example", *argv)
+        assert (code, out) == (2, "") and "input error" in err, argv
+    code, out, err = run_cli(capsys, "witness", "--example", "nodal-conic", "--n", "3")
+    assert (code, out) == (2, "") and "input error" in err
 
 
 def test_field_flag(capsys):
@@ -576,8 +584,11 @@ def test_job_export_round_trip():
 
 
 def test_unknown_schema_rejected():
-    with pytest.raises(JobFileError):
-        parse_job({"schema": 99, "ring": {"variables": ["x"]}})
+    # A bool, a float or a string is not schema 1, though it compares equal
+    # to 1 or spells it.
+    for schema in (99, True, 1.0, "1"):
+        with pytest.raises(JobFileError, match="schema"):
+            parse_job({"schema": schema, "ring": {"variables": ["x"]}})
 
 
 def _hand_job():
@@ -689,6 +700,20 @@ def test_gb_job_literal_past_the_int_digit_limit_exits_2_with_its_path(tmp_path,
     assert "integer literal of 5000 digits" in err and "internal error" not in err
 
 
+def test_gb_job_prints_a_computed_coefficient_past_the_int_digit_limit(tmp_path, capsys):
+    """Literals within the limit multiply into basis coefficients past it,
+    and the basis prints every digit of them."""
+    nines, sevens = "9" * 2500, "7" * 2400
+    code, out, err = run_cli(capsys, "gb", "--job", _gb_job(
+        tmp_path / "long.json", {"kind": "grevlex"},
+        [f"{nines}*x^2 + {sevens}*y + 1", f"{sevens}*x*y + {nines}*x + 3"]), "--report", "json")
+    assert (code, err) == (0, "")
+    basis = [v[0] for v in json.loads(out)["basis"]]
+    assert [b.split(" ")[0] for b in basis] == ["x^2", "x*y", "y^2"]
+    digits = max(max(len(t) for t in b.replace("/", " ").split()) for b in basis)
+    assert digits > 4300
+
+
 def test_oversized_prime_field_is_input_error(tmp_path, capsys):
     big = "fp:" + str(10**400 + 1)
     code, _, err = run_cli(capsys, "verify", "--example", "affine-line", "--field", big)
@@ -759,6 +784,59 @@ def test_example_report_matches_pinned_digest(capsys, argv, spec, digest):
     assert hashlib.sha256(canon.encode()).hexdigest() == digest
 
 
+# The paths agree: `witness --example` checks the witness `verify --example`
+# checks, and an exported job's verdict is the example's.
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+@pytest.mark.parametrize("example", ["affine-line", "nodal-conic", "cycle"])
+def test_witness_report_is_the_verify_witness_subreport(capsys, example, spec):
+    code, out, _ = run_cli(capsys, "witness", "--example", example, "--field", spec,
+                           "--report", "json")
+    assert code == 0
+    _, full, _ = run_cli(capsys, "verify", "--example", example, "--field", spec,
+                         "--report", "json")
+    sub = json.loads(full)["subreports"][-1]
+    assert sub["name"].endswith(":witness")
+    assert _strip_unpinned(sub) == _strip_unpinned(json.loads(out))
+
+
+def test_witness_example_builds_no_entry_it_does_not_check(monkeypatch, capsys):
+    import diagres.catalog
+
+    def refuse(field):
+        raise AssertionError("product resolution built")
+
+    monkeypatch.setattr(diagres.catalog, "build_nodal_conic_product", refuse)
+    assert run_cli(capsys, "witness", "--example", "nodal-conic")[0] == 0
+    assert run_cli(capsys, "verify", "--example", "nodal-conic")[0] == 2
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_exported_job_verdict_is_the_example_subreport_verdict(tmp_path, capsys, spec):
+    """Distant charts are left out: a job without a diagonal block carries no
+    window for their exactness check."""
+    from diagres import catalog
+    fld = field_from_spec(spec)
+    charts = catalog.build_cycle(3, fld).chart_jobs
+    cases = [("affine-line", catalog.build_affine_line(fld)),
+             ("nodal-conic", catalog.build_nodal_conic(fld)),
+             ("nodal-conic", catalog.build_nodal_conic_product(fld))]
+    cases += [("cycle", next(j for j in charts if j.kind == kind))
+              for kind in ("diagonal", "adjacent")]
+    keys = ("verdict", "window", "conditions")
+    for example, entry in cases:
+        path = tmp_path / "job.json"
+        path.write_text(emit_job(job_document(entry.name, entry.ring, entry.complex,
+                                              entry.diagonal)))
+        code, out, _ = run_cli(capsys, "verify", "--job", str(path), "--report", "json")
+        assert code == 0, entry.name
+        job = json.loads(out)
+        _, full, _ = run_cli(capsys, "verify", "--example", example, "--field", spec,
+                             "--report", "json")
+        sub = next(s for s in json.loads(full)["subreports"] if s["name"] == entry.name)
+        assert [job[k] for k in keys] == [sub[k] for k in keys], entry.name
+
+
 def test_no_build_or_verify_path_reads_the_dense_row_view(tmp_path, capsys, monkeypatch):
     """Builds and verdicts run on the sparse rows alone: with every part of
     the dense row view raising, the catalog builds from empty caches, the
@@ -784,6 +862,24 @@ def test_no_build_or_verify_path_reads_the_dense_row_view(tmp_path, capsys, monk
     # the product resolution is the one catalog entry built by totalization
     from diagres.catalog import build_nodal_conic_product, verify_entry
     assert verify_entry(build_nodal_conic_product()).verdict == "pass"
+
+
+def test_verify_job_imports_no_build_code(tmp_path):
+    """A job's verdict runs without the catalog or the resolution builders."""
+    import os
+    import subprocess
+    import sys
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_hand_job()))
+    probe = ("import sys; from diagres.cli import main; "
+             f"code = main(['verify', '--job', {str(path)!r}]); "
+             "print(code, sorted(m for m in sys.modules if m.startswith('diagres.')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    code, _, loaded = out.strip().splitlines()[-1].partition(" ")
+    assert code == "0"
+    assert "catalog" not in loaded and "resolutions" not in loaded
 
 
 # The job files the benchmark's job-stream workload verifies, one round per
