@@ -1,20 +1,21 @@
-"""Sparse term arithmetic.
+"""Sparse term arithmetic on packed monomials.
 
-Sparse polynomials are dicts mapping exponent tuples to nonzero
-coefficients, and multiplication shifts add tuples slot by slot.  Over F_p
-coefficients are ints in [0, p), and Python's unbounded ints keep the
-arithmetic exact for every prime the fields accept.  Over Q a coefficient
-is an int while it is an integer and a Fraction only when it is not (see
-scalars); the kernels here use only +, - and *, never /, so two int operands
-stay ints.  A mixed product may leave an integral Fraction (1/2 * 2), which
-compares and hashes equal to the int, so nothing here depends on the type.
-The Gröbner engine's vectors over Q are integral (primitive, see groebner),
-so packed_axpy_q only ever sees ints.
+A sparse polynomial, and a Gröbner engine vector, is a dict mapping packed
+terms (ints, below) to nonzero coefficients, and multiplying by a monomial
+adds one int to every key.  Over F_p coefficients are ints in [0, p), and
+Python's unbounded ints keep the arithmetic exact for every prime the fields
+accept.  Over Q a coefficient is an int while it is an integer and a
+Fraction only when it is not (see scalars); the kernels here use only +, -
+and *, never /, so two int operands stay ints.  A mixed product may leave
+an integral Fraction (1/2 * 2), which compares and hashes equal to the int,
+so nothing here depends on the type.  The Gröbner engine's vectors over Q
+are integral (primitive, see groebner), so there packed_axpy_q only ever
+sees ints.
 
-Packed terms.  The Gröbner engine stores a module term, component c and
-exponents e, as one int (Monagan-Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007).  The int is a row
-of FIELD_BITS-wide fields, most significant first:
+Packed terms.  A module term, component c and exponents e, is one int
+(Monagan-Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  The int is a row of FIELD_BITS-wide
+fields, most significant first:
 
 - grevlex: -c | deg | D - e[prio[n-1]] | ... | D - e[prio[0]]
 - lex:     -c | e[prio[0]] | ... | e[prio[n-1]] | deg
@@ -26,7 +27,11 @@ comparison is then the module order: lower component first, then the ring
 order (the lex degree field, the lowest, never decides: equal exponents have
 equal degrees).  The packing is an affine map, so a monomial product is one int
 addition: t * x^m is t + (u - v) for any packed u, v with u / v = x^m, and
-the engine's multipliers are plain differences t - lt.
+the engine's multipliers are plain differences t - lt.  A polynomial's terms
+are the component-0 ones.  The constant monomial packs to flip (0 under lex;
+polyring calls it one_key), so the product of monomials a and b is
+a + b - flip, and the term of component c with the exponents of a is
+a - (c << shift).
 
 SWAR tests (several fields per int operation).  Flipping the grevlex
 exponent fields with ^ FLIP (D ^ e == D - e, since D is all ones) puts
@@ -39,14 +44,16 @@ one multiplication.
 
 Overflow rule.  Every exponent is at most the degree, so a term fits iff its
 degree is at most FIELD_MAX.  encode checks the degree of each term it
-packs, lcm the degree it sums, and the engine checks each product against
-the largest degree of the vector it multiplies.  So every term the engine
-forms fits, and one that would not raises InputDataError instead of wrapping.
+packs, lcm the degree it sums, and every product site checks the sum of its
+factors' top degrees first (check_degree): polynomial products, shifts and
+powers, mat_mul, minimize's Schur update, ring maps, and the engine against
+the largest degree of the vector it multiplies.  So every term formed fits,
+and one that would not raises InputDataError instead of wrapping.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import mul
 
 # Each packed field is FIELD_BITS wide and holds 0..FIELD_MAX; its top bit is
 # the guard.  Not settable: polyring.MAX_EXPONENT keeps parsed input far inside.
@@ -62,6 +69,12 @@ def term_overflow(deg: int) -> InputDataError:
     """The error for a term of degree deg > FIELD_MAX."""
     return InputDataError(f"a term of degree {deg} arises, above the largest "
                           f"degree {FIELD_MAX} a packed term holds")
+
+
+def check_degree(deg: int) -> None:
+    """Raise term_overflow unless a term of degree deg fits."""
+    if deg > FIELD_MAX:
+        raise term_overflow(deg)
 
 
 class Packing:
@@ -95,6 +108,12 @@ class Packing:
             raise term_overflow(deg)
         return (-comp << self.shift) + self.flip + sum(map(mul, exps, self.weights))
 
+    def multiplier(self, exps: tuple) -> int:
+        """The int whose addition multiplies a packed term by x^exps:
+        encode(c, e + exps) - encode(c, e), the same for every c and e (the
+        packing is affine).  The caller checks the degree of the product."""
+        return sum(map(mul, exps, self.weights))
+
     def decode(self, t: int) -> tuple:
         """(component, exponents) of a packed term."""
         x, mask = t ^ self.flip, self.mask
@@ -104,8 +123,9 @@ class Packing:
         return (t >> self.deg_shift) & self.mask
 
     def top_degree(self, d) -> int:
-        """The largest degree of the terms in d."""
-        return max(map(self.deg_field.__and__, d)) >> self.deg_shift
+        """The largest degree of the terms in the collection d, 0 if it is
+        empty."""
+        return max(map(self.deg_field.__and__, d)) >> self.deg_shift if d else 0
 
     def divides(self, b: int, a: int) -> bool:
         """b divides a (both in one component)."""
@@ -122,8 +142,7 @@ class Packing:
         top = (x & pick) | (y & ~pick)
         # each partial sum is at most deg a + deg b <= 2 * FIELD_MAX: no carry
         deg = (top * self.hsum >> self.hsum_shift) & self.mask
-        if deg > FIELD_MAX:
-            raise term_overflow(deg)
+        check_degree(deg)
         return deg, (a >> self.shift << self.shift) + (deg << self.deg_shift) + (top ^ self.flip)
 
 
@@ -158,57 +177,3 @@ def packed_axpy_p(dst: dict, c: int, m: int, src: dict, p: int) -> None:
                 dst[kk] = w
             else:
                 del dst[kk]
-
-
-def tup_add(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
-
-
-def axpy_q(dst: dict, c, m: tuple, src: dict) -> None:
-    """dst += c * t^m * src over the rationals (in place)."""
-    for k, v in src.items():
-        kk = tuple(map(add, k, m))
-        w = dst.get(kk)
-        if w is None:
-            dst[kk] = c * v
-        else:
-            w = w + c * v
-            if w:
-                dst[kk] = w
-            else:
-                del dst[kk]
-
-
-def axpy_p(dst: dict, c: int, m: tuple, src: dict, p: int) -> None:
-    """dst += c * t^m * src over F_p (in place)."""
-    for k, v in src.items():
-        kk = tuple(map(add, k, m))
-        w = dst.get(kk)
-        if w is None:
-            w = (c * v) % p
-            if w:
-                dst[kk] = w
-        else:
-            w = (w + c * v) % p
-            if w:
-                dst[kk] = w
-            else:
-                del dst[kk]
-
-
-def mul_q(a: dict, b: dict) -> dict:
-    out: dict = {}
-    if len(a) > len(b):
-        a, b = b, a
-    for k, v in a.items():
-        axpy_q(out, v, k, b)
-    return out
-
-
-def mul_p(a: dict, b: dict, p: int) -> dict:
-    out: dict = {}
-    if len(a) > len(b):
-        a, b = b, a
-    for k, v in a.items():
-        axpy_p(out, v, k, b, p)
-    return out

@@ -504,5 +504,5 @@ def verify_chart_jobs(jobs):
                 job.name, base.verdict, base.field_used, conditions=base.conditions,
                 notes=base.notes + [
                     f"verdict shared with {base.name} (identical chart data)"],
-                window=base.window, timing_seconds=0.0))
+                window=base.window, error=base.error, timing_seconds=0.0))
     return out

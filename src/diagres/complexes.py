@@ -35,11 +35,12 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._terms import InputDataError
+from ._terms import InputDataError, check_degree
 from .groebner import ImageSolver, Submodule, buchberger, member, reduces_to_zero
 from .matrices import (Matrix, as_matrix, block_matrix, from_columns, identity_matrix,
                        mat_cols, mat_eq, mat_mul, mat_neg, mat_sub, zero_matrix)
-from .polyring import Polynomial, QuotientRing, RingMismatchError
+from .polyring import Polynomial, QuotientRing, RingMismatchError, max_degree
+from .scalars import _integral
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +272,36 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
     unit at (r, c) of d_k deletes basis vector c of C_k and r of C_{k-1} in
     place, and the survivors are renumbered once, at the end.  An updated
     entry is built by axpy on a fresh copy of its terms, so no stored
-    Polynomial is edited.  Degrees are cleared in ascending order, each
-    at its lexicographically first unit (row, column): a pivot at degree k
-    only removes a row above and a column below it, so it never creates a
-    unit outside d_k, and the pivots are those of a scan restarted from the
-    lowest degree after every cancellation.
+    Polynomial is edited; each updated row is degree-checked against the
+    pivot row first, so no term wraps.  Degrees are cleared in ascending
+    order, each at its lexicographically first unit (row, column): a pivot
+    at degree k only removes a row above and a column below it, so it never
+    creates a unit outside d_k, and the pivots are those of a scan restarted
+    from the lowest degree after every cancellation.
     """
     rng = cx.ring
     fld = rng.field
-    axpy = fld.axpy
+    axpy, one_key, top = fld.axpy, rng.one_key, rng.packing.top_degree
     one = rng.one()
 
-    def update(vec: dict, t, x: Polynomial, e: Polynomial, inv):
-        """vec[t] -= x*e*inv in a fresh Polynomial; a zero result is removed."""
+    def factor(x: Polynomial, inv, pdeg: int) -> list:
+        """-x*inv as (coefficient, shift) pairs for axpy, after checking that
+        its products with entries of degree at most pdeg fit.  An integral
+        coefficient is an int, which keeps int entries ints."""
+        check_degree(top(x.terms) + pdeg)
+        return [(_integral(fld.neg(fld.mul(a, inv))), m - one_key) for m, a in x.terms.items()]
+
+    def update(vec: dict, t, xs: list, e: Polynomial):
+        """vec[t] += (the factor xs) * e in a fresh Polynomial; a zero result
+        is removed."""
         old = vec.pop(t, None)
         terms = dict(old.terms) if old is not None else {}
-        for m, a in x.terms.items():
-            axpy(terms, fld.neg(fld.mul(a, inv)), m, e.terms)
+        et = e.terms
+        for a, m in xs:
+            axpy(terms, a, m, et)
         if terms:
-            vec[t] = Polynomial(rng, terms)
-            return vec[t]
+            vec[t] = p = Polynomial(rng, terms)
+            return p
 
     keep = {k: dict.fromkeys(range(n)) for k, n in cx.ranks.items()}
     d = {k: dict(enumerate(map(dict, mat.rows))) for k, mat in cx.diffs.items()}
@@ -308,19 +319,22 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
                 continue
             inv = fld.inv(prow.pop(c).constant_value())
             del dk[r]
+            pdeg = max_degree(rng, prow.values())
             for s, row in dk.items():
                 x = row.pop(c, None)
                 if x is None:
                     continue
+                xs = factor(x, inv, pdeg)
                 for t, e in prow.items():
-                    v = update(row, t, x, e, inv)
+                    v = update(row, t, xs, e)
                     if v is not None and v.is_constant():
                         heapq.heappush(heap, (s, t))
             if k in incl:
                 ccol = incl[k].pop(c)
-                for t, e in prow.items():
-                    for s, x in ccol.items():
-                        update(incl[k][t], s, x, e, inv)
+                for s, x in ccol.items():
+                    xs = factor(x, inv, pdeg)
+                    for t, e in prow.items():
+                        update(incl[k][t], s, xs, e)
             if k - 1 in incl:
                 del incl[k - 1][r]
             # d_{k+1} loses row c, d_{k-1} loses column r

@@ -10,13 +10,15 @@ the ring's monomial order.  Internally a vector is a dict {term: coefficient}
 whose term is the packed int of its component and exponents (_terms.Packing,
 the ring's packing): int comparison is the module order, the leading term is
 max(d), a monomial product is one int addition and divisibility is one
-guard-bit test.  Terms are encoded where vectors enter the engine
-(vec_to_dict, _relation_dicts, _elimination_gb, ImageSolver.solve,
-reduces_to_zero) and decoded where they leave (dict_to_vec, dict_to_col).
-A term that does not fit its packed fields raises InputDataError, at
-encoding and at every product (see _terms for the rule).
+guard-bit test.  A polynomial's terms are already packed, in component 0,
+so a vector enters the engine by a component offset per polynomial (the
+term of component c is t - (c << shift)) and leaves by the inverse
+(c = -(t >> shift), t + (c << shift)): no term is encoded or decoded, and a
+rank-1 vector's dict is its polynomial's terms.  A term that does not fit
+its packed fields raises InputDataError at every product (see _terms for
+the rule).
 
-Coefficients: primitive inside, monic at decode.  Over Q the engine holds
+Coefficients: primitive inside, monic where they leave.  Over Q the engine holds
 every vector (input generator, basis element, remainder) as a primitive
 integer vector: denominators cleared where vectors enter (_Engine.cleared),
 content divided out and leading coefficient positive (_Engine.primitive).
@@ -86,12 +88,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from ._terms import FIELD_MAX, packed_axpy_p, packed_axpy_q, term_overflow
+from ._terms import FIELD_MAX, term_overflow
 from .matrices import Matrix, as_matrix, from_columns, identity_matrix, mat_cols
 from .polyring import Polynomial, QuotientRing, RingMismatchError
 from .scalars import PrimeField, _integral
@@ -104,27 +105,27 @@ FreeVector = tuple  # tuple[Polynomial, ...]
 
 
 def vec_to_dict(vec: Sequence[Polynomial], rng: QuotientRing) -> dict:
-    encode = rng.packing.encode
-    return {encode(comp, exps): c for comp, p in enumerate(vec) for exps, c in p.terms.items()}
+    shift = rng.packing.shift
+    return {t - (comp << shift): c for comp, p in enumerate(vec) for t, c in p.terms.items()}
+
+
+def _components(d: dict, shift: int) -> dict:
+    """A vector's term dict split by component: {component: {monomial: c}}."""
+    polys: dict = {}
+    for t, c in d.items():
+        comp = -(t >> shift)
+        polys.setdefault(comp, {})[t + (comp << shift)] = c
+    return polys
 
 
 def dict_to_vec(d: dict, rng: QuotientRing, rank: int) -> FreeVector:
-    polys = [dict() for _ in range(rank)]
-    decode = rng.packing.decode
-    for term, c in d.items():
-        comp, exps = decode(term)
-        polys[comp][exps] = c
-    return tuple(Polynomial(rng, t) for t in polys)
+    polys = _components(d, rng.packing.shift)
+    return tuple(Polynomial(rng, polys.get(i, {})) for i in range(rank))
 
 
 def dict_to_col(d: dict, rng: QuotientRing) -> dict:
     """A vector's term dict as a sparse column {component: nonzero Polynomial}."""
-    polys: dict = {}
-    decode = rng.packing.decode
-    for term, c in d.items():
-        comp, exps = decode(term)
-        polys.setdefault(comp, {})[exps] = c
-    return {i: Polynomial(rng, t) for i, t in polys.items()}
+    return {i: Polynomial(rng, t) for i, t in _components(d, rng.packing.shift).items()}
 
 
 def _divided(d: dict, k: int) -> dict:
@@ -221,7 +222,7 @@ class _Engine:
         self.packing = rng.packing
         fld = rng.field
         self.p = fld.p if isinstance(fld, PrimeField) else None
-        self.axpy = packed_axpy_q if self.p is None else partial(packed_axpy_p, p=self.p)
+        self.axpy = fld.axpy
 
     def cleared(self, d: dict) -> tuple:
         """(k * d, k) with every coefficient an int, for k the lcm of the
@@ -440,8 +441,8 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
 
 def _relation_dicts(rng: QuotientRing, rank: int) -> list:
     """quotient_augment's extra generators j*e_i, in its order, as term dicts."""
-    encode = rng.packing.encode
-    return [{encode(i, m): c for m, c in rel.terms.items()}
+    shift = rng.packing.shift
+    return [{t - (i << shift): c for t, c in rel.terms.items()}
             for rel in rng.relations for i in range(rank)]
 
 
@@ -482,9 +483,7 @@ def _reduces_to_zero(d: dict, gb: GroebnerBasis) -> bool:
 def reduces_to_zero(terms: dict, gb: GroebnerBasis) -> bool:
     """True iff the polynomial with these terms reduces to zero against the
     rank-1 basis gb."""
-    encode = gb.base.ring.packing.encode
-    d = gb._engine.cleared({encode(0, m): c for m, c in terms.items()})[0]
-    return _reduces_to_zero(d, gb)
+    return _reduces_to_zero(gb._engine.cleared(terms)[0], gb)
 
 
 def member(vec: FreeVector, sub: Submodule) -> bool:
@@ -509,13 +508,14 @@ def submodule_equal(a: Submodule, b: Submodule) -> bool:
 def _elimination_gb(rng: QuotientRing, matrix: Matrix, m: int, c: int):
     """GB of {(col_j ; e_j)} + {j*e_i ; 0} in R^(m+c), top block dominant."""
     engine = _Engine(rng)
-    encode = rng.packing.encode
+    shift = rng.packing.shift
     gens = [{} for _ in range(c)]
     for i, row in enumerate(matrix.rows):
+        off = i << shift
         for j, e in row.items():
-            gens[j].update((encode(i, exps), v) for exps, v in e.terms.items())
+            gens[j].update((t - off, v) for t, v in e.terms.items())
     for j, g in enumerate(gens):
-        g[encode(m + j, rng._zero_exps)] = rng.field.one
+        g[rng.one_key - ((m + j) << shift)] = rng.field.one
     dicts = _buchberger_dicts([engine.cleared(d)[0] for d in gens + _relation_dicts(rng, m)],
                               engine)
     return engine, dicts
@@ -562,13 +562,13 @@ class ImageSolver:
     def solve(self, col: dict):
         """col is a sparse column {row: Polynomial}; q comes back as a sparse
         column {index: nonzero Polynomial}."""
-        pk = self.ring.packing
-        terms, k = self.engine.cleared({pk.encode(i, e): c for i, p in col.items()
-                                        for e, c in p.terms.items()})
+        shift = self.ring.packing.shift
+        terms, k = self.engine.cleared({t - (i << shift): c for i, p in col.items()
+                                        for t, c in p.terms.items()})
         r, s = self.engine.nf(terms, self.buckets, stop_comp=self.m)
         if r is None:
             return None
-        neg, up = self.ring.field.neg, self.m << pk.shift  # component c + m -> c
+        neg, up = self.ring.field.neg, self.m << shift  # component c + m -> c
         q = {t + up: neg(v) for t, v in r.items()}
         return dict_to_col(q if k * s == 1 else _divided(q, k * s), self.ring)
 

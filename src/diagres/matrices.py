@@ -14,10 +14,11 @@ Nothing in the package builds or verifies through that view.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Sequence
 
-from .polyring import Polynomial, QuotientRing
+from ._terms import check_degree
+from .polyring import Polynomial, QuotientRing, max_degree
 
 
 class Matrix:
@@ -103,13 +104,20 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.ring, a.nrows, a.ncols, rows)
 
 
+def mat_degree(mat: Matrix) -> int:
+    """The largest total degree of a term of an entry, 0 with no entries."""
+    return max_degree(mat.ring, chain.from_iterable(map(dict.values, mat.rows)))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """a*b over the nonzero entries: each entry's term dict accumulates in
-    place, and an entry that cancels to zero is dropped."""
+    place, and an entry that cancels to zero is dropped.  Raises
+    InputDataError if a term of the product would not fit a packed term."""
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.shape} * {b.shape}")
     rng = a.ring
-    axpy = rng.field.axpy
+    check_degree(mat_degree(a) + mat_degree(b))
+    axpy, one = rng.field.axpy, rng.one_key
     brows = b.rows
     out = []
     for arow in a.rows:
@@ -119,8 +127,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 t = acc.get(j)
                 if t is None:
                     t = acc[j] = {}
+                ft = f.terms
                 for m, c in e.terms.items():
-                    axpy(t, c, m, f.terms)
+                    axpy(t, c, m - one, ft)
         out.append({j: Polynomial(rng, t) for j, t in acc.items() if t})
     return Matrix(rng, a.nrows, b.ncols, out)
 

@@ -2,10 +2,15 @@
 
 Conventions
 -----------
-* A monomial is an exponent tuple, one slot per ring variable.
-* A polynomial is a dict {exponents: coefficient} with no zero entries; the
-  zero polynomial is the empty dict.  Polynomials are immutable by
-  convention: arithmetic always builds fresh dicts.
+* A monomial is stored packed: the int ring.packing.encode(0, exps) of its
+  exponent tuple (one slot per ring variable; see _terms).  Int comparison
+  is the ring order, and the product of monomials a and b is
+  a + b - ring.one_key, where one_key is the packed constant monomial.
+* A polynomial's terms are a dict {packed monomial: coefficient} with no
+  zero entries; the zero polynomial is the empty dict.  exponent_terms()
+  decodes it, and leading() returns exponents.  Polynomials are immutable
+  by convention: arithmetic always builds fresh dicts.  A product whose
+  degree would not fit a packed term raises InputDataError.
 * A QuotientRing records variable names, coefficient field, monomial order
   and the relation ideal.  Nothing at this layer reduces modulo the
   relations; that is the Gröbner engine's job (via augmentation).
@@ -22,8 +27,9 @@ Text grammar (bit-exact, whitespace insignificant)::
 
 An exponent is at most MAX_EXPONENT, and so is the sum of the exponents a
 term gives one variable (x^3*x^5 is x^8); a larger one is a ParseError.  So
-is an integer literal longer than the interpreter's int-conversion limit
-(sys.get_int_max_str_digits, 4300 digits by default).
+is a term of degree above _terms.FIELD_MAX, and an integer literal longer
+than the interpreter's int-conversion limit (sys.get_int_max_str_digits,
+4300 digits by default).
 
 print() emits the canonical form (terms strictly descending in the ring
 order), every digit of every coefficient included, and parse(print(p)) == p
@@ -36,15 +42,18 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
-from ._terms import Packing, mul_p, mul_q, tup_add
+from ._terms import InputDataError, Packing, check_degree
 from .scalars import QQ, Field, FieldMismatchError, PrimeField
 
 
-# The largest exponent the grammar accepts: far inside the Gröbner engine's
-# packed fields (_terms.FIELD_MAX, 2^23 - 1), so the products a verification
-# forms (d*d, compositions, cones) still fit.  Not settable.
+# The largest exponent the grammar accepts: far inside the packed fields
+# (_terms.FIELD_MAX, 2^23 - 1), so the products a verification forms (d*d,
+# compositions, cones) fit unless a term has dozens of variables at the
+# bound; a product that does not fit raises InputDataError.  Not settable.
 MAX_EXPONENT = 2 ** 16
 
 
@@ -67,8 +76,8 @@ class MonomialOrder:
 
     kind is 'lex' or 'grevlex'; priority is a permutation of variable
     indices, most significant first (defaults to declared order).  The order
-    is exposed through sort keys: m1 > m2 iff key(m1) > key(m2), so 1 (the
-    empty-degree monomial) is minimal for both kinds.
+    is exposed through the packing: m1 > m2 iff encode(m1) > encode(m2), so
+    1 (the empty-degree monomial) is minimal for both kinds.
     """
 
     def __init__(self, kind: str = "grevlex", priority: Optional[Sequence[int]] = None):
@@ -83,23 +92,8 @@ class MonomialOrder:
             raise ValueError("order priority must be a permutation of variable indices")
         return prio
 
-    def key_func(self, nvars: int):
-        """The sort key on exponent tuples of length nvars."""
-        prio = self._priority(nvars)
-        if self.kind == "lex":
-            def key(exps: tuple):
-                return tuple(exps[i] for i in prio)
-        else:
-            # grevlex: higher total degree wins; ties go to the monomial whose
-            # last (least significant) differing exponent is smaller.
-            rev = tuple(reversed(prio))
-
-            def key(exps: tuple):
-                return (sum(exps),) + tuple(-exps[i] for i in rev)
-        return key
-
     def packing(self, nvars: int) -> Packing:
-        """The Gröbner engine's packed-int terms for this order (see _terms)."""
+        """The packed-int terms for this order (see _terms)."""
         return Packing(self.kind, self._priority(nvars), nvars)
 
     def __eq__(self, other):
@@ -122,8 +116,8 @@ def monomial_cmp(m1: tuple, m2: tuple, order: MonomialOrder) -> int:
     """-1, 0 or 1 comparing m1 against m2 under the order."""
     if len(m1) != len(m2):
         raise ValueError("exponent tuples of different lengths")
-    key = order.key_func(len(m1))
-    k1, k2 = key(m1), key(m2)
+    pk = order.packing(len(m1))
+    k1, k2 = pk.encode(0, m1), pk.encode(0, m2)
     return (k1 > k2) - (k1 < k2)
 
 
@@ -150,11 +144,10 @@ class QuotientRing:
         self.nvars = len(names)
         self.field = field
         self.order = order if order is not None else MonomialOrder("grevlex")
-        self.key = self.order.key_func(self.nvars)
         self.packing = self.order.packing(self.nvars)
+        self.one_key = self.packing.encode(0, (0,) * self.nvars)
         self.index = {nm: i for i, nm in enumerate(names)}
         self.relations: tuple[Polynomial, ...] = ()
-        self._zero_exps = (0,) * self.nvars
 
     def _set_relations(self, rels: Iterable["Polynomial"]):
         rels = tuple(rels)
@@ -183,12 +176,17 @@ class QuotientRing:
             raise TypeError(f"constant {c!r} is not an int or a Fraction")
         if self.field.is_zero(c):
             return Polynomial(self, {})
-        return Polynomial(self, {self._zero_exps: c})
+        return Polynomial(self, {self.one_key: c})
 
     def var(self, name: str) -> "Polynomial":
         i = self.index[name]
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {exps: self.field.one})
+        return self.from_exponent_terms({tuple(int(j == i) for j in range(self.nvars)):
+                                         self.field.one})
+
+    def from_exponent_terms(self, terms: dict) -> "Polynomial":
+        """The polynomial with terms {exponent tuple: nonzero coefficient}."""
+        encode = self.packing.encode
+        return Polynomial(self, {encode(0, e): c for e, c in terms.items()})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.var(nm) for nm in self.names)
@@ -217,6 +215,14 @@ class QuotientRing:
         return base
 
 
+_terms = attrgetter("terms")
+
+
+def max_degree(rng: QuotientRing, polys: Iterable["Polynomial"]) -> int:
+    """The largest total degree of a term of the polynomials, 0 if none."""
+    return rng.packing.top_degree(list(chain.from_iterable(map(_terms, polys))))
+
+
 def ring(names: Sequence[str], field: Field = QQ, order: Optional[MonomialOrder] = None,
          relations: Sequence[str] = ()) -> QuotientRing:
     """Build a QuotientRing, parsing relation strings in the new ring."""
@@ -238,20 +244,27 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {self.ring._zero_exps}
+        t = self.terms
+        return not t or (len(t) == 1 and self.ring.one_key in t)
 
     def constant_value(self):
-        return self.terms.get(self.ring._zero_exps, self.ring.field.zero)
+        return self.terms.get(self.ring.one_key, self.ring.field.zero)
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: self.ring.key(kv[0]), reverse=True)
+    def degree(self) -> int:
+        """The largest total degree of a term; 0 for zero."""
+        return self.ring.packing.top_degree(self.terms)
+
+    def exponent_terms(self) -> dict:
+        """The terms as {exponent tuple: coefficient}."""
+        decode = self.ring.packing.decode
+        return {decode(k)[1]: c for k, c in self.terms.items()}
 
     def leading(self):
         """(exponents, coefficient) of the leading term; None for zero."""
         if not self.terms:
             return None
-        exps = max(self.terms, key=self.ring.key)
-        return exps, self.terms[exps]
+        k = max(self.terms)
+        return self.ring.packing.decode(k)[1], self.terms[k]
 
     # --- arithmetic ---
 
@@ -285,12 +298,15 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        fld = self.ring.field
-        if isinstance(fld, PrimeField):
-            out = mul_p(self.terms, other.terms, fld.p)
-        else:
-            out = mul_q(self.terms, other.terms)
-        return Polynomial(self.ring, out)
+        check_degree(self.degree() + other.degree())
+        rng, a, b = self.ring, self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        axpy, one = rng.field.axpy, rng.one_key
+        out: dict = {}
+        for k, v in a.items():
+            axpy(out, v, k - one, b)
+        return Polynomial(rng, out)
 
     def scale(self, c) -> "Polynomial":
         fld = self.ring.field
@@ -300,11 +316,14 @@ class Polynomial:
 
     def shift(self, exps: tuple) -> "Polynomial":
         """Multiply by the monomial with the given exponents."""
-        return Polynomial(self.ring, {tup_add(k, exps): v for k, v in self.terms.items()})
+        check_degree(self.degree() + sum(exps))
+        m = self.ring.packing.multiplier(exps)
+        return Polynomial(self.ring, {k + m: v for k, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
+        check_degree(n * self.degree())
         out = self.ring.one()
         for _ in range(n):
             out = out * self
@@ -355,10 +374,11 @@ def _mono_str(ring_: QuotientRing, exps: tuple) -> str:
 def poly_str(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
-    fld = p.ring.field
+    fld, decode = p.ring.field, p.ring.packing.decode
     chunks = []
-    for exps, c in p.sorted_terms():
-        mono = _mono_str(p.ring, exps)
+    for k in sorted(p.terms, reverse=True):  # descending ring order
+        c = p.terms[k]
+        mono = _mono_str(p.ring, decode(k)[1])
         if isinstance(fld, PrimeField):
             neg, mag = False, c
         else:
@@ -430,10 +450,11 @@ def parse_poly(text: str, rng: QuotientRing) -> Polynomial:
     def parse_term(sign: int) -> Polynomial:
         nonlocal i
         coeff = None
-        exps = list(rng._zero_exps)
+        exps = [0] * rng.nvars
         saw_factor = False
         need_factor = False
         kind, val, pos = tok()
+        start = pos
         if kind == "int":
             num = _int_literal(val, pos)
             i += 1
@@ -486,7 +507,10 @@ def parse_poly(text: str, rng: QuotientRing) -> Polynomial:
             c = fld.neg(c)
         if fld.is_zero(c):
             return rng.zero()
-        return Polynomial(rng, {tuple(exps): c})
+        try:
+            return Polynomial(rng, {rng.packing.encode(0, exps): c})
+        except InputDataError as exc:
+            raise ParseError(str(exc), start) from exc
 
     result = rng.zero()
     sign = 1
@@ -535,13 +559,15 @@ class RingMap:
         self.images = tuple(images)
 
     def apply(self, p: Polynomial) -> Polynomial:
+        """The image of p; every product and power is degree-checked."""
         if p.ring != self.source:
             raise RingMismatchError("polynomial not in the map's source ring")
-        out = self.target.zero()
-        for exps, c in sorted(p.terms.items()):
+        out, decode = self.target.zero(), self.source.packing.decode
+        for k, c in p.terms.items():
+            exps = decode(k)[1]
             term = self.target.const(1).scale(c)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * self.images[i]
+            for im, e in zip(self.images, exps):
+                if e:
+                    term = term * im ** e
             out = out + term
         return out

@@ -20,7 +20,8 @@ keeps primitive integer vectors and reduces fraction-free, and builds a
 Fraction only where a basis, remainder or solution leaves it (groebner).
 
 A Field instance supplies the operations, and its axpy is the in-place
-term kernel dst += c * t^m * src of _terms for its coefficients; rings tag
+kernel dst += c * t^m * src of _terms on packed terms, for its coefficients
+(m is the shift that multiplies a packed monomial by t^m); rings tag
 their polynomials with the field, and cross-field operations are rejected
 at the ring layer.
 """
@@ -28,8 +29,9 @@ at the ring layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
-from ._terms import axpy_p, axpy_q
+from ._terms import packed_axpy_p, packed_axpy_q
 
 
 class FieldMismatchError(ValueError):
@@ -84,7 +86,7 @@ def _integral(x: Fraction):
 
 class RationalField(Field):
     kind = "rationals"
-    axpy = staticmethod(axpy_q)
+    axpy = staticmethod(packed_axpy_q)
 
     def add(self, a, b):
         return a + b
@@ -162,7 +164,7 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.axpy = lambda dst, c, m, src: axpy_p(dst, c, m, src, p)
+        self.axpy = partial(packed_axpy_p, p=p)
 
     def add(self, a, b):
         return (a + b) % self.p

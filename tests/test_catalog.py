@@ -117,6 +117,22 @@ def test_cycle_charts_verify_and_witness_emits_bound():
     assert any("Rdim(D^bCoh(I_3)) <= 1" in m for m in wrep.messages)
 
 
+def test_a_shared_chart_verdict_keeps_the_error_reason():
+    """Charts that share a complex and spec share one verdict; an error
+    verdict keeps its reason in every chart that shares it."""
+    from dataclasses import replace
+    jobs = build_cycle(3).chart_jobs
+    spec = next(j.diagonal for j in jobs if j.kind == "diagonal")
+    short = DiagonalSpec(spec.ideal, spec.degree, spec.augmentation[:-1], spec.window)
+    jobs = [replace(j, diagonal=short) if j.kind == "diagonal" else j for j in jobs]
+    reports = {r.name: r for r in verify_chart_jobs(jobs)}
+    diagonal = [reports[f"chart({i},{i}):diagonal"] for i in (1, 2, 3)]
+    assert [r.verdict for r in diagonal] == ["error"] * 3
+    assert "augmentation row length" in diagonal[0].error
+    assert all(r.error == diagonal[0].error for r in diagonal)
+    assert all(r.passed for r in reports.values() if "diagonal" not in r.name)
+
+
 def test_restrict_identity():
     entry = build_affine_line()
     rng = entry.ring

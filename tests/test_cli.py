@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from diagres.cli import main
 from diagres.complexes import ChainComplex
 from diagres.jobio import (MAX_DEGREE, MAX_RANK, JobFileError, emit_job, job_document, parse_complex,
-                           parse_job)
+                           parse_job, ring_to_dict)
 from diagres.matrices import Matrix
 from diagres.polyring import MAX_EXPONENT, ring
 from diagres.report import VerificationReport
@@ -214,6 +214,108 @@ def test_verify_job_exact_everywhere(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "verify", "--job", str(path))
     assert code == 0 and "PASS" in out
+
+
+def _good_and_bad_job():
+    """Two complexes over k[x]/(x^2): d_1 = 1 is exact, d_1 = x is not."""
+    return {"schema": 1, "name": "job",
+            "ring": {"variables": ["x"], "relations": ["x^2"]},
+            "complexes": [
+                {"name": "good", "ranks": {"0": 1, "1": 1}, "differentials": {"1": [["1"]]}},
+                {"name": "bad", "ranks": {"0": 1, "1": 1}, "differentials": {"1": [["x"]]}}],
+            "expectation": "exact_everywhere"}
+
+
+def test_exact_everywhere_job_verifies_every_complex(tmp_path, capsys):
+    """The job fails if any complex fails, and the report names each one; a
+    single-complex job still reports that complex alone."""
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(_good_and_bad_job()))
+    code, out, _ = run_cli(capsys, "verify", "--job", str(path), "--report", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["name"], doc["verdict"]) == ("job", "fail")
+    assert [(s["name"], s["verdict"]) for s in doc["subreports"]] == [
+        ("job:good", "pass"), ("job:bad", "fail")]
+    code, out, _ = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 1 and "job:bad: FAIL" in out
+    for keep in ("good", "bad"):
+        single = _good_and_bad_job()
+        single["complexes"] = [c for c in single["complexes"] if c["name"] == keep]
+        path.write_text(json.dumps(single))
+        code, out, _ = run_cli(capsys, "verify", "--job", str(path), "--report", "json")
+        doc = json.loads(out)
+        assert (code, doc["name"], "subreports" in doc) == (int(keep == "bad"), f"job:{keep}",
+                                                            False)
+
+
+def test_a_reused_parser_gives_a_fresh_namespace_and_exit_2(capsys):
+    from diagres.cli import _parser
+    assert _parser() is _parser()
+    first = _parser().parse_args(["verify", "--example", "cycle", "--n", "5"])
+    second = _parser().parse_args(["verify", "--example", "affine-line"])
+    assert first is not second and (first.n, second.n) == (5, None)
+    for argv in (["verify"], ["verify", "--example", "affine-line", "--job", "x"], ["gb"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert run_cli(capsys, "verify", "--example", "affine-line")[0] == 0
+
+
+def _wide_term(nvars: int) -> str:
+    """A monomial of degree nvars * MAX_EXPONENT, every exponent at the bound."""
+    return "*".join(f"v{i}^{MAX_EXPONENT}" for i in range(nvars))
+
+
+@pytest.mark.parametrize("diffs", [
+    {"1": [["m"]], "2": [["m"]]},               # d*d = m^2, checked when parsed
+    {"1": [["1", "m"], ["m", "0"]]},            # minimize's Schur update forms m^2
+])
+def test_job_whose_product_passes_the_packed_field_exits_2(tmp_path, capsys, diffs):
+    """64 exponents at MAX_EXPONENT make a term of degree (FIELD_MAX + 1) / 2;
+    its square does not fit a packed term, and the job is an input error
+    rather than a verdict on a wrapped term."""
+    from diagres._terms import FIELD_MAX
+    nvars = (FIELD_MAX + 1) // 2 // MAX_EXPONENT
+    m = _wide_term(nvars)
+    ranks = {"0": 2, "1": 2} if "2" not in diffs else {"0": 1, "1": 1, "2": 1}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "schema": 1, "ring": {"variables": [f"v{i}" for i in range(nvars)]},
+        "complexes": [{"name": "c", "ranks": ranks, "differentials": {
+            k: [[m if e == "m" else e for e in row] for row in rows]
+            for k, rows in diffs.items()}}],
+        "expectation": "exact_everywhere"}))
+    code, out, err = run_cli(capsys, "verify", "--job", str(path))
+    assert (code, out) == (2, "") and "above the largest degree" in err
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_conic_job_under_a_permuted_lex_order_verifies_and_its_mutations_fail(
+        tmp_path, capsys, spec):
+    """The exported nodal-conic job, re-declared under lex with a permuted
+    priority, still passes, and each documented mutation still fails.  The
+    constant monomial packs to 0 under lex and not under grevlex, so the
+    unit tests of minimize run both ways."""
+    from diagres.catalog import apply_mutation, build_nodal_conic, documented_mutations
+    entry = build_nodal_conic(field_from_spec(spec))
+    lex = {"kind": "lex", "priority": [2, 0, 3, 1]}
+
+    def run(cx, dspec):
+        doc = job_document(entry.name, entry.ring, cx, dspec)
+        doc["ring"]["order"] = lex
+        path = tmp_path / "conic.json"
+        path.write_text(emit_job(doc))
+        return run_cli(capsys, "verify", "--job", str(path), "--report", "json")[0]
+
+    assert entry.ring.one_key != 0
+    assert parse_job(json.loads(emit_job({**job_document(
+        entry.name, entry.ring, entry.complex, entry.diagonal),
+        "ring": {**ring_to_dict(entry.ring), "order": lex}}))).ring.one_key == 0
+    assert run(entry.complex, entry.diagonal) == 0
+    for mutation in documented_mutations("nodal-conic"):
+        cx, dspec = apply_mutation(entry.complex, entry.diagonal, mutation)
+        assert run(cx, dspec) == (2 if mutation.kind == "differential" else 1), mutation.name
 
 
 def test_exact_everywhere_job_with_zero_blocks_is_fast(tmp_path, capsys):

@@ -177,7 +177,7 @@ def _evaluate(mat, point, p):
         out_row = []
         for e in row:
             total = 0
-            for exps, c in e.terms.items():
+            for exps, c in e.exponent_terms().items():
                 v = int(c) if c.denominator == 1 else (int(c.numerator)
                                                        * pow(int(c.denominator), p - 2, p))
                 for x, ex in zip(point, exps):

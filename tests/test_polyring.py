@@ -11,7 +11,7 @@ from diagres._terms import FIELD_MAX, InputDataError
 from diagres.polyring import (MAX_EXPONENT, MonomialOrder, ParseError, Polynomial,
                               RingMap, RingMismatchError, monomial_cmp, parse_poly,
                               poly_str, ring)
-from diagres.scalars import PrimeField
+from diagres.scalars import QQ, PrimeField
 
 R4 = ring(["x1", "y1", "x2", "y2"], relations=["x1*y1", "x2*y2"])
 R2 = ring(["x", "y"])
@@ -118,6 +118,7 @@ def test_order_key_is_an_additive_codec(order, ca, cb, a, b):
     assert pk.degree(ta) == sum(a)
     # x^a * (c, b) is (c, b) plus the multiplier x^a, whatever the component
     assert pk.encode(cb, tuple(map(add, a, b))) == tb + pk.encode(0, a) - pk.encode(0, one)
+    assert pk.multiplier(a) == pk.encode(0, a) - pk.encode(0, one)
     expected = (cb > ca) - (cb < ca) or monomial_cmp(a, b, order)
     assert (ta > tb) - (ta < tb) == expected
     ua = pk.encode(cb, a)  # a in b's component
@@ -139,7 +140,7 @@ def test_packed_terms_reject_a_degree_past_the_field():
 
 
 def test_exponent_bound_in_the_grammar():
-    assert R2.parse(f"x^{MAX_EXPONENT}*y").terms == {(MAX_EXPONENT, 1): 1}
+    assert R2.parse(f"x^{MAX_EXPONENT}*y").exponent_terms() == {(MAX_EXPONENT, 1): 1}
     for text in (f"x^{MAX_EXPONENT + 1}", f"x^{MAX_EXPONENT}*x", "y*x^99999999999999999999"):
         with pytest.raises(ParseError, match="above the maximum"):
             R2.parse(text)
@@ -152,9 +153,10 @@ def test_integer_literal_past_the_int_digit_limit_is_a_parse_error():
     do not count, in an exponent either."""
     limit = sys.get_int_max_str_digits()
     long = "9" * (limit + 1)
-    assert R2.parse("9" * limit + "*x").terms == {(1, 0): int("9" * limit)}
-    assert R2.parse("0" * limit + "7/0" + "0" * limit + "2").terms == {(0, 0): Fraction(7, 2)}
-    assert R2.parse("x^" + "0" * limit + "3").terms == {(3, 0): 1}
+    assert R2.parse("9" * limit + "*x").exponent_terms() == {(1, 0): int("9" * limit)}
+    assert (R2.parse("0" * limit + "7/0" + "0" * limit + "2").exponent_terms()
+            == {(0, 0): Fraction(7, 2)})
+    assert R2.parse("x^" + "0" * limit + "3").exponent_terms() == {(3, 0): 1}
     for text, pos in ((long + "*x", 0), ("x + 1/" + long, 6), ("x - " + long + "/7", 4)):
         with pytest.raises(ParseError, match=f"{limit + 1} digits") as err:
             R2.parse(text)
@@ -236,3 +238,143 @@ def test_ring_map_apply():
     assert m.apply(source.parse("x1*y1 + 3")) == target.parse("3")
     with pytest.raises(RingMismatchError):
         m.apply(target.parse("x1"))
+
+
+# ---------------------------------------------------------------------------
+# the packed term layer against a plain exponent-tuple reference
+
+TERM_RINGS = [ring(["x", "y", "z"], field=fld, order=MonomialOrder(kind, priority=prio))
+              for fld in (QQ, PrimeField(32003)) for kind in ("lex", "grevlex")
+              for prio in (None, (2, 0, 1))]
+
+
+def ref_key(rng):
+    """The ring's order as a sort key on exponent tuples, from its definition:
+    lex compares exponents in priority order; grevlex compares total degree,
+    then prefers the smaller exponent in the last differing priority slot."""
+    prio = rng.order.priority or tuple(range(rng.nvars))
+    if rng.order.kind == "lex":
+        return lambda e: tuple(e[i] for i in prio)
+    return lambda e: (sum(e),) + tuple(-e[i] for i in reversed(prio))
+
+
+def ref_add(a: dict, b: dict, fld) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = fld.add(out.get(e, fld.zero), c)
+    return {e: c for e, c in out.items() if not fld.is_zero(c)}
+
+
+def ref_mul(a: dict, b: dict, fld) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out = ref_add(out, {tuple(map(add, ea, eb)): fld.mul(ca, cb)}, fld)
+    return out
+
+
+def ref_pow(a: dict, n: int, fld) -> dict:
+    out = {(0,) * 3: fld.one}
+    for _ in range(n):
+        out = ref_mul(out, a, fld)
+    return out
+
+
+def ref_str(a: dict, rng) -> str:
+    """The canonical print: terms in descending order, coefficient 1 left
+    out before a monomial, signs between the terms over Q."""
+    if not a:
+        return "0"
+    fld, chunks = rng.field, []
+    for e in sorted(a, key=ref_key(rng), reverse=True):
+        c = a[e]
+        neg = fld == QQ and c < 0
+        mag = str(abs(c) if fld == QQ else c)
+        mono = "*".join(nm if k == 1 else f"{nm}^{k}"
+                        for nm, k in zip(rng.names, e) if k)
+        body = mono if mono and mag == "1" else f"{mag}*{mono}" if mono else mag
+        chunks.append(("-" if neg else "") + body if not chunks
+                      else ("- " if neg else "+ ") + body)
+    return " ".join(chunks)
+
+
+def _ref_poly(data, rng, max_exp=3, max_terms=4) -> dict:
+    """A plain {exponents: nonzero field value} dict."""
+    fld = rng.field
+    raw = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * rng.nvars),
+        st.one_of(st.integers(-40000, 40000), st.fractions(max_denominator=7)),
+        max_size=max_terms))
+    vals = {e: fld.from_fraction(c.numerator, c.denominator) for e, c in
+            ((e, Fraction(c)) for e, c in raw.items())}
+    return {e: c for e, c in vals.items() if not fld.is_zero(c)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TERM_RINGS), st.data())
+def test_packed_terms_match_the_exponent_tuple_reference(rng, data):
+    fld = rng.field
+    a, b = _ref_poly(data, rng), _ref_poly(data, rng)
+    p, q = rng.from_exponent_terms(a), rng.from_exponent_terms(b)
+    assert p.exponent_terms() == a
+    neg_b = {e: fld.neg(c) for e, c in b.items()}
+    assert (p + q).exponent_terms() == ref_add(a, b, fld)
+    assert (-q).exponent_terms() == neg_b
+    assert (p - q).exponent_terms() == ref_add(a, neg_b, fld)
+    assert (p * q).exponent_terms() == ref_mul(a, b, fld)
+    m = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
+    assert p.shift(m).exponent_terms() == {tuple(map(add, e, m)): c for e, c in a.items()}
+    n = data.draw(st.integers(0, 3))
+    assert (p ** n).exponent_terms() == ref_pow(a, n, fld)
+    lead = max(a, key=ref_key(rng)) if a else None
+    assert p.leading() == (None if lead is None else (lead, a[lead]))
+    assert p.is_constant() == (set(a) <= {(0, 0, 0)})
+    assert p.constant_value() == a.get((0, 0, 0), fld.zero)
+    assert str(p) == ref_str(a, rng)
+    assert rng.parse(str(p)) == p
+    images = [_ref_poly(data, rng, max_exp=1, max_terms=2) for _ in range(3)]
+    want: dict = {}
+    for e, c in a.items():
+        term = {(0, 0, 0): c}
+        for im, k in zip(images, e):
+            term = ref_mul(term, ref_pow(im, k, fld), fld)
+        want = ref_add(want, term, fld)
+    rmap = RingMap(rng, rng, [rng.from_exponent_terms(im) for im in images])
+    assert rmap.apply(p).exponent_terms() == want
+
+
+def test_constant_monomial_packs_to_zero_under_lex_only():
+    for rng in TERM_RINGS:
+        assert (rng.one_key == 0) == (rng.order.kind == "lex")
+        assert rng.one().exponent_terms() == {(0, 0, 0): 1}
+        assert rng.one().is_constant() and not rng.var("x").is_constant()
+
+
+def test_a_product_past_the_packed_field_raises_instead_of_wrapping():
+    """Every product site checks its degree against FIELD_MAX: products,
+    shifts, powers, matrix products, minimize's Schur update and ring maps
+    raise InputDataError; a product of degree exactly FIELD_MAX is exact."""
+    from diagres.complexes import ChainComplex, minimize
+    from diagres.matrices import Matrix, mat_mul
+
+    half = (FIELD_MAX + 1) // 2
+    for order in (MonomialOrder("lex"), MonomialOrder("grevlex", priority=(1, 0))):
+        R = ring(["x", "y"], order=order)
+        a = R.one().shift((half, 0))
+        b = R.one().shift((half - 1, 0))
+        assert (a * b).exponent_terms() == {(FIELD_MAX, 0): 1}
+        assert a.shift((half - 1, 0)) == a * b
+        with pytest.raises(InputDataError, match="above the largest degree"):
+            a * a
+        with pytest.raises(InputDataError):
+            a.shift((0, half))
+        with pytest.raises(InputDataError):
+            (a + R.var("y")) ** 2
+        with pytest.raises(InputDataError):
+            mat_mul(Matrix(R, 1, 1, [{0: a}]), Matrix(R, 1, 1, [{0: R.var("y") * a}]))
+        with pytest.raises(InputDataError):
+            RingMap(R, R, [a, R.var("y")]).apply(R.parse("x^2"))
+        one = R.one()
+        cx = ChainComplex(R, {0: 2, 1: 2}, {1: [[one, a], [a, R.zero()]]})
+        with pytest.raises(InputDataError):
+            minimize(cx)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagres._terms import axpy_p, mul_p
+from diagres._terms import packed_axpy_p
 from diagres.polyring import ring
 from diagres.scalars import CHECK_PRIME, QQ, PrimeField, field_from_spec, field_spec_str
 
@@ -168,18 +168,23 @@ BIG_PRIMES = [8589934609, 2**64 - 59]
 
 def test_axpy_p_exact_above_word_size():
     p = 8589934609
-    d = {(0,): p - 2}
-    axpy_p(d, p - 1, (0,), {(0,): p - 1}, p)
-    assert d == {(0,): 8589934608}
+    d = {0: p - 2}
+    packed_axpy_p(d, p - 1, 0, {0: p - 1}, p)
+    assert d == {0: 8589934608}
 
 
 @pytest.mark.parametrize("p", BIG_PRIMES)
 def test_term_arithmetic_matches_integers_mod_p(p):
     rnd = random.Random(p)
+    R = ring(["x", "y"], field=PrimeField(p))
+    encode = R.packing.encode
 
     def rand_poly():
         return {(rnd.randrange(3), rnd.randrange(3)): rnd.randrange(1, p)
                 for _ in range(rnd.randrange(1, 6))}
+
+    def packed(d):
+        return {encode(0, k): v for k, v in d.items()}
 
     for _ in range(50):
         a, b, dst = rand_poly(), rand_poly(), rand_poly()
@@ -188,12 +193,14 @@ def test_term_arithmetic_matches_integers_mod_p(p):
         for k, v in b.items():
             kk = (k[0] + m[0], k[1] + m[1])
             want[kk] = (want.get(kk, 0) + c * v) % p
-        axpy_p(dst, c, m, b, p)
-        assert dst == {k: v for k, v in want.items() if v}
+        got = packed(dst)
+        packed_axpy_p(got, c, encode(0, m) - R.one_key, packed(b), p)
+        assert got == packed({k: v for k, v in want.items() if v})
         prod = {}
         for ka, va in a.items():
             for kb, vb in b.items():
                 k = (ka[0] + kb[0], ka[1] + kb[1])
                 prod[k] = (prod.get(k, 0) + va * vb) % p
-        assert mul_p(a, b, p) == {k: v for k, v in prod.items() if v}
-    assert mul_p({(0,): p - 1}, {(0,): p - 1}, p) == {(0,): 1}
+        product = R.from_exponent_terms(a) * R.from_exponent_terms(b)
+        assert product.exponent_terms() == {k: v for k, v in prod.items() if v}
+    assert R.const(p - 1) * R.const(p - 1) == R.one()
