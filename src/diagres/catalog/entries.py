@@ -24,10 +24,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
-from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError,
+from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError, _vanishes,
                          block_map, check_differential, cone,
                          direct_sum, map_sub, shift, zero_complex)
-from ..groebner import Submodule, member
 from ..matrices import mat_map
 from ..polyring import QuotientRing, RingMap, ring
 from ..report import VerificationEntry, VerificationReport, verdict_report
@@ -454,10 +453,9 @@ def restrict_complex(cx: ChainComplex, rmap: RingMap) -> ChainComplex:
     if rmap.source != cx.ring:
         raise InputDataError("ring map source differs from the complex's ring")
     target = rmap.target
-    rel_ideal = Submodule(target, 1, [(r,) for r in target.relations])
     for rel in rmap.source.relations:
         image = rmap.apply(rel)
-        if not member((image,), rel_ideal):
+        if not _vanishes(target, [image]):
             raise InputDataError(
                 f"substitution sends relation {rel} to {image}, "
                 "which is outside the target relation ideal")

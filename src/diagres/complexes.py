@@ -23,10 +23,12 @@ For speed, homology questions are answered after cancelling scalar-unit
 entries of the differentials (Gaussian cancellation); this produces a
 homotopy-equivalent complex together with an explicit degreewise inclusion,
 through which the augmentation row is transported, so every verdict is
-unchanged.  Each differential then gets one elimination basis per verdict
-(an ImageSolver, built on first use): kernel generators of d_i are read off
-the solver of d_i, and a column of C_i is a boundary iff the solver of
-d_{i+1} solves it, or, with no d_{i+1}, iff its entries lie in J.
+unchanged.  Each differential then has one elimination basis, its solver
+(groebner.solver_of, built on first use and kept on the matrix): kernel
+generators of d_i are read off the solver of d_i, and a column of C_i is a
+boundary iff the solver of d_{i+1} solves it, or, with no d_{i+1}, iff its
+entries lie in J.  Every homology question on a complex that is not a
+complex (d*d != 0 mod J) raises InputDataError instead of answering.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._terms import InputDataError, check_degree
-from .groebner import ImageSolver, Submodule, buchberger, member, reduces_to_zero
+from .groebner import (ImageSolver, Submodule, buchberger, member, reduces_to_zero,
+                       solver_of)
 from .matrices import (Matrix, as_matrix, block_matrix, from_columns, identity_matrix,
                        mat_cols, mat_eq, mat_mul, mat_neg, mat_sub, zero_matrix)
 from .polyring import Polynomial, QuotientRing, RingMismatchError, max_degree
@@ -69,9 +72,7 @@ class ChainComplex:
         self._d2_failure = _UNCHECKED
         self._qiso = {}  # (id(spec), pre_minimize) -> (spec, QisoResult)
         if check:
-            err = self._square_zero_failure()
-            if err is not None:
-                raise InputDataError(f"d*d != 0 (mod relations) entering degree {err}")
+            self._require_square_zero()
 
     def rank(self, i: int) -> int:
         return self.ranks.get(i, 0)
@@ -85,6 +86,12 @@ class ChainComplex:
 
     def is_zero(self) -> bool:
         return not self.ranks
+
+    def _require_square_zero(self):
+        """Raise InputDataError unless d*d = 0 (mod relations)."""
+        err = self._square_zero_failure()
+        if err is not None:
+            raise InputDataError(f"d*d != 0 (mod relations) entering degree {err}")
 
     def _square_zero_failure(self) -> Optional[int]:
         """First degree entered by a nonzero d*d (mod relations), or None."""
@@ -356,41 +363,38 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
 
 
 def homology_is_zero_at(cx: ChainComplex, i: int, pre_minimize: bool = True) -> bool:
-    """True iff ker(d_i) is contained in im(d_{i+1}) + J*C_i."""
+    """True iff ker(d_i) is contained in im(d_{i+1}) + J*C_i; InputDataError
+    if cx is not a complex."""
+    cx._require_square_zero()
     if pre_minimize:
         cx, _ = minimize(cx)
     return _Homology(cx).zero_at(i)
 
 
 class _Homology:
-    """Homology questions about one complex, all answered from one
-    ImageSolver per differential, built on first use.
+    """Homology questions about one complex, all answered from the solver of
+    each differential (groebner.solver_of).
 
-    An instance lives for one verdict and is not retained, so neither are
-    its solvers: the matrices of a minimized complex are fresh every time.
+    The solvers are kept on the matrices, not here: those of a minimized
+    complex, whose matrices are fresh every time, are freed with it after
+    the verdict, and those of a complex verified as given stay with its
+    matrices, shared with every other verdict on them.
     """
 
     def __init__(self, cx: ChainComplex):
         self.cx = cx
-        self._solvers = {}
-
-    def _solver(self, i: int) -> ImageSolver:
-        solver = self._solvers.get(i)
-        if solver is None:
-            solver = self._solvers[i] = ImageSolver(self.cx.diffs[i], self.cx.ring)
-        return solver
 
     def cycles(self, i: int) -> Matrix:
         """Generators of ker d_i, as the columns of a matrix; with no d_i (it
         is zero or maps to rank 0) the identity columns."""
         if i in self.cx.diffs:
-            return self._solver(i).kernel()
+            return solver_of(self.cx.diffs[i]).kernel()
         return identity_matrix(self.cx.ring, self.cx.rank(i))
 
     def is_boundary(self, i: int, col: dict) -> bool:
         """Whether the sparse column col of C_i lies in im(d_{i+1}) + J*C_i."""
         if i + 1 in self.cx.diffs:
-            return self._solver(i + 1).solve(col) is not None
+            return solver_of(self.cx.diffs[i + 1]).solve(col) is not None
         return _vanishes(self.cx.ring, col.values())
 
     def zero_at(self, i: int) -> bool:
@@ -488,9 +492,7 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     for p in dspec.ideal + dspec.augmentation:
         if p.ring != rng:
             raise InputDataError("diagonal data in a different ring")
-    err = cx._square_zero_failure()
-    if err is not None:
-        raise InputDataError(f"d*d != 0 (mod relations) entering degree {err}")
+    cx._require_square_zero()
     ideal_sub = Submodule(rng, 1, [(g,) for g in dspec.ideal])
     if member((rng.one(),), ideal_sub):
         raise InputDataError("diagonal ideal is not proper")
@@ -549,7 +551,9 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
 
 
 def exact_everywhere(cx: ChainComplex, window: Optional[tuple] = None) -> QisoResult:
-    """All homology vanishes in the window (distant-chart expectation)."""
+    """All homology vanishes in the window (distant-chart expectation);
+    InputDataError if cx is not a complex."""
+    cx._require_square_zero()
     if cx.is_zero():
         return QisoResult(True, 0, window or (0, 0), [ConditionResult("exact", None, True)])
     if window is None:

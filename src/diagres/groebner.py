@@ -5,6 +5,12 @@ R = k[x..]/J is realized by augmenting the generating set with the vectors
 j*e_i for every relation j and every free-module slot i (quotient_augment).
 One engine, one correctness argument.
 
+One basis type: GroebnerBasis holds a submodule's basis (buchberger) and,
+as its subclass ImageSolver, the basis of a matrix's tagged columns, which
+solver_of keeps on the matrix.  Every answer read against a basis
+(normal_form, member, reduces_to_zero, ImageSolver.solve) takes one path,
+GroebnerBasis._reduce.
+
 Module order: position-over-term, lower component index dominant, ties by
 the ring's monomial order.  Internally a vector is a dict {term: coefficient}
 whose term is the packed int of its component and exponents (_terms.Packing,
@@ -30,10 +36,9 @@ a fixed nonzero multiple of the one monic arithmetic would hold, so divisor
 choice, pairs, sugar and criteria are those of monic arithmetic, and so is
 every answer.  Fractions are built only where vectors leave: basis vectors
 (vectors, columns, kernel) are divided by their leading coefficient, and a
-remainder (normal_form) or solution (ImageSolver.solve) by the scale nf
-multiplied in.  Over F_p a primitive vector is the monic one, every
-divisor's leading coefficient is 1 and the scaling never happens: one nf
-loop serves both fields.
+remainder or solution (_reduce) by the scale nf multiplied in.  Over F_p
+a primitive vector is the monic one, every divisor's leading coefficient
+is 1 and the scaling never happens: one nf loop serves both fields.
 
 Determinism: bases are auto-reduced (the reduced Gröbner basis is unique
 for a given order), primitive inside and monic where they leave (above),
@@ -109,6 +114,12 @@ def vec_to_dict(vec: Sequence[Polynomial], rng: QuotientRing) -> dict:
     return {t - (comp << shift): c for comp, p in enumerate(vec) for t, c in p.terms.items()}
 
 
+def col_to_dict(col: dict, rng: QuotientRing) -> dict:
+    """A sparse column {component: Polynomial}'s term dict."""
+    shift = rng.packing.shift
+    return {t - (comp << shift): c for comp, p in col.items() for t, c in p.terms.items()}
+
+
 def _components(d: dict, shift: int) -> dict:
     """A vector's term dict split by component: {component: {monomial: c}}."""
     polys: dict = {}
@@ -144,6 +155,14 @@ def vec_is_zero(vec: Sequence[Polynomial]) -> bool:
     return all(p.is_zero() for p in vec)
 
 
+def _check_vector(vec: FreeVector, rng: QuotientRing, rank: int, what: str = "vector"):
+    if len(vec) != rank:
+        raise ValueError(f"{what} length differs from ambient rank")
+    for p in vec:
+        if p.ring != rng:
+            raise RingMismatchError(f"{what} in a different ring")
+
+
 @dataclass
 class Submodule:
     """Submodule of a free module R^rank, given by generators."""
@@ -157,50 +176,12 @@ class Submodule:
         if self.rank < 1:
             raise ValueError("ambient free module must have rank >= 1")
         for g in self.generators:
-            if len(g) != self.rank:
-                raise ValueError("generator length differs from ambient rank")
-            for p in g:
-                if p.ring != self.ring:
-                    raise RingMismatchError("generator in a different ring")
+            _check_vector(g, self.ring, self.rank, "generator")
 
     def groebner(self) -> "GroebnerBasis":
         if self._gb is None:
             self._gb = buchberger(self)
         return self._gb
-
-
-@dataclass(eq=False)
-class GroebnerBasis:
-    """Reduced, deterministically sorted basis of an augmented submodule.
-
-    The engine works on the term dicts (primitive over Q); the monic basis
-    as FreeVectors (dense tuples, descending leading terms) is built on
-    first use of vectors.
-    """
-
-    base: Submodule
-    order: str = "position-over-term/ring-order"
-    _engine: object = field(default=None, repr=False)
-    _dicts: list = field(default=None, repr=False)
-    _buckets: dict = field(default=None, repr=False)
-    _vectors: list = field(default=None, repr=False)
-
-    @property
-    def vectors(self) -> list:
-        if self._vectors is None:
-            self._vectors = [dict_to_vec(_monic(d), self.base.ring, self.base.rank)
-                             for d in self._dicts]
-        return self._vectors
-
-    def columns(self) -> list:
-        """The basis as sparse columns {component: nonzero Polynomial}, in the
-        order of vectors, without building the dense tuples."""
-        return [dict_to_col(_monic(d), self.base.ring) for d in self._dicts]
-
-    def buckets(self) -> dict:
-        if self._buckets is None:
-            self._buckets = self._engine.index(self._dicts)
-        return self._buckets
 
 
 def quotient_augment(sub: Submodule) -> Submodule:
@@ -446,52 +427,81 @@ def _relation_dicts(rng: QuotientRing, rank: int) -> list:
             for rel in rng.relations for i in range(rank)]
 
 
+# ---------------------------------------------------------------------------
+# the basis type, and every question read against it
+
+
+class GroebnerBasis:
+    """The reduced Gröbner basis of a submodule of R^(m + c), J-augmented in
+    its first m components; the c components from m on are tags (c = 0 for
+    a submodule's own basis, c = the matrix's columns for an ImageSolver).
+
+    Built by one constructor from the generators' term dicts (the relation
+    generators j*e_i, i < m, are added here).  It holds the engine, the basis
+    as the engine stores it (_dicts: primitive over Q, descending leading
+    terms) and its divisor index; every answer read against the basis goes
+    through _reduce.  The monic basis as FreeVectors (dense tuples) is built
+    on first use of vectors.
+    """
+
+    c = 0
+
+    def __init__(self, rng: QuotientRing, m: int, gens: list):
+        self.ring, self.m = rng, m
+        self._engine = engine = _Engine(rng)
+        self._dicts = _buchberger_dicts(
+            [engine.cleared(d)[0] for d in gens + _relation_dicts(rng, m)], engine)
+        self._index = engine.index(self._dicts)
+        self._vectors = None
+
+    @property
+    def vectors(self) -> list:
+        if self._vectors is None:
+            self._vectors = [dict_to_vec(_monic(d), self.ring, self.m + self.c)
+                             for d in self._dicts]
+        return self._vectors
+
+    def columns(self) -> list:
+        """The basis as sparse columns {component: nonzero Polynomial}, in the
+        order of vectors, without building the dense tuples."""
+        return [dict_to_col(_monic(d), self.ring) for d in self._dicts]
+
+    def _reduce(self, d: dict, stop: bool = False) -> Optional[dict]:
+        """The normal form of the vector with term dict d.  With stop, the
+        part of it left once reduction reaches the tag components, or None
+        if a term in a component below m is irreducible (nf's stop_comp).
+        Denominators are cleared on the way in (_Engine.cleared) and the
+        answer is divided by the scale on the way out, so it is the true one."""
+        engine = self._engine
+        d, k = engine.cleared(d)
+        r, s = engine.nf(d, self._index, self.m if stop else None)
+        k *= s
+        return r if k == 1 or not r else _divided(r, k)
+
+
 def buchberger(sub: Submodule) -> GroebnerBasis:
     """Reduced Gröbner basis of the J-augmented submodule."""
-    engine = _Engine(sub.ring)
-    gens = [vec_to_dict(g, sub.ring) for g in sub.generators] + _relation_dicts(sub.ring, sub.rank)
-    dicts = _buchberger_dicts([engine.cleared(d)[0] for d in gens], engine)
-    return GroebnerBasis(base=sub, _engine=engine, _dicts=dicts)
-
-
-def _checked_terms(vec: FreeVector, gb: GroebnerBasis) -> tuple:
-    """vec's term dict, cleared (_Engine.cleared)."""
-    if len(vec) != gb.base.rank:
-        raise ValueError("vector rank differs from basis rank")
-    for p in vec:
-        if p.ring != gb.base.ring:
-            raise RingMismatchError("vector in a different ring")
-    return gb._engine.cleared(vec_to_dict(vec, gb.base.ring))
+    return GroebnerBasis(sub.ring, sub.rank, [vec_to_dict(g, sub.ring) for g in sub.generators])
 
 
 def normal_form(vec: FreeVector, gb: GroebnerBasis) -> FreeVector:
     """Canonical remainder of vec against the basis."""
-    d, k = _checked_terms(vec, gb)
-    r, s = gb._engine.nf(d, gb.buckets())
-    if k * s != 1:
-        r = _divided(r, k * s)
-    return dict_to_vec(r, gb.base.ring, gb.base.rank)
-
-
-def _reduces_to_zero(d: dict, gb: GroebnerBasis) -> bool:
-    """True iff the vector with (over Q integral) term dict d reduces to zero
-    against gb.  Every component is below stop_comp, so nf stops at the first
-    irreducible leading term, which every nonzero remainder has."""
-    return gb._engine.nf(d, gb.buckets(), stop_comp=gb.base.rank)[0] is not None
+    _check_vector(vec, gb.ring, gb.m)
+    return dict_to_vec(gb._reduce(vec_to_dict(vec, gb.ring)), gb.ring, gb.m)
 
 
 def reduces_to_zero(terms: dict, gb: GroebnerBasis) -> bool:
-    """True iff the polynomial with these terms reduces to zero against the
-    rank-1 basis gb."""
-    return _reduces_to_zero(gb._engine.cleared(terms)[0], gb)
+    """True iff the vector with this term dict (a polynomial's terms, for a
+    rank-1 basis) reduces to zero against gb.  Every component is below
+    gb.m, so reduction stops at the first irreducible leading term, which
+    every nonzero remainder has."""
+    return gb._reduce(terms, stop=True) is not None
 
 
 def member(vec: FreeVector, sub: Submodule) -> bool:
     """Membership as an R/J-module element (J-augmented span)."""
-    if len(vec) != sub.rank:
-        raise ValueError("vector rank differs from ambient rank")
-    gb = sub.groebner()
-    return _reduces_to_zero(_checked_terms(vec, gb)[0], gb)
+    _check_vector(vec, sub.ring, sub.rank)
+    return reduces_to_zero(vec_to_dict(vec, sub.ring), sub.groebner())
 
 
 def submodule_equal(a: Submodule, b: Submodule) -> bool:
@@ -503,22 +513,6 @@ def submodule_equal(a: Submodule, b: Submodule) -> bool:
 
 # ---------------------------------------------------------------------------
 # syzygies and solving in images (elimination in rank m + c)
-
-
-def _elimination_gb(rng: QuotientRing, matrix: Matrix, m: int, c: int):
-    """GB of {(col_j ; e_j)} + {j*e_i ; 0} in R^(m+c), top block dominant."""
-    engine = _Engine(rng)
-    shift = rng.packing.shift
-    gens = [{} for _ in range(c)]
-    for i, row in enumerate(matrix.rows):
-        off = i << shift
-        for j, e in row.items():
-            gens[j].update((t - off, v) for t, v in e.terms.items())
-    for j, g in enumerate(gens):
-        g[rng.one_key - ((m + j) << shift)] = rng.field.one
-    dicts = _buchberger_dicts([engine.cleared(d)[0] for d in gens + _relation_dicts(rng, m)],
-                              engine)
-    return engine, dicts
 
 
 def syzygies(matrix, rng: QuotientRing) -> Submodule:
@@ -538,39 +532,40 @@ def syzygies(matrix, rng: QuotientRing) -> Submodule:
                               for col in mat_cols(kernel)])
 
 
-class ImageSolver:
-    """Expresses vectors as combinations of the columns of a fixed matrix.
+class ImageSolver(GroebnerBasis):
+    """The Gröbner basis of an m x c matrix M's tagged columns (col_j ; e_j)
+    in R^(m + c), top block dominant: standard elimination (Eisenbud,
+    Commutative Algebra, GTM 150, ch. 15).
 
     solve(v) returns coefficients q with  M*q = v  modulo J*R^m, or None if
     v is not in the column span plus J-augmentation, so a vector is a
     boundary of a differential d exactly when the solver of d solves it;
     kernel() returns the syzygies of the columns as the columns of a sparse
-    matrix.  Both read the one elimination basis computed here; this is the
-    workhorse behind resolutions, chain-map lifting, nullhomotopies and every
-    homology question of the verdict.
+    matrix.  This is the workhorse behind resolutions, chain-map lifting,
+    nullhomotopies and every homology question of the verdict; solver_of
+    keeps one per matrix.
     """
 
     def __init__(self, matrix, rng: QuotientRing):
-        self.ring = rng
-        self.matrix = matrix = as_matrix(rng, matrix)
-        self.m, self.c = matrix.shape
-        if self.m == 0:
+        matrix = as_matrix(rng, matrix)
+        m, c = matrix.shape
+        if m == 0:
             raise ValueError("target rank must be positive")
-        self.engine, self.dicts = _elimination_gb(rng, matrix, self.m, self.c)
-        self.buckets = self.engine.index(self.dicts)
+        shift = rng.packing.shift
+        gens = [col_to_dict(col, rng) for col in mat_cols(matrix)]
+        for j, g in enumerate(gens):
+            g[rng.one_key - ((m + j) << shift)] = rng.field.one
+        self.c = c
+        super().__init__(rng, m, gens)
 
     def solve(self, col: dict):
         """col is a sparse column {row: Polynomial}; q comes back as a sparse
         column {index: nonzero Polynomial}."""
-        shift = self.ring.packing.shift
-        terms, k = self.engine.cleared({t - (i << shift): c for i, p in col.items()
-                                        for t, c in p.terms.items()})
-        r, s = self.engine.nf(terms, self.buckets, stop_comp=self.m)
+        r = self._reduce(col_to_dict(col, self.ring), stop=True)
         if r is None:
             return None
-        neg, up = self.ring.field.neg, self.m << shift  # component c + m -> c
-        q = {t + up: neg(v) for t, v in r.items()}
-        return dict_to_col(q if k * s == 1 else _divided(q, k * s), self.ring)
+        neg, up = self.ring.field.neg, self.m << self.ring.packing.shift  # m + j -> j
+        return dict_to_col({t + up: neg(v) for t, v in r.items()}, self.ring)
 
     def kernel(self) -> Matrix:
         """The c x k matrix whose columns generate {q : M*q = 0 modulo J*R^m}:
@@ -580,4 +575,14 @@ class ImageSolver:
         up, stop = self.m << shift, (1 - self.m) << shift
         return from_columns(self.ring, self.c, [
             dict_to_col({t + up: v for t, v in _monic(d).items()}, self.ring)
-            for d in self.dicts if max(d) < stop])
+            for d in self._dicts if max(d) < stop])
+
+
+def solver_of(matrix: Matrix) -> ImageSolver:
+    """matrix's ImageSolver, built on first use and kept in the matrix's own
+    slot: matrices are immutable, so the solver stays valid while the
+    matrix lives, and it is freed with the matrix."""
+    solver = matrix._solver
+    if solver is None:
+        solver = matrix._solver = ImageSolver(matrix, matrix.ring)
+    return solver

@@ -40,10 +40,11 @@ Schema (version 1)::
       }
     }
 
-The witness's final complex is its last step's target, checked against the
-diagonal block, whose "complex", if given, must name that target.  Any
-other key in the witness block or in a certificate is rejected with its
-path.
+The diagonal block's "complex", if given, must name one of the job's
+complexes.  The witness's final complex is its last step's target, checked
+against the diagonal block, whose "complex", if given, must name that
+target.  Any other key in the witness block or in a certificate is
+rejected with its path.
 
 All polynomial entries are strings in the polynomial grammar.  Parsing
 reports the offending JSON path on failure; polynomial parse errors carry
@@ -341,21 +342,19 @@ def parse_job(doc: dict) -> Job:
     expectation = doc.get("expectation", "qiso_to_diagonal")
     if expectation not in ("qiso_to_diagonal", "exact_everywhere"):
         raise JobFileError(f"unknown expectation {expectation!r}")
-    diagonal = None
-    diag_name = None
+    diagonal = diag_name = diag_cx = None
     if "diagonal" in doc:
         diagonal = parse_diagonal(doc["diagonal"], rng, memo=memo)
         diag_name = doc["diagonal"].get("complex")
         if diag_name is not None:
-            _str(diag_name, "diagonal.complex")
+            diag_cx = _named(complexes, diag_name, "diagonal.complex")
     elif expectation == "qiso_to_diagonal" and complexes and "witness" not in doc \
             and "module" not in doc:
-        raise JobFileError("qiso_to_diagonal expectation needs a diagonal block")
+        raise JobFileError("qiso_to_diagonal needs a diagonal block: missing key 'diagonal' at $")
     witness = None
     if "witness" in doc:
         witness = parse_witness(doc["witness"], rng, complexes, diagonal, memo=memo)
-        if diag_name is not None and witness.steps \
-                and witness.steps[-1].target is not complexes.get(diag_name):
+        if diag_cx is not None and witness.steps and witness.steps[-1].target is not diag_cx:
             raise JobFileError(f"diagonal.complex {diag_name!r} is not the final "
                                f"complex witness.steps[{len(witness.steps) - 1}].target")
     gb_module = None

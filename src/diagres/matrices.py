@@ -4,7 +4,8 @@ A Matrix is an nrows x ncols matrix over one ring, stored as one
 {column: nonzero Polynomial} dict per row; the shape is explicit, so a
 0 x c or r x 0 matrix is its shape plus no entries.  Every operation here
 costs in proportion to the nonzero entries.  Matrices are immutable by
-convention (a row dict may be shared between matrices).
+convention (a row dict may be shared between matrices), so a matrix
+keeps its own ImageSolver once groebner.solver_of has built one.
 
 Dense lists of rows exist only at the boundary: as_matrix converts one once
 (a Matrix passes through as the same object), and a Matrix has a read-only
@@ -22,11 +23,12 @@ from .polyring import Polynomial, QuotientRing, max_degree
 
 
 class Matrix:
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_solver")
 
     def __init__(self, rng: QuotientRing, nrows: int, ncols: int, rows: list = None):
         self.ring, self.nrows, self.ncols = rng, nrows, ncols
         self.rows = [{} for _ in range(nrows)] if rows is None else rows
+        self._solver = None  # see groebner.solver_of
 
     @property
     def shape(self) -> tuple:

@@ -17,8 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import (ChainComplex, DiagonalSpec, InputDataError, check_differential,
-                        exact_everywhere, verify_diagonal_qiso)
+from .complexes import ChainComplex, DiagonalSpec, exact_everywhere, verify_diagonal_qiso
 from .polyring import QuotientRing
 from .scalars import field_spec_str
 from .witness import GenerationWitness
@@ -119,8 +118,9 @@ class VerificationEntry:
     """A complex and the verdict expected of it: 'qiso_to_diagonal' against
     diagonal, or 'exact_everywhere' in window.  A verdict on a truncated
     model adds truncation_note, formatted with its window.  witness, chart
-    (i, j) and kind are catalog data.  Construction checks d*d = 0, once per
-    complex (the check is memoized on it)."""
+    (i, j) and kind are catalog data.  Construction checks nothing: the
+    verdict itself raises InputDataError on a complex with d*d != 0 (the
+    check is memoized on the complex)."""
 
     name: str
     ring: QuotientRing
@@ -134,10 +134,6 @@ class VerificationEntry:
                             "the degree window {}")
     chart: Optional[tuple] = None
     kind: Optional[str] = None
-
-    def __post_init__(self):
-        if not check_differential(self.complex):
-            raise InputDataError(f"{self.name}: d*d != 0 at load time")
 
 
 def verdict_report(entry: VerificationEntry) -> VerificationReport:

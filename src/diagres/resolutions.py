@@ -10,12 +10,13 @@ so every consumer states the window in which it uses them.
 lift_module_map and nullhomotopy implement the comparison theorem
 mechanically by solving d*X = Y with the Gröbner engine (solutions are
 taken modulo the relation ideal, which is exactly chain-map equality over
-R/J).  Each differential gets one elimination basis per build:
-resolve_cyclic reads its syzygies from it, and a later lift or nullhomotopy
-into that resolution (or a truncation of it, which holds the same matrix
-objects) solves against it (see _solver).  map_to_shifted_cone packages the
-standard fact that a map into cone(f)[-1] is a map into the source plus a
-nullhomotopy of the composite.
+R/J).  Each differential gets one elimination basis, its solver, kept on
+the matrix itself (groebner.solver_of): resolve_cyclic reads its syzygies
+from it, and a later lift or nullhomotopy into that resolution (or a
+truncation of it, which holds the same matrix objects) solves against it
+(_solve_columns).  map_to_shifted_cone packages the standard fact that a
+map into cone(f)[-1] is a map into the source plus a nullhomotopy of the
+composite.
 
 totalize_chain converts a short complex of modules-with-free-models into a
 single twisted total complex: internal differentials are signed by object
@@ -29,26 +30,23 @@ from __future__ import annotations
 from typing import Sequence
 
 from .complexes import ChainComplex, ChainMap, InputDataError, cone, shift
-from .groebner import ImageSolver
+from .groebner import solver_of
 from .matrices import (Matrix, as_matrix, block_matrix, from_columns, mat_cols, mat_mul,
                        mat_neg, mat_sub)
 from .polyring import Polynomial, QuotientRing
 
 
-def _solver(matrix: Matrix, rng: QuotientRing) -> ImageSolver:
-    """The ImageSolver of a differential, computed once per matrix object.
-
-    The memo lives on the ring and is keyed by the matrix's identity.  That
-    is sound because complexes are immutable (see ChainComplex), and the
-    solver holds a reference to its matrix, so the identity cannot be
-    reused while the entry lives.  Only the build layer calls this;
-    verify-time matrices are never retained.
-    """
-    memo = rng.__dict__.setdefault("_solvers", {})
-    solver = memo.get(id(matrix))
-    if solver is None:
-        solver = memo[id(matrix)] = ImageSolver(matrix, rng)
-    return solver
+def _solve_columns(d: Matrix, rhs: Matrix, error: str) -> Matrix:
+    """X with d*X = rhs modulo J, one column at a time against d's solver,
+    else InputDataError(error)."""
+    solver = solver_of(d)
+    cols = []
+    for col in mat_cols(rhs):
+        q = solver.solve(col)
+        if q is None:
+            raise InputDataError(error)
+        cols.append(q)
+    return from_columns(d.ring, d.ncols, cols)
 
 
 def resolve_cyclic(rng: QuotientRing, gens: Sequence[Polynomial], length: int) -> ChainComplex:
@@ -65,7 +63,7 @@ def resolve_cyclic(rng: QuotientRing, gens: Sequence[Polynomial], length: int) -
     for deg in range(1, length + 1):
         ranks[deg] = current.ncols
         diffs[deg] = current
-        current = _solver(current, rng).kernel()  # the next differential
+        current = solver_of(current).kernel()  # the next differential
         if not current.ncols:
             break
     return ChainComplex(rng, ranks, diffs, check=False)
@@ -95,20 +93,14 @@ def lift_module_map(src: ChainComplex, tgt: ChainComplex, phi0) -> ChainMap:
             break
         if tgt.rank(i) == 0:
             raise InputDataError(f"cannot lift at degree {i}: target has rank 0")
-        solver = _solver(tgt.diff(i), rng)
-        cols = []
-        for col in mat_cols(mat_mul(prev, src.diff(i))):
-            q = solver.solve(col)
-            if q is None:
-                raise InputDataError(f"map does not lift at degree {i}")
-            cols.append(q)
-        mats[i] = prev = from_columns(rng, tgt.rank(i), cols)
+        mats[i] = prev = _solve_columns(tgt.diff(i), mat_mul(prev, src.diff(i)),
+                                        f"map does not lift at degree {i}")
     return ChainMap(src, tgt, mats, check=False)
 
 
 def nullhomotopy(f: ChainMap) -> dict:
     """Matrices h_i: src_i -> tgt_{i+1} with f = d.h + h.d, else InputDataError."""
-    src, tgt, rng = f.src, f.tgt, f.ring
+    src, tgt = f.src, f.tgt
     h: dict = {}
     prev = None  # h_{i-1}
     for i in range(src.lo, src.hi + 1):
@@ -124,14 +116,8 @@ def nullhomotopy(f: ChainMap) -> dict:
                                      "with no room above")
             prev = None
             continue
-        solver = _solver(tgt.diff(i + 1), rng)
-        cols = []
-        for col in mat_cols(residual):
-            q = solver.solve(col)
-            if q is None:
-                raise InputDataError(f"no nullhomotopy at degree {i}")
-            cols.append(q)
-        h[i] = prev = from_columns(rng, tgt.rank(i + 1), cols)
+        h[i] = prev = _solve_columns(tgt.diff(i + 1), residual,
+                                     f"no nullhomotopy at degree {i}")
     return h
 
 

@@ -1,13 +1,16 @@
 """CLI surface: subcommands, exit codes, job files, report determinism."""
 
+import copy
+import functools
 import hashlib
 import importlib.util
 import json
+import operator
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diagres.cli import main
 from diagres.complexes import ChainComplex
@@ -716,6 +719,93 @@ def test_malformed_job_field_is_input_error(tmp_path, capsys, section, key, valu
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "verify", "--job", str(path))
     assert code == 2 and where in err
+
+
+def test_job_errors_under_verify_name_their_json_path(tmp_path, capsys):
+    """A diagonal.complex that names no complex, and a job with no diagonal
+    (with or without a module, which gb still accepts) run under verify,
+    exit 2 with the JSON path at fault."""
+    doc = _hand_job()
+    doc["diagonal"]["complex"] = "nope"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and "unknown complex 'nope' at diagonal.complex" in err
+    del doc["diagonal"]
+    for module in (None, {"rank": 1, "generators": [["x1"]]}):
+        if module:
+            doc["module"] = module
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", "--job", str(path))
+        assert code == 2 and "missing key 'diagonal' at $" in err
+    assert run_cli(capsys, "gb", "--job", str(path))[0] == 0
+
+
+@functools.cache
+def _exported_job(source: str) -> str:
+    from diagres import catalog
+    entry = {"affine-line": catalog.build_affine_line,
+             "nodal-conic": catalog.build_nodal_conic}[source]()
+    return emit_job(job_document(entry.name, entry.ring, entry.complex, entry.diagonal))
+
+
+def _walk(doc, choices) -> list:
+    """The JSON path that choices lead to from the root: at each level the
+    child choices[i] modulo the number of children, until the choices or
+    the containers run out."""
+    path, node = [], doc
+    for w in choices:
+        keys = (list(node) if isinstance(node, dict)
+                else range(len(node)) if isinstance(node, list) else ())
+        if not keys:
+            break
+        path.append(keys[w % len(keys)])
+        node = node[path[-1]]
+    return path
+
+
+def _retyped(v):
+    """v as a value of another JSON type."""
+    if isinstance(v, str):
+        return [v]
+    if isinstance(v, (bool, int, float)):
+        return str(v)
+    if isinstance(v, list):
+        return {str(i): x for i, x in enumerate(v)}
+    if isinstance(v, dict):
+        return list(v.values())
+    return 0
+
+
+FUZZ_VALUES = [None, True, 1.5, -1, 0, 2, 2 ** 40, "", "0", "1", "x1", "x1*y1", "nope",
+               "x1 **", [], {}, [["1"]], {"0": 1}]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=st.sampled_from(["affine-line", "nodal-conic"]),
+       edits=st.lists(st.tuples(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=6),
+                                st.sampled_from(["delete", "retype", "replace"]),
+                                st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3))
+def test_structurally_fuzzed_job_exits_0_1_or_2_without_internal_error(
+        tmp_path, capsys, source, edits):
+    """Deleting, retyping or replacing up to 3 fields at random JSON paths of
+    an exported job gives a verdict or an input error, never a crash."""
+    doc = json.loads(_exported_job(source))
+    for choices, op, value in edits:
+        where = _walk(doc, choices)
+        if not where:
+            break
+        *parent, leaf = where
+        holder = functools.reduce(operator.getitem, parent, doc)
+        if op == "delete":
+            del holder[leaf]
+        else:
+            holder[leaf] = _retyped(holder[leaf]) if op == "retype" else copy.deepcopy(value)
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code in (0, 1, 2) and "internal error" not in err, (edits, err)
 
 
 # Entry strings that repeat, as they do in exported jobs; " 0" and "0" are

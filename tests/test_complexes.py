@@ -9,7 +9,7 @@ from diagres.complexes import (ChainComplex, ChainMap, DiagonalSpec,
                                direct_sum, exact_everywhere,
                                homology_is_zero_at, minimize, shift,
                                verify_diagonal_qiso, zero_complex)
-from diagres.matrices import as_matrix, identity_matrix, mat_mul
+from diagres.matrices import Matrix, as_matrix, identity_matrix, mat_mul
 from diagres.polyring import ring
 from diagres.resolutions import lift_module_map, resolve_cyclic
 from diagres.scalars import CHECK_PRIME
@@ -35,6 +35,20 @@ def test_perturbed_koszul_fails():
     assert not check_differential(broken)
     with pytest.raises(InputDataError):
         ChainComplex(R2, dict(k.ranks), bad, check=True)
+
+
+def test_homology_verdicts_on_a_non_complex_raise():
+    """d_1 = d_2 = d_3 = (1) over k[x] is not a complex (d*d = 1), so no
+    homology verdict may answer on it, with or without minimizing first."""
+    rx = ring(["x"])
+    one = [[rx.one()]]
+    cx = ChainComplex(rx, {0: 1, 1: 1, 2: 1, 3: 1}, {1: one, 2: one, 3: one}, check=False)
+    assert not check_differential(cx)
+    with pytest.raises(InputDataError, match="d\\*d"):
+        exact_everywhere(cx)
+    for pre_minimize in (True, False):
+        with pytest.raises(InputDataError, match="d\\*d"):
+            homology_is_zero_at(cx, 1, pre_minimize=pre_minimize)
 
 
 def test_koszul_homology_concentrated():
@@ -520,9 +534,12 @@ def test_verdict_builds_one_solver_per_differential(monkeypatch, pre_minimize):
     from diagres import complexes, groebner
     from diagres.catalog import build_nodal_conic
     entry = build_nodal_conic()
-    # a fresh complex has no memoized verdict; its d*d check caches the
-    # relation basis before counting starts
-    cx = ChainComplex(entry.ring, dict(entry.complex.ranks), dict(entry.complex.diffs))
+    # a fresh complex has no memoized verdict, and its fresh matrices (on
+    # the entry's rows) carry no solver; its d*d check caches the relation
+    # basis before counting starts
+    cx = ChainComplex(entry.ring, dict(entry.complex.ranks),
+                      {i: Matrix(m.ring, m.nrows, m.ncols, m.rows)
+                       for i, m in entry.complex.diffs.items()})
     reduced, solved, bases = [], [], []
     minimize_ = complexes.minimize
     init = groebner.ImageSolver.__init__

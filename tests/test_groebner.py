@@ -20,6 +20,7 @@ from diagres.groebner import (GroebnerBasis, ImageSolver, Submodule, buchberger,
                               syzygies, vec_is_zero)
 from diagres.matrices import mat_cols
 from diagres.polyring import MonomialOrder, ring
+from diagres.scalars import PrimeField
 
 RLEX = ring(["x", "y"], order=MonomialOrder("lex"))
 R2 = ring(["x1", "x2"])
@@ -255,7 +256,7 @@ def plain_spoly(d1: dict, d2: dict, l1: tuple, l2: tuple, fld) -> dict:
 
 
 def spoly_reduces_to_zero(gb: GroebnerBasis) -> bool:
-    rng, rank = gb.base.ring, gb.base.rank
+    rng, rank = gb.ring, gb.m
     dicts = [plain_dict(v) for v in gb.vectors]
     leads = [plain_lead(d, rng) for d in dicts]
     for i in range(len(dicts)):
@@ -346,7 +347,7 @@ def random_module(rng, rand, rank, max_gens=4):
 
 def assert_reduced(gb: GroebnerBasis):
     """Monic, and no tail term divisible by a leading term of its component."""
-    rng = gb.base.ring
+    rng = gb.ring
     dicts = [plain_dict(v) for v in gb.vectors]
     lts = [plain_lead(d, rng) for d in dicts]
     for d, lt in zip(dicts, lts):
@@ -586,10 +587,14 @@ FRACTIONS = (Fraction(1, 3), Fraction(-5, 7), 2 ** 64 + 13, -(2 ** 70) - 1, Frac
 
 
 def random_q_poly(rng, rand):
-    """random_poly with some coefficients replaced by FRACTIONS."""
+    """random_poly with some coefficients replaced by FRACTIONS (over F_p by
+    their images, which are nonzero for these)."""
     p = random_poly(rng, rand)
-    return rng.from_exponent_terms({e: rand.choice(FRACTIONS) if rand.random() < 0.5 else c
-                                    for e, c in p.exponent_terms().items()})
+    fld = rng.field
+    return rng.from_exponent_terms({
+        e: fld.from_fraction(*Fraction(c).as_integer_ratio())
+        for e, c in ((e, rand.choice(FRACTIONS) if rand.random() < 0.5 else c)
+                     for e, c in p.exponent_terms().items())})
 
 
 def random_q_module(rng, rand, rank, max_gens=4):
@@ -602,6 +607,8 @@ def random_q_module(rng, rand, rank, max_gens=4):
 Q_RINGS = [ring(["x", "y", "z"]),
            ring(["x", "y", "z"], order=MonomialOrder("lex", priority=(2, 0, 1))),
            ring(["x1", "y1", "x2", "y2"], relations=["x1*y1", "3*x2*y2 - 1/2*x1"])]
+FP_RINGS = [ring(rng.names, field=PrimeField(32003), order=rng.order,
+                 relations=[str(r) for r in rng.relations]) for rng in Q_RINGS]
 
 
 def test_fractional_and_wide_q_modules_match_criteria_free_reference():
@@ -620,9 +627,12 @@ def test_fractional_and_wide_q_modules_match_criteria_free_reference():
 
 def test_normal_form_and_solve_give_true_unscaled_answers():
     """normal_form(v) is the reference remainder, and v minus it is in the
-    submodule; a solve coefficient vector q has M*q - v in J*R^m."""
+    submodule; a solve coefficient vector q has M*q - v in J*R^m, and every
+    v built as M*q0 is solved.  Over Q and over F_32003, which share one
+    reduce path."""
     rand = random.Random(53)
-    for rng in Q_RINGS:
+    solved = 0
+    for rng in Q_RINGS + FP_RINGS:
         for rank in (1, 2, 3):
             for _ in range(4):
                 sub = random_q_module(rng, rand, rank, max_gens=3)
@@ -638,24 +648,24 @@ def test_normal_form_and_solve_give_true_unscaled_answers():
                 mat = [[g[i] for g in gens] for i in range(rank)]
                 solver = ImageSolver(mat, rng)
                 relations = Submodule(rng, rank, [])
-                solved = 0
                 for _ in range(4):
                     q0 = [random_q_poly(rng, rand) if rand.random() < 0.7 else rng.zero()
                           for _ in gens]
                     v = [sum((mat[i][j] * q0[j] for j in range(len(gens))), rng.zero())
                          for i in range(rank)]
-                    if rand.random() < 0.3:
+                    perturbed = rand.random() < 0.3
+                    if perturbed:
                         v[rand.randrange(rank)] += random_q_poly(rng, rand)
                     q = solver.solve({i: p for i, p in enumerate(v) if not p.is_zero()})
                     if q is None:
-                        assert not member(tuple(v), Submodule(rng, rank, list(gens)))
+                        assert perturbed and not member(tuple(v), Submodule(rng, rank, list(gens)))
                         continue
                     solved += 1
                     image = tuple(sum((mat[i][j] * q.get(j, rng.zero())
                                        for j in range(len(gens))), rng.zero()) - v[i]
                                   for i in range(rank))
                     assert member(image, relations)
-                assert solved
+    assert solved > 100
 
 
 def test_kernel_columns_are_monic_syzygies():

@@ -131,15 +131,15 @@ def test_nodal_conic_build_computes_each_elimination_basis_once(monkeypatch):
     from diagres.catalog import build_cycle, build_nodal_conic, build_nodal_conic_product
     from diagres.catalog import entries
 
-    real = groebner._elimination_gb
+    real = groebner.ImageSolver.__init__
     seen = []
 
-    def counted(rng, matrix, m, c):
+    def counted(self, matrix, rng):
         seen.append(tuple(tuple(row) for row in matrix))
-        return real(rng, matrix, m, c)
+        return real(self, matrix, rng)
 
     monkeypatch.setattr(entries, "_CACHE", {})
-    monkeypatch.setattr(groebner, "_elimination_gb", counted)
+    monkeypatch.setattr(groebner.ImageSolver, "__init__", counted)
     build_nodal_conic()
     assert seen
     build_nodal_conic_product()
@@ -153,8 +153,7 @@ def test_memoized_solver_matches_fresh_solver(spec):
     answers solve() and kernel() exactly as a freshly built one does."""
     from diagres.catalog.builders import (conic_ring, section_into_ideal_sheaf,
                                           skyscraper_projection)
-    from diagres.groebner import ImageSolver
-    from diagres.resolutions import _solver
+    from diagres.groebner import ImageSolver, solver_of
     from diagres.scalars import field_from_spec
 
     rng = conic_ring(field_from_spec(spec))
@@ -164,10 +163,10 @@ def test_memoized_solver_matches_fresh_solver(spec):
     proj = skyscraper_projection(kx, k0)
     section_into_ideal_sheaf(kx, proj, x1)
     diffs = [d for cx in (kx, k0) for d in cx.diffs.values()]
-    assert len(rng._solvers) == len(diffs)
+    assert all(d._solver is not None for d in diffs)
     for d in diffs:
-        shared, fresh = _solver(d, rng), ImageSolver(d, rng)
-        assert shared.matrix is d
+        shared, fresh = solver_of(d), ImageSolver(d, rng)
+        assert shared is d._solver
         assert mat_eq(shared.kernel(), fresh.kernel())
         cols = [tuple(row[j] for row in d) for j in range(len(d[0]))]
         probes = cols + [tuple(x1 * e for e in col) for col in cols]
