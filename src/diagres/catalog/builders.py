@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..complexes import ChainComplex, ChainMap, compose, cone, shift
+from ..complexes import ChainComplex, ChainMap, cone, shift
 from ..matrices import block_matrix, identity_matrix, mat_neg
 from ..polyring import Polynomial, QuotientRing, ring
-from ..resolutions import (lift_module_map, map_to_shifted_cone, nullhomotopy,
-                           truncate)
+from ..resolutions import lift_module_map, map_to_shifted_cone, truncate
 from ..scalars import QQ, Field
 
 TARGET_LEN = 5
@@ -54,8 +53,7 @@ def section_into_ideal_sheaf(kstruct: ChainComplex, proj: ChainMap,
     """
     src = truncate(kstruct, SOURCE_LEN)
     mult = lift_module_map(src, proj.src, [[value]])
-    h = nullhomotopy(compose(proj, mult))
-    return map_to_shifted_cone(mult, proj, h)
+    return map_to_shifted_cone(mult, proj)
 
 
 def skyscraper_connecting_map(proj: ChainMap, ideal: ChainComplex,

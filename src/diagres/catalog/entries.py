@@ -30,7 +30,7 @@ from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError, _
 from ..matrices import mat_map
 from ..polyring import QuotientRing, RingMap, ring
 from ..report import VerificationEntry, VerificationReport, verdict_report
-from ..resolutions import lift_module_map, resolve_cyclic, totalize_chain, truncate
+from ..resolutions import lift_module_map, map_to_shifted_cone, resolve_cyclic, truncate
 from ..scalars import QQ, Field, field_spec_str
 from ..witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
                        GeneratorDecl, WitnessStep)
@@ -228,14 +228,15 @@ def build_nodal_conic_product(field: Field = QQ) -> VerificationEntry:
     # The skyscraper projections already lift 1 from the kx, ky truncations.
     kx, ky = px.src, py.src
     kxs, kys = truncate(kx, SOURCE_LEN), truncate(ky, SOURCE_LEN)
-    collapse = block_map([kx, ky], [k0], {(0, 0): px, (0, 1): py})
+    # Negated because shifting by -1 negates it back: the total complex
+    # carries px and py themselves.
+    collapse = block_map([kx, ky], [k0], {(0, 0): negate_map(px), (0, 1): negate_map(py)})
     gx = lift_module_map(kxs, kx, [[x1 - x2]])
     gy = lift_module_map(kys, ky, [[y1 - y2]])
     separate = block_map([kxs, kys], [kx, ky],
                          {(0, 0): gx, (1, 1): gy})
-    total = totalize_chain(
-        {-1: k0, 0: collapse.src, 1: separate.src},
-        {0: collapse.mats, 1: separate.mats})
+    # kxs + kys -> kx + ky -> k0 as a cone into a cone
+    total = cone(map_to_shifted_cone(separate, collapse))
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2"), rng.parse("y1-y2")], degree=0,
         augmentation=parse_row(rng, PRODUCT_AUG), window=SINGULAR_WINDOW)

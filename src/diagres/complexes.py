@@ -232,8 +232,12 @@ def shift_map(f: ChainMap, s: int) -> ChainMap:
 
 
 def direct_sum(*summands: ChainComplex) -> ChainComplex:
+    """The direct sum; of one summand, that summand itself (complexes are
+    immutable), so a map into it reuses the solvers on its matrices."""
     if not summands:
         raise ValueError("need at least one summand")
+    if len(summands) == 1:
+        return summands[0]
     rng = summands[0].ring
     for c in summands:
         if c.ring != rng:

@@ -122,9 +122,10 @@ def _str(v, path: str) -> str:
     return _typed(v, str, "a string", path)
 
 
-def _int(v, path: str) -> int:
-    """An integer, or a string spelling one (JSON object keys are strings)."""
-    if isinstance(v, str):
+def _int(v, path: str, key: bool = False) -> int:
+    """An integer.  Only a JSON object key (key=True), which is always a
+    string, may spell one as a string; any other field must be a number."""
+    if key:
         try:
             return int(v)
         except ValueError:
@@ -132,9 +133,9 @@ def _int(v, path: str) -> int:
     return _typed(v, int, "an integer", path)
 
 
-def _degree(v, path: str) -> int:
+def _degree(v, path: str, key: bool = False) -> int:
     """A degree, window end or shift: an integer of absolute value at most MAX_DEGREE."""
-    k = _int(v, path)
+    k = _int(v, path, key)
     if abs(k) > MAX_DEGREE:
         raise JobFileError(f"degree {k} outside [-{MAX_DEGREE}, {MAX_DEGREE}] at {path}")
     return k
@@ -182,7 +183,8 @@ def _matrix(rng: QuotientRing, v, path: str, memo: dict) -> Matrix:
 
 def _by_degree(v, path: str) -> list:
     """(degree, value, path of the value) for an object keyed by degree."""
-    return [(_degree(k, f"{path}.{k}"), x, f"{path}.{k}") for k, x in _obj(v, path).items()]
+    return [(_degree(k, f"{path}.{k}", key=True), x, f"{path}.{k}")
+            for k, x in _obj(v, path).items()]
 
 
 def parse_ring(d: dict, path: str = "ring") -> QuotientRing:
@@ -271,6 +273,8 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
         kind = _str(_need(g, "kind", gpath), f"{gpath}.kind")
         if kind not in ("product", "weakly_product"):
             raise JobFileError(f"unknown generator kind {kind!r} at {gpath}.kind")
+        if kind == "weakly_product":
+            _need(g, "certificate", gpath)
         gens.append(GeneratorDecl(_str(_need(g, "label", gpath), f"{gpath}.label"),
                                   kind, cert))
     steps = []

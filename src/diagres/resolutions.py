@@ -16,20 +16,14 @@ from it, and a later lift or nullhomotopy into that resolution (or a
 truncation of it, which holds the same matrix objects) solves against it
 (_solve_columns).  map_to_shifted_cone packages the standard fact that a
 map into cone(f)[-1] is a map into the source plus a nullhomotopy of the
-composite.
-
-totalize_chain converts a short complex of modules-with-free-models into a
-single twisted total complex: internal differentials are signed by object
-degree, adjacent maps enter unsigned, and length-2 compositions are
-corrected by engine-computed homotopies.  With objects at degrees 1 and 0 it
-reproduces the cone convention [[-d, 0], [f, d]] exactly.
+composite, and computes that nullhomotopy itself.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .complexes import ChainComplex, ChainMap, InputDataError, cone, shift
+from .complexes import ChainComplex, ChainMap, InputDataError, compose, cone, shift
 from .groebner import solver_of
 from .matrices import (Matrix, as_matrix, block_matrix, from_columns, mat_cols, mat_mul,
                        mat_neg, mat_sub)
@@ -121,12 +115,13 @@ def nullhomotopy(f: ChainMap) -> dict:
     return h
 
 
-def map_to_shifted_cone(mult: ChainMap, f: ChainMap, h: dict) -> ChainMap:
-    """Chain map Y -> cone(f)[-1] from mult: Y -> src(f) and a nullhomotopy.
+def map_to_shifted_cone(mult: ChainMap, f: ChainMap) -> ChainMap:
+    """Chain map Y -> cone(f)[-1] from mult: Y -> src(f) and h, a nullhomotopy
+    of f . mult (InputDataError if there is none).
 
-    h must satisfy d.h + h.d = f . mult.  cone(f)[-1]_i = src_i (+) tgt_{i+1}
-    and the components are (mult_i, -h_i).
+    cone(f)[-1]_i = src_i (+) tgt_{i+1} and the components are (mult_i, -h_i).
     """
+    h = nullhomotopy(compose(f, mult))
     target = shift(cone(f), -1)
     rng = mult.ring
     src_f, tgt_f = f.src, f.tgt
@@ -144,67 +139,3 @@ def map_to_shifted_cone(mult: ChainMap, f: ChainMap, h: dict) -> ChainMap:
             blk[(1, 0)] = mat_neg(h[i])
         mats[i] = block_matrix(rng, rows, [mult.src.rank(i)], blk)
     return ChainMap(mult.src, target, mats, check=False)
-
-
-def totalize_chain(models: dict, lifts: dict) -> ChainComplex:
-    """Total complex of a short complex of modules with free models.
-
-    models: object degree -> ChainComplex (the free model of that object);
-    lifts: object degree a -> matrix dict of the lifted map F_a -> F_{a-1}
-    (a ChainMap between the models, entered unsigned).  Internal
-    differentials are signed by (-1)^a.  For each pair of adjacent lifts the
-    composite is cancelled by an engine-computed homotopy H with
-    d.H + H.d = (-1)^(a+1) * (f_{a-1} . f_a), which makes d*d = 0 exactly.
-    """
-    degs = sorted(models, reverse=True)
-    rng = models[degs[0]].ring
-    homotopies: dict = {}
-    for a in degs:
-        if a - 1 in models and a in lifts and (a - 1) in lifts:
-            comp = compose_mats(lifts[a - 1], lifts[a])
-            if any(row for m in comp.values() for row in m.rows):
-                sign = 1 if (a + 1) % 2 == 0 else -1
-                gmap = ChainMap(models[a], models[a - 2],
-                                {i: (m if sign == 1 else mat_neg(m))
-                                 for i, m in comp.items()}, check=False)
-                homotopies[a] = nullhomotopy(gmap)
-
-    # assemble
-    ranks: dict = {}
-    pieces: dict = {}
-    for a in degs:
-        cxa = models[a]
-        for k in cxa.degrees():
-            n = k + a
-            ranks[n] = ranks.get(n, 0) + cxa.rank(k)
-            pieces.setdefault(n, []).append((a, k))
-    diffs: dict = {}
-    lo, hi = min(ranks), max(ranks)
-    for n in range(lo + 1, hi + 1):
-        srcs = pieces.get(n, [])
-        tgts = pieces.get(n - 1, [])
-        rows = [models[a].rank(k) for a, k in tgts]
-        cols = [models[a].rank(k) for a, k in srcs]
-        if not rows or not cols or sum(rows) == 0 or sum(cols) == 0:
-            continue
-        blocks = {}
-        for sj, (a, k) in enumerate(srcs):
-            for ti, (b, l) in enumerate(tgts):
-                if b == a and l == k - 1:
-                    m = models[a].diff(k)
-                    blocks[(ti, sj)] = m if a % 2 == 0 else mat_neg(m)
-                elif b == a - 1 and l == k and a in lifts:
-                    m = lifts[a].get(k)
-                    if m is not None:
-                        blocks[(ti, sj)] = m
-                elif b == a - 2 and l == k + 1 and a in homotopies:
-                    m = homotopies[a].get(k)
-                    if m is not None:
-                        blocks[(ti, sj)] = m
-        diffs[n] = block_matrix(rng, rows, cols, blocks)
-    return ChainComplex(rng, ranks, diffs, check=False)
-
-
-def compose_mats(f: dict, g: dict) -> dict:
-    """Degreewise product f.g of two matrix dicts (g applied first)."""
-    return {i: mat_mul(f[i], gm) for i, gm in g.items() if i in f}

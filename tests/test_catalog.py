@@ -259,6 +259,25 @@ def test_exported_entry_reverifies_from_job_document():
     assert verify_diagonal_qiso(doc.complexes["total"], doc.diagonal).passed
 
 
+# sha256 of the nodal-conic-product job export, per field.  The job-stream
+# digests pin only conjugated exports over Q; these pin the product
+# resolution's own matrices, byte for byte, over both fields.
+PRODUCT_EXPORT_SHA256 = {
+    "q": "15fdb3524853754771a5e65494d201c8658495946ac8a62f1ef4c6123c91f38f",
+    "fp:32003": "1d3ee854ad08da499245e3fe047b1c1e2f9143d7d93fc77335e8f6557512843a",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PRODUCT_EXPORT_SHA256))
+def test_nodal_conic_product_export_is_pinned(spec):
+    import hashlib
+    from diagres.jobio import emit_job, job_document
+    from diagres.scalars import field_from_spec
+    entry = build_nodal_conic_product(field_from_spec(spec))
+    text = emit_job(job_document(entry.name, entry.ring, entry.complex, entry.diagonal))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRODUCT_EXPORT_SHA256[spec]
+
+
 def test_cone_of_identity_exact_for_catalog_complexes():
     """cone(id) collapses to nothing for every catalog complex."""
     from diagres.complexes import ChainMap, cone, minimize

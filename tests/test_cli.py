@@ -615,6 +615,36 @@ def test_witness_job_diagonal_complex_must_be_the_final_target(tmp_path, capsys)
     assert code == 2 and "witness.steps[1].target" in err and "Rouquier" not in out
 
 
+def test_weakly_product_generator_without_certificate_names_its_path(tmp_path, capsys):
+    doc = _affine_witness_job()
+    del doc["witness"]["generators"][2]["certificate"]
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 2 and "missing key 'certificate' at witness.generators[2]" in err
+    assert "Rouquier" not in out
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda d: d["diagonal"].update(degree="0"), "diagonal.degree"),
+    (lambda d: d["diagonal"].update(window=["-1", "3"]), "diagonal.window[0]"),
+    (lambda d: d["complexes"][0]["ranks"].update({"-1": "2"}), "complexes[0].ranks.-1"),
+    (lambda d: d["witness"].update(claimed_time="1"), "witness.claimed_time"),
+    (lambda d: d["witness"]["steps"][1]["summands"][0].update(multiplicity="1"),
+     "witness.steps[1].summands[0].multiplicity"),
+], ids=["degree", "window", "rank", "claimed-time", "multiplicity"])
+def test_integer_field_spelled_as_a_string_is_input_error(tmp_path, capsys, edit, where):
+    """Only object keys (degrees) may spell an integer as a string."""
+    witness = where.startswith("witness")
+    doc = _affine_witness_job() if witness else json.loads(_exported_job("nodal-conic"))
+    edit(doc)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "witness" if witness else "verify", "--job", str(path))
+    assert code == 2 and out == ""
+    assert f"expected an integer at {where}, got '" in err
+
+
 @pytest.mark.parametrize("generator, where", [
     ({"label": "Delta", "kind": "plain"}, "witness.generators[0].kind"),
     ({"label": "Delta"}, "'kind' at witness.generators[0]"),

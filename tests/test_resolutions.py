@@ -1,14 +1,13 @@
-"""Free resolutions, chain-map lifting, homotopies, totalization."""
+"""Free resolutions, chain-map lifting, homotopies, maps into shifted cones."""
 
 import pytest
 
 from diagres.complexes import (InputDataError, check_differential,
-                               compose, cone, homology_is_zero_at, shift)
+                               cone, homology_is_zero_at, shift)
 from diagres.matrices import mat_eq, mat_mul, zero_matrix
 from diagres.polyring import ring
 from diagres.resolutions import (lift_module_map, map_to_shifted_cone,
-                                 nullhomotopy, resolve_cyclic, totalize_chain,
-                                 truncate)
+                                 nullhomotopy, resolve_cyclic, truncate)
 
 RXY = ring(["x", "y"], relations=["x*y"])
 R2 = ring(["x1", "x2"])
@@ -98,30 +97,18 @@ def test_map_to_shifted_cone_is_chain_map():
     k0 = resolve_cyclic(RXY, [RXY.parse("x"), RXY.parse("y")], 5)
     proj = lift_module_map(truncate(kx, 5), k0, [[RXY.one()]])
     mult = lift_module_map(truncate(kx, 4), proj.src, [[RXY.parse("x")]])
-    h = nullhomotopy(compose(proj, mult))
-    phi = map_to_shifted_cone(mult, proj, h)
+    phi = map_to_shifted_cone(mult, proj)
     assert phi.commutes()
     assert phi.tgt == shift(cone(proj), -1)
 
 
-def test_totalize_chain_matches_cone():
-    """With two objects the totalization reproduces the cone convention."""
-    k = resolve_cyclic(R2, [R2.parse("x1"), R2.parse("x2")], 4)
-    mult = lift_module_map(k, k, [[R2.parse("x1-x2")]])
-    via_cone = cone(mult)
-    via_total = totalize_chain({0: k, 1: k}, {1: mult.mats})
-    assert via_total == via_cone
-
-
-def test_totalize_chain_with_homotopy():
-    """Three-object totalization satisfies d*d = 0 via the correction."""
+def test_cone_of_a_map_to_shifted_cone_is_a_complex():
+    """Three objects as a cone into a cone satisfy d*d = 0 via the nullhomotopy."""
     kx = resolve_cyclic(RXY, [RXY.parse("y")], 5)
     k0 = resolve_cyclic(RXY, [RXY.parse("x"), RXY.parse("y")], 5)
     proj = lift_module_map(truncate(kx, 5), k0, [[RXY.one()]])
     mult = lift_module_map(truncate(kx, 4), proj.src, [[RXY.parse("x")]])
-    total = totalize_chain({-1: k0, 0: proj.src, 1: mult.src},
-                           {0: proj.mats, 1: mult.mats})
-    assert check_differential(total)
+    assert check_differential(cone(map_to_shifted_cone(mult, proj)))
 
 
 def test_nodal_conic_build_computes_each_elimination_basis_once(monkeypatch):
