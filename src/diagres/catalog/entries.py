@@ -2,14 +2,18 @@
 
 Every complex is generated by the fixed conventions (iterated-syzygy
 models, cone = [[-d,0],[f,d]], shift sign (-1)^s), so the matrices are
-reproducible byte for byte.  Augmentation rows are frozen data: they were
+reproducible byte for byte.  An ideal sheaf is cone(O -> k)[-1] of a lifted
+skyscraper projection, and every map into it (sections_into_ideal_sheaf)
+ends at that one object.  Augmentation rows are frozen data: they were
 derived once by solving the well-definedness constraints over the exact
 field and are locked in the test suite.
 
 Truncation: over the singular rings all resolutions are infinite and
-periodic; target models carry TARGET_LEN degrees and source models one
-less, which confines truncation junk to degrees >= 4.  Every verdict over
-these rings is claimed only inside the recorded window [-1, 3].
+periodic.  Target models carry TARGET_LEN degrees and source models one
+less (a source map's nullhomotopy needs one more target degree), which
+confines truncation junk to degrees above WINDOW_HI; every verdict over
+these rings is claimed only inside the window [-1, WINDOW_HI].  Each model
+is truncated once, and the maps from it share that truncation.
 
 Sharing: the nodal conic, its product resolution and the cycle's diagonal
 chart are all built from the same conic pieces (resolutions, skyscraper
@@ -23,21 +27,22 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from typing import Sequence
 
 from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError, _vanishes,
                          block_map, check_differential, cone,
                          direct_sum, map_sub, shift, zero_complex)
-from ..matrices import mat_map
-from ..polyring import QuotientRing, RingMap, ring
+from ..matrices import block_matrix, identity_matrix, mat_map, mat_neg
+from ..polyring import Polynomial, QuotientRing, RingMap, ring
 from ..report import VerificationEntry, VerificationReport, verdict_report
-from ..resolutions import lift_module_map, map_to_shifted_cone, resolve_cyclic, truncate
+from ..resolutions import lift_module_map, maps_to_shifted_cone, resolve_cyclic, truncate
 from ..scalars import QQ, Field, field_spec_str
 from ..witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
                        GeneratorDecl, WitnessStep)
-from .builders import (SOURCE_LEN, TARGET_LEN, WINDOW_HI, adjacent_chart_ring,
-                       conic_ring, ideal_sheaf_model, inclusion_of_truncation,
-                       negate_map, parse_row, section_into_ideal_sheaf,
-                       skyscraper_connecting_map, skyscraper_projection)
+
+TARGET_LEN = 5
+SOURCE_LEN = 4
+WINDOW_HI = 3
 
 # Frozen augmentation rows (derived over the rationals; coefficients are
 # field-independent integers, so the same strings serve every field).
@@ -66,6 +71,51 @@ def classify_chart(i: int, j: int, n: int) -> str:
     return "distant"
 
 
+def conic_ring(field: Field = QQ) -> QuotientRing:
+    return ring(("x1", "y1", "x2", "y2"), field=field,
+                relations=("x1*y1", "x2*y2"))
+
+
+def skyscraper_projection(kstruct: ChainComplex, kpoint: ChainComplex) -> ChainMap:
+    """Lift of the canonical surjection structure-sheaf -> skyscraper."""
+    return lift_module_map(kstruct, kpoint, [[kstruct.ring.one()]])
+
+
+def sections_into_ideal_sheaf(kstruct: ChainComplex, proj: ChainMap,
+                              values: Sequence[Polynomial]) -> list:
+    """Maps structure-sheaf -> ideal sheaf cone(proj)[-1] lifting multiplication
+    by each section in values (each must vanish on the skyscraper point), from
+    one source, kstruct truncated to SOURCE_LEN, into one ideal sheaf."""
+    src = truncate(kstruct, SOURCE_LEN)
+    return maps_to_shifted_cone([lift_module_map(src, proj.src, [[v]]) for v in values],
+                                proj)
+
+
+def skyscraper_connecting_map(proj: ChainMap, ideal: ChainComplex,
+                              source: ChainComplex) -> ChainMap:
+    """Shifted skyscraper -> ideal sheaf (the triangle's connecting map).
+
+    The identity onto the skyscraper block of ideal = cone(proj)[-1], in
+    the degrees of source (the shifted skyscraper, possibly truncated).
+    """
+    rng = proj.ring
+    mats = {i: block_matrix(rng, [proj.src.rank(i), source.rank(i)], [source.rank(i)],
+                            {(1, 0): identity_matrix(rng, source.rank(i))})
+            for i in source.degrees() if source.rank(i)}
+    return ChainMap(source, ideal, mats, check=False)
+
+
+def inclusion_of_truncation(ks: ChainComplex, kfull: ChainComplex) -> ChainMap:
+    """Identity components from a truncation ks of kfull into kfull."""
+    mats = {i: identity_matrix(kfull.ring, ks.rank(i)) for i in ks.degrees()}
+    return ChainMap(ks, kfull, mats, check=False)
+
+
+def negate_map(f: ChainMap) -> ChainMap:
+    return ChainMap(f.src, f.tgt, {i: mat_neg(m) for i, m in f.mats.items()},
+                    check=False)
+
+
 # ---------------------------------------------------------------------------
 # affine line
 
@@ -76,10 +126,9 @@ def build_affine_line(field: Field = QQ) -> VerificationEntry:
     x1, x2 = rng.var("x1"), rng.var("x2")
     plane = resolve_cyclic(rng, [], TARGET_LEN)
     origin = resolve_cyclic(rng, [x1, x2], TARGET_LEN)
-    proj = lift_module_map(plane, origin, [[rng.one()]])
-    ideal_sheaf = ideal_sheaf_model(proj)
-    sec1 = section_into_ideal_sheaf(plane, proj, x1)
-    sec2 = section_into_ideal_sheaf(plane, proj, x2)
+    proj = skyscraper_projection(plane, origin)
+    sec1, sec2 = sections_into_ideal_sheaf(plane, proj, [x1, x2])
+    ideal_sheaf = sec1.tgt
     origin_shifted = shift(origin, -1)
     connecting = skyscraper_connecting_map(proj, ideal_sheaf, origin_shifted)
     psi = block_map([plane, origin_shifted], [ideal_sheaf],
@@ -87,7 +136,7 @@ def build_affine_line(field: Field = QQ) -> VerificationEntry:
     total = cone(psi)
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2")], degree=0,
-        augmentation=parse_row(rng, AFFINE_AUG))
+        augmentation=[rng.parse(s) for s in AFFINE_AUG])
     witness = GenerationWitness(
         generators=[
             GeneratorDecl("O_plane", "product"),
@@ -145,11 +194,12 @@ class ConicPieces:
     py: ChainMap
     ix: ChainComplex           # ideal sheaves of the node on each plane
     iy: ChainComplex
-    sx1: ChainMap              # sections x1, x2 into ix and y1, y2 into iy
-    sx2: ChainMap
+    sx1: ChainMap              # sections x1, x2 into ix and y1, y2 into iy,
+    sx2: ChainMap              # from the truncations of kx and ky
     sy1: ChainMap
     sy2: ChainMap
-    k0m: ChainComplex          # truncated skyscraper shifted by -1
+    k0s: ChainComplex          # truncated skyscraper
+    k0m: ChainComplex          # k0s shifted by -1
     dx: ChainMap               # connecting maps k0m -> ix, k0m -> iy
     dy: ChainMap
 
@@ -162,13 +212,14 @@ def _build_conic_pieces(field: Field) -> ConicPieces:
     k0 = resolve_cyclic(rng, [x1, y1, x2, y2], TARGET_LEN)
     px = skyscraper_projection(kx, k0)
     py = skyscraper_projection(ky, k0)
-    ix, iy = ideal_sheaf_model(px), ideal_sheaf_model(py)
-    k0m = shift(truncate(k0, SOURCE_LEN), -1)
-    return ConicPieces(
-        rng, kx, ky, k0, px, py, ix, iy,
-        section_into_ideal_sheaf(kx, px, x1), section_into_ideal_sheaf(kx, px, x2),
-        section_into_ideal_sheaf(ky, py, y1), section_into_ideal_sheaf(ky, py, y2),
-        k0m, skyscraper_connecting_map(px, ix, k0m), skyscraper_connecting_map(py, iy, k0m))
+    sx1, sx2 = sections_into_ideal_sheaf(kx, px, [x1, x2])
+    sy1, sy2 = sections_into_ideal_sheaf(ky, py, [y1, y2])
+    k0s = truncate(k0, SOURCE_LEN)
+    k0m = shift(k0s, -1)
+    ix, iy = sx1.tgt, sy1.tgt
+    return ConicPieces(rng, kx, ky, k0, px, py, ix, iy, sx1, sx2, sy1, sy2, k0s, k0m,
+                       skyscraper_connecting_map(px, ix, k0m),
+                       skyscraper_connecting_map(py, iy, k0m))
 
 
 def _conic_pieces(field: Field) -> ConicPieces:
@@ -187,8 +238,8 @@ def build_nodal_conic(field: Field = QQ) -> VerificationEntry:
     total = cone(psi)
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2"), rng.parse("y1-y2")], degree=0,
-        augmentation=parse_row(rng, CONIC_AUG), window=SINGULAR_WINDOW)
-    kxs, k0s, kys = sx1.src, truncate(p.k0, SOURCE_LEN), sy1.src
+        augmentation=[rng.parse(s) for s in CONIC_AUG], window=SINGULAR_WINDOW)
+    kxs, k0s, kys = sx1.src, p.k0s, sy1.src
     witness = GenerationWitness(
         generators=[
             GeneratorDecl("O_xplane", "product"),
@@ -223,11 +274,9 @@ def build_nodal_conic(field: Field = QQ) -> VerificationEntry:
 def build_nodal_conic_product(field: Field = QQ) -> VerificationEntry:
     """The longer resolution by honest product objects (no witness)."""
     p = _conic_pieces(field)
-    rng, k0, px, py = p.ring, p.k0, p.px, p.py
+    rng, kx, ky, k0, px, py = p.ring, p.kx, p.ky, p.k0, p.px, p.py
     x1, y1, x2, y2 = (rng.var(v) for v in rng.names)
-    # The skyscraper projections already lift 1 from the kx, ky truncations.
-    kx, ky = px.src, py.src
-    kxs, kys = truncate(kx, SOURCE_LEN), truncate(ky, SOURCE_LEN)
+    kxs, kys = p.sx1.src, p.sy1.src
     # Negated because shifting by -1 negates it back: the total complex
     # carries px and py themselves.
     collapse = block_map([kx, ky], [k0], {(0, 0): negate_map(px), (0, 1): negate_map(py)})
@@ -236,10 +285,10 @@ def build_nodal_conic_product(field: Field = QQ) -> VerificationEntry:
     separate = block_map([kxs, kys], [kx, ky],
                          {(0, 0): gx, (1, 1): gy})
     # kxs + kys -> kx + ky -> k0 as a cone into a cone
-    total = cone(map_to_shifted_cone(separate, collapse))
+    total = cone(maps_to_shifted_cone([separate], collapse)[0])
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2"), rng.parse("y1-y2")], degree=0,
-        augmentation=parse_row(rng, PRODUCT_AUG), window=SINGULAR_WINDOW)
+        augmentation=[rng.parse(s) for s in PRODUCT_AUG], window=SINGULAR_WINDOW)
     notes = [
         "three-object totalization with engine-computed correction homotopy",
         f"verdict claimed in window {SINGULAR_WINDOW}",
@@ -262,25 +311,23 @@ def _build_diagonal_chart_complex(field: Field):
     column.  Returns (ring, cone(psi), spec, psi, models in block order).
     """
     p = _conic_pieces(field)
-    rng, kx, ky = p.ring, p.kx, p.ky
-    inc_x_a, inc_x_b = inclusion_of_truncation(kx), inclusion_of_truncation(kx)
-    inc_y_a, inc_y_b = inclusion_of_truncation(ky), inclusion_of_truncation(ky)
+    rng, kx, ky, kxs, kys = p.ring, p.kx, p.ky, p.sx1.src, p.sy1.src
+    inc_x, inc_y = inclusion_of_truncation(kxs, kx), inclusion_of_truncation(kys, ky)
     psi = block_map(
-        [inc_x_a.src, inc_x_b.src, inc_y_a.src, inc_y_b.src, p.k0m],
+        [kxs, kxs, kys, kys, p.k0m],
         [p.ix, kx, ky, p.iy],
         {
             (0, 0): p.sx1, (0, 1): negate_map(p.sx2), (0, 4): p.dx,
-            (1, 0): negate_map(inc_x_a), (1, 1): inc_x_b,
-            (2, 2): inc_y_a, (2, 3): negate_map(inc_y_b),
+            (1, 0): negate_map(inc_x), (1, 1): inc_x,
+            (2, 2): inc_y, (2, 3): negate_map(inc_y),
             (3, 2): negate_map(p.sy1), (3, 3): p.sy2, (3, 4): p.dy,
         })
     total = cone(psi)
     dspec = DiagonalSpec(
         ideal=[rng.parse("x1-x2"), rng.parse("y1-y2")], degree=0,
-        augmentation=parse_row(rng, DIAG_CHART_AUG), window=SINGULAR_WINDOW)
+        augmentation=[rng.parse(s) for s in DIAG_CHART_AUG], window=SINGULAR_WINDOW)
     models = {"ideal_x": p.ix, "plane_x": kx, "plane_y": ky, "ideal_y": p.iy,
-              "trunc_x": inc_x_a.src, "trunc_y": inc_y_a.src,
-              "point": truncate(p.k0, SOURCE_LEN)}
+              "trunc_x": kxs, "trunc_y": kys, "point": p.k0s}
     return rng, total, dspec, psi, models
 
 
@@ -291,7 +338,7 @@ def _build_adjacent_chart_complex(field: Field):
     displayed signs, and the diagonal becomes the graph of inversion
     (x, v, yu-1).  Returns (ring, cone(psi), spec, psi, models).
     """
-    rng = adjacent_chart_ring(field)
+    rng = ring(("x", "y", "u", "v"), field=field, relations=("x*y", "u*v"))
     x, y, u, v = (rng.var(n) for n in rng.names)
     plane = resolve_cyclic(rng, [x, v], TARGET_LEN)
     planes = direct_sum(plane, plane)
@@ -302,7 +349,7 @@ def _build_adjacent_chart_complex(field: Field):
     total = cone(psi)
     dspec = DiagonalSpec(
         ideal=[rng.parse("x"), rng.parse("v"), rng.parse("y*u-1")], degree=0,
-        augmentation=parse_row(rng, ADJACENT_AUG), window=SINGULAR_WINDOW)
+        augmentation=[rng.parse(s) for s in ADJACENT_AUG], window=SINGULAR_WINDOW)
     return rng, total, dspec, psi, {"plane": plane, "trunc": plane_s}
 
 
@@ -409,13 +456,13 @@ def build_cycle(n: int, field: Field = QQ) -> CycleCatalog:
     if n < 3:
         raise InputDataError("cycle catalog supports n >= 3 "
                              "(smaller cycles have self-glued charts)")
-    dist_ring = adjacent_chart_ring(field)
+    adjacent = _chart_complex_cached(field, "adjacent")
     per_kind = {
         "diagonal": (*_chart_complex_cached(field, "diagonal")[:3], "qiso_to_diagonal",
                      "restricted blocks around one node; shared complex"),
-        "adjacent": (*_chart_complex_cached(field, "adjacent")[:3], "qiso_to_diagonal",
+        "adjacent": (*adjacent[:3], "qiso_to_diagonal",
                      "torus chart; diagonal is the graph of inversion"),
-        "distant": (dist_ring, zero_complex(dist_ring), None, "exact_everywhere",
+        "distant": (adjacent[0], zero_complex(adjacent[0]), None, "exact_everywhere",
                     "chart disjoint from the diagonal; zero complex"),
     }
     jobs = []

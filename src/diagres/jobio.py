@@ -14,7 +14,7 @@ Schema (version 1)::
       },
       "complexes": [
         {"name": "total",
-         "ranks": {"0": 4, "1": 4},          # degree -> rank, string keys
+         "ranks": {"0": 4, "1": 4},          # degree -> rank, canonical keys
          "differentials": {"1": [["x1"]]}}   # degree -> matrix of strings
       ],
       "diagonal": {                           # required unless expectation
@@ -46,6 +46,9 @@ against the diagonal block, whose "complex", if given, must name that
 target.  Any other key in the witness block or in a certificate is
 rejected with its path.
 
+A degree key is an integer spelled canonically (str(int(k)) == k), and no
+JSON object may repeat a key; either is an input error naming the key.
+
 All polynomial entries are strings in the polynomial grammar.  Parsing
 reports the offending JSON path on failure; polynomial parse errors carry
 their position in the string.  Each distinct entry string is parsed once
@@ -61,6 +64,7 @@ each of a bounded number of degrees.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import ne
@@ -124,10 +128,12 @@ def _str(v, path: str) -> str:
 
 def _int(v, path: str, key: bool = False) -> int:
     """An integer.  Only a JSON object key (key=True), which is always a
-    string, may spell one as a string; any other field must be a number."""
+    string, may spell one as a string, and only canonically (str(int(v)) == v),
+    as "01", "+1" or " 1" would let two keys of one object name one degree."""
     if key:
         try:
-            return int(v)
+            if str(int(v)) == v:
+                return int(v)
         except ValueError:
             pass
     return _typed(v, int, "an integer", path)
@@ -383,11 +389,20 @@ def parse_job(doc: dict) -> Job:
                gb_module=gb_module)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; a repeated key is an input error, not a silent overwrite."""
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        counts = Counter(k for k, _ in pairs)
+        raise JobFileError(f"repeated key {max(counts, key=counts.get)!r} in one JSON object")
+    return d
+
+
 def load_job(path: str, field: Optional[str] = None) -> Job:
     """Read and parse a job file; a field spec, if given, replaces ring.field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise JobFileError(f"not valid JSON: {exc}") from exc
     if field is not None and isinstance(doc, dict) and isinstance(doc.get("ring"), dict):

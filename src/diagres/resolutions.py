@@ -14,9 +14,10 @@ R/J).  Each differential gets one elimination basis, its solver, kept on
 the matrix itself (groebner.solver_of): resolve_cyclic reads its syzygies
 from it, and a later lift or nullhomotopy into that resolution (or a
 truncation of it, which holds the same matrix objects) solves against it
-(_solve_columns).  map_to_shifted_cone packages the standard fact that a
+(_solve_columns).  maps_to_shifted_cone packages the standard fact that a
 map into cone(f)[-1] is a map into the source plus a nullhomotopy of the
-composite, and computes that nullhomotopy itself.
+composite; it computes the nullhomotopies itself and builds cone(f)[-1]
+once, as the one target of every map it returns.
 """
 
 from __future__ import annotations
@@ -115,27 +116,24 @@ def nullhomotopy(f: ChainMap) -> dict:
     return h
 
 
-def map_to_shifted_cone(mult: ChainMap, f: ChainMap) -> ChainMap:
-    """Chain map Y -> cone(f)[-1] from mult: Y -> src(f) and h, a nullhomotopy
-    of f . mult (InputDataError if there is none).
+def maps_to_shifted_cone(mults: Sequence[ChainMap], f: ChainMap) -> list:
+    """For each mult: Y -> src(f), the chain map Y -> cone(f)[-1] from mult and
+    h, a nullhomotopy of f . mult (InputDataError if there is none).
 
-    cone(f)[-1]_i = src_i (+) tgt_{i+1} and the components are (mult_i, -h_i).
+    cone(f)[-1]_i = src_i (+) tgt_{i+1}, the components are (mult_i, -h_i),
+    and every map ends at one cone(f)[-1], built once.
     """
-    h = nullhomotopy(compose(f, mult))
     target = shift(cone(f), -1)
-    rng = mult.ring
-    src_f, tgt_f = f.src, f.tgt
-    mats = {}
-    lo, hi = mult.src.lo, mult.src.hi
-    for i in range(lo, hi + 1):
-        if mult.src.rank(i) == 0:
-            continue
-        rows = [src_f.rank(i), tgt_f.rank(i + 1)]
-        blk = {}
-        m = mult.mat(i)
-        if rows[0]:
-            blk[(0, 0)] = m
-        if rows[1] and i in h:
-            blk[(1, 0)] = mat_neg(h[i])
-        mats[i] = block_matrix(rng, rows, [mult.src.rank(i)], blk)
-    return ChainMap(mult.src, target, mats, check=False)
+    out = []
+    for mult in mults:
+        h = nullhomotopy(compose(f, mult))
+        mats = {}
+        for i in mult.src.ranks:
+            # block_matrix skips empty blocks; h has i only if f.tgt has i + 1
+            blk = {(0, 0): mult.mat(i)}
+            if i in h:
+                blk[(1, 0)] = mat_neg(h[i])
+            mats[i] = block_matrix(mult.ring, [f.src.rank(i), f.tgt.rank(i + 1)],
+                                   [mult.src.rank(i)], blk)
+        out.append(ChainMap(mult.src, target, mats, check=False))
+    return out

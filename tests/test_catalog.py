@@ -259,23 +259,69 @@ def test_exported_entry_reverifies_from_job_document():
     assert verify_diagonal_qiso(doc.complexes["total"], doc.diagonal).passed
 
 
-# sha256 of the nodal-conic-product job export, per field.  The job-stream
-# digests pin only conjugated exports over Q; these pin the product
-# resolution's own matrices, byte for byte, over both fields.
-PRODUCT_EXPORT_SHA256 = {
-    "q": "15fdb3524853754771a5e65494d201c8658495946ac8a62f1ef4c6123c91f38f",
-    "fp:32003": "1d3ee854ad08da499245e3fe047b1c1e2f9143d7d93fc77335e8f6557512843a",
+# sha256 of catalog job exports, per field: the product resolution, the
+# affine line, the nodal conic, and the 3-cycle's diagonal and adjacent
+# charts (1,1) and (1,2).  The job-stream digests pin only conjugated
+# exports over Q; these pin the catalog's own matrices, byte for byte, over
+# both fields.
+EXPORT_SHA256 = {
+    "fp:32003": {
+        "nodal-conic-product":
+            "1d3ee854ad08da499245e3fe047b1c1e2f9143d7d93fc77335e8f6557512843a",
+        "affine-line":
+            "6e21cdd97d556ae874c69633b05570a096274b169c7795ca3f250ba4acded395",
+        "nodal-conic":
+            "f64326d1ae41b0869e7036ffcbb8edc82a8d44e76eae781712f3e82a3f9ea55a",
+        "chart(1,1):diagonal":
+            "e933b5f11665075402eca0a11d04936ca81910310ee4f442626a8ce1f914c8b7",
+        "chart(1,2):adjacent":
+            "97bb5830206ad62c502b5bae24ff4d5e515a69b1fba7e128f24aee82954f6736",
+    },
+    "q": {
+        "nodal-conic-product":
+            "15fdb3524853754771a5e65494d201c8658495946ac8a62f1ef4c6123c91f38f",
+        "affine-line":
+            "647c6c7fa9f4500535cd4448d1a181fce20535d594dacf4ae7fa18e7a0226e72",
+        "nodal-conic":
+            "cc5852a4eb2b7c079c2940dba5f607b252d938cf2c4e48d1ab63a3311854d08e",
+        "chart(1,1):diagonal":
+            "500b8c7c5701ae1e74872f97446b091644ecbcf1aafcc8e1717c3a6997f5f5bb",
+        "chart(1,2):adjacent":
+            "4553168d2b99c14dbcf06e22b2f6f1d5bcf9e14c1709a1a1eb34fd09d333bc5c",
+    },
 }
 
 
-@pytest.mark.parametrize("spec", sorted(PRODUCT_EXPORT_SHA256))
+@pytest.mark.parametrize("spec", sorted(EXPORT_SHA256))
 def test_nodal_conic_product_export_is_pinned(spec):
+    """The product resolution's export, and four more catalog exports."""
     import hashlib
     from diagres.jobio import emit_job, job_document
     from diagres.scalars import field_from_spec
-    entry = build_nodal_conic_product(field_from_spec(spec))
-    text = emit_job(job_document(entry.name, entry.ring, entry.complex, entry.diagonal))
-    assert hashlib.sha256(text.encode()).hexdigest() == PRODUCT_EXPORT_SHA256[spec]
+    fld = field_from_spec(spec)
+    charts = build_cycle(3, fld).chart_jobs
+    digests = {e.name: hashlib.sha256(emit_job(job_document(
+        e.name, e.ring, e.complex, e.diagonal)).encode()).hexdigest()
+        for e in (build_nodal_conic_product(fld), build_affine_line(fld),
+                  build_nodal_conic(fld), charts[0], charts[1])}
+    assert digests == EXPORT_SHA256[spec]
+
+
+def test_each_conic_object_is_built_once():
+    """Sections into one ideal sheaf share one truncated source and end at
+    that ideal sheaf itself, and the diagonal chart's truncated models are
+    the conic pieces' own truncations, not copies."""
+    from diagres.catalog.entries import _chart_complex_cached, _conic_pieces
+    from diagres.scalars import QQ
+    p = _conic_pieces(QQ)
+    assert p.sx1.tgt is p.sx2.tgt is p.ix
+    assert p.sx1.src is p.sx2.src
+    assert p.sy1.tgt is p.sy2.tgt is p.iy
+    assert p.sy1.src is p.sy2.src
+    models = _chart_complex_cached(QQ, "diagonal")[4]
+    assert models["trunc_x"] is p.sx1.src
+    assert models["trunc_y"] is p.sy1.src
+    assert models["point"] is p.k0s
 
 
 def test_cone_of_identity_exact_for_catalog_complexes():

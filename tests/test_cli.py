@@ -645,6 +645,36 @@ def test_integer_field_spelled_as_a_string_is_input_error(tmp_path, capsys, edit
     assert f"expected an integer at {where}, got '" in err
 
 
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "0_1", "-0", "\u0662"])
+def test_non_canonical_degree_key_is_input_error(tmp_path, capsys, key):
+    """A degree key must read str(int(k)) == k: any other spelling could name
+    a degree another key names, and the last of the two would win.  Here a
+    zero matrix so keyed would replace the exported differential unseen."""
+    doc = json.loads(_exported_job("nodal-conic"))
+    diffs = doc["complexes"][0]["differentials"]
+    diffs[key] = [["0"] * len(row) for row in diffs[str(int(key))]]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and out == ""
+    assert f"expected an integer at complexes[0].differentials.{key}, got {key!r}" in err
+
+
+def test_repeated_json_key_is_input_error(tmp_path, capsys):
+    """json.load keeps the last of two equal keys: a job listing d_1 twice,
+    zeros first and the exported matrix second, would verify a complex other
+    than the one its reader sees first."""
+    doc = json.loads(_exported_job("nodal-conic"))
+    zeros = [["0"] * len(row) for row in doc["complexes"][0]["differentials"]["1"]]
+    text = json.dumps(doc).replace('"differentials": {',
+                                   f'"differentials": {{"1": {json.dumps(zeros)}, ', 1)
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and out == ""
+    assert "repeated key '1'" in err
+
+
 @pytest.mark.parametrize("generator, where", [
     ({"label": "Delta", "kind": "plain"}, "witness.generators[0].kind"),
     ({"label": "Delta"}, "'kind' at witness.generators[0]"),

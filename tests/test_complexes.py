@@ -437,7 +437,7 @@ def test_square_zero_scan_skips_degrees_without_differentials(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["q", "fp:32003"])
 def test_mat_neg_negates_every_entry_and_keeps_zeros(spec):
-    from diagres.catalog.builders import negate_map
+    from diagres.catalog.entries import negate_map
     from diagres.matrices import mat_neg
     from diagres.scalars import field_from_spec
     rng = ring(["x", "y"], field=field_from_spec(spec), relations=("x*y",))
@@ -499,7 +499,7 @@ def test_homology_matches_image_membership_randomized():
     """At every degree, the homology verdict equals the reference on random
     cones of multiplication maps between resolutions over R2 and the conic
     ring, conjugated by random changes of basis, minimized and raw."""
-    from diagres.catalog.builders import conic_ring
+    from diagres.catalog.entries import conic_ring
     rand = random.Random(12)
     conic = conic_ring()
     cases = [(R2, ["x1", "x2", "x1^2", "x1*x2 - x2", "x2^2 + x1"], 4),

@@ -6,7 +6,7 @@ from diagres.complexes import (InputDataError, check_differential,
                                cone, homology_is_zero_at, shift)
 from diagres.matrices import mat_eq, mat_mul, zero_matrix
 from diagres.polyring import ring
-from diagres.resolutions import (lift_module_map, map_to_shifted_cone,
+from diagres.resolutions import (lift_module_map, maps_to_shifted_cone,
                                  nullhomotopy, resolve_cyclic, truncate)
 
 RXY = ring(["x", "y"], relations=["x*y"])
@@ -97,7 +97,7 @@ def test_map_to_shifted_cone_is_chain_map():
     k0 = resolve_cyclic(RXY, [RXY.parse("x"), RXY.parse("y")], 5)
     proj = lift_module_map(truncate(kx, 5), k0, [[RXY.one()]])
     mult = lift_module_map(truncate(kx, 4), proj.src, [[RXY.parse("x")]])
-    phi = map_to_shifted_cone(mult, proj)
+    phi, = maps_to_shifted_cone([mult], proj)
     assert phi.commutes()
     assert phi.tgt == shift(cone(proj), -1)
 
@@ -108,7 +108,7 @@ def test_cone_of_a_map_to_shifted_cone_is_a_complex():
     k0 = resolve_cyclic(RXY, [RXY.parse("x"), RXY.parse("y")], 5)
     proj = lift_module_map(truncate(kx, 5), k0, [[RXY.one()]])
     mult = lift_module_map(truncate(kx, 4), proj.src, [[RXY.parse("x")]])
-    assert check_differential(cone(map_to_shifted_cone(mult, proj)))
+    assert check_differential(cone(maps_to_shifted_cone([mult], proj)[0]))
 
 
 def test_nodal_conic_build_computes_each_elimination_basis_once(monkeypatch):
@@ -138,8 +138,8 @@ def test_nodal_conic_build_computes_each_elimination_basis_once(monkeypatch):
 def test_memoized_solver_matches_fresh_solver(spec):
     """Every catalog differential gets its own shared solver, and that solver
     answers solve() and kernel() exactly as a freshly built one does."""
-    from diagres.catalog.builders import (conic_ring, section_into_ideal_sheaf,
-                                          skyscraper_projection)
+    from diagres.catalog.entries import (conic_ring, sections_into_ideal_sheaf,
+                                         skyscraper_projection)
     from diagres.groebner import ImageSolver, solver_of
     from diagres.scalars import field_from_spec
 
@@ -148,7 +148,7 @@ def test_memoized_solver_matches_fresh_solver(spec):
     kx = resolve_cyclic(rng, [y1, y2], 5)
     k0 = resolve_cyclic(rng, [x1, y1, x2, y2], 5)
     proj = skyscraper_projection(kx, k0)
-    section_into_ideal_sheaf(kx, proj, x1)
+    sections_into_ideal_sheaf(kx, proj, [x1])
     diffs = [d for cx in (kx, k0) for d in cx.diffs.values()]
     assert all(d._solver is not None for d in diffs)
     for d in diffs:
