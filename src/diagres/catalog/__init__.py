@@ -2,11 +2,13 @@
 projective lines, each as a chain complex plus diagonal data plus a
 generation witness.
 
-Entries are constructed, not transcribed: free models come from iterated
-syzygies, ideal-sheaf objects from shifted cones, and the total complexes
-from the fixed cone conventions, so identical inputs reproduce identical
-matrices byte for byte.  Augmentation rows are frozen catalog data,
-validated by the test suite.
+Entries are constructed, not transcribed: free models are Tate models,
+written in closed form (Tate, "Homology of Noetherian rings and local
+rings", Illinois J. Math. 1, 1957, Thm. 4), ideal-sheaf objects come
+from shifted cones, and the total complexes from the fixed cone
+conventions, so identical inputs reproduce identical matrices byte for
+byte.  Augmentation rows are frozen catalog data, validated by the test
+suite.
 
 EXAMPLES is the CLI's one table of examples.  Its builders look up the
 build and verify functions here at call time, so replacing one here

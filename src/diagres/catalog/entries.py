@@ -1,19 +1,20 @@
 """Catalog entries: affine line, nodal conic, cycle of projective lines.
 
-Every complex is generated by the fixed conventions (iterated-syzygy
-models, cone = [[-d,0],[f,d]], shift sign (-1)^s), so the matrices are
-reproducible byte for byte.  An ideal sheaf is cone(O -> k)[-1] of a lifted
-skyscraper projection, and every map into it (sections_into_ideal_sheaf)
-ends at that one object.  Augmentation rows are frozen data: they were
-derived once by solving the well-definedness constraints over the exact
-field and are locked in the test suite.
+Every complex is generated by the fixed conventions (Tate models, whose
+relation lifts are stated here; cone = [[-d,0],[f,d]], shift sign (-1)^s),
+so the matrices are reproducible byte for byte.  An ideal sheaf is
+cone(O -> k)[-1] of a lifted skyscraper projection, and every map into it
+(sections_into_ideal_sheaf) ends at that one object.  Augmentation rows are
+frozen data: they were derived once by solving the well-definedness
+constraints over the exact field and are locked in the test suite.
 
-Truncation: over the singular rings all resolutions are infinite and
-periodic.  Target models carry TARGET_LEN degrees and source models one
-less (a source map's nullhomotopy needs one more target degree), which
-confines truncation junk to degrees above WINDOW_HI; every verdict over
-these rings is claimed only inside the window [-1, WINDOW_HI].  Each model
-is truncated once, and the maps from it share that truncation.
+Truncation: over the singular rings all resolutions are infinite, with
+ranks growing linearly (Tate, Illinois J. Math. 1, 1957, Thm. 4).
+Target models carry TARGET_LEN degrees and source models one less (a source
+map's nullhomotopy needs one more target degree), which confines truncation
+junk to degrees above WINDOW_HI; every verdict over these rings is claimed
+only inside the window [-1, WINDOW_HI].  Each model is truncated once, and
+the maps from it share that truncation.
 
 Sharing: the nodal conic, its product resolution and the cycle's diagonal
 chart are all built from the same conic pieces (resolutions, skyscraper
@@ -35,7 +36,7 @@ from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError, _
 from ..matrices import block_matrix, identity_matrix, mat_map, mat_neg
 from ..polyring import Polynomial, QuotientRing, RingMap, ring
 from ..report import VerificationEntry, VerificationReport, verdict_report
-from ..resolutions import lift_module_map, maps_to_shifted_cone, resolve_cyclic, truncate
+from ..resolutions import lift_module_map, maps_to_shifted_cone, tate, truncate
 from ..scalars import QQ, Field, field_spec_str
 from ..witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
                        GeneratorDecl, WitnessStep)
@@ -124,8 +125,8 @@ def build_affine_line(field: Field = QQ) -> VerificationEntry:
     """Two-object generation of the affine diagonal; everything is finite."""
     rng = ring(("x1", "x2"), field=field)
     x1, x2 = rng.var("x1"), rng.var("x2")
-    plane = resolve_cyclic(rng, [], TARGET_LEN)
-    origin = resolve_cyclic(rng, [x1, x2], TARGET_LEN)
+    plane = tate(rng, [], [], TARGET_LEN)
+    origin = tate(rng, [x1, x2], [], TARGET_LEN)
     proj = skyscraper_projection(plane, origin)
     sec1, sec2 = sections_into_ideal_sheaf(plane, proj, [x1, x2])
     ideal_sheaf = sec1.tgt
@@ -207,9 +208,11 @@ class ConicPieces:
 def _build_conic_pieces(field: Field) -> ConicPieces:
     rng = conic_ring(field)
     x1, y1, x2, y2 = (rng.var(v) for v in rng.names)
-    kx = resolve_cyclic(rng, [y1, y2], TARGET_LEN)
-    ky = resolve_cyclic(rng, [x1, x2], TARGET_LEN)
-    k0 = resolve_cyclic(rng, [x1, y1, x2, y2], TARGET_LEN)
+    z = rng.zero()
+    # relations x1*y1 and x2*y2, written in terms of each module's generators
+    kx = tate(rng, [y1, y2], [[x1, z], [z, x2]], TARGET_LEN)
+    ky = tate(rng, [x1, x2], [[y1, z], [z, y2]], TARGET_LEN)
+    k0 = tate(rng, [x1, y1, x2, y2], [[z, x1, z, z], [z, z, z, x2]], TARGET_LEN)
     px = skyscraper_projection(kx, k0)
     py = skyscraper_projection(ky, k0)
     sx1, sx2 = sections_into_ideal_sheaf(kx, px, [x1, x2])
@@ -277,13 +280,17 @@ def build_nodal_conic_product(field: Field = QQ) -> VerificationEntry:
     rng, kx, ky, k0, px, py = p.ring, p.kx, p.ky, p.k0, p.px, p.py
     x1, y1, x2, y2 = (rng.var(v) for v in rng.names)
     kxs, kys = p.sx1.src, p.sy1.src
-    # Negated because shifting by -1 negates it back: the total complex
-    # carries px and py themselves.
-    collapse = block_map([kx, ky], [k0], {(0, 0): negate_map(px), (0, 1): negate_map(py)})
     gx = lift_module_map(kxs, kx, [[x1 - x2]])
     gy = lift_module_map(kys, ky, [[y1 - y2]])
     separate = block_map([kxs, kys], [kx, ky],
                          {(0, 0): gx, (1, 1): gy})
+    # From separate's target itself, so compose never compares two equal
+    # sums.  Negated because shifting by -1 negates it back: the total
+    # complex carries px and py themselves.
+    collapse = ChainMap(separate.tgt, k0, {
+        i: block_matrix(rng, [k0.rank(i)], [kx.rank(i), ky.rank(i)],
+                        {(0, 0): mat_neg(px.mat(i)), (0, 1): mat_neg(py.mat(i))})
+        for i in k0.degrees()}, check=False)
     # kxs + kys -> kx + ky -> k0 as a cone into a cone
     total = cone(maps_to_shifted_cone([separate], collapse)[0])
     dspec = DiagonalSpec(
@@ -340,7 +347,8 @@ def _build_adjacent_chart_complex(field: Field):
     """
     rng = ring(("x", "y", "u", "v"), field=field, relations=("x*y", "u*v"))
     x, y, u, v = (rng.var(n) for n in rng.names)
-    plane = resolve_cyclic(rng, [x, v], TARGET_LEN)
+    z = rng.zero()
+    plane = tate(rng, [x, v], [[y, z], [z, u]], TARGET_LEN)  # x*y and u*v
     planes = direct_sum(plane, plane)
     plane_s = truncate(plane, SOURCE_LEN)
     sources = direct_sum(plane_s, plane_s)

@@ -13,8 +13,8 @@ Conventions fixed once:
 
 verify_diagonal_qiso is the central verdict: a complex is quasi-isomorphic
 to the cyclic module R/I through a supplied augmentation row.  Truncated
-models of infinite periodic resolutions are handled by an explicit degree
-window inside which the verdict is claimed.
+models of infinite resolutions are handled by an explicit degree window
+inside which the verdict is claimed.
 
 Differentials and chain-map components are stored as sparse matrices (see
 matrices); the constructors convert dense lists of rows once, at the boundary.

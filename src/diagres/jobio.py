@@ -47,7 +47,8 @@ target.  Any other key in the witness block or in a certificate is
 rejected with its path.
 
 A degree key is an integer spelled canonically (str(int(k)) == k), and no
-JSON object may repeat a key; either is an input error naming the key.
+JSON object may repeat a key; either is an input error naming the key (a
+repeated one with the path of its object).
 
 All polynomial entries are strings in the polynomial grammar.  Parsing
 reports the offending JSON path on failure; polynomial parse errors carry
@@ -389,22 +390,50 @@ def parse_job(doc: dict) -> Job:
                gb_module=gb_module)
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object; a repeated key is an input error, not a silent overwrite."""
-    d = dict(pairs)
-    if len(d) < len(pairs):
-        counts = Counter(k for k, _ in pairs)
-        raise JobFileError(f"repeated key {max(counts, key=counts.get)!r} in one JSON object")
-    return d
+class _RepeatedKey(dict):
+    """A JSON object that repeats the key `repeated` (json.load would keep its
+    last value silently); load_job reports it with its path."""
+
+    def __init__(self, obj: dict, repeated: str):
+        super().__init__(obj)
+        self.repeated = repeated
+
+
+def _repeated_key_error(doc) -> JobFileError:
+    """The error naming the first object, in document order, that repeats a key."""
+    stack = [(doc, "$")]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, _RepeatedKey):
+            return JobFileError(f"repeated key {node.repeated!r} at {path}")
+        if isinstance(node, dict):
+            prefix = "" if path == "$" else f"{path}."
+            stack.extend((v, f"{prefix}{k}") for k, v in reversed(node.items()))
+        elif isinstance(node, list):
+            stack.extend((v, f"{path}[{i}]") for i, v in reversed(list(enumerate(node))))
+    raise AssertionError("no object repeats a key")
 
 
 def load_job(path: str, field: Optional[str] = None) -> Job:
-    """Read and parse a job file; a field spec, if given, replaces ring.field."""
+    """Read and parse a job file; a field spec, if given, replaces ring.field.
+
+    The document is walked for a path only when an object repeated a key."""
+    repeats = []
+
+    def unique_keys(pairs: list) -> dict:
+        d = dict(pairs)
+        if len(d) < len(pairs):
+            counts = Counter(k for k, _ in pairs)
+            repeats.append(d := _RepeatedKey(d, max(counts, key=counts.get)))
+        return d
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise JobFileError(f"not valid JSON: {exc}") from exc
+    if repeats:
+        raise _repeated_key_error(doc)
     if field is not None and isinstance(doc, dict) and isinstance(doc.get("ring"), dict):
         doc["ring"]["field"] = field
     return parse_job(doc)

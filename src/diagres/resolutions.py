@@ -1,11 +1,17 @@
 """Free resolutions and the chain-level constructions built from them.
 
-resolve_cyclic produces a free resolution of R/(g_1,...,g_k) over the
-quotient ring by iterated syzygy computation; exactness away from degree 0
-holds by construction, which is what makes truncation honest: the truncated
-complex is exact at internal degrees 1..N-1 and resolves the module at 0.
-Over the singular chart rings these resolutions are infinite and periodic,
-so every consumer states the window in which it uses them.
+tate writes down the resolution of R/(g_1,...,g_k) over R = S/(f) in
+closed form, with no Gröbner work, when g is a regular sequence of S whose
+span contains the relations f: the Koszul complex K(g) with one
+divided-power variable per relation (Tate, "Homology of Noetherian rings
+and local rings", Illinois J. Math. 1, 1957, Thm. 4).  The catalog builds
+every model this way.  resolve_cyclic computes a resolution of any such
+module by iterated syzygies instead; tests use it as the oracle for tate.
+Either is exact away from degree 0, which is what makes truncation honest:
+the truncated complex is exact at internal degrees 1..N-1 and resolves the
+module at 0.  Over the singular chart rings these resolutions are infinite
+(of linearly growing rank, since the rings have codimension 2), so every
+consumer states the window in which it uses them.
 
 lift_module_map and nullhomotopy implement the comparison theorem
 mechanically by solving d*X = Y with the Gröbner engine (solutions are
@@ -22,6 +28,7 @@ once, as the one target of every map it returns.
 
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .complexes import ChainComplex, ChainMap, InputDataError, compose, cone, shift
@@ -61,6 +68,64 @@ def resolve_cyclic(rng: QuotientRing, gens: Sequence[Polynomial], length: int) -
         current = solver_of(current).kernel()  # the next differential
         if not current.ncols:
             break
+    return ChainComplex(rng, ranks, diffs, check=False)
+
+
+def tate(rng: QuotientRing, gens: Sequence[Polynomial],
+         lifts: Sequence[Sequence[Polynomial]], top: int) -> ChainComplex:
+    """The Tate model K(gens)<T_1, ..., T_c> of R/(gens) over rng, in degrees 0..top.
+
+    There is one divided-power variable T_j, of degree 2, per relation f_j
+    of rng, and lifts[j] writes f_j = sum_l lifts[j][l] * gens[l] exactly in
+    the ambient ring S (InputDataError otherwise).  It resolves R/(gens) when
+    gens is a regular sequence of S (Tate 1957, Thm. 4), which is not
+    checked here.  Degree n has
+    the basis e_I T^(a) with |I| + 2|a| = n: I a set of indices of gens, a
+    a multiset of relation indices, ordered by |a|, then a, then I, each in
+    itertools order.  The differential is
+
+      d(e_I T^(a)) = sum_p (-1)^(|I|-1-p) g_{I_p} e_{I - I_p} T^(a)
+                   + sum_{j in a} sum_{l not in I} (-1)^#{i in I: i > l}
+                     lifts[j][l] e_{I + l} T^(a - j),
+
+    so d_1 is the row gens.  No Gröbner work is done.
+    """
+    rels = rng.relations
+    if len(lifts) != len(rels) or any(
+            len(row) != len(gens)
+            or sum((h * g for h, g in zip(row, gens)), rng.zero()).terms != f.terms
+            for row, f in zip(lifts, rels)):
+        raise InputDataError("Tate lifts do not write each relation in terms of the "
+                             "generators")
+    m = len(gens)
+    signed = [(g, -g) for g in gens]
+    signed_lifts = [[(h, -h) for h in row] for row in lifts]
+
+    def basis(n: int) -> list:
+        return [(I, a) for k in range(n // 2 + 1)
+                for a in combinations_with_replacement(range(len(rels)), k)
+                for I in combinations(range(m), n - 2 * k)]
+
+    ranks, diffs = {0: 1}, {}
+    prev = {((), ()): 0}
+    for n in range(1, top + 1):
+        cur = basis(n)
+        if not cur:
+            break
+        rows = [{} for _ in prev]
+        for col, (I, a) in enumerate(cur):
+            for p, i in enumerate(I):
+                rows[prev[I[:p] + I[p + 1:], a]][col] = signed[i][(len(I) - 1 - p) % 2]
+            for j in set(a):
+                q = a.index(j)
+                rest = a[:q] + a[q + 1:]
+                for l, hs in enumerate(signed_lifts[j]):
+                    if l not in I and hs[0].terms:
+                        above = sum(i > l for i in I)
+                        rows[prev[tuple(sorted(I + (l,))), rest]][col] = hs[above % 2]
+        ranks[n] = len(cur)
+        diffs[n] = Matrix(rng, len(prev), len(cur), rows)
+        prev = {b: k for k, b in enumerate(cur)}
     return ChainComplex(rng, ranks, diffs, check=False)
 
 

@@ -267,27 +267,27 @@ def test_exported_entry_reverifies_from_job_document():
 EXPORT_SHA256 = {
     "fp:32003": {
         "nodal-conic-product":
-            "1d3ee854ad08da499245e3fe047b1c1e2f9143d7d93fc77335e8f6557512843a",
+            "ca09b845208b7499fee3c9cbc599eebdad073612c1d1a952a51d54c04c392549",
         "affine-line":
             "6e21cdd97d556ae874c69633b05570a096274b169c7795ca3f250ba4acded395",
         "nodal-conic":
-            "f64326d1ae41b0869e7036ffcbb8edc82a8d44e76eae781712f3e82a3f9ea55a",
+            "f5fe965201119b1bf973863b8efaefee397eea0e57c728c05a770cd75287b678",
         "chart(1,1):diagonal":
-            "e933b5f11665075402eca0a11d04936ca81910310ee4f442626a8ce1f914c8b7",
+            "db0899bdcafdf9e6af4c01158ec1238d02afb448b971120ac550e32ae6a33692",
         "chart(1,2):adjacent":
-            "97bb5830206ad62c502b5bae24ff4d5e515a69b1fba7e128f24aee82954f6736",
+            "12828a5b2f4d00a07df9444e2f450a875e1045500cfba3c6129b2eca767cf675",
     },
     "q": {
         "nodal-conic-product":
-            "15fdb3524853754771a5e65494d201c8658495946ac8a62f1ef4c6123c91f38f",
+            "69f10468d2a3ab39bf8a14e26cea5e09a499e2e76ce8115b0762ea65efd138aa",
         "affine-line":
             "647c6c7fa9f4500535cd4448d1a181fce20535d594dacf4ae7fa18e7a0226e72",
         "nodal-conic":
-            "cc5852a4eb2b7c079c2940dba5f607b252d938cf2c4e48d1ab63a3311854d08e",
+            "3121924f121d85be8bfefe026c9162f5ffe4b69ccf00ff26c933265c0d3a75f3",
         "chart(1,1):diagonal":
-            "500b8c7c5701ae1e74872f97446b091644ecbcf1aafcc8e1717c3a6997f5f5bb",
+            "fb00b25c3bcb3efdc2fda4b8969d504d2a52e3618f3298166f5f8f62b49c37ac",
         "chart(1,2):adjacent":
-            "4553168d2b99c14dbcf06e22b2f6f1d5bcf9e14c1709a1a1eb34fd09d333bc5c",
+            "8d1cb163a034f5c5cda72e78bd4eb6723c9f50efdcb420c0e61a0ec1c3a4adc8",
     },
 }
 
@@ -394,3 +394,43 @@ def test_conic_pieces_cache_is_keyed_by_field(monkeypatch, capsys):
     assert q_conic.ring is not fp_conic.ring
     assert fp_conic.ring.field == fp and q_conic.ring.field != fp
     assert all(job.ring.field == fp for job in build_cycle(3, fp).chart_jobs)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_full_catalog_build_searches_no_syzygies_and_compares_no_complexes(
+        monkeypatch, spec):
+    """Every catalog model is a Tate model: a full build (affine line, conic,
+    product, cycle n = 6) from empty caches runs no syzygy search, builds at
+    most 18 elimination bases, and never compares two complexes entrywise."""
+    from diagres import groebner, resolutions
+    from diagres.catalog import entries
+    from diagres.complexes import ChainComplex
+    from diagres.scalars import field_from_spec
+
+    def no_search(*args):
+        raise AssertionError("resolve_cyclic called by a catalog build")
+
+    counts = {"solvers": 0, "eq": 0}
+    init, eq = groebner.ImageSolver.__init__, ChainComplex.__eq__
+
+    def counted_init(self, *args):
+        counts["solvers"] += 1
+        init(self, *args)
+
+    def counted_eq(self, other):
+        counts["eq"] += 1
+        return eq(self, other)
+
+    assert not hasattr(entries, "resolve_cyclic")
+    monkeypatch.setattr(resolutions, "resolve_cyclic", no_search)
+    monkeypatch.setattr(entries, "_CACHE", {})
+    monkeypatch.setattr(groebner.ImageSolver, "__init__", counted_init)
+    monkeypatch.setattr(ChainComplex, "__eq__", counted_eq)
+    fld = field_from_spec(spec)
+    build_affine_line(fld)
+    build_nodal_conic(fld)
+    build_nodal_conic_product(fld)
+    kinds = {job.kind for job in build_cycle(6, fld).chart_jobs}
+    assert kinds == {"diagonal", "adjacent", "distant"}
+    assert counts["solvers"] <= 18
+    assert counts["eq"] == 0

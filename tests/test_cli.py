@@ -675,6 +675,28 @@ def test_repeated_json_key_is_input_error(tmp_path, capsys):
     assert "repeated key '1'" in err
 
 
+@pytest.mark.parametrize("text, where", [
+    ('{"schema": 1, "schema": 1}', "repeated key 'schema' at $"),
+    ('{"schema": 1, "complexes": [{"name": "c"}, {"ranks": {"0": 1, "0": 2}}]}',
+     "repeated key '0' at complexes[1].ranks"),
+    ('{"ring": {"variables": [{"a": 1, "a": 1}]}}',
+     "repeated key 'a' at ring.variables[0]"),
+])
+def test_repeated_json_key_names_the_path_of_its_object(tmp_path, capsys, monkeypatch,
+                                                         text, where):
+    """The error names the object that repeats a key, and a job with no
+    repeated key is never walked for one."""
+    from diagres import jobio
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and out == ""
+    assert where in err
+    monkeypatch.setattr(jobio, "_repeated_key_error", None)
+    path.write_text(_exported_job("nodal-conic"))
+    assert run_cli(capsys, "verify", "--job", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("generator, where", [
     ({"label": "Delta", "kind": "plain"}, "witness.generators[0].kind"),
     ({"label": "Delta"}, "'kind' at witness.generators[0]"),
@@ -1137,8 +1159,8 @@ def test_verify_job_imports_no_build_code(tmp_path):
 # The job files the benchmark's job-stream workload verifies, one round per
 # seed; they are built through the dense row view, which this pins.
 JOB_STREAM_DIGESTS = {
-    1: "613fef241b7d1b503f80b9a4456714024657e73ae78c830db98ec5a7f0d0bffb",
-    2: "a94a2a2d0fe675f9616577c3dff8be3910a986858c967bc4cc357652f3f2ca36",
+    1: "462f66cc9a99ebbf9ba1fa94dea47778db0a95413a0fd602fc8e88ec32b3ce2f",
+    2: "59e453f0b749ca378bb5dfdb8acc1e9ca19c1cfb7369624d062120b410c449a0",
 }
 
 

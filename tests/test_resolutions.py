@@ -7,7 +7,8 @@ from diagres.complexes import (InputDataError, check_differential,
 from diagres.matrices import mat_eq, mat_mul, zero_matrix
 from diagres.polyring import ring
 from diagres.resolutions import (lift_module_map, maps_to_shifted_cone,
-                                 nullhomotopy, resolve_cyclic, truncate)
+                                 nullhomotopy, resolve_cyclic, tate, truncate)
+from diagres.scalars import QQ
 
 RXY = ring(["x", "y"], relations=["x*y"])
 R2 = ring(["x1", "x2"])
@@ -161,3 +162,83 @@ def test_memoized_solver_matches_fresh_solver(spec):
         for vec in probes:
             col = dict(enumerate(vec))
             assert shared.solve(col) == fresh.solve(col)
+
+
+def _catalog_tate_data(name, fld):
+    """(ring, gens, lifts) of one of the catalog's five Tate models."""
+    from diagres.catalog.entries import conic_ring
+    if name == "affine-origin":
+        rng = ring(["x1", "x2"], field=fld)
+        return rng, list(rng.gens()), []
+    if name == "adjacent-plane":
+        rng = ring(["x", "y", "u", "v"], field=fld, relations=["x*y", "u*v"])
+        x, y, u, v = rng.gens()
+        return rng, [x, v], [[y, rng.zero()], [rng.zero(), u]]
+    rng = conic_ring(fld)
+    x1, y1, x2, y2 = rng.gens()
+    z = rng.zero()
+    return rng, *{
+        "kx": ([y1, y2], [[x1, z], [z, x2]]),
+        "ky": ([x1, x2], [[y1, z], [z, y2]]),
+        "k0": ([x1, y1, x2, y2], [[z, x1, z, z], [z, z, z, x2]]),
+    }[name]
+
+
+TATE_MODELS = ["affine-origin", "kx", "ky", "k0", "adjacent-plane"]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+@pytest.mark.parametrize("name", TATE_MODELS)
+def test_tate_model_resolves_like_the_syzygy_oracle(name, spec):
+    """d*d = 0 mod J, d_1 is the row of generators, and the comparison map
+    to the iterated-syzygy resolution has a cone exact below the top."""
+    from diagres.matrices import mat_to_strings
+    from diagres.scalars import field_from_spec
+    top = 5
+    rng, gens, lifts = _catalog_tate_data(name, field_from_spec(spec))
+    model = tate(rng, gens, lifts, top)
+    assert check_differential(model)
+    assert mat_to_strings(model.diff(1)) == [[str(g) for g in gens]]
+    oracle = resolve_cyclic(rng, gens, top)
+    comparison = cone(lift_module_map(model, oracle, [[rng.one()]]))
+    for i in range(top):
+        assert homology_is_zero_at(comparison, i), i
+
+
+@pytest.mark.parametrize("name", ["kx", "ky", "k0", "adjacent-plane"])
+def test_catalog_builds_these_tate_models(name):
+    """The pairs above are the ones the catalog states."""
+    from diagres.catalog.entries import (TARGET_LEN, _chart_complex_cached,
+                                         _conic_pieces)
+    rng, gens, lifts = _catalog_tate_data(name, QQ)
+    if name == "adjacent-plane":
+        built = _chart_complex_cached(QQ, "adjacent")[4]["plane"]
+    else:
+        built = getattr(_conic_pieces(QQ), name)
+    assert built == tate(rng, gens, lifts, TARGET_LEN)
+
+
+def test_tate_rejects_a_lift_that_misses_its_relation():
+    rng, gens, lifts = _catalog_tate_data("kx", QQ)
+    x1, y1, x2, y2 = rng.gens()
+    with pytest.raises(InputDataError):
+        tate(rng, gens, [[x1, rng.zero()], [rng.zero(), y2]], 5)  # y2*y2 != x2*y2
+    with pytest.raises(InputDataError):
+        tate(rng, gens, lifts[:1], 5)  # one relation without its variable
+
+
+def test_tate_with_one_flipped_lift_coefficient_fails_d_squared():
+    """Negating one sigma entry of d_2 leaves d_1 d_2 = -f = 0 mod J, but
+    d_2 d_3 then misses g_l * 2 sigma, so the check sees it."""
+    from diagres.complexes import ChainComplex
+    from diagres.matrices import Matrix
+    rng, gens, lifts = _catalog_tate_data("kx", QQ)
+    model = tate(rng, gens, lifts, 5)
+    d2 = model.diff(2)
+    col = 1  # the basis of degree 2 is e_0 e_1, then T_0, T_1
+    row = next(r for r, entries in enumerate(d2.rows) if col in entries)
+    rows = [dict(entries) for entries in d2.rows]
+    rows[row][col] = -rows[row][col]
+    diffs = dict(model.diffs)
+    diffs[2] = Matrix(rng, d2.nrows, d2.ncols, rows)
+    assert not check_differential(ChainComplex(rng, dict(model.ranks), diffs, check=False))
