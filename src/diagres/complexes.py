@@ -21,9 +21,10 @@ matrices); the constructors convert dense lists of rows once, at the boundary.
 
 For speed, homology questions are answered after cancelling scalar-unit
 entries of the differentials (Gaussian cancellation); this produces a
-homotopy-equivalent complex together with an explicit degreewise inclusion,
-through which the augmentation row is transported, so every verdict is
-unchanged.  Each differential then has one elimination basis, its solver
+homotopy-equivalent complex.  The augmentation row rides through the
+cancellation as one more row of d_{i0}, never a pivot, so it comes out
+expressed on the reduced basis and every verdict is unchanged.  Each
+differential then has one elimination basis, its solver
 (groebner.solver_of, built on first use and kept on the matrix): kernel
 generators of d_i are read off the solver of d_i, and a column of C_i is a
 boundary iff the solver of d_{i+1} solves it, or, with no d_{i+1}, iff its
@@ -40,8 +41,8 @@ from typing import Optional, Sequence
 from ._terms import InputDataError, check_degree
 from .groebner import (ImageSolver, Submodule, buchberger, member, reduces_to_zero,
                        solver_of)
-from .matrices import (Matrix, as_matrix, block_matrix, from_columns, identity_matrix,
-                       mat_cols, mat_eq, mat_mul, mat_neg, mat_sub, zero_matrix)
+from .matrices import (Matrix, as_matrix, block_matrix, identity_matrix, mat_cols, mat_eq,
+                       mat_mul, mat_neg, mat_sub, zero_matrix)
 from .polyring import Polynomial, QuotientRing, RingMismatchError, max_degree
 from .scalars import _integral
 
@@ -110,6 +111,8 @@ class ChainComplex:
         return None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ChainComplex):
             return NotImplemented
         if self.ring != other.ring or self.ranks != other.ranks:
@@ -226,11 +229,6 @@ def shift(cx: ChainComplex, s: int) -> ChainComplex:
     return ChainComplex(cx.ring, {i + s: r for i, r in cx.ranks.items()}, diffs, check=False)
 
 
-def shift_map(f: ChainMap, s: int) -> ChainMap:
-    return ChainMap(shift(f.src, s), shift(f.tgt, s),
-                    {i + s: m for i, m in f.mats.items()}, check=False)
-
-
 def direct_sum(*summands: ChainComplex) -> ChainComplex:
     """The direct sum; of one summand, that summand itself (complexes are
     immutable), so a map into it reuses the solvers on its matrices."""
@@ -266,34 +264,39 @@ def block_map(srcs: Sequence[ChainComplex], tgts: Sequence[ChainComplex],
 
 
 # ---------------------------------------------------------------------------
-# Gaussian cancellation (minimization) with inclusion transport
+# Gaussian cancellation (minimization), carrying the augmentation row
 
 
-def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
+_AUG = -1  # the key of the augmentation row in d[i0]; no basis index is negative
+
+
+def minimize(cx: ChainComplex, aug: Optional[tuple] = None):
     """Cancel scalar-unit entries of the differentials.
 
-    Returns (reduced complex, incl) where incl maps each requested degree to
-    a matrix original_rank x reduced_rank whose columns express the reduced
-    basis inside the original one; the inclusion is a chain map and a
-    quasi-isomorphism, so homology questions transfer verbatim.
+    Returns (reduced complex, reduced row).  The reduced complex is a
+    deformation retract of cx, so homology questions transfer verbatim.
+    aug, if given, is a row (i0, {column: entry}) on C_{i0}; the reduced row
+    is that row on the reduced basis (the row times the retract's
+    inclusion), or None without aug.
 
     The elimination is sparse and keeps the original basis indices: d[k][r]
-    maps the columns of row r of d_k to their nonzero entries, and incl[k][t]
-    is reduced basis vector t of C_k over the original basis.  Cancelling the
-    unit at (r, c) of d_k deletes basis vector c of C_k and r of C_{k-1} in
-    place, and the survivors are renumbered once, at the end.  An updated
-    entry is built by axpy on a fresh copy of its terms, so no stored
-    Polynomial is edited; each updated row is degree-checked against the
-    pivot row first, so no term wraps.  Degrees are cleared in ascending
-    order, each at its lexicographically first unit (row, column): a pivot
-    at degree k only removes a row above and a column below it, so it never
-    creates a unit outside d_k, and the pivots are those of a scan restarted
-    from the lowest degree after every cancellation.
+    maps the columns of row r of d_k to their nonzero entries.  Cancelling
+    the unit at (r, c) of d_k deletes basis vector c of C_k and r of C_{k-1}
+    in place, and the survivors are renumbered once, at the end.  The
+    augmentation is one more row of d[i0], under the key _AUG, and never a
+    pivot: the Schur update and the column deletions rewrite it by the same
+    exact linear steps as the inclusion's columns.  An updated entry is
+    built by axpy on a fresh copy of its terms, so no stored Polynomial is
+    edited; each updated row is degree-checked against the pivot row first,
+    so no term wraps.  Degrees are cleared in ascending order, each at its
+    lexicographically first unit (row, column): a pivot at degree k only
+    removes a row above and a column below it, so it never creates a unit
+    outside d_k, and the pivots are those of a scan restarted from the
+    lowest degree after every cancellation.
     """
     rng = cx.ring
     fld = rng.field
     axpy, one_key, top = fld.axpy, rng.one_key, rng.packing.top_degree
-    one = rng.one()
 
     def factor(x: Polynomial, inv, pdeg: int) -> list:
         """-x*inv as (coefficient, shift) pairs for axpy, after checking that
@@ -316,12 +319,14 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
 
     keep = {k: dict.fromkeys(range(n)) for k, n in cx.ranks.items()}
     d = {k: dict(enumerate(map(dict, mat.rows))) for k, mat in cx.diffs.items()}
-    incl = {k: {t: {t: one} for t in range(cx.rank(k))} for k in transport_degrees}
+    if aug is not None:
+        d.setdefault(aug[0], {})[_AUG] = dict(aug[1])
     for k in sorted(d):
         dk = d[k]
         # Candidate unit positions, checked when popped; the Schur update
         # pushes every position it makes a nonzero constant.
-        heap = [(r, c) for r, row in dk.items() for c, e in row.items() if e.is_constant()]
+        heap = [(r, c) for r, row in dk.items() if r != _AUG
+                for c, e in row.items() if e.is_constant()]
         heapq.heapify(heap)
         while heap:
             r, c = heapq.heappop(heap)
@@ -338,32 +343,29 @@ def minimize(cx: ChainComplex, transport_degrees: Sequence[int] = ()):
                 xs = factor(x, inv, pdeg)
                 for t, e in prow.items():
                     v = update(row, t, xs, e)
-                    if v is not None and v.is_constant():
+                    if v is not None and s != _AUG and v.is_constant():
                         heapq.heappush(heap, (s, t))
-            if k in incl:
-                ccol = incl[k].pop(c)
-                for s, x in ccol.items():
-                    xs = factor(x, inv, pdeg)
-                    for t, e in prow.items():
-                        update(incl[k][t], s, xs, e)
-            if k - 1 in incl:
-                del incl[k - 1][r]
             # d_{k+1} loses row c, d_{k-1} loses column r
             d.get(k + 1, {}).pop(c, None)
             for row in d.get(k - 1, {}).values():
                 row.pop(r, None)
             del keep[k][c], keep[k - 1][r]
     pos = {k: {b: n for n, b in enumerate(kb)} for k, kb in keep.items()}
+    if aug is not None:
+        aug = {pos[aug[0]][c]: e for c, e in d[aug[0]].pop(_AUG).items()}
+    # The rows of d[k] are the survivors of C_{k-1}; a d[k] that held only
+    # the augmentation is empty now and is not a differential.
     diffs = {k: Matrix(rng, len(keep[k - 1]), len(keep[k]),
                        [{pos[k][c]: e for c, e in d[k][r].items()} for r in keep[k - 1]])
-             for k in d if keep[k] and keep[k - 1]}
+             for k in d if d[k] and keep[k]}
     out = ChainComplex(rng, {k: len(b) for k, b in keep.items()}, diffs, check=False)
-    return out, {k: from_columns(rng, cx.rank(k), list(cols.values()))
-                 for k, cols in incl.items()}
+    return out, aug
 
 
 # ---------------------------------------------------------------------------
-# homology
+# homology, answered from the solver of each differential (groebner.solver_of),
+# kept on the matrix: a minimized complex's solvers are freed with it, and a
+# given complex's are shared by every verdict on its matrices.
 
 
 def homology_is_zero_at(cx: ChainComplex, i: int, pre_minimize: bool = True) -> bool:
@@ -372,40 +374,35 @@ def homology_is_zero_at(cx: ChainComplex, i: int, pre_minimize: bool = True) -> 
     cx._require_square_zero()
     if pre_minimize:
         cx, _ = minimize(cx)
-    return _Homology(cx).zero_at(i)
+    return _zero_at(cx, i)
 
 
-class _Homology:
-    """Homology questions about one complex, all answered from the solver of
-    each differential (groebner.solver_of).
+def _cycles(cx: ChainComplex, i: int) -> Matrix:
+    """Generators of ker d_i, as the columns of a matrix; with no d_i (it is
+    zero or maps to rank 0) the identity columns."""
+    if i in cx.diffs:
+        return solver_of(cx.diffs[i]).kernel()
+    return identity_matrix(cx.ring, cx.rank(i))
 
-    The solvers are kept on the matrices, not here: those of a minimized
-    complex, whose matrices are fresh every time, are freed with it after
-    the verdict, and those of a complex verified as given stay with its
-    matrices, shared with every other verdict on them.
-    """
 
-    def __init__(self, cx: ChainComplex):
-        self.cx = cx
+def _is_boundary(cx: ChainComplex, i: int, col: dict) -> bool:
+    """Whether the sparse column col of C_i lies in im(d_{i+1}) + J*C_i."""
+    if i + 1 in cx.diffs:
+        return solver_of(cx.diffs[i + 1]).solve(col) is not None
+    return _vanishes(cx.ring, col.values())
 
-    def cycles(self, i: int) -> Matrix:
-        """Generators of ker d_i, as the columns of a matrix; with no d_i (it
-        is zero or maps to rank 0) the identity columns."""
-        if i in self.cx.diffs:
-            return solver_of(self.cx.diffs[i]).kernel()
-        return identity_matrix(self.cx.ring, self.cx.rank(i))
 
-    def is_boundary(self, i: int, col: dict) -> bool:
-        """Whether the sparse column col of C_i lies in im(d_{i+1}) + J*C_i."""
-        if i + 1 in self.cx.diffs:
-            return solver_of(self.cx.diffs[i + 1]).solve(col) is not None
-        return _vanishes(self.cx.ring, col.values())
+def _zero_at(cx: ChainComplex, i: int) -> bool:
+    if i not in cx.diffs and i + 1 not in cx.diffs:
+        # The identity columns are boundaries iff 1 lies in J: one test, not n.
+        return cx.rank(i) == 0 or _vanishes(cx.ring, [cx.ring.one()])
+    return all(_is_boundary(cx, i, col) for col in mat_cols(_cycles(cx, i)))
 
-    def zero_at(self, i: int) -> bool:
-        if i not in self.cx.diffs and i + 1 not in self.cx.diffs:
-            # The identity columns are boundaries iff 1 lies in J: one test, not n.
-            return self.cx.rank(i) == 0 or _vanishes(self.cx.ring, [self.cx.ring.one()])
-        return all(self.is_boundary(i, col) for col in mat_cols(self.cycles(i)))
+
+def _exact(cx: ChainComplex, window: tuple, skip: Optional[int] = None) -> list:
+    """One exact@i condition per degree i of the window other than skip."""
+    return [ConditionResult("exact", i, _zero_at(cx, i))
+            for i in range(window[0], window[1] + 1) if i != skip]
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +503,9 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     if not (window[0] <= i0 <= window[1]):
         raise InputDataError("designated degree outside the claimed window")
 
-    work, incl = (minimize(cx, transport_degrees=(i0,)) if pre_minimize
-                  else (cx, {i0: identity_matrix(rng, cx.rank(i0))}))
     eps = as_matrix(rng, [dspec.augmentation])
-    hom = _Homology(work)
-
-    conditions = [ConditionResult("exact", i, hom.zero_at(i))
-                  for i in range(window[0], window[1] + 1) if i != i0]
+    work, aug = minimize(cx, (i0, eps.rows[0])) if pre_minimize else (cx, eps.rows[0])
+    conditions = _exact(work, window, i0)
 
     # (b) well-definedness on boundaries, checked against the complex as
     # given: the reduced model only sees reduced boundaries, so checking
@@ -528,10 +521,10 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     conditions.append(ConditionResult("well_defined", i0, ok_b, detail_b))
 
     # (c) and (d) read one elimination basis of the row (aug on the kernel
-    # generators | I), with the augmentation transported to the reduced basis.
-    cycles = hom.cycles(i0)
+    # generators | I), with the augmentation carried to the reduced basis.
+    cycles = _cycles(work, i0)
     k = cycles.ncols
-    vals = mat_mul(mat_mul(eps, incl[i0]), cycles).rows[0]
+    vals = mat_mul(Matrix(rng, 1, work.rank(i0), [aug]), cycles).rows[0]
     vals.update((k + j, g) for j, g in enumerate(dspec.ideal) if g.terms)
     combo = ImageSolver(Matrix(rng, 1, k + len(dspec.ideal), [vals]), rng)
 
@@ -544,7 +537,7 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     # they are the columns of cycles * (the kernel rows of the combinations)
     syz = combo.kernel()
     vecs = mat_mul(cycles, Matrix(rng, k, syz.ncols, syz.rows[:k]))
-    bad = next((j for j, col in enumerate(mat_cols(vecs)) if not hom.is_boundary(i0, col)),
+    bad = next((j for j, col in enumerate(mat_cols(vecs)) if not _is_boundary(work, i0, col)),
                None)
     conditions.append(ConditionResult(
         "injective", i0, bad is None,
@@ -562,7 +555,5 @@ def exact_everywhere(cx: ChainComplex, window: Optional[tuple] = None) -> QisoRe
         return QisoResult(True, 0, window or (0, 0), [ConditionResult("exact", None, True)])
     if window is None:
         window = (cx.lo - 1, cx.hi + 1)
-    hom = _Homology(minimize(cx)[0])
-    conditions = [ConditionResult("exact", i, hom.zero_at(i))
-                  for i in range(window[0], window[1] + 1)]
+    conditions = _exact(minimize(cx)[0], window)
     return QisoResult(all(c.passed for c in conditions), 0, window, conditions)

@@ -432,6 +432,8 @@ def load_job(path: str, field: Optional[str] = None) -> Job:
             doc = json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise JobFileError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise JobFileError("job file nested too deeply at $") from exc
     if repeats:
         raise _repeated_key_error(doc)
     if field is not None and isinstance(doc, dict) and isinstance(doc.get("ring"), dict):

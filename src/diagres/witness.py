@@ -158,10 +158,6 @@ def verify_witness(w: GenerationWitness) -> WitnessReport:
     return report
 
 
-def _same(a: ChainComplex, b: ChainComplex) -> bool:
-    return a is b or a == b
-
-
 def _check_step(step: WitnessStep, idx: int, prev: Optional[ChainComplex]) -> str:
     """Why step idx is not the triangle it declares, or "" if it is."""
     if step.target is None:
@@ -176,18 +172,18 @@ def _check_step(step: WitnessStep, idx: int, prev: Optional[ChainComplex]) -> st
     if idx == 0:
         if step.step_map is not None:
             return "step 0 takes no attaching map"
-        if _same(step.target, declared):
+        if step.target == declared:
             return ""
         return ("target does not match the declared sum: ranks "
                 f"{step.target.ranks} vs {declared.ranks}")
     psi = step.step_map
     if psi is None:
         return "no attaching map"
-    if prev is None or not _same(psi.tgt, prev):
+    if prev is None or psi.tgt != prev:
         return "attaching map does not end at the previous step's target"
-    if not _same(psi.src, declared):
+    if psi.src != declared:
         return ("attaching map's source does not match the declared sum: ranks "
                 f"{psi.src.ranks} vs {declared.ranks}")
-    if not _same(step.target, cone(psi)):
+    if step.target != cone(psi):
         return "target is not the cone of the attaching map"
     return ""

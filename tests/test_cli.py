@@ -182,6 +182,20 @@ def test_corrupt_job_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_job_is_input_error(tmp_path, capsys, opening, closing):
+    """The JSON decoder gives up on deep nesting with a RecursionError: the
+    job is an input error at $, not an internal error."""
+    depth = 100_000
+    path = tmp_path / "nested.json"
+    path.write_text(opening * depth + "0" + closing * depth)
+    code, out, err = run_cli(capsys, "verify", "--job", str(path))
+    assert code == 2 and out == ""
+    assert "input error:" in err and "internal error" not in err
+    assert "nested too deeply at $" in err
+
+
 def test_job_with_broken_differential_is_input_error(tmp_path, capsys):
     path = tmp_path / "badsq.json"
     path.write_text(json.dumps({

@@ -127,13 +127,12 @@ def test_cone_shift_compatibility():
     target block, so conjugating one differential by that sign matrix gives
     literal equality degreewise (and hence submodule-equal images).
     """
-    from diagres.complexes import shift_map
     from diagres.matrices import mat_eq
     k = koszul(R2, ["x1", "x2"])
     mult = lift_module_map(k, k, [[R2.parse("x1-x2")]])
     src1 = shift(k, 1)
     a = shift(cone(mult), 1)
-    b = cone(shift_map(mult, 1))
+    b = cone(ChainMap(src1, src1, {i + 1: m for i, m in mult.mats.items()}, check=False))
     assert a.ranks == b.ranks
 
     def sign_mat(i):
@@ -341,14 +340,25 @@ def _conjugate(cx, rand, steps):
 
 
 def _assert_same_minimization(cx, degrees):
+    """minimize agrees with the restarting scan, and the row it returns for
+    the unit row e_s at degree d is row s of the scan's inclusion at d: the
+    rows for every s rebuild the whole inclusion."""
     from diagres.matrices import mat_eq
-    got, got_incl = minimize(cx, transport_degrees=degrees)
+    got, no_row = minimize(cx)
     want, want_incl = _minimize_restarting(cx, transport_degrees=degrees)
+    assert no_row is None
     assert got.ranks == want.ranks
     assert got == want
-    assert set(got_incl) == set(want_incl)
+    one = cx.ring.one()
     for d in degrees:
-        assert mat_eq(got_incl[d], as_matrix(cx.ring, want_incl[d], got_incl[d].ncols))
+        rows = []
+        for s in range(cx.rank(d)):
+            reduced, row = minimize(cx, (d, {s: one}))
+            # The row never becomes a differential of its own.
+            assert reduced == got and set(reduced.diffs) == set(got.diffs)
+            rows.append(row)
+        incl = Matrix(cx.ring, cx.rank(d), got.rank(d), rows)
+        assert mat_eq(incl, as_matrix(cx.ring, want_incl[d], got.rank(d)))
 
 
 def test_minimize_matches_restarting_scan_on_catalog():
@@ -374,14 +384,35 @@ def test_minimize_matches_restarting_scan_randomized():
     schur = ChainComplex(R2, {0: 2, 1: 2},
                          {1: [[R2.parse(e) for e in row] for row in
                               (("1", "x1"), ("x1", "x1^2 + 1"))]})
+    # No d_1 is stored between nonzero C_1 and C_0: a row carried at degree
+    # 1 must not leave a zero d_1 behind.
+    gap = ChainComplex(R2, {0: 2, 1: 2, 2: 1}, {2: [[R2.one()], [R2.parse("x2")]]})
     bases = [direct_sum(k, cone(ident), shift(k, 1)), cone(mult),
              direct_sum(cone(ident), cone(lift_module_map(k, k, [[R2.parse("x2")]]))),
-             schur]
+             schur, gap]
     for base in bases:
         _assert_same_minimization(base, tuple(base.degrees()))
         for _ in range(3):
             cx = _conjugate(base, rand, steps=12)
             _assert_same_minimization(cx, tuple(cx.degrees()))
+
+
+def test_augmentation_row_is_never_a_pivot():
+    """The augmentation's 1 at column 0 is the lexicographically first unit
+    of d_1 with the row in it (its key sorts before every basis index);
+    cancelling it would delete a basis vector of C_0 that does not exist."""
+    from diagres.matrices import mat_eq
+    p = R2.parse
+    cx = ChainComplex(R2, {0: 1, 1: 3, 2: 1},
+                      {1: [[p("1"), p("x1"), p("x2")]], 2: [[p("x2")], [p("0")], [p("-1")]]})
+    aug = [p("1"), p("x2"), p("0")]
+    reduced, row = minimize(cx, (1, as_matrix(R2, [aug]).rows[0]))
+    want, want_incl = _minimize_restarting(cx, transport_degrees=(1,))
+    plain, _ = minimize(cx)
+    assert reduced == plain == want and set(reduced.diffs) == set(plain.diffs)
+    assert row == {0: p("x2 - x1")}
+    eps_incl = mat_mul(as_matrix(R2, [aug]), as_matrix(R2, want_incl[1], reduced.rank(1)))
+    assert mat_eq(Matrix(R2, 1, reduced.rank(1), [row]), eps_incl)
 
 
 # ---------------------------------------------------------------------------
