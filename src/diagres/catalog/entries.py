@@ -369,6 +369,7 @@ def _cycle_witness(n: int) -> GenerationWitness:
     for j in range(1, n + 1):
         jm = ((j - 2) % n) + 1
         generators.extend([
+            GeneratorDecl(f"O_square_{j}", "product"),
             GeneratorDecl(f"O_square_{j}(-1,-1)", "product"),
             GeneratorDecl(f"O_node_{j}", "product"),
             GeneratorDecl(f"F_{j}", "weakly_product",
@@ -384,7 +385,6 @@ def _cycle_witness(n: int) -> GenerationWitness:
         generators=generators,
         steps=[WitnessStep(None, None, steps0), WitnessStep(None, None, steps1)],
         claimed_time=1,
-        auxiliary_products=tuple(f"O_square_{j}" for j in range(1, n + 1)),
         conclusion=f"Rdim(D^bCoh(I_{n})) <= 1",
     )
 

@@ -549,7 +549,9 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
 
 def exact_everywhere(cx: ChainComplex, window: Optional[tuple] = None) -> QisoResult:
     """All homology vanishes in the window (distant-chart expectation);
-    InputDataError if cx is not a complex."""
+    InputDataError if cx is not a complex or the window is empty."""
+    if window is not None and window[0] > window[1]:
+        raise InputDataError(f"empty window {tuple(window)}: lo > hi")
     cx._require_square_zero()
     if cx.is_zero():
         return QisoResult(True, 0, window or (0, 0), [ConditionResult("exact", None, True)])

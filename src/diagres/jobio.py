@@ -36,7 +36,7 @@ Schema (version 1)::
                    "map": {"source": "S1", "target": "R0",  # S_1[-1] -> R_0
                            "matrices": {"0": [["x1"]]}},
                    "summands": [...]}],
-        "auxiliary_products": [], "conclusion": "..."
+        "conclusion": "..."
       }
     }
 
@@ -249,6 +249,8 @@ def parse_diagonal(d: dict, rng: QuotientRing, path: str = "diagonal",
         if len(raw) != 2:
             raise JobFileError(f"expected [lo, hi] at {path}.window, got {raw!r}")
         window = tuple(_degree(w, f"{path}.window[{i}]") for i, w in enumerate(raw))
+        if window[0] > window[1]:
+            raise JobFileError(f"expected lo <= hi at {path}.window, got {raw!r}")
     return DiagonalSpec(ideal=ideal, degree=degree, augmentation=aug, window=window)
 
 
@@ -264,7 +266,7 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
                   path: str = "witness", memo: Optional[dict] = None) -> GenerationWitness:
     _obj(d, path)
     memo = {} if memo is None else memo
-    gens = []
+    gens = {}  # label -> GeneratorDecl, in declared order
     for i, g in enumerate(_list(d.get("generators", []), f"{path}.generators")):
         gpath = f"{path}.generators[{i}]"
         _obj(g, gpath)
@@ -282,8 +284,10 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
             raise JobFileError(f"unknown generator kind {kind!r} at {gpath}.kind")
         if kind == "weakly_product":
             _need(g, "certificate", gpath)
-        gens.append(GeneratorDecl(_str(_need(g, "label", gpath), f"{gpath}.label"),
-                                  kind, cert))
+        label = _str(_need(g, "label", gpath), f"{gpath}.label")
+        if label in gens:
+            raise JobFileError(f"repeated generator label {label!r} at {gpath}.label")
+        gens[label] = GeneratorDecl(label, kind, cert)
     steps = []
     for i, s in enumerate(_list(d.get("steps", []), f"{path}.steps")):
         spath = f"{path}.steps[{i}]"
@@ -324,16 +328,13 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
                 raise JobFileError(f"invalid chain map at {mpath}: {exc}") from exc
         steps.append(WitnessStep(step_map, target, summands))
     for key in d:
-        if key not in ("claimed_time", "generators", "steps", "auxiliary_products",
-                       "conclusion"):
+        if key not in ("claimed_time", "generators", "steps", "conclusion"):
             raise JobFileError(f"unknown key at {path}.{key}")
     return GenerationWitness(
-        generators=gens,
+        generators=list(gens.values()),
         steps=steps,
         claimed_time=_int(_need(d, "claimed_time", path), f"{path}.claimed_time"),
         final_diagonal=diagonal,
-        auxiliary_products=tuple(_strs(d.get("auxiliary_products", []),
-                                       f"{path}.auxiliary_products")),
         conclusion=_str(d.get("conclusion", ""), f"{path}.conclusion"),
     )
 
@@ -349,6 +350,9 @@ def parse_job(doc: dict) -> Job:
     for i, cd in enumerate(_list(doc.get("complexes", []), "complexes")):
         path = f"complexes[{i}]"
         name = _str(_obj(cd, path).get("name", f"complex{i}"), f"{path}.name")
+        if name in complexes:
+            where = f"{path}.name" if "name" in cd else path
+            raise JobFileError(f"repeated complex name {name!r} at {where}")
         complexes[name] = parse_complex(cd, rng, path, memo)
     expectation = doc.get("expectation", "qiso_to_diagonal")
     if expectation not in ("qiso_to_diagonal", "exact_everywhere"):

@@ -273,28 +273,22 @@ class Polynomial:
             raise RingMismatchError(
                 f"cannot combine polynomials from {self.ring!r} and {other.ring!r}")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _axpy(self, c: int, other: "Polynomial") -> "Polynomial":
+        """self + c * other, for c = 1 or -1."""
         self._check(other)
-        fld = self.ring.field
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                w = fld.add(w, v)
-                if fld.is_zero(w):
-                    del out[k]
-                else:
-                    out[k] = w
+        self.ring.field.axpy(out, c, 0, other.terms)
         return Polynomial(self.ring, out)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._axpy(1, other)
 
     def __neg__(self) -> "Polynomial":
         fld = self.ring.field
         return Polynomial(self.ring, {k: fld.neg(v) for k, v in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._axpy(-1, other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)

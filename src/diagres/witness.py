@@ -18,8 +18,9 @@ match; summands that would require idempotent splitting are out of scope.
 A witness over several charts (the cycle) declares its generators and
 steps once and carries one local witness per distinct chart pattern in
 `charts`; every local witness goes through the same step and diagonal
-checks.  A weakly product generator carries a cone certificate whose
-endpoints must be declared product objects; a generator declared product
+checks.  Generator labels are distinct, and every label a step or a
+certificate cites is one of them.  A weakly product generator carries a cone certificate whose
+endpoints must be generators declared product; a generator declared product
 is taken as declared, and nothing checks that it is one.
 """
 
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError,
-                        QisoResult, cone, direct_sum, shift, verify_diagonal_qiso,
-                        zero_complex)
+                        cone, direct_sum, shift, verify_diagonal_qiso, zero_complex)
 
 
 @dataclass
@@ -82,7 +82,6 @@ class GenerationWitness:
     steps: list
     claimed_time: int
     final_diagonal: Optional[DiagonalSpec] = None
-    auxiliary_products: tuple = ()
     charts: tuple = ()  # local witnesses; conclusion names the chart
     conclusion: str = ""
 
@@ -92,7 +91,6 @@ class WitnessReport:
     passed: bool
     messages: list = field(default_factory=list)
     problems: list = field(default_factory=list)
-    final_result: Optional[QisoResult] = None
 
 
 def verify_witness(w: GenerationWitness) -> WitnessReport:
@@ -102,8 +100,10 @@ def verify_witness(w: GenerationWitness) -> WitnessReport:
         if len(x.steps) != w.claimed_time + 1:
             raise InputDataError(
                 f"witness has {len(x.steps)} steps but claims generation time {w.claimed_time}")
-    declared = {g.label: g for g in w.generators}
-    closure = set(declared) | set(w.auxiliary_products)
+    declared = {}
+    for g in w.generators:
+        if declared.setdefault(g.label, g) is not g:
+            raise InputDataError(f"repeated generator label {g.label!r}")
     for step in w.steps:
         for s in step.summands:
             if s.label not in declared:
@@ -115,10 +115,10 @@ def verify_witness(w: GenerationWitness) -> WitnessReport:
         if g.kind != "weakly_product":
             continue
         for lab in (g.certificate.source_label, g.certificate.target_label):
-            if lab not in closure:
+            if lab not in declared:
                 raise InputDataError(
                     f"certificate of {g.label!r} cites undeclared label {lab!r}")
-            if lab in declared and declared[lab].kind == "weakly_product":
+            if declared[lab].kind == "weakly_product":
                 report.problems.append(
                     f"{g.label}: cone certificate endpoint {lab} is not a product object")
 
@@ -140,7 +140,6 @@ def verify_witness(w: GenerationWitness) -> WitnessReport:
         except InputDataError as exc:
             report.problems.append(f"{where}final complex fails diagonal check: {exc}")
             continue
-        report.final_result = result
         if not result.passed:
             f = result.first_failure()
             report.problems.append(f"{where}final complex fails diagonal check: "

@@ -233,6 +233,47 @@ def test_verify_job_exact_everywhere(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
+def _unit_job(window):
+    """k in degree 0 over k[x], with no differential, under exact_everywhere
+    in the given diagonal window: H_0 = k is not zero."""
+    return {"schema": 1, "ring": {"variables": ["x"]},
+            "complexes": [{"name": "c", "ranks": {"0": 1}}],
+            "diagonal": {"ideal": ["x"], "degree": 0, "augmentation": ["1"],
+                         "window": window},
+            "expectation": "exact_everywhere"}
+
+
+def test_inverted_window_is_input_error(tmp_path, capsys):
+    """A window [lo, hi] with lo > hi holds no degree, so exactness in it
+    would pass with no condition checked."""
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(_unit_job([0, 0])))
+    assert run_cli(capsys, "verify", "--job", str(path))[0] == 1
+    path.write_text(json.dumps(_unit_job([3, -1])))
+    code, out, err = run_cli(capsys, "verify", "--job", str(path))
+    assert (code, out) == (2, "")
+    assert "expected lo <= hi at diagonal.window, got [3, -1]" in err
+
+
+@pytest.mark.parametrize("names, where", [(["c", "c"], "complexes[1].name"),
+                                          (["complex1", None], "complexes[1]")],
+                         ids=["named", "default"])
+def test_repeated_complex_name_is_input_error(tmp_path, capsys, names, where):
+    """A second complex of one name would replace the first unchecked: here
+    the first alone fails exact_everywhere and the second passes."""
+    complexes = [{"ranks": {"0": 1}},
+                 {"ranks": {"0": 1, "1": 1}, "differentials": {"1": [["1"]]}}]
+    for cd, name in zip(complexes, names):
+        if name is not None:
+            cd["name"] = name
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"schema": 1, "ring": {"variables": ["x"]},
+                                "complexes": complexes, "expectation": "exact_everywhere"}))
+    code, out, err = run_cli(capsys, "verify", "--job", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip().endswith(f"repeated complex name {names[0]!r} at {where}")
+
+
 def _good_and_bad_job():
     """Two complexes over k[x]/(x^2): d_1 = 1 is exact, d_1 = x is not."""
     return {"schema": 1, "name": "job",
@@ -531,7 +572,8 @@ def test_witness_subcommand(capsys):
 
 
 @pytest.mark.parametrize("key, value", [("label_level", True),
-                                        ("final", {"complex": "total"})])
+                                        ("final", {"complex": "total"}),
+                                        ("auxiliary_products", ["A"])])
 def test_witness_job_removed_key_is_input_error(tmp_path, capsys, key, value):
     path = tmp_path / "wit.json"
     path.write_text(json.dumps({
@@ -617,6 +659,16 @@ def test_witness_job_certificate_key_outside_schema_is_input_error(tmp_path, cap
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "witness", "--job", str(path))
     assert code == 2 and f"witness.generators[2].certificate.{key}" in err
+    assert "Rouquier" not in out
+
+
+def test_witness_job_repeated_generator_label_is_input_error(tmp_path, capsys):
+    doc = _affine_witness_job()
+    doc["witness"]["generators"].append({"label": "O_plane", "kind": "product"})
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 2 and "repeated generator label 'O_plane' at witness.generators[3].label" in err
     assert "Rouquier" not in out
 
 

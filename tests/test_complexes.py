@@ -74,6 +74,16 @@ def test_zero_complex():
     assert exact_everywhere(z).passed
 
 
+def test_exact_everywhere_on_an_empty_window_raises():
+    """A window [lo, hi] with lo > hi holds no degree to check, for the zero
+    complex as for k in degree 0, whose H_0 is not zero."""
+    rx = ring(["x"])
+    for cx in (zero_complex(rx), ChainComplex(rx, {0: 1}, {})):
+        with pytest.raises(InputDataError, match="empty window"):
+            exact_everywhere(cx, (3, -1))
+    assert not exact_everywhere(ChainComplex(rx, {0: 1}, {}), (0, 0)).passed
+
+
 def test_cone_of_identity_is_exact():
     k = koszul(R2, ["x1", "x2"])
     ident = ChainMap(k, k, {i: identity_matrix(R2, k.rank(i))

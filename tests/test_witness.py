@@ -109,7 +109,6 @@ def test_witness_reuses_the_entry_verdict(build, monkeypatch):
     rep = verify_witness(entry.witness)
     assert rep.passed, rep.problems
     assert len(runs) == 1
-    assert rep.final_result is verify_diagonal_qiso(entry.complex, entry.diagonal)
     w = entry.witness
     bad_diag = DiagonalSpec(ideal=[entry.ring.parse("x1+x2")] + w.final_diagonal.ideal[1:],
                             degree=0, augmentation=w.final_diagonal.augmentation,
@@ -137,6 +136,31 @@ def test_cone_certificate_endpoints_must_be_products():
     rep = verify_witness(bad)
     assert not rep.passed
     assert any("not a product object" in p for p in rep.problems)
+
+
+def test_cone_certificate_endpoints_must_be_declared_generators():
+    """A certificate endpoint outside the generators has no kind to check, so
+    the witness is an input error rather than a verdict."""
+    w = build_affine_line().witness
+    gens = [GeneratorDecl("O_plane", "product"),
+            GeneratorDecl("O_origin", "product"),
+            GeneratorDecl("ideal_origin", "weakly_product",
+                          ConeCertificate("O_square", "O_origin"))]
+    bad = GenerationWitness(generators=gens, steps=w.steps, claimed_time=1,
+                            final_diagonal=w.final_diagonal)
+    with pytest.raises(InputDataError,
+                       match="certificate of 'ideal_origin' cites undeclared label 'O_square'"):
+        verify_witness(bad)
+
+
+def test_repeated_generator_label_is_input_error():
+    """A second declaration of a label would shadow the first one's kind."""
+    w = build_affine_line().witness
+    again = GeneratorDecl("O_plane", "weakly_product", ConeCertificate("O_origin", "O_origin"))
+    bad = GenerationWitness(generators=[*w.generators, again], steps=w.steps,
+                            claimed_time=1, final_diagonal=w.final_diagonal)
+    with pytest.raises(InputDataError, match="repeated generator label 'O_plane'"):
+        verify_witness(bad)
 
 
 def test_step_check_needs_the_declared_block_order():
