@@ -55,6 +55,9 @@ DIAG_CHART_AUG = ("0", "0", "-x1", "0", "-x1", "0", "x1", "y1", "1", "x1", "0", 
 
 SINGULAR_WINDOW = (-1, WINDOW_HI)
 
+# The cycle builds n^2 chart jobs, so time and memory grow as n^2.
+MAX_CYCLE_N = 256
+
 
 @dataclass
 class CycleCatalog:
@@ -103,18 +106,17 @@ def skyscraper_connecting_map(proj: ChainMap, ideal: ChainComplex,
     mats = {i: block_matrix(rng, [proj.src.rank(i), source.rank(i)], [source.rank(i)],
                             {(1, 0): identity_matrix(rng, source.rank(i))})
             for i in source.degrees() if source.rank(i)}
-    return ChainMap(source, ideal, mats, check=False)
+    return ChainMap(source, ideal, mats)
 
 
 def inclusion_of_truncation(ks: ChainComplex, kfull: ChainComplex) -> ChainMap:
     """Identity components from a truncation ks of kfull into kfull."""
     mats = {i: identity_matrix(kfull.ring, ks.rank(i)) for i in ks.degrees()}
-    return ChainMap(ks, kfull, mats, check=False)
+    return ChainMap(ks, kfull, mats)
 
 
 def negate_map(f: ChainMap) -> ChainMap:
-    return ChainMap(f.src, f.tgt, {i: mat_neg(m) for i, m in f.mats.items()},
-                    check=False)
+    return ChainMap(f.src, f.tgt, {i: mat_neg(m) for i, m in f.mats.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def build_nodal_conic_product(field: Field = QQ) -> VerificationEntry:
     collapse = ChainMap(separate.tgt, k0, {
         i: block_matrix(rng, [k0.rank(i)], [kx.rank(i), ky.rank(i)],
                         {(0, 0): mat_neg(px.mat(i)), (0, 1): mat_neg(py.mat(i))})
-        for i in k0.degrees()}, check=False)
+        for i in k0.degrees()})
     # kxs + kys -> kx + ky -> k0 as a cone into a cone
     total = cone(maps_to_shifted_cone([separate], collapse)[0])
     dspec = DiagonalSpec(
@@ -464,6 +466,8 @@ def build_cycle(n: int, field: Field = QQ) -> CycleCatalog:
     if n < 3:
         raise InputDataError("cycle catalog supports n >= 3 "
                              "(smaller cycles have self-glued charts)")
+    if n > MAX_CYCLE_N:
+        raise InputDataError(f"cycle length {n} above the maximum {MAX_CYCLE_N}")
     adjacent = _chart_complex_cached(field, "adjacent")
     per_kind = {
         "diagonal": (*_chart_complex_cached(field, "diagonal")[:3], "qiso_to_diagonal",

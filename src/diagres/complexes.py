@@ -2,9 +2,11 @@
 
 Homological indexing throughout: the differential d_i maps C_i to C_{i-1}.
 A complex stores ranks and differentials for a degree window [lo, hi]; all
-identities (d*d = 0, chain-map commutation) hold modulo the relation ideal J
-of the ring, i.e. they are identities of complexes of free R/J-modules
-written out over the ambient polynomial ring.
+identities hold modulo the relation ideal J of the ring, i.e. they are
+identities of complexes of free R/J-modules written out over the ambient
+polynomial ring.  The one identity ever checked is d*d = 0: a chain map f
+commutes with d modulo J iff cone(f) is a complex, so a map is checked
+through its cone.
 
 Conventions fixed once:
   * cone(f)_i = source_{i-1} (+) target_i with differential
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ._terms import InputDataError, check_degree
@@ -49,9 +52,6 @@ from .scalars import _integral
 
 # ---------------------------------------------------------------------------
 # complexes
-
-
-_UNCHECKED = object()
 
 
 class ChainComplex:
@@ -70,7 +70,6 @@ class ChainComplex:
         self.lo, self.hi = (min(ranks), max(ranks)) if ranks else (0, -1)
         self.diffs = _stored(rng, diffs, lambda i: (self.rank(i - 1), self.rank(i)),
                              "differential")
-        self._d2_failure = _UNCHECKED
         self._qiso = {}  # (id(spec), pre_minimize) -> (spec, QisoResult)
         if check:
             self._require_square_zero()
@@ -90,17 +89,12 @@ class ChainComplex:
 
     def _require_square_zero(self):
         """Raise InputDataError unless d*d = 0 (mod relations)."""
-        err = self._square_zero_failure()
-        if err is not None:
-            raise InputDataError(f"d*d != 0 (mod relations) entering degree {err}")
+        if self._d2_failure is not None:
+            raise InputDataError(f"d*d != 0 (mod relations) entering degree {self._d2_failure}")
 
-    def _square_zero_failure(self) -> Optional[int]:
+    @cached_property
+    def _d2_failure(self) -> Optional[int]:
         """First degree entered by a nonzero d*d (mod relations), or None."""
-        if self._d2_failure is _UNCHECKED:
-            self._d2_failure = self._scan_square_zero()
-        return self._d2_failure
-
-    def _scan_square_zero(self) -> Optional[int]:
         for i in self.degrees():
             # A missing block is zero, and so is any product through it.
             if i in self.diffs and i - 1 in self.diffs:
@@ -154,7 +148,7 @@ def _vanishes(rng: QuotientRing, entries) -> bool:
 
 def check_differential(cx: ChainComplex) -> bool:
     """True iff every composite d.d reduces to zero modulo the relations."""
-    return cx._square_zero_failure() is None
+    return cx._d2_failure is None
 
 
 def zero_complex(rng: QuotientRing) -> ChainComplex:
@@ -162,33 +156,26 @@ def zero_complex(rng: QuotientRing) -> ChainComplex:
 
 
 class ChainMap:
-    """Degreewise matrices f_i: src_i -> tgt_i commuting with d modulo J."""
+    """Degreewise matrices f_i: src_i -> tgt_i, meant to commute with d modulo J.
 
-    def __init__(self, src: ChainComplex, tgt: ChainComplex, mats: dict, check: bool = True):
+    A record: only the ring and the matrix shapes are checked here.  f
+    commutes with d modulo J iff cone(f) is a complex, and that is how a map
+    is checked: every verdict on a cone runs its d*d check, and a witness's
+    last target, whose d holds every earlier cone's d as a block, must pass
+    it.  So a wrong entry fails the verdict or the witness, not the build.
+    """
+
+    def __init__(self, src: ChainComplex, tgt: ChainComplex, mats: dict):
         if src.ring != tgt.ring:
             raise RingMismatchError("chain map between complexes over different rings")
         self.src = src
         self.tgt = tgt
         self.ring = src.ring
         self.mats = _stored(self.ring, mats, lambda i: (tgt.rank(i), src.rank(i)), "chain map")
-        if check and not self.commutes():
-            raise InputDataError("not a chain map: f.d != d.f modulo relations")
 
     def mat(self, i: int) -> Matrix:
         return self.mats[i] if i in self.mats else zero_matrix(self.ring, self.tgt.rank(i),
                                                                self.src.rank(i))
-
-    def commutes(self) -> bool:
-        lo = min(self.src.lo, self.tgt.lo)
-        hi = max(self.src.hi, self.tgt.hi)
-        for i in range(lo, hi + 2):
-            if self.tgt.rank(i - 1) == 0 or self.src.rank(i) == 0:
-                continue
-            diff = mat_sub(mat_mul(self.tgt.diff(i), self.mat(i)),
-                           mat_mul(self.mat(i - 1), self.src.diff(i)))
-            if not _vanishes(self.ring, (e for row in diff.rows for e in row.values())):
-                return False
-        return True
 
 
 def map_sub(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -196,7 +183,7 @@ def map_sub(f: ChainMap, g: ChainMap) -> ChainMap:
         if f.src != g.src or f.tgt != g.tgt:
             raise InputDataError("chain map difference needs equal source and target")
     mats = {i: mat_sub(f.mat(i), g.mat(i)) for i in set(f.mats) | set(g.mats)}
-    return ChainMap(f.src, f.tgt, mats, check=False)
+    return ChainMap(f.src, f.tgt, mats)
 
 
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
@@ -204,7 +191,7 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     if f.tgt is not g.src and f.tgt != g.src:
         raise InputDataError("composition mismatch")
     mats = {i: mat_mul(g.mat(i), f.mat(i)) for i in f.mats}
-    return ChainMap(f.src, g.tgt, mats, check=False)
+    return ChainMap(f.src, g.tgt, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +238,13 @@ def direct_sum(*summands: ChainComplex) -> ChainComplex:
 
 def block_map(srcs: Sequence[ChainComplex], tgts: Sequence[ChainComplex],
               blocks: dict) -> ChainMap:
-    """Chain map between direct sums from a {(tgt_idx, src_idx): ChainMap} dict.
-
-    Not checked to commute: a block matrix of chain maps is one.
-    """
+    """Chain map between direct sums from a {(tgt_idx, src_idx): ChainMap} dict."""
     src = direct_sum(*srcs)
     tgt = direct_sum(*tgts)
     mats = {i: block_matrix(src.ring, [t.rank(i) for t in tgts], [s.rank(i) for s in srcs],
                             {k: f.mat(i) for k, f in blocks.items() if f is not None})
             for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1)}
-    return ChainMap(src, tgt, mats, check=False)
+    return ChainMap(src, tgt, mats)
 
 
 # ---------------------------------------------------------------------------

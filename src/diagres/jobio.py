@@ -319,21 +319,25 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
             tgt = _named(complexes, _need(m, "target", mpath), f"{mpath}.target")
             mats = {k: _matrix(rng, v, kpath, memo) for k, v, kpath
                     in _by_degree(m.get("matrices", {}), f"{mpath}.matrices")}
-            # Not checked to commute here: the witness check compares
-            # cone(map) with the d*d-checked target, which implies it, so
-            # a wrong entry fails the witness instead of the parse.
             try:
-                step_map = ChainMap(src, tgt, mats, check=False)
+                step_map = ChainMap(src, tgt, mats)
             except InputDataError as exc:
                 raise JobFileError(f"invalid chain map at {mpath}: {exc}") from exc
         steps.append(WitnessStep(step_map, target, summands))
     for key in d:
         if key not in ("claimed_time", "generators", "steps", "conclusion"):
             raise JobFileError(f"unknown key at {path}.{key}")
+    claimed = _int(_need(d, "claimed_time", path), f"{path}.claimed_time")
+    if claimed < 0:
+        raise JobFileError(f"claimed generation time {claimed} is negative "
+                           f"at {path}.claimed_time")
+    if len(steps) != claimed + 1:
+        raise JobFileError(f"witness has {len(steps)} steps but claims generation time "
+                           f"{claimed} at {path}.steps")
     return GenerationWitness(
         generators=list(gens.values()),
         steps=steps,
-        claimed_time=_int(_need(d, "claimed_time", path), f"{path}.claimed_time"),
+        claimed_time=claimed,
         final_diagonal=diagonal,
         conclusion=_str(d.get("conclusion", ""), f"{path}.conclusion"),
     )

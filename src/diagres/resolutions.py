@@ -31,7 +31,8 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .complexes import ChainComplex, ChainMap, InputDataError, compose, cone, shift
+from .complexes import (ChainComplex, ChainMap, InputDataError, _vanishes, compose, cone,
+                        shift)
 from .groebner import solver_of
 from .matrices import (Matrix, as_matrix, block_matrix, from_columns, mat_cols, mat_mul,
                        mat_neg, mat_sub)
@@ -155,7 +156,7 @@ def lift_module_map(src: ChainComplex, tgt: ChainComplex, phi0) -> ChainMap:
             raise InputDataError(f"cannot lift at degree {i}: target has rank 0")
         mats[i] = prev = _solve_columns(tgt.diff(i), mat_mul(prev, src.diff(i)),
                                         f"map does not lift at degree {i}")
-    return ChainMap(src, tgt, mats, check=False)
+    return ChainMap(src, tgt, mats)
 
 
 def nullhomotopy(f: ChainMap) -> dict:
@@ -171,7 +172,7 @@ def nullhomotopy(f: ChainMap) -> dict:
         if prev is not None:
             residual = mat_sub(residual, mat_mul(prev, src.diff(i)))
         if tgt.rank(i + 1) == 0:
-            if any(residual.rows):
+            if not _vanishes(src.ring, (e for row in residual.rows for e in row.values())):
                 raise InputDataError(f"no nullhomotopy: nonzero residual at degree {i} "
                                      "with no room above")
             prev = None
@@ -200,5 +201,5 @@ def maps_to_shifted_cone(mults: Sequence[ChainMap], f: ChainMap) -> list:
                 blk[(1, 0)] = mat_neg(h[i])
             mats[i] = block_matrix(mult.ring, [f.src.rank(i), f.tgt.rank(i + 1)],
                                    [mult.src.rank(i)], blk)
-        out.append(ChainMap(mult.src, target, mats, check=False))
+        out.append(ChainMap(mult.src, target, mats))
     return out

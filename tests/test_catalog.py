@@ -337,7 +337,7 @@ def test_cone_of_identity_exact_for_catalog_complexes():
             complexes.append(job.complex)
     for cx in complexes:
         ident = ChainMap(cx, cx, {i: identity_matrix(cx.ring, cx.rank(i))
-                                  for i in cx.degrees()}, check=False)
+                                  for i in cx.degrees()})
         collapsed, _ = minimize(cone(ident))
         assert collapsed.is_zero()
 

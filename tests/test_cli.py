@@ -92,6 +92,13 @@ def test_verify_cycle_bad_chart(capsys):
     assert (code, out) == (2, "") and "input error" in err
 
 
+def test_verify_cycle_above_max_length_is_input_error(capsys):
+    from diagres.catalog.entries import MAX_CYCLE_N
+    code, out, err = run_cli(capsys, "verify", "--example", "cycle",
+                             "--n", str(MAX_CYCLE_N + 1))
+    assert (code, out) == (2, "") and f"above the maximum {MAX_CYCLE_N}" in err
+
+
 def test_field_flag(capsys):
     code, out, _ = run_cli(capsys, "verify", "--example", "affine-line",
                            "--field", "fp:32003")
@@ -584,6 +591,20 @@ def test_witness_job_removed_key_is_input_error(tmp_path, capsys, key, value):
     }))
     code, _, err = run_cli(capsys, "witness", "--job", str(path))
     assert code == 2 and f"witness.{key}" in err
+
+
+@pytest.mark.parametrize("claimed, where", [(0, "witness.steps"),
+                                            (-1, "witness.claimed_time")])
+def test_witness_job_bad_step_count_names_its_path(tmp_path, capsys, claimed, where):
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps({
+        "schema": 1,
+        "ring": {"variables": ["x1", "x2"]},
+        "complexes": [{"name": "total", "ranks": {"0": 1}}],
+        "witness": {"claimed_time": claimed, "generators": [], "steps": []},
+    }))
+    code, out, err = run_cli(capsys, "witness", "--job", str(path))
+    assert (code, out) == (2, "") and f"at {where}" in err
 
 
 def _affine_witness_job():

@@ -1,6 +1,7 @@
 """Chain complexes: construction, cone/shift/sum, homology, the verdict."""
 
 import random
+from functools import cached_property
 
 import pytest
 
@@ -142,7 +143,7 @@ def test_cone_shift_compatibility():
     mult = lift_module_map(k, k, [[R2.parse("x1-x2")]])
     src1 = shift(k, 1)
     a = shift(cone(mult), 1)
-    b = cone(ChainMap(src1, src1, {i + 1: m for i, m in mult.mats.items()}, check=False))
+    b = cone(ChainMap(src1, src1, {i + 1: m for i, m in mult.mats.items()}))
     assert a.ranks == b.ranks
 
     def sign_mat(i):
@@ -431,14 +432,24 @@ def test_augmentation_row_is_never_a_pivot():
 
 def test_square_zero_scan_runs_once_per_complex(monkeypatch):
     calls = []
-    scan = ChainComplex._scan_square_zero
-    monkeypatch.setattr(ChainComplex, "_scan_square_zero",
-                        lambda self: calls.append(self) or scan(self))
+    scan = ChainComplex._d2_failure.func
+    counted = cached_property(lambda self: calls.append(self) or scan(self))
+    counted.__set_name__(ChainComplex, "_d2_failure")
+    monkeypatch.setattr(ChainComplex, "_d2_failure", counted)
     cx = ChainComplex(R2, {0: 1, 1: 1}, {1: [[R2.parse("x1-x2")]]}, check=False)
     assert check_differential(cx) and check_differential(cx)
     spec = DiagonalSpec(ideal=[R2.parse("x1-x2")], degree=0, augmentation=[R2.one()])
     assert verify_diagonal_qiso(cx, spec).passed
     assert calls == [cx]
+
+
+def test_noncommuting_map_fails_through_its_cone():
+    k = ChainComplex(R2, {0: 1, 1: 1}, {1: [[R2.parse("x1")]]})
+    f = ChainMap(k, k, {0: [[R2.one()]], 1: [[R2.zero()]]})
+    assert not check_differential(cone(f))
+    spec = DiagonalSpec(ideal=[R2.parse("x1")], degree=0, augmentation=[R2.one()])
+    with pytest.raises(InputDataError, match=r"d\*d != 0"):
+        verify_diagonal_qiso(cone(f), spec)
 
 
 def test_mutated_copy_of_checked_complex_fails_its_own_check(tmp_path, capsys):
@@ -488,7 +499,7 @@ def test_mat_neg_negates_every_entry_and_keeps_zeros(spec):
     assert [[-e for e in row] for row in mat] == list(neg)
     assert [row.keys() for row in mat.rows] == [row.keys() for row in neg.rows]
     cx = ChainComplex(rng, {0: 3, 1: 3}, {}, check=False)
-    f = ChainMap(cx, cx, {0: mat}, check=False)
+    f = ChainMap(cx, cx, {0: mat})
     assert negate_map(f).mats == {0: neg}
 
 

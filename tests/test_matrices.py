@@ -161,7 +161,7 @@ def test_sparse_operations_match_dense_reference(data, spec):
     sh = shift(c1, 1)
     assert list(sh.diff(2)) == [[-e for e in row] for row in list(c1.diff(1))]
     fm = {i: dense(draw, rng, c1.rank(i), c1.rank(i)) for i in (0, 1)}
-    f = ChainMap(c1, c1, fm, check=False)
+    f = ChainMap(c1, c1, fm)
     cn = cone(f)
     for i in (0, 1, 2):
         want = dense_blocks(rng, [c1.rank(i - 2), c1.rank(i - 1)], [c1.rank(i - 1), c1.rank(i)],
