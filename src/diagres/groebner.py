@@ -151,10 +151,6 @@ def _monic(d: dict) -> dict:
     return d if c == 1 else _divided(d, c)
 
 
-def vec_is_zero(vec: Sequence[Polynomial]) -> bool:
-    return all(p.is_zero() for p in vec)
-
-
 def _check_vector(vec: FreeVector, rng: QuotientRing, rank: int, what: str = "vector"):
     if len(vec) != rank:
         raise ValueError(f"{what} length differs from ambient rank")

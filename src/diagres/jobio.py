@@ -17,8 +17,8 @@ Schema (version 1)::
          "ranks": {"0": 4, "1": 4},          # degree -> rank, canonical keys
          "differentials": {"1": [["x1"]]}}   # degree -> matrix of strings
       ],
-      "diagonal": {                           # required unless expectation
-        "complex": "total",                   #   is exact_everywhere
+      "diagonal": {                           # verify requires it unless
+        "complex": "total",                   #   expectation is exact_everywhere
         "ideal": ["x1-x2"],
         "degree": 0,
         "augmentation": ["0", "1"],
@@ -367,9 +367,6 @@ def parse_job(doc: dict) -> Job:
         diag_name = doc["diagonal"].get("complex")
         if diag_name is not None:
             diag_cx = _named(complexes, diag_name, "diagonal.complex")
-    elif expectation == "qiso_to_diagonal" and complexes and "witness" not in doc \
-            and "module" not in doc:
-        raise JobFileError("qiso_to_diagonal needs a diagonal block: missing key 'diagonal' at $")
     witness = None
     if "witness" in doc:
         witness = parse_witness(doc["witness"], rng, complexes, diagonal, memo=memo)

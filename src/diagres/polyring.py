@@ -27,9 +27,10 @@ Text grammar (bit-exact, whitespace insignificant)::
 
 An exponent is at most MAX_EXPONENT, and so is the sum of the exponents a
 term gives one variable (x^3*x^5 is x^8); a larger one is a ParseError.  So
-is a term of degree above _terms.FIELD_MAX, and an integer literal longer
-than the interpreter's int-conversion limit (sys.get_int_max_str_digits,
-4300 digits by default).
+is a term of degree above _terms.FIELD_MAX, a denominator that is zero in
+the field (a multiple of p over F_p), and an integer literal longer than
+the interpreter's int-conversion limit (sys.get_int_max_str_digits, 4300
+digits by default).
 
 print() emits the canonical form (terms strictly descending in the ring
 order), every digit of every coefficient included, and parse(print(p)) == p
@@ -110,15 +111,6 @@ class MonomialOrder:
         if self.priority is None:
             return f"MonomialOrder({self.kind!r})"
         return f"MonomialOrder({self.kind!r}, priority={self.priority})"
-
-
-def monomial_cmp(m1: tuple, m2: tuple, order: MonomialOrder) -> int:
-    """-1, 0 or 1 comparing m1 against m2 under the order."""
-    if len(m1) != len(m2):
-        raise ValueError("exponent tuples of different lengths")
-    pk = order.packing(len(m1))
-    k1, k2 = pk.encode(0, m1), pk.encode(0, m2)
-    return (k1 > k2) - (k1 < k2)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +450,7 @@ def parse_poly(text: str, rng: QuotientRing) -> Polynomial:
                 if k2 != "int":
                     raise ParseError("expected denominator after '/'", p2)
                 den = _int_literal(v2, p2)
-                if den == 0:
+                if fld.is_zero(fld.from_int(den)):
                     raise ParseError("zero denominator", p2)
                 coeff = fld.from_fraction(num, den)
                 i += 1

@@ -39,33 +39,14 @@ class FieldMismatchError(ValueError):
 
 
 class Field:
-    """Common interface of the two coefficient fields."""
+    """Common interface of the two coefficient fields.
+
+    Each field defines add, sub, mul, div, neg, inv, from_int,
+    from_fraction and the packed kernel axpy; the base class adds zero, one
+    and is_zero.
+    """
 
     kind: str
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def from_fraction(self, num: int, den: int):
-        raise NotImplementedError
 
     @property
     def zero(self):

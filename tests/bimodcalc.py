@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import QQ, Field
+from diagres.scalars import QQ, Field
 
 
 @dataclass(frozen=True)

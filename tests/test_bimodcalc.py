@@ -3,9 +3,9 @@
 import random
 from fractions import Fraction
 
-from diagres.bimodcalc import (FormalSummand, GradedLinearMap, GradedVectorSpace,
-                               cone_image_decomposition, convolve_product,
-                               decompose, invert_matrix, mat_mul_scalar)
+from bimodcalc import (FormalSummand, GradedLinearMap, GradedVectorSpace,
+                       cone_image_decomposition, convolve_product,
+                       decompose, invert_matrix, mat_mul_scalar)
 from diagres.scalars import QQ
 
 

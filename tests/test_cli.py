@@ -21,6 +21,8 @@ from diagres.polyring import MAX_EXPONENT, ring
 from diagres.report import VerificationReport
 from diagres.scalars import field_from_spec
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -1061,6 +1063,25 @@ def test_gb_job_literal_past_the_int_digit_limit_exits_2_with_its_path(tmp_path,
     assert "integer literal of 5000 digits" in err and "internal error" not in err
 
 
+def test_denominator_zero_in_the_field_is_input_error(tmp_path, capsys):
+    """A fraction literal whose denominator is a multiple of p is a zero
+    denominator over F_p, named with its JSON path, in a generator and in a
+    relation; over Q the same relation parses."""
+    path = tmp_path / "den.json"
+    path.write_text(json.dumps({"schema": 1, "ring": {"variables": ["x", "y"], "field": "fp:7"},
+                                "module": {"rank": 1, "generators": [["1/7*x + 1"]]}}))
+    code, out, err = run_cli(capsys, "gb", "--job", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad polynomial at module.generators[0][0]: "
+                          "zero denominator")
+    path.write_text(json.dumps({"schema": 1, "ring": {"variables": ["x"], "relations": ["1/14*x^2"]},
+                                "module": {"rank": 1, "generators": [["x"]]}}))
+    code, out, err = run_cli(capsys, "gb", "--job", str(path), "--field", "fp:7")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad ring at ring: zero denominator")
+    assert run_cli(capsys, "gb", "--job", str(path))[0] == 0
+
+
 def test_gb_job_prints_a_computed_coefficient_past_the_int_digit_limit(tmp_path, capsys):
     """Literals within the limit multiply into basis coefficients past it,
     and the basis prints every digit of them."""
@@ -1220,27 +1241,56 @@ def test_no_build_or_verify_path_reads_the_dense_row_view(tmp_path, capsys, monk
                  ["verify", "--job", str(path)]):
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
-    # the product resolution is the one catalog entry built by totalization
+    # the product resolution is the one catalog entry built as a cone into a cone
     from diagres.catalog import build_nodal_conic_product, verify_entry
     assert verify_entry(build_nodal_conic_product()).verdict == "pass"
 
 
-def test_verify_job_imports_no_build_code(tmp_path):
-    """A job's verdict runs without the catalog or the resolution builders."""
+def _cli_modules(runs) -> tuple:
+    """Run each argv through one fresh interpreter's cli.main: (the exit
+    codes, the sorted diagres modules then loaded)."""
     import os
     import subprocess
     import sys
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(_hand_job()))
-    probe = ("import sys; from diagres.cli import main; "
-             f"code = main(['verify', '--job', {str(path)!r}]); "
-             "print(code, sorted(m for m in sys.modules if m.startswith('diagres.')))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import json, sys; from diagres.cli import main; "
+             f"codes = [main(argv) for argv in {runs!r}]; "
+             "print(json.dumps([codes, sorted(m for m in sys.modules "
+             "if m == 'diagres' or m.startswith('diagres.'))]))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    code, _, loaded = out.strip().splitlines()[-1].partition(" ")
-    assert code == "0"
-    assert "catalog" not in loaded and "resolutions" not in loaded
+                         check=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
+    return tuple(json.loads(out.strip().splitlines()[-1]))
+
+
+def _small_jobs(tmp_path) -> dict:
+    """A verify, a witness and a gb job, written to files: subcommand -> path."""
+    paths = {cmd: tmp_path / f"{cmd}.json" for cmd in ("verify", "witness", "gb")}
+    paths["verify"].write_text(json.dumps(_hand_job()))
+    paths["witness"].write_text(json.dumps(_affine_witness_job()))
+    _gb_job(paths["gb"], {"kind": "lex"}, ["x*y", "x-y"])
+    return {cmd: str(path) for cmd, path in paths.items()}
+
+
+def test_verify_job_imports_no_build_code(tmp_path):
+    """A job's verdict, witness check or basis runs without the catalog or
+    the resolution builders."""
+    for cmd, path in _small_jobs(tmp_path).items():
+        codes, loaded = _cli_modules([[cmd, "--job", path]])
+        assert codes == [0], cmd
+        assert not any("catalog" in m or "resolutions" in m for m in loaded), cmd
+
+
+def test_every_package_module_is_reached_by_a_cli_path(tmp_path):
+    """src/diagres holds what the CLI reaches: the examples and small jobs
+    through every subcommand load every module of the package."""
+    runs = [[cmd, "--example", ex] for cmd in ("verify", "witness")
+            for ex in ("affine-line", "nodal-conic", "cycle")]
+    runs += [[cmd, "--job", path] for cmd, path in _small_jobs(tmp_path).items()]
+    codes, loaded = _cli_modules(runs)
+    assert codes == [0] * len(runs)
+    package = SRC / "diagres"
+    modules = {".".join(("diagres",) + f.relative_to(package).with_suffix("").parts)
+               .removesuffix(".__init__") for f in package.rglob("*.py")}
+    assert sorted(modules - set(loaded)) == []
 
 
 # The job files the benchmark's job-stream workload verifies, one round per

@@ -17,7 +17,7 @@ import pytest
 from diagres._terms import FIELD_MAX, InputDataError
 from diagres.groebner import (GroebnerBasis, ImageSolver, Submodule, buchberger,
                               member, normal_form, quotient_augment, submodule_equal,
-                              syzygies, vec_is_zero)
+                              syzygies)
 from diagres.matrices import mat_cols
 from diagres.polyring import MonomialOrder, ring
 from diagres.scalars import PrimeField
@@ -33,6 +33,10 @@ def ideal(rng, *gens):
 
 def basis_strs(gb):
     return [tuple(str(p) for p in v) for v in gb.vectors]
+
+
+def vec_is_zero(vec):
+    return all(p.is_zero() for p in vec)
 
 
 def test_buchberger_lex_example():
