@@ -10,9 +10,9 @@ conventions, so identical inputs reproduce identical matrices byte for
 byte.  Augmentation rows are frozen catalog data, validated by the test
 suite.
 
-EXAMPLES is the CLI's one table of examples.  Its builders look up the
-build and verify functions here at call time, so replacing one here
-(a monkeypatch, the benchmark's tracer) reaches the CLI.
+EXAMPLES is the CLI's one table of examples.  Its builders and the CLI
+look up the build and verify functions here at call time, so replacing
+one here (a monkeypatch, the benchmark's tracer) reaches the CLI.
 """
 
 from dataclasses import dataclass, field
@@ -28,14 +28,11 @@ from .mutations import apply_mutation, documented_mutations, mutation_flips
 @dataclass
 class Example:
     """One CLI example: the title and notes of its report, its witness, and
-    its entries, built on demand (``witness --example`` verifies none).
-    verify makes their subreports: one by one, or for the cycle's charts
-    with one verdict per distinct chart complex."""
+    its entries, built on demand (``witness --example`` verifies none)."""
 
     title: str
     witness: GenerationWitness
     entries: Callable[[], list]
-    verify: Callable[[list], list] = lambda entries: [verify_entry(e) for e in entries]
     notes: list = field(default_factory=list)
 
 
@@ -52,8 +49,7 @@ def _nodal_conic(fld, n):
 
 def _cycle(fld, n):
     cat = build_cycle(n, fld)
-    return Example(f"cycle(n={n})", cat.witness, lambda: cat.chart_jobs,
-                   verify_chart_jobs, cat.notes)
+    return Example(f"cycle(n={n})", cat.witness, lambda: cat.chart_jobs, cat.notes)
 
 
 # name -> (builder of the example from (field, n), the default of n, or None

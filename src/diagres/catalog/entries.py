@@ -532,12 +532,6 @@ def restrict_complex(cx: ChainComplex, rmap: RingMap) -> ChainComplex:
 
 def verify_entry(entry: VerificationEntry) -> VerificationReport:
     """The entry's report, with an input error reported as an "error" verdict."""
-    return _report(entry)
-
-
-def _report(entry: VerificationEntry) -> VerificationReport:
-    # verify_chart_jobs calls this, not verify_entry, so that a profile of
-    # the public names counts each verdict under one of them.
     t0 = time.time()
     try:
         return verdict_report(entry)
@@ -548,14 +542,14 @@ def _report(entry: VerificationEntry) -> VerificationReport:
 
 
 def verify_chart_jobs(jobs):
-    """Verify jobs in (i, j) order, reusing verdicts of shared complexes."""
+    """Verify jobs in order, reusing verdicts of shared complexes."""
     cache: dict = {}
     out = []
     for job in jobs:
         key = (id(job.complex), job.expectation, id(job.diagonal))
         base = cache.get(key)
         if base is None:
-            cache[key] = base = _report(job)
+            cache[key] = base = verify_entry(job)
             out.append(base)
         else:
             out.append(VerificationReport(

@@ -11,7 +11,8 @@ Subcommands::
 Both ``--example`` subcommands read one table, ``catalog.EXAMPLES``;
 ``--n`` (default 3) and ``--chart`` apply to the cycle alone.  One driver,
 ``report.verdict_report``, makes the verdict report of every catalog
-entry, cycle chart and job file.
+entry, cycle chart and job file; ``catalog.verify_chart_jobs`` runs it on
+the entries of every example.
 
 Exit codes: 0 verification passed, 1 verification failed, 2 input or parse
 error, or an internal error (one "internal error:" line on stderr, never a
@@ -89,6 +90,8 @@ def _example(args):
 
 
 def _verify_example(args) -> int:
+    from . import catalog
+
     t0 = time.time()
     ex, fname = _example(args)
     entries = ex.entries()
@@ -100,7 +103,7 @@ def _verify_example(args) -> int:
         entries = [e for e in entries if e.chart == (ci, cj)]
         if not entries:
             raise JobFileError(f"no chart ({ci},{cj}) in {ex.title}")
-    subreports = ex.verify(entries)
+    subreports = catalog.verify_chart_jobs(entries)
     if not args.chart:
         subreports.append(_witness_report(ex.witness, f"{ex.title}:witness", fname))
     top = _combined(ex.title, fname, subreports, ex.notes)
@@ -168,6 +171,8 @@ def _run_witness(args) -> int:
     job = load_job(args.job, args.field)
     if job.witness is None:
         raise JobFileError("job has no witness block")
+    if job.diagonal is None:
+        raise JobFileError("witness needs a diagonal block: missing key 'diagonal' at $")
     return _emit(_witness_report(job.witness, f"{job.name}:witness",
                                  field_spec_str(job.ring.field)), args)
 

@@ -44,7 +44,8 @@ The diagonal block's "complex", if given, must name one of the job's
 complexes.  The witness's final complex is its last step's target, checked
 against the diagonal block, whose "complex", if given, must name that
 target.  Any other key in the witness block or in a certificate is
-rejected with its path.
+rejected with its path; the declaration rules live in
+witness.check_declarations, which parsing gives the block's path.
 
 A degree key is an integer spelled canonically (str(int(k)) == k), and no
 JSON object may repeat a key; either is an input error naming the key (a
@@ -73,10 +74,10 @@ from typing import Optional
 
 from .complexes import ChainComplex, ChainMap, DiagonalSpec, InputDataError
 from .matrices import Matrix, mat_to_strings
-from .polyring import MonomialOrder, ParseError, QuotientRing, ring
+from .polyring import MonomialOrder, ParseError, QuotientRing
 from .scalars import field_from_spec, field_spec_str
 from .witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
-                      GeneratorDecl, WitnessStep)
+                      GeneratorDecl, WitnessStep, check_declarations)
 
 SCHEMA = 1
 # The largest rank a complex may declare: about nine times the largest
@@ -194,27 +195,34 @@ def _by_degree(v, path: str) -> list:
             for k, x in _obj(v, path).items()]
 
 
+def _ring_part(make, path: str):
+    """make(); a ValueError it raises is a bad ring at path."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise JobFileError(f"bad ring at {path}: {exc}") from exc
+
+
 def parse_ring(d: dict, path: str = "ring") -> QuotientRing:
     _obj(d, path)
     variables = _strs(_need(d, "variables", path), f"{path}.variables")
     spec = _str(d.get("field", "q"), f"{path}.field")
-    try:
-        fld = field_from_spec(spec)
-    except ValueError as exc:
-        raise JobFileError(f"bad field at {path}.field: {exc}") from exc
-    relations = _strs(d.get("relations", []), f"{path}.relations")
-    kind, prio = "grevlex", None
+    fld = _ring_part(lambda: field_from_spec(spec), f"{path}.field")
+    order = None
     if "order" in d:
-        od = _obj(d["order"], f"{path}.order")
-        kind = _str(od.get("kind", "grevlex"), f"{path}.order.kind")
-        if od.get("priority") is not None:
-            ppath = f"{path}.order.priority"
-            prio = [_int(i, f"{ppath}[{k}]") for k, i in enumerate(_list(od["priority"], ppath))]
-    try:
-        order = MonomialOrder(kind, prio) if "order" in d else None
-        return ring(variables, field=fld, order=order, relations=relations)
-    except (ParseError, ValueError) as exc:
-        raise JobFileError(f"bad ring at {path}: {exc}") from exc
+        opath = f"{path}.order"
+        od = _obj(d["order"], opath)
+        kind = _str(od.get("kind", "grevlex"), f"{opath}.kind")
+        ppath, prio = f"{opath}.priority", od.get("priority")
+        if prio is not None:
+            prio = [_int(i, f"{ppath}[{k}]") for k, i in enumerate(_list(prio, ppath))]
+        order = _ring_part(lambda: MonomialOrder(kind, prio), f"{opath}.kind")
+        if prio is not None:  # the packing is where a priority must permute the variables
+            _ring_part(lambda: order.packing(len(variables)), ppath)
+    rng = _ring_part(lambda: QuotientRing(variables, field=fld, order=order), f"{path}.variables")
+    rels = _polys(rng, d.get("relations", []), f"{path}.relations", {})
+    _ring_part(lambda: rng._set_relations(rels), f"{path}.relations")
+    return rng
 
 
 def parse_complex(d: dict, rng: QuotientRing, path: str,
@@ -266,7 +274,7 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
                   path: str = "witness", memo: Optional[dict] = None) -> GenerationWitness:
     _obj(d, path)
     memo = {} if memo is None else memo
-    gens = {}  # label -> GeneratorDecl, in declared order
+    gens = []
     for i, g in enumerate(_list(d.get("generators", []), f"{path}.generators")):
         gpath = f"{path}.generators[{i}]"
         _obj(g, gpath)
@@ -280,14 +288,13 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
             cert = ConeCertificate(_str(_need(c, "source", cpath), f"{cpath}.source"),
                                    _str(_need(c, "target", cpath), f"{cpath}.target"))
         kind = _str(_need(g, "kind", gpath), f"{gpath}.kind")
-        if kind not in ("product", "weakly_product"):
-            raise JobFileError(f"unknown generator kind {kind!r} at {gpath}.kind")
         if kind == "weakly_product":
             _need(g, "certificate", gpath)
         label = _str(_need(g, "label", gpath), f"{gpath}.label")
-        if label in gens:
-            raise JobFileError(f"repeated generator label {label!r} at {gpath}.label")
-        gens[label] = GeneratorDecl(label, kind, cert)
+        try:
+            gens.append(GeneratorDecl(label, kind, cert))
+        except InputDataError as exc:  # the kind is neither product nor weakly_product
+            raise JobFileError(f"{exc} at {gpath}.kind") from exc
     steps = []
     for i, s in enumerate(_list(d.get("steps", []), f"{path}.steps")):
         spath = f"{path}.steps[{i}]"
@@ -328,19 +335,13 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
         if key not in ("claimed_time", "generators", "steps", "conclusion"):
             raise JobFileError(f"unknown key at {path}.{key}")
     claimed = _int(_need(d, "claimed_time", path), f"{path}.claimed_time")
-    if claimed < 0:
-        raise JobFileError(f"claimed generation time {claimed} is negative "
-                           f"at {path}.claimed_time")
-    if len(steps) != claimed + 1:
-        raise JobFileError(f"witness has {len(steps)} steps but claims generation time "
-                           f"{claimed} at {path}.steps")
-    return GenerationWitness(
-        generators=list(gens.values()),
-        steps=steps,
-        claimed_time=claimed,
-        final_diagonal=diagonal,
-        conclusion=_str(d.get("conclusion", ""), f"{path}.conclusion"),
-    )
+    w = GenerationWitness(gens, steps, claimed, diagonal,
+                          conclusion=_str(d.get("conclusion", ""), f"{path}.conclusion"))
+    try:
+        check_declarations(w, path)
+    except InputDataError as exc:
+        raise JobFileError(str(exc)) from exc
+    return w
 
 
 def parse_job(doc: dict) -> Job:
@@ -370,7 +371,7 @@ def parse_job(doc: dict) -> Job:
     witness = None
     if "witness" in doc:
         witness = parse_witness(doc["witness"], rng, complexes, diagonal, memo=memo)
-        if diag_cx is not None and witness.steps and witness.steps[-1].target is not diag_cx:
+        if diag_cx is not None and witness.steps[-1].target is not diag_cx:
             raise JobFileError(f"diagonal.complex {diag_name!r} is not the final "
                                f"complex witness.steps[{len(witness.steps) - 1}].target")
     gb_module = None

@@ -19,9 +19,10 @@ A witness over several charts (the cycle) declares its generators and
 steps once and carries one local witness per distinct chart pattern in
 `charts`; every local witness goes through the same step and diagonal
 checks.  Generator labels are distinct, and every label a step or a
-certificate cites is one of them.  A weakly product generator carries a cone certificate whose
-endpoints must be generators declared product; a generator declared product
-is taken as declared, and nothing checks that it is one.
+certificate cites is one of them (check_declarations, whose errors in a job
+file name their JSON path).  A weakly product generator carries a cone
+certificate whose endpoints must be generators declared product; a
+generator declared product is taken as declared, and nothing checks it.
 """
 
 from __future__ import annotations
@@ -93,35 +94,42 @@ class WitnessReport:
     problems: list = field(default_factory=list)
 
 
-def verify_witness(w: GenerationWitness) -> WitnessReport:
+def check_declarations(w: GenerationWitness, at: str = "") -> dict:
+    """label -> GeneratorDecl, once the declaration rules hold; given at, the
+    JSON path of a job file's witness block, each error ends with its path."""
+
+    def fault(msg: str, where: str) -> InputDataError:
+        return InputDataError(f"{msg} at {at}.{where}" if at else msg)
+
     if w.claimed_time < 0:
-        raise InputDataError(f"claimed generation time {w.claimed_time} is negative")
+        raise fault(f"claimed generation time {w.claimed_time} is negative", "claimed_time")
     for x in (w, *w.charts):
         if len(x.steps) != w.claimed_time + 1:
-            raise InputDataError(
-                f"witness has {len(x.steps)} steps but claims generation time {w.claimed_time}")
+            raise fault(f"witness has {len(x.steps)} steps but claims generation time "
+                        f"{w.claimed_time}", "steps")
     declared = {}
-    for g in w.generators:
+    for i, g in enumerate(w.generators):
         if declared.setdefault(g.label, g) is not g:
-            raise InputDataError(f"repeated generator label {g.label!r}")
-    for step in w.steps:
-        for s in step.summands:
-            if s.label not in declared:
-                raise InputDataError(f"step cites undeclared label {s.label!r}")
+            raise fault(f"repeated generator label {g.label!r}", f"generators[{i}].label")
+    cited = [("step", s.label, f"steps[{i}].summands[{k}].label")
+             for i, step in enumerate(w.steps) for k, s in enumerate(step.summands)]
+    cited += [(f"certificate of {g.label!r}", lab, f"generators[{i}].certificate.{end}")
+              for i, g in enumerate(w.generators) if g.kind == "weakly_product"
+              for end, lab in (("source", g.certificate.source_label),
+                               ("target", g.certificate.target_label))]
+    for who, lab, where in cited:
+        if lab not in declared:
+            raise fault(f"{who} cites undeclared label {lab!r}", where)
+    return declared
 
-    report = WitnessReport(passed=True)
 
-    for g in w.generators:
-        if g.kind != "weakly_product":
-            continue
-        for lab in (g.certificate.source_label, g.certificate.target_label):
-            if lab not in declared:
-                raise InputDataError(
-                    f"certificate of {g.label!r} cites undeclared label {lab!r}")
-            if declared[lab].kind == "weakly_product":
-                report.problems.append(
-                    f"{g.label}: cone certificate endpoint {lab} is not a product object")
-
+def verify_witness(w: GenerationWitness) -> WitnessReport:
+    declared = check_declarations(w)
+    report = WitnessReport(passed=True, problems=[
+        f"{g.label}: cone certificate endpoint {lab} is not a product object"
+        for g in w.generators if g.kind == "weakly_product"
+        for lab in (g.certificate.source_label, g.certificate.target_label)
+        if declared[lab].kind == "weakly_product"])
     for local in w.charts or (w,):
         where = f"{local.conclusion}: " if w.charts else ""
         prev = None

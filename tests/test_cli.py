@@ -715,6 +715,24 @@ def test_weakly_product_generator_without_certificate_names_its_path(tmp_path, c
 
 
 @pytest.mark.parametrize("edit, where", [
+    (lambda d: d["witness"]["steps"][0]["summands"][0].update(label="H"),
+     "step cites undeclared label 'H' at witness.steps[0].summands[0].label"),
+    (lambda d: d["witness"]["generators"][2]["certificate"].update(source="H"),
+     "cites undeclared label 'H' at witness.generators[2].certificate.source"),
+    (lambda d: d["witness"]["generators"][2]["certificate"].update(target="H"),
+     "cites undeclared label 'H' at witness.generators[2].certificate.target"),
+    (lambda d: d.pop("diagonal"), "missing key 'diagonal' at $"),
+], ids=["step-label", "certificate-source", "certificate-target", "no-diagonal"])
+def test_malformed_witness_job_names_its_path(tmp_path, capsys, edit, where):
+    doc = _affine_witness_job()
+    edit(doc)
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "witness", "--job", str(path))
+    assert code == 2 and where in err and "Rouquier" not in out
+
+
+@pytest.mark.parametrize("edit, where", [
     (lambda d: d["diagonal"].update(degree="0"), "diagonal.degree"),
     (lambda d: d["diagonal"].update(window=["-1", "3"]), "diagonal.window[0]"),
     (lambda d: d["complexes"][0]["ranks"].update({"-1": "2"}), "complexes[0].ranks.-1"),
@@ -1078,8 +1096,26 @@ def test_denominator_zero_in_the_field_is_input_error(tmp_path, capsys):
                                 "module": {"rank": 1, "generators": [["x"]]}}))
     code, out, err = run_cli(capsys, "gb", "--job", str(path), "--field", "fp:7")
     assert (code, out) == (2, "")
-    assert err.startswith("input error: bad ring at ring: zero denominator")
+    assert err.startswith("input error: bad polynomial at ring.relations[0]: "
+                          "zero denominator")
     assert run_cli(capsys, "gb", "--job", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("ring_block, where", [
+    ({"variables": ["x"], "relations": ["x^2", "x+"]}, "bad polynomial at ring.relations[1]"),
+    ({"variables": ["x"], "relations": ["x - x"]}, "bad ring at ring.relations: "),
+    ({"variables": ["x", "y"], "order": {"kind": "lex", "priority": [0, 0]}},
+     "bad ring at ring.order.priority: "),
+    ({"variables": ["x"], "order": {"kind": "deglex"}}, "bad ring at ring.order.kind: "),
+    ({"variables": ["x", "x"]}, "bad ring at ring.variables: "),
+    ({"variables": ["x"], "field": "fp:8"}, "bad ring at ring.field: "),
+], ids=["relation", "zero-relation", "priority", "kind", "variables", "field"])
+def test_bad_ring_names_the_part_at_fault(tmp_path, capsys, ring_block, where):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"schema": 1, "ring": ring_block,
+                                "module": {"rank": 1, "generators": [["x"]]}}))
+    code, out, err = run_cli(capsys, "gb", "--job", str(path))
+    assert (code, out) == (2, "") and err.startswith(f"input error: {where}")
 
 
 def test_gb_job_prints_a_computed_coefficient_past_the_int_digit_limit(tmp_path, capsys):

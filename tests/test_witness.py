@@ -7,7 +7,8 @@ from diagres.catalog.mutations import WITNESS_MUTATIONS
 from diagres.complexes import DiagonalSpec, InputDataError, verify_diagonal_qiso
 from diagres.scalars import QQ
 from diagres.witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
-                             GeneratorDecl, WitnessStep, verify_witness)
+                             GeneratorDecl, WitnessStep, check_declarations,
+                             verify_witness)
 
 
 def test_affine_witness_passes():
@@ -151,6 +152,25 @@ def test_cone_certificate_endpoints_must_be_declared_generators():
     with pytest.raises(InputDataError,
                        match="certificate of 'ideal_origin' cites undeclared label 'O_square'"):
         verify_witness(bad)
+
+
+def test_declaration_errors_name_their_path_only_when_given_one():
+    """A job file's witness block passes its path; the API keeps the bare message."""
+    w = build_affine_line().witness
+    bad = GenerationWitness(
+        generators=w.generators,
+        steps=[w.steps[0], WitnessStep(w.steps[1].step_map, w.steps[1].target,
+                                       [w.steps[1].summands[0],
+                                        DeclaredSummand("mystery", 0, 1, None)])],
+        claimed_time=1, final_diagonal=w.final_diagonal)
+    with pytest.raises(InputDataError) as located:
+        check_declarations(bad, "witness")
+    assert str(located.value) == ("step cites undeclared label 'mystery' "
+                                  "at witness.steps[1].summands[1].label")
+    with pytest.raises(InputDataError) as bare:
+        verify_witness(bad)
+    assert str(bare.value) == "step cites undeclared label 'mystery'"
+    assert set(check_declarations(w)) == {g.label for g in w.generators}
 
 
 def test_repeated_generator_label_is_input_error():
