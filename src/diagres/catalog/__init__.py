@@ -10,9 +10,10 @@ conventions, so identical inputs reproduce identical matrices byte for
 byte.  Augmentation rows are frozen catalog data, validated by the test
 suite.
 
-EXAMPLES is the CLI's one table of examples.  Its builders and the CLI
-look up the build and verify functions here at call time, so replacing
-one here (a monkeypatch, the benchmark's tracer) reaches the CLI.
+EXAMPLES is the CLI's one table of examples.  Its builders look up the
+build functions here at call time, and the CLI looks up
+``verify_chart_jobs`` here, so replacing one here (a monkeypatch, the
+benchmark's tracer) reaches the CLI.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +21,7 @@ from typing import Callable
 
 from ..witness import GenerationWitness
 from .entries import (CycleCatalog, build_affine_line, build_cycle, build_nodal_conic,
-                      build_nodal_conic_product, restrict_complex, verify_chart_jobs,
-                      verify_entry)
+                      build_nodal_conic_product, restrict_complex, verify_chart_jobs)
 from .mutations import apply_mutation, documented_mutations, mutation_flips
 
 
@@ -63,6 +63,6 @@ EXAMPLES = {
 __all__ = [
     "CycleCatalog", "EXAMPLES", "Example",
     "build_affine_line", "build_nodal_conic", "build_nodal_conic_product",
-    "build_cycle", "restrict_complex", "verify_entry", "verify_chart_jobs",
+    "build_cycle", "restrict_complex", "verify_chart_jobs",
     "documented_mutations", "apply_mutation", "mutation_flips",
 ]

@@ -25,9 +25,8 @@ immutable, and the cache holds one entry per field and kind.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError, _vanishes,
@@ -35,7 +34,7 @@ from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError, _
                          direct_sum, map_sub, shift, zero_complex)
 from ..matrices import block_matrix, identity_matrix, mat_map, mat_neg
 from ..polyring import Polynomial, QuotientRing, RingMap, ring
-from ..report import VerificationEntry, VerificationReport, verdict_report
+from ..report import VerificationEntry, verdict_report
 from ..resolutions import lift_module_map, maps_to_shifted_cone, tate, truncate
 from ..scalars import QQ, Field, field_spec_str
 from ..witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
@@ -530,17 +529,6 @@ def restrict_complex(cx: ChainComplex, rmap: RingMap) -> ChainComplex:
 # verification drivers
 
 
-def verify_entry(entry: VerificationEntry) -> VerificationReport:
-    """The entry's report, with an input error reported as an "error" verdict."""
-    t0 = time.time()
-    try:
-        return verdict_report(entry)
-    except InputDataError as exc:
-        return VerificationReport(entry.name, "error", field_spec_str(entry.ring.field),
-                                  notes=list(entry.notes), error=str(exc),
-                                  timing_seconds=time.time() - t0)
-
-
 def verify_chart_jobs(jobs):
     """Verify jobs in order, reusing verdicts of shared complexes."""
     cache: dict = {}
@@ -549,12 +537,9 @@ def verify_chart_jobs(jobs):
         key = (id(job.complex), job.expectation, id(job.diagonal))
         base = cache.get(key)
         if base is None:
-            cache[key] = base = verify_entry(job)
+            cache[key] = base = verdict_report(job)
             out.append(base)
         else:
-            out.append(VerificationReport(
-                job.name, base.verdict, base.field_used, conditions=base.conditions,
-                notes=base.notes + [
-                    f"verdict shared with {base.name} (identical chart data)"],
-                window=base.window, error=base.error, timing_seconds=0.0))
+            out.append(replace(base, name=job.name, timing_seconds=0.0, notes=base.notes + [
+                f"verdict shared with {base.name} (identical chart data)"]))
     return out

@@ -9,10 +9,11 @@ Subcommands::
     diagres witness --example ... | --job PATH
 
 Both ``--example`` subcommands read one table, ``catalog.EXAMPLES``;
-``--n`` (default 3) and ``--chart`` apply to the cycle alone.  One driver,
-``report.verdict_report``, makes the verdict report of every catalog
-entry, cycle chart and job file; ``catalog.verify_chart_jobs`` runs it on
-the entries of every example.
+``--n`` (default 3) and ``--chart`` apply to the cycle alone, and never to
+``--job``.  Every report is built in ``report``; this module dispatches and
+emits.  One driver, ``report.verdict_report``, makes the verdict report of
+every catalog entry, cycle chart and job file; ``catalog.verify_chart_jobs``
+runs it on the entries of every example.
 
 Exit codes: 0 verification passed, 1 verification failed, 2 input or parse
 error, or an internal error (one "internal error:" line on stderr, never a
@@ -32,9 +33,9 @@ from .complexes import InputDataError
 from .groebner import Submodule, buchberger
 from .jobio import JobFileError, load_job
 from .polyring import ParseError
-from .report import VerificationEntry, VerificationReport, verdict_report
+from .report import (VerificationEntry, VerificationReport, combined_report, verdict_report,
+                     witness_report)
 from .scalars import field_from_spec, field_spec_str
-from .witness import verify_witness
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -46,33 +47,7 @@ def _emit(report: VerificationReport, args) -> int:
         print(report.to_json())
     else:
         print(report.render_text())
-    if report.verdict == "pass":
-        return EXIT_PASS
-    if report.verdict == "error":
-        return EXIT_INPUT
-    return EXIT_FAIL
-
-
-def _combined(name: str, field_used: str, subreports: list, notes=()) -> VerificationReport:
-    """One report over subreports: error if one errs, else fail if one does
-    not pass, else pass."""
-    verdicts = {s.verdict for s in subreports}
-    verdict = "error" if "error" in verdicts else "fail" if verdicts - {"pass"} else "pass"
-    return VerificationReport(name, verdict, field_used, notes=list(notes),
-                              subreports=list(subreports))
-
-
-def _witness_report(witness, name, field_used):
-    wrep = verify_witness(witness)
-    return VerificationReport(
-        name=name,
-        verdict="pass" if wrep.passed else "fail",
-        field_used=field_used,
-        conditions=[{"condition": "witness", "degree": None,
-                     "passed": wrep.passed,
-                     "detail": "; ".join(wrep.problems)}],
-        messages=list(wrep.messages),
-    )
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _example(args):
@@ -105,8 +80,8 @@ def _verify_example(args) -> int:
             raise JobFileError(f"no chart ({ci},{cj}) in {ex.title}")
     subreports = catalog.verify_chart_jobs(entries)
     if not args.chart:
-        subreports.append(_witness_report(ex.witness, f"{ex.title}:witness", fname))
-    top = _combined(ex.title, fname, subreports, ex.notes)
+        subreports.append(witness_report(ex.witness, f"{ex.title}:witness", fname))
+    top = combined_report(ex.title, fname, subreports, ex.notes)
     top.timing_seconds = time.time() - t0
     return _emit(top, args)
 
@@ -131,7 +106,7 @@ def _verify_job(args) -> int:
         truncation_note="truncated model: verdict claimed in window {}")) for name in names]
     if len(reports) == 1:
         return _emit(reports[0], args)
-    top = _combined(job.name, field_spec_str(job.ring.field), reports)
+    top = combined_report(job.name, field_spec_str(job.ring.field), reports)
     top.timing_seconds = time.time() - t0
     return _emit(top, args)
 
@@ -167,13 +142,13 @@ def _run_gb(args) -> int:
 def _run_witness(args) -> int:
     if args.example:
         ex, fname = _example(args)
-        return _emit(_witness_report(ex.witness, f"{ex.title}:witness", fname), args)
+        return _emit(witness_report(ex.witness, f"{ex.title}:witness", fname), args)
     job = load_job(args.job, args.field)
     if job.witness is None:
         raise JobFileError("job has no witness block")
     if job.diagonal is None:
         raise JobFileError("witness needs a diagonal block: missing key 'diagonal' at $")
-    return _emit(_witness_report(job.witness, f"{job.name}:witness",
+    return _emit(witness_report(job.witness, f"{job.name}:witness",
                                  field_spec_str(job.ring.field)), args)
 
 
@@ -222,6 +197,8 @@ def main(argv=None) -> int:
             return _run_gb(args)
         if bool(args.example) == bool(args.job):
             parser.error(f"{args.command} needs exactly one of --example or --job")
+        if args.job and (args.n is not None or getattr(args, "chart", None)):
+            raise JobFileError("--n and --chart apply only to --example")
         if args.command == "witness":
             return _run_witness(args)
         return _verify_example(args) if args.example else _verify_job(args)

@@ -446,7 +446,9 @@ def verify_diagonal_qiso(cx: ChainComplex, dspec: DiagonalSpec,
       well_defined     aug . d_{i0+1} has all columns in I
       surjective       1 lies in (aug . ker-generators) + I
       injective        kernel elements sent into I are boundaries mod J
-    Precondition violations raise InputDataError.
+    Precondition violations raise InputDataError, whose message ends with
+    the DiagonalSpec field at fault, "at diagonal.<field>": a job file's
+    diagonal block has the same keys, so the text is its JSON path too.
 
     The result is memoized on the complex per (spec object, pre_minimize);
     the memo holds the spec, so its identity cannot be reused while the
@@ -469,23 +471,26 @@ def _qiso_verdict(cx: ChainComplex, dspec: DiagonalSpec,
     if cx.is_zero():
         raise InputDataError("cannot match a cyclic module with the zero complex")
     if not (cx.lo - 1 <= i0 <= cx.hi + 1):
-        raise InputDataError(f"designated degree {i0} outside [{cx.lo - 1}, {cx.hi + 1}]")
+        raise InputDataError(f"designated degree {i0} outside [{cx.lo - 1}, {cx.hi + 1}] "
+                             "at diagonal.degree")
     if len(dspec.augmentation) != cx.rank(i0):
-        raise InputDataError("augmentation row length differs from rank at the degree")
+        raise InputDataError(f"augmentation row of length {len(dspec.augmentation)}, want rank "
+                             f"{cx.rank(i0)} at diagonal.augmentation")
     if all(p.is_zero() for p in dspec.augmentation):
-        raise InputDataError("augmentation row must be nonzero")
+        raise InputDataError("augmentation row must be nonzero at diagonal.augmentation")
     for p in dspec.ideal + dspec.augmentation:
         if p.ring != rng:
             raise InputDataError("diagonal data in a different ring")
     cx._require_square_zero()
     ideal_sub = Submodule(rng, 1, [(g,) for g in dspec.ideal])
     if member((rng.one(),), ideal_sub):
-        raise InputDataError("diagonal ideal is not proper")
+        raise InputDataError("diagonal ideal is not proper at diagonal.ideal")
 
     window = dspec.window if dspec.window is not None else (cx.lo - 1, cx.hi + 1)
     truncated = window != (cx.lo - 1, cx.hi + 1)
     if not (window[0] <= i0 <= window[1]):
-        raise InputDataError("designated degree outside the claimed window")
+        raise InputDataError(f"designated degree {i0} outside the claimed window "
+                             f"{tuple(window)} at diagonal.window")
 
     eps = as_matrix(rng, [dspec.augmentation])
     work, aug = minimize(cx, (i0, eps.rows[0])) if pre_minimize else (cx, eps.rows[0])

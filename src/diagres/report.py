@@ -1,13 +1,15 @@
 """Machine- and human-readable verification reports.
 
-A report is a plain dict-backed structure with a stable JSON encoding:
-parse(emit(report)) == report, and identical runs produce byte-identical
-JSON except for the timing field, which is excluded from the determinism
-guarantee.
+A report's verdict is "pass" or "fail"; an input error is raised, never
+reported.  Identical runs produce byte-identical JSON except for the timing
+field, which is excluded from the determinism guarantee: a reader that
+compares reports drops it.
 
-``verdict_report`` makes every diagonal or exactness report, from a
-``VerificationEntry``: a catalog entry, a cycle chart or a job file's
-complex.  It needs no catalog build code, so ``verify --job`` imports none.
+Every report is built here.  ``verdict_report`` makes every diagonal or
+exactness report, from a ``VerificationEntry``: a catalog entry, a cycle
+chart or a job file's complex.  It needs no catalog build code, so
+``verify --job`` imports none.  ``witness_report`` makes the witness report
+and ``combined_report`` the report over several.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 from .complexes import ChainComplex, DiagonalSpec, exact_everywhere, verify_diagonal_qiso
 from .polyring import QuotientRing
 from .scalars import field_spec_str
-from .witness import GenerationWitness
+from .witness import GenerationWitness, verify_witness
 
 SCHEMA_VERSION = 1
 
@@ -28,14 +30,13 @@ SCHEMA_VERSION = 1
 @dataclass
 class VerificationReport:
     name: str
-    verdict: str                 # 'pass' | 'fail' | 'error'
+    verdict: str                 # 'pass' | 'fail'
     field_used: str              # 'q' or 'fp:P'
     conditions: list = field(default_factory=list)
     messages: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     window: Optional[list] = None
     timing_seconds: Optional[float] = None
-    error: Optional[str] = None
     subreports: list = field(default_factory=list)
 
     @property
@@ -54,43 +55,14 @@ class VerificationReport:
         }
         if self.window is not None:
             d["window"] = list(self.window)
-        if self.error is not None:
-            d["error"] = self.error
         if self.subreports:
             d["subreports"] = [s.to_dict() for s in self.subreports]
         if self.timing_seconds is not None:
             d["timing_seconds"] = self.timing_seconds
         return d
 
-    def to_json(self, with_timing: bool = True) -> str:
-        d = self.to_dict()
-        if not with_timing:
-            def strip(node):
-                node.pop("timing_seconds", None)
-                for sub in node.get("subreports", ()):
-                    strip(sub)
-            strip(d)
-        return json.dumps(d, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_dict(d: dict) -> "VerificationReport":
-        return VerificationReport(
-            name=d["name"],
-            verdict=d["verdict"],
-            field_used=d["field"],
-            conditions=d.get("conditions", []),
-            messages=d.get("messages", []),
-            notes=d.get("notes", []),
-            window=tuple(d["window"]) if "window" in d else None,
-            timing_seconds=d.get("timing_seconds"),
-            error=d.get("error"),
-            subreports=[VerificationReport.from_dict(s)
-                        for s in d.get("subreports", [])],
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "VerificationReport":
-        return VerificationReport.from_dict(json.loads(text))
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def render_text(self, indent: str = "") -> str:
         lines = [f"{indent}{self.name}: {self.verdict.upper()}"
@@ -104,8 +76,6 @@ class VerificationReport:
             lines.append(f"{indent}  {m}")
         for nline in self.notes:
             lines.append(f"{indent}  note: {nline}")
-        if self.error:
-            lines.append(f"{indent}  error: {self.error}")
         for sub in self.subreports:
             lines.append(sub.render_text(indent + "  "))
         if self.timing_seconds is not None and not indent:
@@ -157,3 +127,24 @@ def verdict_report(entry: VerificationEntry) -> VerificationReport:
         window=list(result.window),
         timing_seconds=time.time() - t0,
     )
+
+
+def witness_report(witness: GenerationWitness, name: str, field_used: str) -> VerificationReport:
+    """The witness's verify_witness verdict as a report."""
+    wrep = verify_witness(witness)
+    return VerificationReport(
+        name=name,
+        verdict="pass" if wrep.passed else "fail",
+        field_used=field_used,
+        conditions=[{"condition": "witness", "degree": None,
+                     "passed": wrep.passed,
+                     "detail": "; ".join(wrep.problems)}],
+        messages=list(wrep.messages),
+    )
+
+
+def combined_report(name: str, field_used: str, subreports: list, notes=()) -> VerificationReport:
+    """One report over subreports: pass iff every one passes."""
+    verdict = "pass" if all(s.passed for s in subreports) else "fail"
+    return VerificationReport(name, verdict, field_used, notes=list(notes),
+                              subreports=list(subreports))

@@ -20,11 +20,12 @@ from fractions import Fraction
 from bimodcalc import GradedLinearMap, GradedVectorSpace, decompose
 from diagres.catalog import (build_affine_line, build_cycle, build_nodal_conic,
                              build_nodal_conic_product, documented_mutations,
-                             mutation_flips, verify_chart_jobs, verify_entry)
+                             mutation_flips, verify_chart_jobs)
 from diagres.cli import main as cli_main
 from diagres.complexes import DiagonalSpec, verify_diagonal_qiso
 from diagres.groebner import Submodule, buchberger, member, normal_form, syzygies
 from diagres.polyring import ring
+from diagres.report import verdict_report
 from diagres.scalars import CHECK_PRIME, QQ, PrimeField
 from diagres.witness import verify_witness
 
@@ -54,8 +55,8 @@ def test_criterion_1_affine_line(capsys):
 
 def test_criterion_2_nodal_conic(capsys):
     t0 = time.monotonic()
-    weak = verify_entry(build_nodal_conic())
-    product = verify_entry(build_nodal_conic_product())
+    weak = verdict_report(build_nodal_conic())
+    product = verdict_report(build_nodal_conic_product())
     elapsed = time.monotonic() - t0
     ok = weak.passed and product.passed and elapsed < 5.0
     with capsys.disabled():
@@ -210,9 +211,9 @@ def test_criterion_7_bimodcalc_suite(capsys):
 
 def test_criterion_8_field_cross_check(capsys):
     def verdicts(field):
-        out = [verify_entry(build_affine_line(field)).verdict,
-               verify_entry(build_nodal_conic(field)).verdict,
-               verify_entry(build_nodal_conic_product(field)).verdict]
+        out = [verdict_report(build_affine_line(field)).verdict,
+               verdict_report(build_nodal_conic(field)).verdict,
+               verdict_report(build_nodal_conic_product(field)).verdict]
         cat = build_cycle(3, field)
         out.extend(r.verdict for r in verify_chart_jobs(cat.chart_jobs))
         out.append("pass" if verify_witness(cat.witness).passed else "fail")

@@ -8,13 +8,13 @@ import pytest
 
 from diagres.catalog import (build_affine_line, build_cycle, build_nodal_conic,
                              build_nodal_conic_product, documented_mutations,
-                             mutation_flips, restrict_complex, verify_chart_jobs,
-                             verify_entry)
+                             mutation_flips, restrict_complex, verify_chart_jobs)
 from diagres.catalog.entries import classify_chart
 from diagres.complexes import (ChainComplex, DiagonalSpec, InputDataError,
                                check_differential, verify_diagonal_qiso)
 from diagres.matrices import identity_matrix
 from diagres.polyring import RingMap, ring
+from diagres.report import verdict_report
 from diagres.witness import verify_witness
 
 
@@ -72,7 +72,7 @@ def test_catalog_complexes_pass_check_differential():
 def test_entries_verify():
     for entry in (build_affine_line(), build_nodal_conic(),
                   build_nodal_conic_product()):
-        rep = verify_entry(entry)
+        rep = verdict_report(entry)
         assert rep.passed, (entry.name, rep.first_failure())
 
 
@@ -117,20 +117,16 @@ def test_cycle_charts_verify_and_witness_emits_bound():
     assert any("Rdim(D^bCoh(I_3)) <= 1" in m for m in wrep.messages)
 
 
-def test_a_shared_chart_verdict_keeps_the_error_reason():
-    """Charts that share a complex and spec share one verdict; an error
-    verdict keeps its reason in every chart that shares it."""
+def test_a_shared_chart_input_error_names_its_path():
+    """A precondition violation in a chart's diagonal data is an input
+    error, raised with the field at fault, not a verdict."""
     from dataclasses import replace
     jobs = build_cycle(3).chart_jobs
     spec = next(j.diagonal for j in jobs if j.kind == "diagonal")
     short = DiagonalSpec(spec.ideal, spec.degree, spec.augmentation[:-1], spec.window)
     jobs = [replace(j, diagonal=short) if j.kind == "diagonal" else j for j in jobs]
-    reports = {r.name: r for r in verify_chart_jobs(jobs)}
-    diagonal = [reports[f"chart({i},{i}):diagonal"] for i in (1, 2, 3)]
-    assert [r.verdict for r in diagonal] == ["error"] * 3
-    assert "augmentation row length" in diagonal[0].error
-    assert all(r.error == diagonal[0].error for r in diagonal)
-    assert all(r.passed for r in reports.values() if "diagonal" not in r.name)
+    with pytest.raises(InputDataError, match="at diagonal.augmentation"):
+        verify_chart_jobs(jobs)
 
 
 def test_restrict_identity():
@@ -365,14 +361,23 @@ def test_documented_mutations_flip():
 def test_conic_pieces_cache_is_keyed_by_field(monkeypatch, capsys):
     """Building over q first leaves the fp:32003 reports exactly as a fresh
     fp:32003-only process gives them, and no two fields share a ring."""
+    import json
     import os
     import subprocess
     import sys
     from pathlib import Path
     from diagres.catalog import entries
     from diagres.cli import main
-    from diagres.report import VerificationReport
     from diagres.scalars import field_from_spec
+
+    def _untimed(text):
+        """The JSON report without timing_seconds, at every level."""
+        def strip(node):
+            node.pop("timing_seconds", None)
+            for sub in node.get("subreports", ()):
+                strip(sub)
+            return node
+        return strip(json.loads(text))
 
     monkeypatch.setattr(entries, "_CACHE", {})
     examples = (["nodal-conic"], ["cycle", "--n", "3"])
@@ -387,8 +392,7 @@ def test_conic_pieces_cache_is_keyed_by_field(monkeypatch, capsys):
             fresh = subprocess.run(
                 [sys.executable, "-m", "diagres.cli", *argv], capture_output=True,
                 text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-            assert (VerificationReport.from_json(mixed).to_json(with_timing=False)
-                    == VerificationReport.from_json(fresh).to_json(with_timing=False))
+            assert _untimed(mixed) == _untimed(fresh)
     fp = field_from_spec("fp:32003")
     q_conic, fp_conic = build_nodal_conic(), build_nodal_conic(fp)
     assert q_conic.ring is not fp_conic.ring

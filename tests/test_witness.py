@@ -96,16 +96,16 @@ def test_failing_final_complex_never_passes():
 @pytest.mark.parametrize("build", [build_affine_line, build_nodal_conic])
 def test_witness_reuses_the_entry_verdict(build, monkeypatch):
     """The witness's final complex and spec are the entry's own, so its
-    diagonal verdict is the one verify_entry computed; any other spec or
+    diagonal verdict is the one verdict_report computed; any other spec or
     pre_minimize is still verified afresh."""
     from diagres import complexes
-    from diagres.catalog import verify_entry
+    from diagres.report import verdict_report
     entry = build()
     runs = []
     body = complexes._qiso_verdict
     monkeypatch.setattr(complexes, "_qiso_verdict",
                         lambda *a: runs.append(a[1:]) or body(*a))
-    assert verify_entry(entry).passed
+    assert verdict_report(entry).passed
     assert len(runs) == 1
     rep = verify_witness(entry.witness)
     assert rep.passed, rep.problems
