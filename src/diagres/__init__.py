@@ -12,8 +12,7 @@ rest (catalog entries live under diagres.catalog).
 from .complexes import (ChainComplex, ChainMap, DiagonalSpec, check_differential,
                         cone, direct_sum, homology_is_zero_at, shift,
                         verify_diagonal_qiso)
-from .groebner import (Submodule, buchberger, member, normal_form,
-                       quotient_augment, submodule_equal, syzygies)
+from .groebner import Submodule, buchberger, member, normal_form, syzygies
 from .polyring import MonomialOrder, Polynomial, QuotientRing, parse_poly, ring
 from .scalars import QQ, PrimeField, field_from_spec
 
@@ -22,8 +21,7 @@ __all__ = [
     "__version__",
     "QQ", "PrimeField", "field_from_spec",
     "ring", "Polynomial", "QuotientRing", "MonomialOrder", "parse_poly",
-    "Submodule", "buchberger", "normal_form", "member", "submodule_equal",
-    "syzygies", "quotient_augment",
+    "Submodule", "buchberger", "normal_form", "member", "syzygies",
     "ChainComplex", "ChainMap", "DiagonalSpec", "check_differential", "cone",
     "shift", "direct_sum", "homology_is_zero_at", "verify_diagonal_qiso",
 ]

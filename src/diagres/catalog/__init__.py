@@ -22,7 +22,7 @@ from typing import Callable
 from ..witness import GenerationWitness
 from .entries import (CycleCatalog, build_affine_line, build_cycle, build_nodal_conic,
                       build_nodal_conic_product, restrict_complex, verify_chart_jobs)
-from .mutations import apply_mutation, documented_mutations, mutation_flips
+from .mutations import apply_mutation, documented_mutations
 
 
 @dataclass
@@ -64,5 +64,5 @@ __all__ = [
     "CycleCatalog", "EXAMPLES", "Example",
     "build_affine_line", "build_nodal_conic", "build_nodal_conic_product",
     "build_cycle", "restrict_complex", "verify_chart_jobs",
-    "documented_mutations", "apply_mutation", "mutation_flips",
+    "documented_mutations", "apply_mutation",
 ]

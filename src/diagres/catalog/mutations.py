@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..complexes import ChainComplex, DiagonalSpec, InputDataError, verify_diagonal_qiso
+from ..complexes import ChainComplex, DiagonalSpec, InputDataError
 from ..matrices import Matrix
 from ..scalars import Field
 from ..witness import ConeCertificate, GeneratorDecl
@@ -132,15 +132,6 @@ def apply_mutation(cx: ChainComplex, dspec: DiagonalSpec, mutation: Mutation):
         return (cx, DiagonalSpec(ideal, dspec.degree, list(dspec.augmentation),
                                  dspec.window))
     raise InputDataError(f"unknown mutation kind {mutation.kind!r}")
-
-
-def mutation_flips(cx: ChainComplex, dspec: DiagonalSpec, mutation: Mutation) -> bool:
-    """True iff the mutated data no longer verifies (fail or input error)."""
-    mcx, mspec = apply_mutation(cx, dspec, mutation)
-    try:
-        return not verify_diagonal_qiso(mcx, mspec).passed
-    except InputDataError:
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Everything is computed over the ambient polynomial ring: a computation over
 R = k[x..]/J is realized by augmenting the generating set with the vectors
-j*e_i for every relation j and every free-module slot i (quotient_augment).
-One engine, one correctness argument.
+j*e_i for every relation j and every free-module slot i (GroebnerBasis adds
+them).  One engine, one correctness argument.
 
 One basis type: GroebnerBasis holds a submodule's basis (buchberger) and,
 as its subclass ImageSolver, the basis of a matrix's tagged columns, which
@@ -18,11 +18,12 @@ the ring's packing): int comparison is the module order, the leading term is
 max(d), a monomial product is one int addition and divisibility is one
 guard-bit test.  A polynomial's terms are already packed, in component 0,
 so a vector enters the engine by a component offset per polynomial (the
-term of component c is t - (c << shift)) and leaves by the inverse
-(c = -(t >> shift), t + (c << shift)): no term is encoded or decoded, and a
-rank-1 vector's dict is its polynomial's terms.  A term that does not fit
-its packed fields raises InputDataError at every product (see _terms for
-the rule).
+term of component c is t - (c << shift); col_to_dict) and leaves by the
+inverse (c = -(t >> shift), t + (c << shift); dict_to_col, a sparse column
+that vectors and normal_form pad with the ring's zero): no term is encoded
+or decoded, and a rank-1 vector's dict is its polynomial's terms.  A term
+that does not fit its packed fields raises InputDataError at every product
+(see _terms for the rule).
 
 Coefficients: primitive inside, monic where they leave.  Over Q the engine holds
 every vector (input generator, basis element, remainder) as a primitive
@@ -95,7 +96,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from ._terms import FIELD_MAX, term_overflow
 from .matrices import Matrix, as_matrix, from_columns, identity_matrix, mat_cols
@@ -109,34 +110,24 @@ FreeVector = tuple  # tuple[Polynomial, ...]
 # conversions between vector-of-polynomials and term dicts
 
 
-def vec_to_dict(vec: Sequence[Polynomial], rng: QuotientRing) -> dict:
+def col_to_dict(pairs: Iterable, rng: QuotientRing) -> dict:
+    """A vector's term dict from its (component, Polynomial) pairs:
+    enumerate(vec) of a dense vector, col.items() of a sparse column."""
     shift = rng.packing.shift
-    return {t - (comp << shift): c for comp, p in enumerate(vec) for t, c in p.terms.items()}
-
-
-def col_to_dict(col: dict, rng: QuotientRing) -> dict:
-    """A sparse column {component: Polynomial}'s term dict."""
-    shift = rng.packing.shift
-    return {t - (comp << shift): c for comp, p in col.items() for t, c in p.terms.items()}
-
-
-def _components(d: dict, shift: int) -> dict:
-    """A vector's term dict split by component: {component: {monomial: c}}."""
-    polys: dict = {}
-    for t, c in d.items():
-        comp = -(t >> shift)
-        polys.setdefault(comp, {})[t + (comp << shift)] = c
-    return polys
-
-
-def dict_to_vec(d: dict, rng: QuotientRing, rank: int) -> FreeVector:
-    polys = _components(d, rng.packing.shift)
-    return tuple(Polynomial(rng, polys.get(i, {})) for i in range(rank))
+    return {t - (comp << shift): c for comp, p in pairs for t, c in p.terms.items()}
 
 
 def dict_to_col(d: dict, rng: QuotientRing) -> dict:
-    """A vector's term dict as a sparse column {component: nonzero Polynomial}."""
-    return {i: Polynomial(rng, t) for i, t in _components(d, rng.packing.shift).items()}
+    """A vector's term dict as a sparse column {component: nonzero Polynomial},
+    the one form a vector leaves the engine in."""
+    shift = rng.packing.shift
+    col: dict = {}
+    for t, c in d.items():
+        comp = -(t >> shift)
+        col.setdefault(comp, {})[t + (comp << shift)] = c
+    for comp, terms in col.items():
+        col[comp] = Polynomial(rng, terms)
+    return col
 
 
 def _divided(d: dict, k: int) -> dict:
@@ -178,13 +169,6 @@ class Submodule:
         if self._gb is None:
             self._gb = buchberger(self)
         return self._gb
-
-
-def quotient_augment(sub: Submodule) -> Submodule:
-    """Append j*e_i for every relation j; realizes computation over R/J."""
-    rng, rank = sub.ring, sub.rank
-    extra = [dict_to_vec(d, rng, rank) for d in _relation_dicts(rng, rank)]
-    return Submodule(rng, rank, list(sub.generators) + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +401,7 @@ def _buchberger_dicts(gen_dicts: list, engine: _Engine) -> list:
 
 
 def _relation_dicts(rng: QuotientRing, rank: int) -> list:
-    """quotient_augment's extra generators j*e_i, in its order, as term dicts."""
+    """The relation generators j*e_i, i < rank, as term dicts."""
     shift = rng.packing.shift
     return [{t - (i << shift): c for t, c in rel.terms.items()}
             for rel in rng.relations for i in range(rank)]
@@ -436,8 +420,8 @@ class GroebnerBasis:
     generators j*e_i, i < m, are added here).  It holds the engine, the basis
     as the engine stores it (_dicts: primitive over Q, descending leading
     terms) and its divisor index; every answer read against the basis goes
-    through _reduce.  The monic basis as FreeVectors (dense tuples) is built
-    on first use of vectors.
+    through _reduce.  The basis leaves the engine monic, as the sparse
+    columns of columns(), which vectors pads to dense tuples.
     """
 
     c = 0
@@ -448,18 +432,15 @@ class GroebnerBasis:
         self._dicts = _buchberger_dicts(
             [engine.cleared(d)[0] for d in gens + _relation_dicts(rng, m)], engine)
         self._index = engine.index(self._dicts)
-        self._vectors = None
 
     @property
     def vectors(self) -> list:
-        if self._vectors is None:
-            self._vectors = [dict_to_vec(_monic(d), self.ring, self.m + self.c)
-                             for d in self._dicts]
-        return self._vectors
+        """The basis as FreeVectors: columns() padded with one shared zero."""
+        zero, rank = self.ring.zero(), self.m + self.c
+        return [tuple(col.get(i, zero) for i in range(rank)) for col in self.columns()]
 
     def columns(self) -> list:
-        """The basis as sparse columns {component: nonzero Polynomial}, in the
-        order of vectors, without building the dense tuples."""
+        """The basis as sparse columns {component: nonzero Polynomial}."""
         return [dict_to_col(_monic(d), self.ring) for d in self._dicts]
 
     def _reduce(self, d: dict, stop: bool = False) -> Optional[dict]:
@@ -477,13 +458,16 @@ class GroebnerBasis:
 
 def buchberger(sub: Submodule) -> GroebnerBasis:
     """Reduced Gröbner basis of the J-augmented submodule."""
-    return GroebnerBasis(sub.ring, sub.rank, [vec_to_dict(g, sub.ring) for g in sub.generators])
+    return GroebnerBasis(sub.ring, sub.rank,
+                         [col_to_dict(enumerate(g), sub.ring) for g in sub.generators])
 
 
 def normal_form(vec: FreeVector, gb: GroebnerBasis) -> FreeVector:
     """Canonical remainder of vec against the basis."""
     _check_vector(vec, gb.ring, gb.m)
-    return dict_to_vec(gb._reduce(vec_to_dict(vec, gb.ring)), gb.ring, gb.m)
+    col = dict_to_col(gb._reduce(col_to_dict(enumerate(vec), gb.ring)), gb.ring)
+    zero = gb.ring.zero()
+    return tuple(col.get(i, zero) for i in range(gb.m))
 
 
 def reduces_to_zero(terms: dict, gb: GroebnerBasis) -> bool:
@@ -497,14 +481,7 @@ def reduces_to_zero(terms: dict, gb: GroebnerBasis) -> bool:
 def member(vec: FreeVector, sub: Submodule) -> bool:
     """Membership as an R/J-module element (J-augmented span)."""
     _check_vector(vec, sub.ring, sub.rank)
-    return reduces_to_zero(vec_to_dict(vec, sub.ring), sub.groebner())
-
-
-def submodule_equal(a: Submodule, b: Submodule) -> bool:
-    if a.rank != b.rank or a.ring != b.ring:
-        raise ValueError("submodules of different ambient modules")
-    return (all(member(g, b) for g in a.generators)
-            and all(member(g, a) for g in b.generators))
+    return reduces_to_zero(col_to_dict(enumerate(vec), sub.ring), sub.groebner())
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +525,7 @@ class ImageSolver(GroebnerBasis):
         if m == 0:
             raise ValueError("target rank must be positive")
         shift = rng.packing.shift
-        gens = [col_to_dict(col, rng) for col in mat_cols(matrix)]
+        gens = [col_to_dict(col.items(), rng) for col in mat_cols(matrix)]
         for j, g in enumerate(gens):
             g[rng.one_key - ((m + j) << shift)] = rng.field.one
         self.c = c
@@ -557,7 +534,7 @@ class ImageSolver(GroebnerBasis):
     def solve(self, col: dict):
         """col is a sparse column {row: Polynomial}; q comes back as a sparse
         column {index: nonzero Polynomial}."""
-        r = self._reduce(col_to_dict(col, self.ring), stop=True)
+        r = self._reduce(col_to_dict(col.items(), self.ring), stop=True)
         if r is None:
             return None
         neg, up = self.ring.field.neg, self.m << self.ring.packing.shift  # m + j -> j

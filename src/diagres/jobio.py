@@ -43,8 +43,8 @@ Schema (version 1)::
 The diagonal block's "complex", if given, must name one of the job's
 complexes.  The witness's final complex is its last step's target, checked
 against the diagonal block, whose "complex", if given, must name that
-target.  Any other key in the witness block or in a certificate is
-rejected with its path; the declaration rules live in
+target.  A key the schema does not name, in any object but those keyed by
+degree, is rejected with its path; the declaration rules live in
 witness.check_declarations, which parsing gives the block's path.
 
 A degree key is an integer spelled canonically (str(int(k)) == k), and no
@@ -118,6 +118,14 @@ def _typed(v, kind, what: str, path: str):
 
 def _obj(v, path: str) -> dict:
     return _typed(v, dict, "an object", path)
+
+
+def _fields(v, path: str, keys: tuple) -> dict:
+    """An object at path whose every key is one of keys ("$" is the top level)."""
+    for key in _obj(v, path):
+        if key not in keys:
+            raise JobFileError(f"unknown key at {key if path == '$' else f'{path}.{key}'}")
+    return v
 
 
 def _list(v, path: str) -> list:
@@ -204,14 +212,14 @@ def _ring_part(make, path: str):
 
 
 def parse_ring(d: dict, path: str = "ring") -> QuotientRing:
-    _obj(d, path)
+    _fields(d, path, ("variables", "field", "order", "relations"))
     variables = _strs(_need(d, "variables", path), f"{path}.variables")
     spec = _str(d.get("field", "q"), f"{path}.field")
     fld = _ring_part(lambda: field_from_spec(spec), f"{path}.field")
     order = None
     if "order" in d:
         opath = f"{path}.order"
-        od = _obj(d["order"], opath)
+        od = _fields(d["order"], opath, ("kind", "priority"))
         kind = _str(od.get("kind", "grevlex"), f"{opath}.kind")
         ppath, prio = f"{opath}.priority", od.get("priority")
         if prio is not None:
@@ -227,7 +235,7 @@ def parse_ring(d: dict, path: str = "ring") -> QuotientRing:
 
 def parse_complex(d: dict, rng: QuotientRing, path: str,
                   memo: Optional[dict] = None) -> ChainComplex:
-    _obj(d, path)
+    _fields(d, path, ("name", "ranks", "differentials"))
     memo = {} if memo is None else memo
     ranks = {}
     for k, v, kpath in _by_degree(_need(d, "ranks", path), f"{path}.ranks"):
@@ -246,7 +254,7 @@ def parse_complex(d: dict, rng: QuotientRing, path: str,
 
 def parse_diagonal(d: dict, rng: QuotientRing, path: str = "diagonal",
                    memo: Optional[dict] = None) -> DiagonalSpec:
-    _obj(d, path)
+    _fields(d, path, ("complex", "ideal", "degree", "augmentation", "window"))
     memo = {} if memo is None else memo
     ideal = _polys(rng, _need(d, "ideal", path), f"{path}.ideal", memo)
     aug = _polys(rng, _need(d, "augmentation", path), f"{path}.augmentation", memo)
@@ -277,14 +285,11 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
     gens = []
     for i, g in enumerate(_list(d.get("generators", []), f"{path}.generators")):
         gpath = f"{path}.generators[{i}]"
-        _obj(g, gpath)
+        _fields(g, gpath, ("label", "kind", "certificate"))
         cert = None
         if "certificate" in g:
             cpath = f"{gpath}.certificate"
-            c = _obj(g["certificate"], cpath)
-            for key in c:
-                if key not in ("source", "target"):
-                    raise JobFileError(f"unknown key at {cpath}.{key}")
+            c = _fields(g["certificate"], cpath, ("source", "target"))
             cert = ConeCertificate(_str(_need(c, "source", cpath), f"{cpath}.source"),
                                    _str(_need(c, "target", cpath), f"{cpath}.target"))
         kind = _str(_need(g, "kind", gpath), f"{gpath}.kind")
@@ -298,11 +303,11 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
     steps = []
     for i, s in enumerate(_list(d.get("steps", []), f"{path}.steps")):
         spath = f"{path}.steps[{i}]"
-        _obj(s, spath)
+        _fields(s, spath, ("target", "map", "summands"))
         summands, total = [], {}  # total: degree -> rank of the declared sum
         for k, q in enumerate(_list(s.get("summands", []), f"{spath}.summands")):
             qpath = f"{spath}.summands[{k}]"
-            _obj(q, qpath)
+            _fields(q, qpath, ("label", "shift", "multiplicity", "model"))
             model = _named(complexes, q["model"], f"{qpath}.model") if q.get("model") else None
             mult = _int(q.get("multiplicity", 1), f"{qpath}.multiplicity")
             if mult < 1:
@@ -321,7 +326,7 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
         step_map = None
         if s.get("map") is not None:
             mpath = f"{spath}.map"
-            m = _obj(s["map"], mpath)
+            m = _fields(s["map"], mpath, ("source", "target", "matrices"))
             src = _named(complexes, _need(m, "source", mpath), f"{mpath}.source")
             tgt = _named(complexes, _need(m, "target", mpath), f"{mpath}.target")
             mats = {k: _matrix(rng, v, kpath, memo) for k, v, kpath
@@ -331,9 +336,7 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
             except InputDataError as exc:
                 raise JobFileError(f"invalid chain map at {mpath}: {exc}") from exc
         steps.append(WitnessStep(step_map, target, summands))
-    for key in d:
-        if key not in ("claimed_time", "generators", "steps", "conclusion"):
-            raise JobFileError(f"unknown key at {path}.{key}")
+    _fields(d, path, ("claimed_time", "generators", "steps", "conclusion"))
     claimed = _int(_need(d, "claimed_time", path), f"{path}.claimed_time")
     w = GenerationWitness(gens, steps, claimed, diagonal,
                           conclusion=_str(d.get("conclusion", ""), f"{path}.conclusion"))
@@ -347,6 +350,8 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
 def parse_job(doc: dict) -> Job:
     if not isinstance(doc, dict):
         raise JobFileError("job file must be a JSON object")
+    _fields(doc, "$", ("schema", "name", "ring", "complexes", "diagonal", "expectation",
+                       "witness", "module"))
     if _typed(doc.get("schema"), int, "an integer", "schema") != SCHEMA:
         raise JobFileError(f"unsupported schema {doc.get('schema')!r}, expected {SCHEMA}")
     rng = parse_ring(_need(doc, "ring", "$"))
@@ -376,7 +381,7 @@ def parse_job(doc: dict) -> Job:
                                f"complex witness.steps[{len(witness.steps) - 1}].target")
     gb_module = None
     if "module" in doc:
-        md = _obj(doc["module"], "module")
+        md = _fields(doc["module"], "module", ("rank", "generators"))
         rank = _int(_need(md, "rank", "module"), "module.rank")
         if rank < 1:
             raise JobFileError(f"module.rank must be at least 1, got {rank}")

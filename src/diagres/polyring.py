@@ -7,10 +7,10 @@ Conventions
   is the ring order, and the product of monomials a and b is
   a + b - ring.one_key, where one_key is the packed constant monomial.
 * A polynomial's terms are a dict {packed monomial: coefficient} with no
-  zero entries; the zero polynomial is the empty dict.  exponent_terms()
-  decodes it, and leading() returns exponents.  Polynomials are immutable
-  by convention: arithmetic always builds fresh dicts.  A product whose
-  degree would not fit a packed term raises InputDataError.
+  zero entries; the zero polynomial is the empty dict, and
+  ring.packing.decode gives a monomial's exponents back.  Polynomials are
+  immutable by convention: arithmetic always builds fresh dicts.  A product
+  whose degree would not fit a packed term raises InputDataError.
 * A QuotientRing records variable names, coefficient field, monomial order
   and the relation ideal.  Nothing at this layer reduces modulo the
   relations; that is the Gröbner engine's job (via augmentation).
@@ -180,9 +180,6 @@ class QuotientRing:
         encode = self.packing.encode
         return Polynomial(self, {encode(0, e): c for e, c in terms.items()})
 
-    def gens(self) -> tuple["Polynomial", ...]:
-        return tuple(self.var(nm) for nm in self.names)
-
     def parse(self, text: str) -> "Polynomial":
         return parse_poly(text, self)
 
@@ -245,18 +242,6 @@ class Polynomial:
     def degree(self) -> int:
         """The largest total degree of a term; 0 for zero."""
         return self.ring.packing.top_degree(self.terms)
-
-    def exponent_terms(self) -> dict:
-        """The terms as {exponent tuple: coefficient}."""
-        decode = self.ring.packing.decode
-        return {decode(k)[1]: c for k, c in self.terms.items()}
-
-    def leading(self):
-        """(exponents, coefficient) of the leading term; None for zero."""
-        if not self.terms:
-            return None
-        k = max(self.terms)
-        return self.ring.packing.decode(k)[1], self.terms[k]
 
     # --- arithmetic ---
 

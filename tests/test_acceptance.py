@@ -20,7 +20,7 @@ from fractions import Fraction
 from bimodcalc import GradedLinearMap, GradedVectorSpace, decompose
 from diagres.catalog import (build_affine_line, build_cycle, build_nodal_conic,
                              build_nodal_conic_product, documented_mutations,
-                             mutation_flips, verify_chart_jobs)
+                             verify_chart_jobs)
 from diagres.cli import main as cli_main
 from diagres.complexes import DiagonalSpec, verify_diagonal_qiso
 from diagres.groebner import Submodule, buchberger, member, normal_form, syzygies
@@ -28,6 +28,7 @@ from diagres.polyring import ring
 from diagres.report import verdict_report
 from diagres.scalars import CHECK_PRIME, QQ, PrimeField
 from diagres.witness import verify_witness
+from helpers import leading, mutation_flips
 
 FP = PrimeField(CHECK_PRIME)
 
@@ -127,7 +128,7 @@ def test_criterion_5_groebner_suite(capsys):
         gb = buchberger(sub)
         # every S-polynomial of the (monic) output basis reduces to zero
         polys = [v[0] for v in gb.vectors]
-        leads = [p.leading()[0] for p in polys]
+        leads = [leading(p)[0] for p in polys]
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
                 lcm = tuple(map(max, leads[i], leads[j]))

@@ -8,7 +8,7 @@ import pytest
 
 from diagres.catalog import (build_affine_line, build_cycle, build_nodal_conic,
                              build_nodal_conic_product, documented_mutations,
-                             mutation_flips, restrict_complex, verify_chart_jobs)
+                             restrict_complex, verify_chart_jobs)
 from diagres.catalog.entries import classify_chart
 from diagres.complexes import (ChainComplex, DiagonalSpec, InputDataError,
                                check_differential, verify_diagonal_qiso)
@@ -16,6 +16,7 @@ from diagres.matrices import identity_matrix
 from diagres.polyring import RingMap, ring
 from diagres.report import verdict_report
 from diagres.witness import verify_witness
+from helpers import mutation_flips
 
 
 def test_affine_entry_matches_expected_matrices():

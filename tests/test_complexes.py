@@ -14,6 +14,7 @@ from diagres.matrices import Matrix, as_matrix, identity_matrix, mat_mul
 from diagres.polyring import ring
 from diagres.resolutions import lift_module_map, resolve_cyclic
 from diagres.scalars import CHECK_PRIME
+from helpers import exponent_terms
 
 R2 = ring(["x1", "x2"])
 
@@ -201,7 +202,7 @@ def _evaluate(mat, point, p):
         out_row = []
         for e in row:
             total = 0
-            for exps, c in e.exponent_terms().items():
+            for exps, c in exponent_terms(e).items():
                 v = int(c) if c.denominator == 1 else (int(c.numerator)
                                                        * pow(int(c.denominator), p - 2, p))
                 for x, ex in zip(point, exps):

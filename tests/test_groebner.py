@@ -16,11 +16,11 @@ import pytest
 
 from diagres._terms import FIELD_MAX, InputDataError
 from diagres.groebner import (GroebnerBasis, ImageSolver, Submodule, buchberger,
-                              member, normal_form, quotient_augment, submodule_equal,
-                              syzygies)
+                              col_to_dict, dict_to_col, member, normal_form, syzygies)
 from diagres.matrices import mat_cols
 from diagres.polyring import MonomialOrder, ring
 from diagres.scalars import PrimeField
+from helpers import exponent_terms, leading
 
 RLEX = ring(["x", "y"], order=MonomialOrder("lex"))
 R2 = ring(["x1", "x2"])
@@ -76,7 +76,7 @@ def test_reduced_ideal_bases_match_sympy_randomized(kind, priority):
                     exps[i] = k
                 terms[tuple(exps)] = Fraction(int(c.p), int(c.q))
             p = rng.from_exponent_terms(terms)
-            theirs.add(p.scale(rng.field.inv(p.leading()[1])))
+            theirs.add(p.scale(rng.field.inv(leading(p)[1])))
         assert {v[0] for v in buchberger(sub).vectors} == theirs
 
 
@@ -121,18 +121,11 @@ def test_member_examples():
     assert member((RQ.parse("x1*y1"),), Submodule(RQ, 1, []))
 
 
-def test_quotient_augment():
-    s = quotient_augment(ideal(RQ, "x1-x2"))
-    got = {tuple(str(p) for p in g) for g in s.generators}
-    assert got == {("x1 - x2",), ("x1*y1",), ("x2*y2",)}
-    # polynomial ring: unchanged
-    s2 = quotient_augment(ideal(R2, "x1-x2"))
-    assert len(s2.generators) == 1
-    # zero submodule in rank 2 over k[x,y]/(xy)
-    rxy = ring(["x", "y"], relations=["x*y"])
-    s3 = quotient_augment(Submodule(rxy, 2, []))
-    got3 = {tuple(str(p) for p in g) for g in s3.generators}
-    assert got3 == {("x*y", "0"), ("0", "x*y")}
+def submodule_equal(a: Submodule, b: Submodule) -> bool:
+    if a.rank != b.rank or a.ring != b.ring:
+        raise ValueError("submodules of different ambient modules")
+    return (all(member(g, b) for g in a.generators)
+            and all(member(g, a) for g in b.generators))
 
 
 def test_submodule_equal_examples():
@@ -209,7 +202,7 @@ def tup_lcm(a: tuple, b: tuple) -> tuple:
 
 def plain_dict(vec) -> dict:
     return {(comp,) + e: c for comp, p in enumerate(vec)
-            for e, c in p.exponent_terms().items()}
+            for e, c in exponent_terms(p).items()}
 
 
 def plain_vec(d: dict, rng, rank: int) -> tuple:
@@ -460,7 +453,7 @@ def test_criteria_and_sugar_match_criteria_free_reference(spec, kind):
                 sub = random_module(rng, rand, rank)
                 gb = buchberger(sub)
                 gens = [plain_dict(g) for g in sub.generators] + [
-                    {(i,) + m: c for m, c in rel.exponent_terms().items()}
+                    {(i,) + m: c for m, c in exponent_terms(rel).items()}
                     for rel in rng.relations for i in range(rank)]
                 assert [plain_dict(v) for v in gb.vectors] == reference_buchberger(gens, rng)
 
@@ -469,7 +462,7 @@ def test_criteria_and_sugar_match_criteria_free_reference(spec, kind):
 def widen(vec, scale):
     """vec with every x_v^e replaced by x_v^(e * scale[v])."""
     return tuple(p.ring.from_exponent_terms({tuple(map(mul, e, scale)): c
-                                             for e, c in p.exponent_terms().items()})
+                                             for e, c in exponent_terms(p).items()})
                  for p in vec)
 
 
@@ -598,7 +591,7 @@ def random_q_poly(rng, rand):
     return rng.from_exponent_terms({
         e: fld.from_fraction(*Fraction(c).as_integer_ratio())
         for e, c in ((e, rand.choice(FRACTIONS) if rand.random() < 0.5 else c)
-                     for e, c in p.exponent_terms().items())})
+                     for e, c in exponent_terms(p).items())})
 
 
 def random_q_module(rng, rand, rank, max_gens=4):
@@ -622,7 +615,7 @@ def test_fractional_and_wide_q_modules_match_criteria_free_reference():
             for _ in range(5):
                 sub = random_q_module(rng, rand, rank, max_gens=3)
                 gens = [plain_dict(g) for g in sub.generators] + [
-                    {(i,) + m: c for m, c in rel.exponent_terms().items()}
+                    {(i,) + m: c for m, c in exponent_terms(rel).items()}
                     for rel in rng.relations for i in range(rank)]
                 gb = buchberger(sub)
                 assert [plain_dict(v) for v in gb.vectors] == reference_buchberger(gens, rng)
@@ -633,7 +626,8 @@ def test_normal_form_and_solve_give_true_unscaled_answers():
     """normal_form(v) is the reference remainder, and v minus it is in the
     submodule; a solve coefficient vector q has M*q - v in J*R^m, and every
     v built as M*q0 is solved.  Over Q and over F_32003, which share one
-    reduce path."""
+    reduce path; the dense answers (vectors, normal_form) are the sparse
+    ones (columns, the reduction of v's nonzero entries) padded with zeros."""
     rand = random.Random(53)
     solved = 0
     for rng in Q_RINGS + FP_RINGS:
@@ -641,12 +635,19 @@ def test_normal_form_and_solve_give_true_unscaled_answers():
             for _ in range(4):
                 sub = random_q_module(rng, rand, rank, max_gens=3)
                 gb = buchberger(sub)
+                zero = rng.zero()
+                assert gb.vectors == [tuple(col.get(i, zero) for i in range(rank))
+                                      for col in gb.columns()]
                 basis = [plain_dict(v) for v in gb.vectors]
                 leads = [plain_lead(d, rng) for d in basis]
                 for _ in range(3):
                     v = tuple(random_q_poly(rng, rand) for _ in range(rank))
                     r = normal_form(v, gb)
                     assert plain_dict(r) == plain_nf(plain_dict(v), basis, leads, rng)
+                    for w in (v, v[:1] + (zero,) * (rank - 1)):
+                        sparse = {i: p for i, p in enumerate(w) if p.terms}
+                        col = dict_to_col(gb._reduce(col_to_dict(sparse.items(), rng)), rng)
+                        assert normal_form(w, gb) == tuple(col.get(i, zero) for i in range(rank))
                     assert member(tuple(a - b for a, b in zip(v, r)), sub)
                 gens = sub.generators
                 mat = [[g[i] for g in gens] for i in range(rank)]
@@ -682,7 +683,7 @@ def test_kernel_columns_are_monic_syzygies():
                 mat = [[g[i] for g in gens] for i in range(rank)]
                 relations = Submodule(rng, rank, [])
                 for col in mat_cols(ImageSolver(mat, rng).kernel()):
-                    assert col[min(col)].leading()[1] == 1  # position over term
+                    assert leading(col[min(col)])[1] == 1  # position over term
                     image = tuple(sum((mat[i][j] * p for j, p in col.items()), rng.zero())
                                   for i in range(rank))
                     assert member(image, relations)

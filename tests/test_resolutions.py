@@ -145,7 +145,7 @@ def test_memoized_solver_matches_fresh_solver(spec):
     from diagres.scalars import field_from_spec
 
     rng = conic_ring(field_from_spec(spec))
-    x1, y1, x2, y2 = rng.gens()
+    x1, y1, x2, y2 = map(rng.var, rng.names)
     kx = resolve_cyclic(rng, [y1, y2], 5)
     k0 = resolve_cyclic(rng, [x1, y1, x2, y2], 5)
     proj = skyscraper_projection(kx, k0)
@@ -169,13 +169,13 @@ def _catalog_tate_data(name, fld):
     from diagres.catalog.entries import conic_ring
     if name == "affine-origin":
         rng = ring(["x1", "x2"], field=fld)
-        return rng, list(rng.gens()), []
+        return rng, list(map(rng.var, rng.names)), []
     if name == "adjacent-plane":
         rng = ring(["x", "y", "u", "v"], field=fld, relations=["x*y", "u*v"])
-        x, y, u, v = rng.gens()
+        x, y, u, v = map(rng.var, rng.names)
         return rng, [x, v], [[y, rng.zero()], [rng.zero(), u]]
     rng = conic_ring(fld)
-    x1, y1, x2, y2 = rng.gens()
+    x1, y1, x2, y2 = map(rng.var, rng.names)
     z = rng.zero()
     return rng, *{
         "kx": ([y1, y2], [[x1, z], [z, x2]]),
@@ -220,7 +220,7 @@ def test_catalog_builds_these_tate_models(name):
 
 def test_tate_rejects_a_lift_that_misses_its_relation():
     rng, gens, lifts = _catalog_tate_data("kx", QQ)
-    x1, y1, x2, y2 = rng.gens()
+    x1, y1, x2, y2 = map(rng.var, rng.names)
     with pytest.raises(InputDataError):
         tate(rng, gens, [[x1, rng.zero()], [rng.zero(), y2]], 5)  # y2*y2 != x2*y2
     with pytest.raises(InputDataError):
