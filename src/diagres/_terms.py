@@ -65,6 +65,12 @@ class InputDataError(ValueError):
     """Malformed verification input (not a failed verification)."""
 
 
+class JobFileError(ValueError):
+    """Structurally invalid job file, or CLI arguments that name no valid run.
+    It lives here, not in jobio, so that the CLI can catch it without
+    loading the job reader."""
+
+
 def term_overflow(deg: int) -> InputDataError:
     """The error for a term of degree deg > FIELD_MAX."""
     return InputDataError(f"a term of degree {deg} arises, above the largest "

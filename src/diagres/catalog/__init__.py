@@ -16,8 +16,7 @@ build functions here at call time, and the CLI looks up
 benchmark's tracer) reaches the CLI.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from ..witness import GenerationWitness
 from .entries import (CycleCatalog, build_affine_line, build_cycle, build_nodal_conic,
@@ -25,15 +24,16 @@ from .entries import (CycleCatalog, build_affine_line, build_cycle, build_nodal_
 from .mutations import apply_mutation, documented_mutations
 
 
-@dataclass
 class Example:
     """One CLI example: the title and notes of its report, its witness, and
     its entries, built on demand (``witness --example`` verifies none)."""
 
-    title: str
-    witness: GenerationWitness
-    entries: Callable[[], list]
-    notes: list = field(default_factory=list)
+    def __init__(self, title: str, witness: GenerationWitness,
+                 entries: Callable[[], list], notes: Optional[list] = None):
+        self.title = title
+        self.witness = witness
+        self.entries = entries
+        self.notes = [] if notes is None else notes
 
 
 def _affine_line(fld, n):

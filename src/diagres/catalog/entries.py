@@ -26,15 +26,14 @@ immutable, and the cache holds one entry per field and kind.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError, _vanishes,
                          block_map, check_differential, cone,
                          direct_sum, map_sub, shift, zero_complex)
 from ..matrices import block_matrix, identity_matrix, mat_map, mat_neg
 from ..polyring import Polynomial, QuotientRing, RingMap, ring
-from ..report import VerificationEntry, verdict_report
+from ..report import VerificationEntry, VerificationReport, verdict_report
 from ..resolutions import lift_module_map, maps_to_shifted_cone, tate, truncate
 from ..scalars import QQ, Field, field_spec_str
 from ..witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
@@ -58,12 +57,13 @@ SINGULAR_WINDOW = (-1, WINDOW_HI)
 MAX_CYCLE_N = 256
 
 
-@dataclass
 class CycleCatalog:
-    n: int
-    chart_jobs: list           # VerificationEntry per chart, in (i, j) order
-    witness: GenerationWitness
-    notes: list = dc_field(default_factory=list)
+    def __init__(self, n: int, chart_jobs: list, witness: GenerationWitness,
+                 notes: Optional[list] = None):
+        self.n = n
+        self.chart_jobs = chart_jobs  # VerificationEntry per chart, in (i, j) order
+        self.witness = witness
+        self.notes = [] if notes is None else notes
 
 
 def classify_chart(i: int, j: int, n: int) -> str:
@@ -184,8 +184,7 @@ def _cached(field: Field, kind: str, build):
     return _CACHE[key]
 
 
-@dataclass(frozen=True)
-class ConicPieces:
+class ConicPieces(NamedTuple):
     """The nodal conic's building blocks over one field."""
 
     ring: QuotientRing
@@ -540,6 +539,8 @@ def verify_chart_jobs(jobs):
             cache[key] = base = verdict_report(job)
             out.append(base)
         else:
-            out.append(replace(base, name=job.name, timing_seconds=0.0, notes=base.notes + [
-                f"verdict shared with {base.name} (identical chart data)"]))
+            out.append(VerificationReport(
+                job.name, base.verdict, base.field_used, base.conditions, base.messages,
+                base.notes + [f"verdict shared with {base.name} (identical chart data)"],
+                base.window, 0.0, base.subreports))
     return out

@@ -18,18 +18,17 @@ accept; every one must fail with the named problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ..complexes import ChainComplex, DiagonalSpec, InputDataError
 from ..matrices import Matrix
 from ..scalars import Field
-from ..witness import ConeCertificate, GeneratorDecl
+from ..witness import ConeCertificate, GenerationWitness, GeneratorDecl, WitnessStep
 from .entries import (_chart_witnesses, _cycle_witness, build_affine_line,
                       build_nodal_conic, build_nodal_conic_product)
 
 
-@dataclass(frozen=True)
-class Mutation:
+class Mutation(NamedTuple):
     name: str
     kind: str          # 'differential' | 'augmentation' | 'ideal'
     location: tuple    # differential: (degree, row, col); otherwise: (index,)
@@ -142,7 +141,8 @@ def _conic_step_0_only(field: Field):
     """The nodal conic cut to step 0 with claimed time 0 (Rdim <= 0 is
     false: a reduced curve has Rdim >= 1)."""
     w = build_nodal_conic(field).witness
-    return replace(w, steps=w.steps[:1], claimed_time=0)
+    return GenerationWitness(w.generators, w.steps[:1], 0, w.final_diagonal, w.charts,
+                             w.conclusion)
 
 
 def _cycle_misplaced_certificate(field: Field):
@@ -161,15 +161,18 @@ def _conic_product_final(field: Field):
     which pass the diagonal check on their own."""
     w = build_nodal_conic(field).witness
     product = build_nodal_conic_product(field)
-    last = replace(w.steps[-1], target=product.complex)
-    return replace(w, steps=w.steps[:-1] + [last], final_diagonal=product.diagonal)
+    last = WitnessStep(w.steps[-1].step_map, product.complex, w.steps[-1].summands)
+    return GenerationWitness(w.generators, w.steps[:-1] + [last], w.claimed_time,
+                             product.diagonal, w.charts, w.conclusion)
 
 
 def _affine_reversed_summands(field: Field):
     """The affine line's step-1 summands declared in reverse block order."""
     w = build_affine_line(field).witness
-    last = replace(w.steps[-1], summands=list(reversed(w.steps[-1].summands)))
-    return replace(w, steps=w.steps[:-1] + [last])
+    last = WitnessStep(w.steps[-1].step_map, w.steps[-1].target,
+                       list(reversed(w.steps[-1].summands)))
+    return GenerationWitness(w.generators, w.steps[:-1] + [last], w.claimed_time,
+                             w.final_diagonal, w.charts, w.conclusion)
 
 
 # name -> (text one of the witness problems must contain,

@@ -15,6 +15,12 @@ emits.  One driver, ``report.verdict_report``, makes the verdict report of
 every catalog entry, cycle chart and job file; ``catalog.verify_chart_jobs``
 runs it on the entries of every example.
 
+Start-up: this module imports the verdict code and no catalog build code.
+``catalog`` is imported by the ``--example`` paths and ``jobio`` by the
+three ``--job`` paths, each inside the function that needs it, so that a
+run pays only for what it reads; ``JobFileError`` lives in ``_terms`` so
+that every path can catch it.
+
 Exit codes: 0 verification passed, 1 verification failed, 2 input or parse
 error, or an internal error (one "internal error:" line on stderr, never a
 traceback, so that exit 1 always means a failed verification).  JSON
@@ -29,9 +35,8 @@ import json
 import sys
 import time
 
-from .complexes import InputDataError
+from ._terms import InputDataError, JobFileError
 from .groebner import Submodule, buchberger
-from .jobio import JobFileError, load_job
 from .polyring import ParseError
 from .report import (VerificationEntry, VerificationReport, combined_report, verdict_report,
                      witness_report)
@@ -90,6 +95,8 @@ def _verify_job(args) -> int:
     """The diagonal's complex against the diagonal, or under exact_everywhere
     every complex; several complexes report as one job whose verdict fails
     if one of theirs does."""
+    from .jobio import load_job
+
     t0 = time.time()
     job = load_job(args.job, args.field)
     if not job.complexes:
@@ -112,6 +119,8 @@ def _verify_job(args) -> int:
 
 
 def _run_gb(args) -> int:
+    from .jobio import load_job
+
     job = load_job(args.job, args.field)
     if job.gb_module is None:
         raise JobFileError("gb subcommand needs a module block in the job file")
@@ -143,6 +152,8 @@ def _run_witness(args) -> int:
     if args.example:
         ex, fname = _example(args)
         return _emit(witness_report(ex.witness, f"{ex.title}:witness", fname), args)
+    from .jobio import load_job
+
     job = load_job(args.job, args.field)
     if job.witness is None:
         raise JobFileError("job has no witness block")

@@ -37,7 +37,6 @@ complex (d*d != 0 mod J) raises InputDataError instead of answering.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -393,7 +392,6 @@ def _exact(cx: ChainComplex, window: tuple, skip: Optional[int] = None) -> list:
 # the diagonal verdict
 
 
-@dataclass
 class DiagonalSpec:
     """Cyclic target R/I plus the augmentation row identifying it in homology.
 
@@ -408,27 +406,30 @@ class DiagonalSpec:
     so a verdict memoized against a spec object stays valid.
     """
 
-    ideal: list
-    degree: int
-    augmentation: list
-    window: Optional[tuple] = None
+    def __init__(self, ideal: list, degree: int, augmentation: list,
+                 window: Optional[tuple] = None):
+        self.ideal = ideal
+        self.degree = degree
+        self.augmentation = augmentation
+        self.window = window
 
 
-@dataclass
 class ConditionResult:
-    condition: str
-    degree: Optional[int]
-    passed: bool
-    detail: str = ""
+    def __init__(self, condition: str, degree: Optional[int], passed: bool, detail: str = ""):
+        self.condition = condition
+        self.degree = degree
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class QisoResult:
-    passed: bool
-    i0: int
-    window: tuple
-    conditions: list
-    truncated: bool = False
+    def __init__(self, passed: bool, i0: int, window: tuple, conditions: list,
+                 truncated: bool = False):
+        self.passed = passed
+        self.i0 = i0
+        self.window = window
+        self.conditions = conditions
+        self.truncated = truncated
 
     def first_failure(self) -> Optional[ConditionResult]:
         for c in self.conditions:

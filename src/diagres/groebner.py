@@ -92,7 +92,6 @@ when popped.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -150,20 +149,18 @@ def _check_vector(vec: FreeVector, rng: QuotientRing, rank: int, what: str = "ve
             raise RingMismatchError(f"{what} in a different ring")
 
 
-@dataclass
 class Submodule:
     """Submodule of a free module R^rank, given by generators."""
 
-    ring: QuotientRing
-    rank: int
-    generators: list  # list[FreeVector]
-    _gb: Optional["GroebnerBasis"] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, ring: QuotientRing, rank: int, generators: list):
+        self.ring = ring
+        self.rank = rank
+        self.generators = generators  # list[FreeVector]
+        self._gb = None  # the GroebnerBasis groebner() builds on first call
+        if rank < 1:
             raise ValueError("ambient free module must have rank >= 1")
-        for g in self.generators:
-            _check_vector(g, self.ring, self.rank, "generator")
+        for g in generators:
+            _check_vector(g, ring, rank, "generator")
 
     def groebner(self) -> "GroebnerBasis":
         if self._gb is None:

@@ -46,6 +46,9 @@ against the diagonal block, whose "complex", if given, must name that
 target.  A key the schema does not name, in any object but those keyed by
 degree, is rejected with its path; the declaration rules live in
 witness.check_declarations, which parsing gives the block's path.
+JobFileError, the error of every malformed job file, is defined in _terms
+beside InputDataError and re-exported here: the CLI catches it on every
+path, and loads this module only on a --job path.
 
 A degree key is an integer spelled canonically (str(int(k)) == k), and no
 JSON object may repeat a key; either is an input error naming the key (a
@@ -67,11 +70,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import ne
 from typing import Optional
 
+from ._terms import JobFileError
 from .complexes import ChainComplex, ChainMap, DiagonalSpec, InputDataError
 from .matrices import Matrix, mat_to_strings
 from .polyring import MonomialOrder, ParseError, QuotientRing
@@ -88,20 +91,19 @@ MAX_RANK = 2048
 MAX_DEGREE = 32
 
 
-class JobFileError(ValueError):
-    """Structurally invalid job file."""
-
-
-@dataclass
 class Job:
-    name: str
-    ring: QuotientRing
-    complexes: dict               # name -> ChainComplex
-    expectation: str
-    diagonal: Optional[DiagonalSpec]
-    diagonal_complex: Optional[str]
-    witness: Optional[GenerationWitness] = None
-    gb_module: Optional[dict] = None   # {"rank": int, "generators": [...]}
+    def __init__(self, name: str, ring: QuotientRing, complexes: dict, expectation: str,
+                 diagonal: Optional[DiagonalSpec], diagonal_complex: Optional[str],
+                 witness: Optional[GenerationWitness] = None,
+                 gb_module: Optional[dict] = None):
+        self.name = name
+        self.ring = ring
+        self.complexes = complexes            # name -> ChainComplex
+        self.expectation = expectation
+        self.diagonal = diagonal
+        self.diagonal_complex = diagonal_complex
+        self.witness = witness
+        self.gb_module = gb_module            # {"rank": int, "generators": [...]}
 
 
 def _need(d: dict, key: str, path: str):
@@ -280,7 +282,7 @@ def _named(complexes: dict, v, path: str) -> ChainComplex:
 def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
                   diagonal: Optional[DiagonalSpec] = None,
                   path: str = "witness", memo: Optional[dict] = None) -> GenerationWitness:
-    _obj(d, path)
+    _fields(d, path, ("claimed_time", "generators", "steps", "conclusion"))
     memo = {} if memo is None else memo
     gens = []
     for i, g in enumerate(_list(d.get("generators", []), f"{path}.generators")):
@@ -336,7 +338,6 @@ def parse_witness(d: dict, rng: QuotientRing, complexes: dict,
             except InputDataError as exc:
                 raise JobFileError(f"invalid chain map at {mpath}: {exc}") from exc
         steps.append(WitnessStep(step_map, target, summands))
-    _fields(d, path, ("claimed_time", "generators", "steps", "conclusion"))
     claimed = _int(_need(d, "claimed_time", path), f"{path}.claimed_time")
     w = GenerationWitness(gens, steps, claimed, diagonal,
                           conclusion=_str(d.get("conclusion", ""), f"{path}.conclusion"))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import ChainComplex, DiagonalSpec, exact_everywhere, verify_diagonal_qiso
@@ -27,17 +26,21 @@ from .witness import GenerationWitness, verify_witness
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class VerificationReport:
-    name: str
-    verdict: str                 # 'pass' | 'fail'
-    field_used: str              # 'q' or 'fp:P'
-    conditions: list = field(default_factory=list)
-    messages: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    window: Optional[list] = None
-    timing_seconds: Optional[float] = None
-    subreports: list = field(default_factory=list)
+    def __init__(self, name: str, verdict: str, field_used: str,
+                 conditions: Optional[list] = None, messages: Optional[list] = None,
+                 notes: Optional[list] = None, window: Optional[list] = None,
+                 timing_seconds: Optional[float] = None,
+                 subreports: Optional[list] = None):
+        self.name = name
+        self.verdict = verdict            # 'pass' | 'fail'
+        self.field_used = field_used      # 'q' or 'fp:P'
+        self.conditions = [] if conditions is None else conditions
+        self.messages = [] if messages is None else messages
+        self.notes = [] if notes is None else notes
+        self.window = window
+        self.timing_seconds = timing_seconds
+        self.subreports = [] if subreports is None else subreports
 
     @property
     def passed(self) -> bool:
@@ -83,7 +86,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass
 class VerificationEntry:
     """A complex and the verdict expected of it: 'qiso_to_diagonal' against
     diagonal, or 'exact_everywhere' in window.  A verdict on a truncated
@@ -92,18 +94,25 @@ class VerificationEntry:
     verdict itself raises InputDataError on a complex with d*d != 0 (the
     check is memoized on the complex)."""
 
-    name: str
-    ring: QuotientRing
-    complex: ChainComplex
-    diagonal: Optional[DiagonalSpec]
-    witness: Optional[GenerationWitness] = None
-    notes: list = field(default_factory=list)
-    expectation: str = "qiso_to_diagonal"
-    window: Optional[tuple] = None
-    truncation_note: str = ("truncated free models in play: verdict claimed only in "
-                            "the degree window {}")
-    chart: Optional[tuple] = None
-    kind: Optional[str] = None
+    def __init__(self, name: str, ring: QuotientRing, complex: ChainComplex,
+                 diagonal: Optional[DiagonalSpec],
+                 witness: Optional[GenerationWitness] = None,
+                 notes: Optional[list] = None, expectation: str = "qiso_to_diagonal",
+                 window: Optional[tuple] = None,
+                 truncation_note: str = ("truncated free models in play: verdict "
+                                         "claimed only in the degree window {}"),
+                 chart: Optional[tuple] = None, kind: Optional[str] = None):
+        self.name = name
+        self.ring = ring
+        self.complex = complex
+        self.diagonal = diagonal
+        self.witness = witness
+        self.notes = [] if notes is None else notes
+        self.expectation = expectation
+        self.window = window
+        self.truncation_note = truncation_note
+        self.chart = chart
+        self.kind = kind
 
 
 def verdict_report(entry: VerificationEntry) -> VerificationReport:

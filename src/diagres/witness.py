@@ -27,71 +27,73 @@ generator declared product is taken as declared, and nothing checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError,
                         cone, direct_sum, shift, verify_diagonal_qiso, zero_complex)
 
 
-@dataclass
 class ConeCertificate:
     """Weak productness via the cone of a morphism of product bimodules."""
 
-    source_label: str
-    target_label: str
+    def __init__(self, source_label: str, target_label: str):
+        self.source_label = source_label
+        self.target_label = target_label
 
 
-@dataclass
 class GeneratorDecl:
-    label: str
-    kind: str  # 'product' | 'weakly_product'
-    certificate: Optional[ConeCertificate] = None
-
-    def __post_init__(self):
-        if self.kind not in ("product", "weakly_product"):
-            raise InputDataError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "weakly_product" and not isinstance(self.certificate,
-                                                             ConeCertificate):
+    def __init__(self, label: str, kind: str,
+                 certificate: Optional[ConeCertificate] = None):
+        if kind not in ("product", "weakly_product"):
+            raise InputDataError(f"unknown generator kind {kind!r}")
+        if kind == "weakly_product" and not isinstance(certificate, ConeCertificate):
             raise InputDataError(
-                f"weakly_product generator {self.label!r} needs a cone certificate")
+                f"weakly_product generator {label!r} needs a cone certificate")
+        self.label = label
+        self.kind = kind  # 'product' | 'weakly_product'
+        self.certificate = certificate
 
 
-@dataclass
 class DeclaredSummand:
-    label: str
-    shift: int = 0
-    multiplicity: int = 1
-    model: Optional[ChainComplex] = None
+    def __init__(self, label: str, shift: int = 0, multiplicity: int = 1,
+                 model: Optional[ChainComplex] = None):
+        self.label = label
+        self.shift = shift
+        self.multiplicity = multiplicity
+        self.model = model
 
 
-@dataclass
 class WitnessStep:
     """R_i = cone(step_map); step_map is psi_i, and None for step 0 (R_0 = S_0).
 
     A witness whose charts carry the algebra leaves its own targets None.
     """
 
-    step_map: Optional[ChainMap]
-    target: Optional[ChainComplex]
-    summands: list
+    def __init__(self, step_map: Optional[ChainMap], target: Optional[ChainComplex],
+                 summands: list):
+        self.step_map = step_map
+        self.target = target
+        self.summands = summands
 
 
-@dataclass
 class GenerationWitness:
-    generators: list
-    steps: list
-    claimed_time: int
-    final_diagonal: Optional[DiagonalSpec] = None
-    charts: tuple = ()  # local witnesses; conclusion names the chart
-    conclusion: str = ""
+    def __init__(self, generators: list, steps: list, claimed_time: int,
+                 final_diagonal: Optional[DiagonalSpec] = None, charts: tuple = (),
+                 conclusion: str = ""):
+        self.generators = generators
+        self.steps = steps
+        self.claimed_time = claimed_time
+        self.final_diagonal = final_diagonal
+        self.charts = charts  # local witnesses; conclusion names the chart
+        self.conclusion = conclusion
 
 
-@dataclass
 class WitnessReport:
-    passed: bool
-    messages: list = field(default_factory=list)
-    problems: list = field(default_factory=list)
+    def __init__(self, passed: bool, messages: Optional[list] = None,
+                 problems: Optional[list] = None):
+        self.passed = passed
+        self.messages = [] if messages is None else messages
+        self.problems = [] if problems is None else problems
 
 
 def check_declarations(w: GenerationWitness, at: str = "") -> dict:

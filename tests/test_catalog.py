@@ -121,11 +121,14 @@ def test_cycle_charts_verify_and_witness_emits_bound():
 def test_a_shared_chart_input_error_names_its_path():
     """A precondition violation in a chart's diagonal data is an input
     error, raised with the field at fault, not a verdict."""
-    from dataclasses import replace
+    import copy
     jobs = build_cycle(3).chart_jobs
     spec = next(j.diagonal for j in jobs if j.kind == "diagonal")
     short = DiagonalSpec(spec.ideal, spec.degree, spec.augmentation[:-1], spec.window)
-    jobs = [replace(j, diagonal=short) if j.kind == "diagonal" else j for j in jobs]
+    jobs = [copy.copy(j) for j in jobs]
+    for j in jobs:
+        if j.kind == "diagonal":
+            j.diagonal = short
     with pytest.raises(InputDataError, match="at diagonal.augmentation"):
         verify_chart_jobs(jobs)
 

@@ -707,6 +707,19 @@ def test_misspelled_key_in_any_job_object_names_its_path(tmp_path, capsys, where
     assert f"unknown key at {key if where == '$' else f'{where}.{key}'}" in err
 
 
+def test_misspelled_witness_key_is_named_before_a_bad_step(tmp_path, capsys):
+    """The witness block's keys are checked before its generators and steps
+    parse, so a misspelled key is the error reported, not a bad step."""
+    doc = _affine_witness_job()
+    doc["witness"]["steps"][1]["summands"][0]["model"] = "ghost"
+    doc["witness"]["conclusoin"] = ""
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "witness", "--job", str(path))
+    assert (code, out) == (2, "")
+    assert "unknown key at witness.conclusoin" in err
+
+
 def test_witness_job_repeated_generator_label_is_input_error(tmp_path, capsys):
     doc = _affine_witness_job()
     doc["witness"]["generators"].append({"label": "O_plane", "kind": "product"})
@@ -881,7 +894,6 @@ def test_witness_job_unknown_model_rejected(tmp_path, capsys):
             "claimed_time": 0,
             "generators": [{"label": "O", "kind": "product"}],
             "steps": [{"summands": [{"label": "O", "model": "ghost"}]}],
-            "final": {"complex": "total"},
         },
     }))
     code, _, err = run_cli(capsys, "witness", "--job", str(path))
@@ -1354,17 +1366,30 @@ def test_no_build_or_verify_path_reads_the_dense_row_view(tmp_path, capsys, monk
 
 def _cli_modules(runs) -> tuple:
     """Run each argv through one fresh interpreter's cli.main: (the exit
-    codes, the sorted diagres modules then loaded)."""
+    codes, the sorted modules then loaded).  The interpreter starts with
+    -S, so that no site .pth file imports a module of its own."""
     import os
     import subprocess
     import sys
     probe = ("import json, sys; from diagres.cli import main; "
              f"codes = [main(argv) for argv in {runs!r}]; "
-             "print(json.dumps([codes, sorted(m for m in sys.modules "
-             "if m == 'diagres' or m.startswith('diagres.'))]))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+             "print(json.dumps([codes, sorted(sys.modules)]))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
     return tuple(json.loads(out.strip().splitlines()[-1]))
+
+
+EXAMPLE_RUNS = [[cmd, "--example", ex] for cmd in ("verify", "witness")
+                for ex in ("affine-line", "nodal-conic", "cycle")]
+
+
+def test_example_runs_load_neither_dataclasses_nor_the_job_reader():
+    """Start-up cost: every --example run, after `import diagres.cli`,
+    leaves dataclasses (about 7 ms to import, and an exec per decorated
+    class) and jobio (compiled on every start without bytecode) unloaded."""
+    codes, loaded = _cli_modules(EXAMPLE_RUNS)
+    assert codes == [0] * len(EXAMPLE_RUNS)
+    assert {"dataclasses", "diagres.jobio"} & set(loaded) == set()
 
 
 def _small_jobs(tmp_path) -> dict:
@@ -1388,9 +1413,7 @@ def test_verify_job_imports_no_build_code(tmp_path):
 def test_every_package_module_is_reached_by_a_cli_path(tmp_path):
     """src/diagres holds what the CLI reaches: the examples and small jobs
     through every subcommand load every module of the package."""
-    runs = [[cmd, "--example", ex] for cmd in ("verify", "witness")
-            for ex in ("affine-line", "nodal-conic", "cycle")]
-    runs += [[cmd, "--job", path] for cmd, path in _small_jobs(tmp_path).items()]
+    runs = EXAMPLE_RUNS + [[cmd, "--job", path] for cmd, path in _small_jobs(tmp_path).items()]
     codes, loaded = _cli_modules(runs)
     assert codes == [0] * len(runs)
     package = SRC / "diagres"
