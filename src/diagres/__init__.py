@@ -9,8 +9,7 @@ The commonly used surface is re-exported here; the submodules hold the
 rest (catalog entries live under diagres.catalog).
 """
 
-from .complexes import (ChainComplex, ChainMap, DiagonalSpec, check_differential,
-                        cone, direct_sum, homology_is_zero_at, shift,
+from .complexes import (ChainComplex, ChainMap, DiagonalSpec, cone, direct_sum, shift,
                         verify_diagonal_qiso)
 from .groebner import Submodule, buchberger, member, normal_form, syzygies
 from .polyring import MonomialOrder, Polynomial, QuotientRing, parse_poly, ring
@@ -22,6 +21,6 @@ __all__ = [
     "QQ", "PrimeField", "field_from_spec",
     "ring", "Polynomial", "QuotientRing", "MonomialOrder", "parse_poly",
     "Submodule", "buchberger", "normal_form", "member", "syzygies",
-    "ChainComplex", "ChainMap", "DiagonalSpec", "check_differential", "cone",
-    "shift", "direct_sum", "homology_is_zero_at", "verify_diagonal_qiso",
+    "ChainComplex", "ChainMap", "DiagonalSpec", "cone", "shift", "direct_sum",
+    "verify_diagonal_qiso",
 ]

@@ -45,8 +45,8 @@ one multiplication.
 Overflow rule.  Every exponent is at most the degree, so a term fits iff its
 degree is at most FIELD_MAX.  encode checks the degree of each term it
 packs, lcm the degree it sums, and every product site checks the sum of its
-factors' top degrees first (check_degree): polynomial products, shifts and
-powers, mat_mul, minimize's Schur update, ring maps, and the engine against
+factors' top degrees first (check_degree): polynomial products and
+shifts, mat_mul, minimize's Schur update, and the engine against
 the largest degree of the vector it multiplies.  So every term formed fits,
 and one that would not raises InputDataError instead of wrapping.
 """

@@ -14,14 +14,18 @@ EXAMPLES is the CLI's one table of examples.  Its builders look up the
 build functions here at call time, and the CLI looks up
 ``verify_chart_jobs`` here, so replacing one here (a monkeypatch, the
 benchmark's tracer) reaches the CLI.
+
+The documented mutation controls (catalog.mutations) are no CLI path's:
+the tests and the benchmark's job inputs load them, and ``apply_mutation``
+and ``documented_mutations`` are served from here on first use, so no
+``--example`` start loads them.
 """
 
 from typing import Callable, Optional
 
 from ..witness import GenerationWitness
 from .entries import (CycleCatalog, build_affine_line, build_cycle, build_nodal_conic,
-                      build_nodal_conic_product, restrict_complex, verify_chart_jobs)
-from .mutations import apply_mutation, documented_mutations
+                      build_nodal_conic_product, verify_chart_jobs)
 
 
 class Example:
@@ -63,6 +67,13 @@ EXAMPLES = {
 __all__ = [
     "CycleCatalog", "EXAMPLES", "Example",
     "build_affine_line", "build_nodal_conic", "build_nodal_conic_product",
-    "build_cycle", "restrict_complex", "verify_chart_jobs",
-    "documented_mutations", "apply_mutation",
+    "build_cycle", "verify_chart_jobs", "documented_mutations", "apply_mutation",
 ]
+
+
+def __getattr__(name):
+    """The two mutation names, importing catalog.mutations on first use."""
+    if name in ("apply_mutation", "documented_mutations"):
+        from . import mutations
+        return getattr(mutations, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,11 +28,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
-from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError, _vanishes,
-                         block_map, check_differential, cone,
-                         direct_sum, map_sub, shift, zero_complex)
-from ..matrices import block_matrix, identity_matrix, mat_map, mat_neg
-from ..polyring import Polynomial, QuotientRing, RingMap, ring
+from ..complexes import (ChainComplex, ChainMap, DiagonalSpec, InputDataError, block_map,
+                         cone, direct_sum, map_sub, shift, zero_complex)
+from ..matrices import block_matrix, identity_matrix, mat_neg
+from ..polyring import Polynomial, QuotientRing, ring
 from ..report import VerificationEntry, VerificationReport, verdict_report
 from ..resolutions import lift_module_map, maps_to_shifted_cone, tate, truncate
 from ..scalars import QQ, Field, field_spec_str
@@ -500,28 +499,6 @@ def _chart_complex_cached(field: Field, kind: str):
     """Chart complexes are n-independent; build them once per field."""
     return _cached(field, kind, _build_diagonal_chart_complex if kind == "diagonal"
                    else _build_adjacent_chart_complex)
-
-
-# ---------------------------------------------------------------------------
-# chart restriction
-
-
-def restrict_complex(cx: ChainComplex, rmap: RingMap) -> ChainComplex:
-    """Entrywise substitution along a relation-compatible ring map."""
-    if rmap.source != cx.ring:
-        raise InputDataError("ring map source differs from the complex's ring")
-    target = rmap.target
-    for rel in rmap.source.relations:
-        image = rmap.apply(rel)
-        if not _vanishes(target, [image]):
-            raise InputDataError(
-                f"substitution sends relation {rel} to {image}, "
-                "which is outside the target relation ideal")
-    diffs = {i: mat_map(m, rmap.apply, target) for i, m in cx.diffs.items()}
-    out = ChainComplex(target, dict(cx.ranks), diffs, check=False)
-    if not check_differential(out):
-        raise InputDataError("restricted complex fails d*d = 0")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Documented single-entry mutation controls, and witness mutation controls.
+"""Documented single-entry mutation controls.
 
 Each catalog entry carries five frozen mutations, each changing exactly one
 sign or coefficient somewhere in the entry's data (a differential entry, an
@@ -11,9 +11,8 @@ are multiples of the relations themselves, which are invisible over the
 quotient), so differential mutations surface as failed preconditions; the
 augmentation and ideal mutations reach the homology stage and fail there.
 
-Each witness mutation control is a generation witness that a verifier
-trusting labels, unlinked steps or a search up to basis changes would
-accept; every one must fail with the named problem.
+No CLI path loads this module: the tests import it, and the benchmark's
+job inputs reach it through the package (see catalog.__getattr__).
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ from typing import NamedTuple
 
 from ..complexes import ChainComplex, DiagonalSpec, InputDataError
 from ..matrices import Matrix
-from ..scalars import Field
-from ..witness import ConeCertificate, GenerationWitness, GeneratorDecl, WitnessStep
-from .entries import (_chart_witnesses, _cycle_witness, build_affine_line,
-                      build_nodal_conic, build_nodal_conic_product)
 
 
 class Mutation(NamedTuple):
@@ -131,58 +126,3 @@ def apply_mutation(cx: ChainComplex, dspec: DiagonalSpec, mutation: Mutation):
         return (cx, DiagonalSpec(ideal, dspec.degree, list(dspec.augmentation),
                                  dspec.window))
     raise InputDataError(f"unknown mutation kind {mutation.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# witness mutation controls
-
-
-def _conic_step_0_only(field: Field):
-    """The nodal conic cut to step 0 with claimed time 0 (Rdim <= 0 is
-    false: a reduced curve has Rdim >= 1)."""
-    w = build_nodal_conic(field).witness
-    return GenerationWitness(w.generators, w.steps[:1], 0, w.final_diagonal, w.charts,
-                             w.conclusion)
-
-
-def _cycle_misplaced_certificate(field: Field):
-    """The 4-cycle with G_1 certified by O_square_3 -> O_node_1, a node the
-    third square does not meet."""
-    w = _cycle_witness(4)
-    w.generators = [
-        GeneratorDecl("G_1", "weakly_product", ConeCertificate("O_square_3", "O_node_1"))
-        if g.label == "G_1" else g for g in w.generators]
-    w.charts = _chart_witnesses(w, 4, field)
-    return w
-
-
-def _conic_product_final(field: Field):
-    """The conic's last target and spec swapped for the product resolution's,
-    which pass the diagonal check on their own."""
-    w = build_nodal_conic(field).witness
-    product = build_nodal_conic_product(field)
-    last = WitnessStep(w.steps[-1].step_map, product.complex, w.steps[-1].summands)
-    return GenerationWitness(w.generators, w.steps[:-1] + [last], w.claimed_time,
-                             product.diagonal, w.charts, w.conclusion)
-
-
-def _affine_reversed_summands(field: Field):
-    """The affine line's step-1 summands declared in reverse block order."""
-    w = build_affine_line(field).witness
-    last = WitnessStep(w.steps[-1].step_map, w.steps[-1].target,
-                       list(reversed(w.steps[-1].summands)))
-    return GenerationWitness(w.generators, w.steps[:-1] + [last], w.claimed_time,
-                             w.final_diagonal, w.charts, w.conclusion)
-
-
-# name -> (text one of the witness problems must contain,
-#          field -> witness)
-WITNESS_MUTATIONS = {
-    "conic-step-0-only": ("final complex fails diagonal check", _conic_step_0_only),
-    "cycle-misplaced-certificate": ("does not match the declared sum",
-                                    _cycle_misplaced_certificate),
-    "conic-product-final": ("target is not the cone of the attaching map",
-                            _conic_product_final),
-    "affine-reversed-summands": ("does not match the declared sum",
-                                 _affine_reversed_summands),
-}

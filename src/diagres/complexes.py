@@ -145,11 +145,6 @@ def _vanishes(rng: QuotientRing, entries) -> bool:
     return all(reduces_to_zero(e.terms, gb) for e in entries)
 
 
-def check_differential(cx: ChainComplex) -> bool:
-    """True iff every composite d.d reduces to zero modulo the relations."""
-    return cx._d2_failure is None
-
-
 def zero_complex(rng: QuotientRing) -> ChainComplex:
     return ChainComplex(rng, {}, {}, check=False)
 
@@ -349,15 +344,6 @@ def minimize(cx: ChainComplex, aug: Optional[tuple] = None):
 # homology, answered from the solver of each differential (groebner.solver_of),
 # kept on the matrix: a minimized complex's solvers are freed with it, and a
 # given complex's are shared by every verdict on its matrices.
-
-
-def homology_is_zero_at(cx: ChainComplex, i: int, pre_minimize: bool = True) -> bool:
-    """True iff ker(d_i) is contained in im(d_{i+1}) + J*C_i; InputDataError
-    if cx is not a complex."""
-    cx._require_square_zero()
-    if pre_minimize:
-        cx, _ = minimize(cx)
-    return _zero_at(cx, i)
 
 
 def _cycles(cx: ChainComplex, i: int) -> Matrix:

@@ -442,7 +442,7 @@ def load_job(path: str, field: Optional[str] = None) -> Job:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
             raise JobFileError(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise JobFileError("job file nested too deeply at $") from exc

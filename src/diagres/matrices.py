@@ -16,7 +16,7 @@ Nothing in the package builds or verifies through that view.
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ._terms import check_degree
 from .polyring import Polynomial, QuotientRing, max_degree
@@ -155,14 +155,6 @@ def block_matrix(rng: QuotientRing, row_sizes: Sequence[int], col_sizes: Sequenc
             for c, e in row.items():
                 out[c0 + c] = e
     return Matrix(rng, row_off[-1], col_off[-1], rows)
-
-
-def mat_map(mat: Matrix, f: Callable[[Polynomial], Polynomial],
-            rng: QuotientRing = None) -> Matrix:
-    """f applied to every nonzero entry (f must send zero to zero); the
-    result lives over rng, by default the matrix's own ring."""
-    return Matrix(rng or mat.ring, mat.nrows, mat.ncols,
-                  [{c: v for c, e in row.items() if (v := f(e)).terms} for row in mat.rows])
 
 
 def mat_to_strings(mat: Matrix) -> list:

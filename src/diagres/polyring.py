@@ -48,7 +48,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from ._terms import InputDataError, Packing, check_degree
-from .scalars import QQ, Field, FieldMismatchError, PrimeField
+from .scalars import QQ, Field, PrimeField
 
 
 # The largest exponent the grammar accepts: far inside the packed fields
@@ -279,26 +279,11 @@ class Polynomial:
             axpy(out, v, k - one, b)
         return Polynomial(rng, out)
 
-    def scale(self, c) -> "Polynomial":
-        fld = self.ring.field
-        if fld.is_zero(c):
-            return self.ring.zero()
-        return Polynomial(self.ring, {k: fld.mul(v, c) for k, v in self.terms.items()})
-
     def shift(self, exps: tuple) -> "Polynomial":
         """Multiply by the monomial with the given exponents."""
         check_degree(self.degree() + sum(exps))
         m = self.ring.packing.multiplier(exps)
         return Polynomial(self.ring, {k + m: v for k, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        check_degree(n * self.degree())
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     # --- comparison / text ---
 
@@ -501,44 +486,3 @@ def parse_poly(text: str, rng: QuotientRing) -> Polynomial:
         i += 1
         result = result + parse_term(-1 if val == "-" else 1)
     return result
-
-
-# ---------------------------------------------------------------------------
-# ring maps (chart restrictions)
-
-
-class RingMap:
-    """Ring homomorphism determined by variable images.
-
-    images[i] is the image of source variable i in the target ring.  The map
-    is applied literally; whether it carries the source relations into the
-    target relation ideal is checked where it matters (catalog restriction)
-    with the Gröbner engine.
-    """
-
-    def __init__(self, source: QuotientRing, target: QuotientRing,
-                 images: Sequence[Polynomial]):
-        if len(images) != source.nvars:
-            raise ValueError("need one image per source variable")
-        for im in images:
-            if im.ring != target:
-                raise RingMismatchError("image not in target ring")
-        if source.field != target.field:
-            raise FieldMismatchError("ring map must preserve the field")
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        """The image of p; every product and power is degree-checked."""
-        if p.ring != self.source:
-            raise RingMismatchError("polynomial not in the map's source ring")
-        out, decode = self.target.zero(), self.source.packing.decode
-        for k, c in p.terms.items():
-            exps = decode(k)[1]
-            term = self.target.const(1).scale(c)
-            for im, e in zip(self.images, exps):
-                if e:
-                    term = term * im ** e
-            out = out + term
-        return out

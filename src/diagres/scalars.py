@@ -34,10 +34,6 @@ from functools import partial
 from ._terms import packed_axpy_p, packed_axpy_q
 
 
-class FieldMismatchError(ValueError):
-    """Operands belong to different fields."""
-
-
 class Field:
     """Common interface of the two coefficient fields.
 
@@ -193,11 +189,15 @@ CHECK_PRIME = 32003
 
 
 def field_from_spec(spec: str) -> Field:
-    """Parse a field descriptor: 'q' for the rationals, 'fp:P' for F_P."""
+    """Parse a field descriptor: 'q' for the rationals, 'fp:P' for F_P with
+    P in ASCII decimal digits, spelled canonically (str(int(P)) == P), so
+    that each field has one spec."""
     if spec == "q":
         return QQ
-    if spec.startswith("fp:"):
-        return PrimeField(int(spec[3:]))
+    digits = spec[3:]
+    if (spec.startswith("fp:") and digits.isascii() and digits.isdigit()
+            and str(int(digits)) == digits):
+        return PrimeField(int(digits))
     raise ValueError(f"unknown field spec {spec!r} (expected 'q' or 'fp:P')")
 
 

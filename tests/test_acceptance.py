@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from bimodcalc import GradedLinearMap, GradedVectorSpace, decompose
 from diagres.catalog import (build_affine_line, build_cycle, build_nodal_conic,
-                             build_nodal_conic_product, documented_mutations,
-                             verify_chart_jobs)
+                             build_nodal_conic_product, verify_chart_jobs)
+from diagres.catalog.mutations import documented_mutations
 from diagres.cli import main as cli_main
 from diagres.complexes import DiagonalSpec, verify_diagonal_qiso
 from diagres.groebner import Submodule, buchberger, member, normal_form, syzygies

@@ -5,6 +5,7 @@ import copy
 import functools
 import hashlib
 import importlib.util
+import inspect
 import json
 import operator
 import re
@@ -23,6 +24,7 @@ from diagres.polyring import MAX_EXPONENT, ring
 from diagres.scalars import field_from_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -361,7 +363,8 @@ def test_conic_job_under_a_permuted_lex_order_verifies_and_its_mutations_fail(
     priority, still passes, and each documented mutation still fails.  The
     constant monomial packs to 0 under lex and not under grevlex, so the
     unit tests of minimize run both ways."""
-    from diagres.catalog import apply_mutation, build_nodal_conic, documented_mutations
+    from diagres.catalog import build_nodal_conic
+    from diagres.catalog.mutations import apply_mutation, documented_mutations
     entry = build_nodal_conic(field_from_spec(spec))
     lex = {"kind": "lex", "priority": [2, 0, 3, 1]}
 
@@ -1225,6 +1228,33 @@ def test_oversized_prime_field_is_input_error(tmp_path, capsys):
     assert code == 2 and "ring.field" in err
 
 
+@pytest.mark.parametrize("spec", ["fp:07", "fp: 7", "fp:+7", "fp:1_000_003", "fp:٧",
+                                  "fp:abc"])
+def test_a_field_spec_not_spelled_canonically_is_input_error(tmp_path, capsys, spec):
+    """'fp:' takes P in ASCII digits spelled as str(P) prints it, so a
+    report names each field one way; any other spelling exits 2."""
+    want = f"unknown field spec {spec!r} (expected 'q' or 'fp:P')"
+    code, out, err = run_cli(capsys, "verify", "--example", "affine-line", "--field", spec)
+    assert (code, out, err) == (2, "", f"input error: {want}\n")
+    doc = _hand_job()
+    doc["ring"]["field"] = spec
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--job", str(path))
+    assert (code, out, err) == (2, "", f"input error: bad ring at ring.field: {want}\n")
+
+
+def test_a_json_integer_past_the_int_digit_limit_is_input_error(tmp_path, capsys):
+    """json.load refuses an integer literal longer than the interpreter's
+    int-conversion limit with a ValueError: a malformed job, exit 2."""
+    path = tmp_path / "long-rank.json"
+    path.write_text(json.dumps(_hand_job()).replace('"ranks": {"0": 1',
+                                                    '"ranks": {"0": ' + "9" * 5000))
+    code, out, err = run_cli(capsys, "verify", "--job", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: not valid JSON: ") and "4300" in err
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     import diagres.catalog
 
@@ -1364,16 +1394,30 @@ def test_no_build_or_verify_path_reads_the_dense_row_view(tmp_path, capsys, monk
     assert verdict_report(build_nodal_conic_product()).verdict == "pass"
 
 
-def _cli_modules(runs) -> tuple:
-    """Run each argv through one fresh interpreter's cli.main: (the exit
-    codes, the sorted modules then loaded).  The interpreter starts with
-    -S, so that no site .pth file imports a module of its own."""
+def _cli_modules(runs, then: str = "") -> tuple:
+    """Run each argv through one fresh interpreter's cli.main, then the
+    statement then: (the exit codes, the sorted modules then loaded, the
+    sorted files in which a function defined by def ran).  A module or
+    class body runs no function, so being imported is not being run.  The
+    interpreter starts with -S, so that no site .pth file imports a module
+    of its own."""
     import os
     import subprocess
     import sys
-    probe = ("import json, sys; from diagres.cli import main; "
-             f"codes = [main(argv) for argv in {runs!r}]; "
-             "print(json.dumps([codes, sorted(sys.modules)]))")
+    probe = "\n".join([
+        "import json, sys",
+        "ran = set()",
+        "def record(frame, event, arg):",
+        "    code = frame.f_code",
+        f"    if (event == 'call' and code.co_flags & {inspect.CO_OPTIMIZED}",
+        "            and not code.co_name.startswith('<')):",
+        "        ran.add(code.co_filename)",
+        "sys.setprofile(record)",
+        "from diagres.cli import main",
+        f"codes = [main(argv) for argv in {runs!r}]",
+        then,
+        "sys.setprofile(None)",
+        "print(json.dumps([codes, sorted(sys.modules), sorted(ran)]))"])
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
     return tuple(json.loads(out.strip().splitlines()[-1]))
@@ -1383,13 +1427,14 @@ EXAMPLE_RUNS = [[cmd, "--example", ex] for cmd in ("verify", "witness")
                 for ex in ("affine-line", "nodal-conic", "cycle")]
 
 
-def test_example_runs_load_neither_dataclasses_nor_the_job_reader():
+def test_example_runs_leave_dataclasses_jobio_and_mutations_unloaded():
     """Start-up cost: every --example run, after `import diagres.cli`,
     leaves dataclasses (about 7 ms to import, and an exec per decorated
-    class) and jobio (compiled on every start without bytecode) unloaded."""
-    codes, loaded = _cli_modules(EXAMPLE_RUNS)
+    class), jobio (compiled on every start without bytecode) and the
+    documented mutation controls, which no CLI path calls, unloaded."""
+    codes, loaded, _ = _cli_modules(EXAMPLE_RUNS)
     assert codes == [0] * len(EXAMPLE_RUNS)
-    assert {"dataclasses", "diagres.jobio"} & set(loaded) == set()
+    assert {"dataclasses", "diagres.jobio", "diagres.catalog.mutations"} & set(loaded) == set()
 
 
 def _small_jobs(tmp_path) -> dict:
@@ -1405,21 +1450,27 @@ def test_verify_job_imports_no_build_code(tmp_path):
     """A job's verdict, witness check or basis runs without the catalog or
     the resolution builders."""
     for cmd, path in _small_jobs(tmp_path).items():
-        codes, loaded = _cli_modules([[cmd, "--job", path]])
+        codes, loaded, _ = _cli_modules([[cmd, "--job", path]])
         assert codes == [0], cmd
         assert not any("catalog" in m or "resolutions" in m for m in loaded), cmd
 
 
 def test_every_package_module_is_reached_by_a_cli_path(tmp_path):
-    """src/diagres holds what the CLI reaches: the examples and small jobs
-    through every subcommand load every module of the package."""
+    """src/diagres holds what the CLI or the benchmark calls: the examples
+    and small jobs through every subcommand, then one round of the
+    benchmark's job-stream inputs (the one user of the documented
+    mutations), run a function of every module of the package that
+    defines one.  A module that is only imported is not reached."""
     runs = EXAMPLE_RUNS + [[cmd, "--job", path] for cmd, path in _small_jobs(tmp_path).items()]
-    codes, loaded = _cli_modules(runs)
+    jobs = tmp_path / "job-stream"
+    jobs.mkdir()
+    codes, _, ran = _cli_modules(runs, f"sys.path.insert(0, {str(PERFBENCH)!r}); "
+                                       f"import inputs; inputs.write_jobs(1, {str(jobs)!r})")
     assert codes == [0] * len(runs)
-    package = SRC / "diagres"
-    modules = {".".join(("diagres",) + f.relative_to(package).with_suffix("").parts)
-               .removesuffix(".__init__") for f in package.rglob("*.py")}
-    assert sorted(modules - set(loaded)) == []
+    defining = {f.resolve() for f in (SRC / "diagres").rglob("*.py")
+                if any(isinstance(node, ast.FunctionDef)
+                       for node in ast.walk(ast.parse(f.read_text())))}
+    assert sorted(map(str, defining - {Path(f).resolve() for f in ran})) == []
 
 
 # Public functions and methods of src/diagres that nothing in src/ or
@@ -1427,10 +1478,6 @@ def test_every_package_module_is_reached_by_a_cli_path(tmp_path):
 # is as test-only as their sub, but a set's add in perfbench/run.py shares
 # its name, so the scan below does not flag it.
 UNREFERENCED_BY_DESIGN = {
-    "restrict_complex": "chart restriction, kept for gluing the cycle's charts "
-                        "(ROADMAP item 7a)",
-    "homology_is_zero_at": "the raw-path homology reference that the minimize "
-                           "tests compare against",
     "RationalField.sub": "field arithmetic of tests/bimodcalc.py and of the "
                          "reference axpy and ref_add models",
     "PrimeField.sub": "field arithmetic of tests/bimodcalc.py and of the "
@@ -1490,7 +1537,7 @@ JOB_STREAM_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(JOB_STREAM_DIGESTS))
 def test_job_stream_inputs_match_pinned_digest(tmp_path, seed):
-    where = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    where = PERFBENCH / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", where)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)

@@ -6,15 +6,14 @@ from functools import cached_property
 import pytest
 
 from diagres.complexes import (ChainComplex, ChainMap, DiagonalSpec,
-                               InputDataError, check_differential, cone,
-                               direct_sum, exact_everywhere,
-                               homology_is_zero_at, minimize, shift,
+                               InputDataError, cone, direct_sum,
+                               exact_everywhere, minimize, shift,
                                verify_diagonal_qiso, zero_complex)
 from diagres.matrices import Matrix, as_matrix, identity_matrix, mat_mul
 from diagres.polyring import ring
 from diagres.resolutions import lift_module_map, resolve_cyclic
 from diagres.scalars import CHECK_PRIME
-from helpers import exponent_terms
+from helpers import check_differential, exponent_terms, homology_is_zero_at
 
 R2 = ring(["x1", "x2"])
 
@@ -302,13 +301,13 @@ def _minimize_restarting(cx, transport_degrees=()):
         prow = mat[r]
         new_k = []
         for s in range(rows):
-            corr = mat[s][c].scale(inv)
+            corr = rng.const(inv) * mat[s][c]
             if s != r:
                 new_k.append([mat[s][t] - corr * prow[t] if not corr.is_zero() else mat[s][t]
                               for t in range(cols) if t != c])
         if k in incl:
             old = incl[k]
-            incl[k] = [[old[s][t] - old[s][c] * prow[t].scale(inv)
+            incl[k] = [[old[s][t] - old[s][c] * (rng.const(inv) * prow[t])
                         for t in range(cols) if t != c] for s in range(len(old))]
         if k - 1 in incl:
             old = incl[k - 1]
@@ -454,7 +453,8 @@ def test_noncommuting_map_fails_through_its_cone():
 
 
 def test_mutated_copy_of_checked_complex_fails_its_own_check(tmp_path, capsys):
-    from diagres.catalog import apply_mutation, build_affine_line, documented_mutations
+    from diagres.catalog import build_affine_line
+    from diagres.catalog.mutations import apply_mutation, documented_mutations
     from diagres.cli import main
     from diagres.jobio import emit_job, job_document
     entry = build_affine_line()

@@ -76,7 +76,7 @@ def test_reduced_ideal_bases_match_sympy_randomized(kind, priority):
                     exps[i] = k
                 terms[tuple(exps)] = Fraction(int(c.p), int(c.q))
             p = rng.from_exponent_terms(terms)
-            theirs.add(p.scale(rng.field.inv(leading(p)[1])))
+            theirs.add(rng.const(rng.field.inv(leading(p)[1])) * p)
         assert {v[0] for v in buchberger(sub).vectors} == theirs
 
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from diagres.complexes import (ChainComplex, ChainMap, InputDataError, check_differential,
-                               cone, homology_is_zero_at, shift)
+from diagres.complexes import ChainComplex, ChainMap, InputDataError, cone, shift
 from diagres.matrices import mat_eq, mat_mul, zero_matrix
 from diagres.polyring import ring
 from diagres.resolutions import (lift_module_map, maps_to_shifted_cone,
                                  nullhomotopy, resolve_cyclic, tate, truncate)
 from diagres.scalars import QQ
+from helpers import check_differential, homology_is_zero_at
 
 RXY = ring(["x", "y"], relations=["x*y"])
 R2 = ring(["x1", "x2"])

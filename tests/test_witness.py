@@ -2,8 +2,8 @@
 
 import pytest
 
-from diagres.catalog import build_affine_line, build_nodal_conic
-from diagres.catalog.mutations import WITNESS_MUTATIONS
+from diagres.catalog import build_affine_line, build_nodal_conic, build_nodal_conic_product
+from diagres.catalog.entries import _chart_witnesses, _cycle_witness
 from diagres.complexes import DiagonalSpec, InputDataError, verify_diagonal_qiso
 from diagres.scalars import QQ
 from diagres.witness import (ConeCertificate, DeclaredSummand, GenerationWitness,
@@ -227,6 +227,63 @@ def test_wrong_declared_sum_fails():
     rep = verify_witness(bad)
     assert not rep.passed
     assert any("does not match the declared sum" in p for p in rep.problems)
+
+
+# ---------------------------------------------------------------------------
+# witness mutation controls: each is a generation witness that a verifier
+# trusting labels, unlinked steps or a search up to basis changes would
+# accept; every one must fail with the named problem
+
+
+def _conic_step_0_only(field):
+    """The nodal conic cut to step 0 with claimed time 0 (Rdim <= 0 is
+    false: a reduced curve has Rdim >= 1)."""
+    w = build_nodal_conic(field).witness
+    return GenerationWitness(w.generators, w.steps[:1], 0, w.final_diagonal, w.charts,
+                             w.conclusion)
+
+
+def _cycle_misplaced_certificate(field):
+    """The 4-cycle with G_1 certified by O_square_3 -> O_node_1, a node the
+    third square does not meet."""
+    w = _cycle_witness(4)
+    w.generators = [
+        GeneratorDecl("G_1", "weakly_product", ConeCertificate("O_square_3", "O_node_1"))
+        if g.label == "G_1" else g for g in w.generators]
+    w.charts = _chart_witnesses(w, 4, field)
+    return w
+
+
+def _conic_product_final(field):
+    """The conic's last target and spec swapped for the product resolution's,
+    which pass the diagonal check on their own."""
+    w = build_nodal_conic(field).witness
+    product = build_nodal_conic_product(field)
+    last = WitnessStep(w.steps[-1].step_map, product.complex, w.steps[-1].summands)
+    return GenerationWitness(w.generators, w.steps[:-1] + [last], w.claimed_time,
+                             product.diagonal, w.charts, w.conclusion)
+
+
+def _affine_reversed_summands(field):
+    """The affine line's step-1 summands declared in reverse block order."""
+    w = build_affine_line(field).witness
+    last = WitnessStep(w.steps[-1].step_map, w.steps[-1].target,
+                       list(reversed(w.steps[-1].summands)))
+    return GenerationWitness(w.generators, w.steps[:-1] + [last], w.claimed_time,
+                             w.final_diagonal, w.charts, w.conclusion)
+
+
+# name -> (text one of the witness problems must contain,
+#          field -> witness)
+WITNESS_MUTATIONS = {
+    "conic-step-0-only": ("final complex fails diagonal check", _conic_step_0_only),
+    "cycle-misplaced-certificate": ("does not match the declared sum",
+                                    _cycle_misplaced_certificate),
+    "conic-product-final": ("target is not the cone of the attaching map",
+                            _conic_product_final),
+    "affine-reversed-summands": ("does not match the declared sum",
+                                 _affine_reversed_summands),
+}
 
 
 @pytest.mark.parametrize("name", sorted(WITNESS_MUTATIONS))
